@@ -1267,14 +1267,20 @@ def main(argv=None):
     parser.add_argument("--verify-oracle", action="store_true")
     args = parser.parse_args(argv)
 
+    if args.max_degree < 0:
+        print(f"invalid --max-degree {args.max_degree}: must be at least 0", file=sys.stderr)
+        return 1
     override = None
     if args.field is not None:
-        if args.field == "Q":
-            override = Field.rationals()
-        elif args.field.startswith("gf:"):
-            override = Field.gf(int(args.field[3:]))
-        else:
-            print(f"invalid --field {args.field!r}", file=sys.stderr)
+        try:
+            if args.field == "Q":
+                override = Field.rationals()
+            elif args.field.startswith("gf:"):
+                override = Field.gf(int(args.field[3:]))
+            else:
+                raise ValueError("expected Q or gf:p")
+        except ValueError as exc:
+            print(f"invalid --field {args.field!r}: {exc}", file=sys.stderr)
             return 1
 
     options = {

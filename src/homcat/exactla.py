@@ -15,6 +15,7 @@ exploding on the bar-complex matrices.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -56,6 +57,8 @@ class Field:
 
     @classmethod
     def gf(cls, p):
+        if p == 0:
+            raise ValueError("GF(p) needs a prime p, got 0")
         return cls(p)
 
     @property
@@ -127,13 +130,6 @@ def vadd(field, u, v):
         p = field.p
         return tuple((a + b) % p for a, b in zip(u, v))
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(field, u, v):
-    if field.p:
-        p = field.p
-        return tuple((a - b) % p for a, b in zip(u, v))
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(field, c, v):
@@ -400,7 +396,7 @@ def _rref_q(rows):
     for row in rows:
         den = 1
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = math.lcm(den, x.denominator)
         work.append([int(x * den) for x in row])
     pivots = []
     prev = 1
@@ -441,12 +437,6 @@ def _rref_q(rows):
         frac_rows.append([Fraction(0)] * ncols)
     rows[:] = frac_rows
     return pivots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rref(m):
@@ -504,11 +494,6 @@ def solve(a, b):
     for k, pc in enumerate(pivots):
         sol[pc] = list(r.data[k][a.cols:])
     return Mat(f, a.cols, b.cols, tuple(tuple(row) for row in sol))
-
-
-def solve_vec(a, vec):
-    s = solve(a, Mat.from_cols(a.field, [vec], rows=a.rows))
-    return None if s is None else s.col(0)
 
 
 def subquotient_dim(span_a, span_b):

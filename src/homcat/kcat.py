@@ -96,6 +96,7 @@ class FiniteKCategory:
         self.identity_summands = identity_summands
         self._post_cache = {}
         self._pre_cache = {}
+        self._summand_cache = {}     # (x, idempotent coords) -> modcat._Summand
         if len(set(self.objects)) != len(self.objects) or not self.objects:
             raise InvalidCategory(_quick_report("objects", "object list empty or duplicated"))
         for (x, y), labels in self.hom_basis.items():
@@ -189,13 +190,6 @@ class FiniteKCategory:
             self._pre_cache[key] = m
         return m
 
-    def post_matrix(self, x, y, z, g_coords):
-        m = Mat.zeros(self.field, self.dim(x, z), self.dim(x, y))
-        for j, b in enumerate(g_coords):
-            if b:
-                m = m.add(self.post_matrix_basis(x, y, z, j).scale(b))
-        return m
-
     def pre_matrix(self, x, y, z, f_coords):
         m = Mat.zeros(self.field, self.dim(x, z), self.dim(y, z))
         for i, a in enumerate(f_coords):
@@ -284,10 +278,6 @@ def _quick_report(where, message):
     r = ValidationReport()
     r.fail("structure", where, message)
     return r
-
-
-def validate_category(c):
-    return c.validate()
 
 
 # ---------------------------------------------------------------------------

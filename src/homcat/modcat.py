@@ -10,10 +10,10 @@ Resolutions are presentations by projective summands: a term is a finite
 coproduct of summands C(x,-) o e cut out of representables by the
 orthogonal identity decompositions the category carries, and a
 differential is the list of generator images in the previous term.  Ext
-and Tor complexes then come out of the Yoneda identifications
-Hom(C(x,-) o e, N) = e-invariants of N(x) and its tensor analogue, which
-keeps the cochain spaces small, the covers minimal, and all bases
-canonical.
+complexes then come out of the Yoneda identification
+Hom(C(x,-) o e, N) = e-invariants of N(x), and Tor complexes are the Ext
+complexes into the linear dual, which keeps the cochain spaces small, the
+covers minimal, and all bases canonical.
 """
 
 from __future__ import annotations
@@ -441,7 +441,6 @@ class HomBasis:
             offsets[x] = total
             total += target.dims[x] * source.dims[x]
         self.offsets = offsets
-        self.unknowns = total
         rows = []
         for x in c.objects:
             for y in c.objects:
@@ -491,14 +490,6 @@ class HomBasis:
                                 for i in range(r)))
         return ModuleMap(self.source, self.target, comp, check=False)
 
-    def coords_of(self, module_map):
-        vec = module_map.flatten()
-        target = Mat.from_cols(self.source.base.field, [vec], rows=self.unknowns)
-        sol = solve(self.basis_matrix, target)
-        if sol is None:
-            raise InvalidModule("map does not satisfy the intertwining system")
-        return sol.col(0)
-
 
 def module_hom(m, n):
     """Basis of Hom_{Mod}(m, n)."""
@@ -523,7 +514,6 @@ class TensorSpace:
         for x in c.objects:
             offsets[x] = total
             total += n.dims[x] * m.dims[x]
-        self.offsets = offsets
         self.ambient = total
         relations = []
         for x in c.objects:
@@ -543,7 +533,6 @@ class TensorSpace:
                                     idx = offsets[y] + u * m.dims[y] + t
                                     vec[idx] = f.sub(vec[idx], ma.data[t][v])
                             relations.append(tuple(vec))
-        span = Mat.from_cols(f, relations, rows=total)
         # reduce to a basis of the relation space for the complement
         sp = EchelonSpace(f, total)
         for col in relations:
@@ -553,16 +542,9 @@ class TensorSpace:
         self.proj = self.comp.proj
         self.section = self.comp.section
 
-    def pure_index(self, x, i, j):
-        return self.offsets[x] + i * self.m.dims[x] + j
-
 
 def tensor_over_cat(n, m):
     return TensorSpace(n, m)
-
-
-def hom_space_dim(m, n):
-    return HomBasis(m, n).dim
 
 
 # ---------------------------------------------------------------------------
@@ -824,15 +806,11 @@ class _Summand:
         return self.basis[y].cols
 
 
-_summand_cache = {}
-
-
 def _summand(c, x, e_coords):
-    key = (id(c), x, e_coords)
-    s = _summand_cache.get(key)
+    key = (x, e_coords)
+    s = c._summand_cache.get(key)
     if s is None:
-        s = _Summand(c, x, e_coords)
-        _summand_cache[key] = s
+        s = c._summand_cache[key] = _Summand(c, x, e_coords)
     return s
 
 
@@ -859,9 +837,6 @@ class FreeResolution:
     def summand(self, k, j):
         x, e = self.gens[k][j]
         return _summand(self.base, x, e)
-
-    def term_dim(self, k, y):
-        return sum(self.summand(k, j).dim(y) for j in range(len(self.gens[k])))
 
     def term(self, k):
         if k not in self._terms:
@@ -1085,51 +1060,14 @@ def ext_data(res, coeff, upto):
 
 
 def tor_data(res, coeff, upto):
-    """Chain spaces and differentials of coeff tensor P_. through
-    N tensor (C(x,-) o e) = e-invariants of N(x) (coeff is right)."""
-    c = res.base
-    f = c.field
-    invariants = _InvariantData(coeff)
-    inv = []
-    dims = []
-    for k in range(upto + 2):
-        level = []
-        for x, e in _level_gens(res, k):
-            b, p = invariants.get(x, e)
-            level.append((x, b, p))
-        inv.append(level)
-        dims.append(sum(b.cols for _, b, _ in level))
-    boundaries = []
-    for k in range(1, upto + 2):
-        tgt = _level_gens(res, k)
-        src = _level_gens(res, k - 1)
-        rows, cols = dims[k - 1], dims[k]
-        grid = [[f.zero()] * cols for _ in range(rows)]
-        coff = 0
-        for j, (xt, _) in enumerate(tgt):
-            _, bt, _ = inv[k][j]
-            img = res.images[k][j]
-            pos = 0
-            roff = 0
-            for i, (xs, _) in enumerate(src):
-                _, bs, ps = inv[k - 1][i]
-                fb = res.summand(k - 1, i).basis[xt]
-                acc = Mat.zeros(f, coeff.dims[xs], coeff.dims[xt])
-                for b in range(fb.cols):
-                    a = img[pos]
-                    pos += 1
-                    if a:
-                        acc = acc.add(coeff.act_vec(xs, xt, fb.col(b)).scale(a))
-                blk = ps.mul(acc).mul(bt)
-                for r in range(blk.rows):
-                    row = grid[roff + r]
-                    for s in range(blk.cols):
-                        if blk.data[r][s]:
-                            row[coff + s] = f.add(row[coff + s], blk.data[r][s])
-                roff += bs.cols
-            coff += bt.cols
-        boundaries.append(Mat(f, rows, cols, tuple(tuple(r) for r in grid)))
-    return dims, boundaries
+    """The Tor complex of a right module coeff against the resolved
+    module, given as the Ext complex into the dual D(coeff).
+
+    Over a field coeff tensor P is the linear dual of Hom(P, D(coeff))
+    (Cartan-Eilenberg, Homological Algebra, VI), so the chain complex
+    coeff tensor P_. is the transpose of the cochain complex
+    Hom(P_., D(coeff)) and both have the same ranks."""
+    return ext_data(res, dualize(coeff), upto)
 
 
 def ext(m, n, max_deg=4, res=None):
@@ -1154,94 +1092,36 @@ def tor(n, m, max_deg=4, res=None):
         raise BaseMismatch("tor takes (right, left)")
     if res is None:
         res = projective_resolution(m, max_deg + 1)
-    dims, boundaries = tor_data(res, n, max_deg)
-    ranks = [rank(b) for b in boundaries]
-    out = []
-    for k in range(max_deg + 1):
-        h = dims[k]
-        if k >= 1:
-            h -= ranks[k - 1]
-        h -= ranks[k]
-        out.append(h)
-    return out
+    data = tor_data(res, n, max_deg)
+    return complex_cohomology_dims(data.dims, data.diffs, max_deg)
 
 
 def is_projective(m):
-    """Splitting test: build a cover by representables on a generating
-    set and solve for a natural section (an epimorphism from a projective
-    splits exactly when the target is projective)."""
+    """Splitting test: cover m by representables on a generating set and
+    look for a natural section of the cover among Hom(m, cover) (an
+    epimorphism from a projective splits exactly when the target is
+    projective)."""
     if m.is_zero():
         return True
     work = m if m.side == "left" else as_left_over_op(m)
     c = work.base
     f = c.field
     gens = module_generators(work)
-    gen_objs = [x for x, _ in gens]
-    p = _free_module(c, gen_objs)
+    p = _free_module(c, [x for x, _ in gens])
     eps = {}
     for y in c.objects:
         cols = []
-        for j, xj in enumerate(gen_objs):
-            img = gens[j][1]
+        for xj, img in gens:
             for fi in range(c.dim(xj, y)):
                 cols.append(work.act_mat(xj, y, fi).mul_vec(img))
         eps[y] = Mat.from_cols(f, cols, rows=work.dims[y])
-    offsets = {}
-    total = 0
-    for x in c.objects:
-        offsets[x] = total
-        total += p.dims[x] * work.dims[x]
-    rows = []
-    rhs = []
-    # naturality: P.act(f) sigma_x - sigma_y M.act(f) = 0
-    for x in c.objects:
-        for y in c.objects:
-            for i in range(c.dim(x, y)):
-                a = p.act_mat(x, y, i)
-                b = work.act_mat(x, y, i)
-                for r in range(p.dims[y]):
-                    for cc in range(work.dims[x]):
-                        row = [f.zero()] * total
-                        for s in range(p.dims[x]):
-                            if a.data[r][s]:
-                                row[offsets[x] + s * work.dims[x] + cc] = a.data[r][s]
-                        for t in range(work.dims[y]):
-                            if b.data[t][cc]:
-                                idx = offsets[y] + r * work.dims[y] + t
-                                row[idx] = f.sub(row[idx], b.data[t][cc])
-                        rows.append(row)
-                        rhs.append(f.zero())
-    # splitting: eps_y sigma_y = id
-    one = f.one()
-    for y in c.objects:
-        for r in range(work.dims[y]):
-            for cc in range(work.dims[y]):
-                row = [f.zero()] * total
-                for s in range(p.dims[y]):
-                    if eps[y].data[r][s]:
-                        row[offsets[y] + s * work.dims[y] + cc] = eps[y].data[r][s]
-                rows.append(row)
-                rhs.append(one if r == cc else f.zero())
-    system = Mat.from_rows(f, rows, cols=total)
-    target = Mat.from_cols(f, [tuple(rhs)], rows=len(rhs))
-    return solve(system, target) is not None
-
-
-def big_ext_functor(c, ideal, m, max_deg=4):
-    """Per-object Ext and Tor tables of the quotient representables
-    against a left module m."""
-    if m.base != c or m.side != "left":
-        raise BaseMismatch("coefficient must be a left module over the category")
-    ext_rows = {}
-    for x in c.objects:
-        q = quotient_representable(c, ideal, x, "left")
-        ext_rows[x] = ext(q, m, max_deg)
-    res = projective_resolution(m, max_deg + 1)
-    tor_rows = {}
-    for x in c.objects:
-        r = quotient_representable(c, ideal, x, "right")
-        tor_rows[x] = tor(r, m, max_deg, res=res)
-    return {"ext": ext_rows, "tor": tor_rows}
+    cover = ModuleMap(p, work, eps, check=False)
+    ident = ModuleMap(work, work, {y: Mat.identity(f, work.dims[y]) for y in c.objects},
+                      check=False).flatten()
+    # eps o (sum_k c_k sigma_k) = id is linear in the coefficients c_k
+    cols = [s.then(cover).flatten() for s in HomBasis(work, p).maps()]
+    system = Mat.from_cols(f, cols, rows=len(ident))
+    return solve(system, Mat.from_cols(f, [ident], rows=len(ident))) is not None
 
 
 # ---------------------------------------------------------------------------

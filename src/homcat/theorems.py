@@ -195,8 +195,12 @@ def les_from_ses(res, ses, max_deg):
     incl_chain = chain_map(data_i, data_c, ses.inclusion)
     proj_chain = chain_map(data_c, data_h, ses.projection)
     for k in range(n_internal + 1):
-        assert diffs_c[k].mul(incl_chain[k]) == incl_chain[k + 1].mul(diffs_i[k])
-        assert diffs_h[k].mul(proj_chain[k]) == proj_chain[k + 1].mul(diffs_c[k])
+        if diffs_c[k].mul(incl_chain[k]) != incl_chain[k + 1].mul(diffs_i[k]):
+            raise AssertionError(
+                f"inclusion cochain map does not commute with the differentials at degree {k}")
+        if diffs_h[k].mul(proj_chain[k]) != proj_chain[k + 1].mul(diffs_c[k]):
+            raise AssertionError(
+                f"projection cochain map does not commute with the differentials at degree {k}")
 
     coh_i = _CohomologyData(field, dims_i, diffs_i, n_internal)
     coh_c = _CohomologyData(field, dims_c, diffs_c, n_internal)
@@ -325,13 +329,16 @@ def strongly_idempotent_check(c, ideal, max_deg=4, samples=None, _mirror=True):
         if sample.base != b or sample.side != "left":
             raise SampleBaseMismatch(f"sample {name} is not a left module over the quotient")
         pulled.append((name, restrict_module(sample, phi), projective))
+    quotients = []
+    for x in c.objects:
+        q_left = quotient_representable(c, ideal, x, "left")
+        quotients.append((x, q_left, projective_resolution(q_left, max_deg + 1),
+                          quotient_representable(c, ideal, x, "right")))
     for name, module, projective in pulled:
         res = projective_resolution(module, max_deg + 1)
-        for x in c.objects:
-            q_left = quotient_representable(c, ideal, x, "left")
-            dims = ext(q_left, module, max_deg)[1:]
+        for x, q_left, q_res, q_right in quotients:
+            dims = ext(q_left, module, max_deg, res=q_res)[1:]
             report.record("ext-vanishing", x, name, dims)
-            q_right = quotient_representable(c, ideal, x, "right")
             tor_dims = tor(q_right, module, max_deg, res=res)[1:]
             condition = "tor-vanishing-projective" if projective else "tor-vanishing"
             report.record(condition, x, name, tor_dims)

@@ -239,6 +239,23 @@ def test_cli_field_override(tmp_path, capsys):
     assert doc["dims"]["HC"] == [1, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--field", "gf:4"],
+    ["--field", "gf:x"],
+    ["--field", "gf:0"],
+    ["--field", "R"],
+    ["--max-degree", "-1"],
+])
+def test_cli_exit_1_on_bad_flag(tmp_path, capsys, flags):
+    path = tmp_path / "ws.kcat"
+    path.write_text(A2_SRC + "task cohomology A2\n")
+    assert main([str(path)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"invalid {flags[0]} ")
+
+
 def test_cli_exit_1_on_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.kcat"
     path.write_text("category ! over Q\n")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -149,12 +151,27 @@ def test_tor_zero_equals_tensor():
 
 
 def test_duality_bridge():
-    for cat in (zoo.a2(F), zoo.dual_numbers(F), zoo.kronecker(F)):
-        rng = random.Random(17)
-        for _ in range(3):
-            m = random_module(cat, rng, "left")
-            n = random_module(cat, rng, "right")
-            assert ext(m, dualize(n), 3) == tor(n, m, 3)
+    # tor resolves m and runs Ext into D(n); the balanced route resolves
+    # n over the opposite category instead, so it checks tor independently
+    for field in (Q, Field.gf(2), Field.gf(3), F):
+        for cat in (zoo.a2(field), zoo.dual_numbers(field), zoo.kronecker(field)):
+            rng = random.Random(17)
+            for _ in range(3):
+                m = random_module(cat, rng, "left")
+                n = random_module(cat, rng, "right")
+                t = tor(n, m, 3)
+                assert ext(m, dualize(n), 3) == t, (field, cat)
+                assert ext(n, dualize(m), 3) == t, (field, cat)
+
+
+def test_resolution_cache_does_not_outlive_category():
+    a2 = zoo.a2(Q)
+    res = projective_resolution(simple(a2, "1"), 3)
+    assert ext(res.module, simple(a2, "2"), 2, res=res) == [0, 1, 0]
+    alive = weakref.ref(a2)
+    del a2, res
+    gc.collect()
+    assert alive() is None
 
 
 def test_dualize_involution_and_dims():

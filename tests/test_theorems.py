@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import homcat
 from homcat.exactla import Field, Mat
 from homcat.kcat import (
     Bimodule, enveloping, one_point_extension,
@@ -9,11 +15,11 @@ from homcat.ideals import (
     ideal_from_generators, triangular_ideal, whole_ideal, zero_ideal,
 )
 from homcat.modcat import (
-    CatModule, ext, projective_resolution, regular_bimodule, representable,
+    CatModule, ModuleMap, ext, projective_resolution, regular_bimodule, representable,
     simple,
 )
 from homcat.theorems import (
-    HypothesisFailed, ResolutionTooShort, ZeroModule, audit_hypotheses,
+    HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule, audit_hypotheses,
     canonical_ses, cmp_pipeline, happel_pipeline, les_from_ses,
     strongly_idempotent_check, theorem_les_pipeline,
 )
@@ -77,6 +83,37 @@ def test_les_with_zero_quot():
     assert report.all_exact()
     assert report.dims["HB"] == [0, 0, 0]
     assert report.dims["ExtCI"] == report.dims["HC"]
+
+
+def non_natural_les():
+    """les_from_ses on A2 with the whole ideal, after rescaling the
+    inclusion by a different scalar at each object: every rank check of
+    the sequence still passes, but the inclusion is no longer natural."""
+    a2 = zoo.a2(F)
+    env = enveloping(a2)
+    reg = regular_bimodule(a2, env)
+    ses = canonical_ses(a2, whole_ideal(a2), env=env, regular=reg)
+    incl = ses.inclusion
+    scaled = ModuleMap(incl.source, incl.target,
+                       {x: incl.mat_at(x).scale(F.of(k + 2))
+                        for k, x in enumerate(env.objects)}, check=False)
+    bad = SESOfBimodules(ses.sub, ses.mid, ses.quot, scaled, ses.projection)
+    les_from_ses(projective_resolution(reg, 4), bad, 2)
+
+
+def test_chain_map_check_survives_optimized_mode():
+    with pytest.raises(AssertionError, match="does not commute with the differentials"):
+        non_natural_les()
+    # python -O strips bare asserts; the check must not depend on them
+    src = str(Path(homcat.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import test_theorems; test_theorems.non_natural_les()"],
+        capture_output=True, text=True, timeout=120, cwd=tests,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "AssertionError: inclusion cochain map does not commute with the differentials" \
+        in proc.stderr
 
 
 def test_resolution_too_short():
