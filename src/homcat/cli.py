@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .exactla import EchelonSpace, Field, Mat, unit_vector
+from .exactla import EchelonSpace, Field, Mat, VerificationFailed, unit_vector
 from .kcat import Bimodule, FiniteKCategory, InvalidCategory
 from .ideals import ideal_from_generators
 from .modcat import CatModule, InvalidModule
@@ -728,7 +729,7 @@ def build_quiver_category(field, objects, arrows, relations, bound):
             surviving = [paths[key][i] for i in comps[key].free]
             for p in surviving:
                 if len(p) == cap:
-                    raise AssertionError("certified-dead path survived reduction")
+                    raise VerificationFailed("certified-dead path survived reduction")
             names = []
             for p in surviving:
                 names.append(f"e{x}" if not p else "*".join(reversed(p)))
@@ -1203,6 +1204,10 @@ def run_workspace(workspace, options):
             status = "hypothesis"
             human = [f"{task.kind} {' '.join(task.args)}: hypothesis audit failed"]
             human += ["  " + r for r in exc.reasons]
+        except VerificationFailed as exc:
+            doc["notes"].append(f"verification failed: {exc}")
+            status = "verification"
+            human = [f"{task.kind} {' '.join(task.args)}: verification failed: {exc}"]
         except (ValueError, KeyError) as exc:
             doc["notes"] = [f"task error: {exc}"]
             status = "validation"
@@ -1288,8 +1293,20 @@ def main(argv=None):
         "seed": args.seed,
         "verify_oracle": args.verify_oracle,
     }
+    try:
+        code = _run_files(args.files, override, options, args.json_out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`homcat ... | head`): stop without a
+        # traceback, and keep the interpreter's final flush off the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13   # killed by SIGPIPE, as the shell reports it
+    return code
+
+
+def _run_files(paths, override, options, json_out):
     worst = 0
-    for path in args.files:
+    for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
@@ -1303,9 +1320,12 @@ def main(argv=None):
                 InvalidModule, ValueError, ZeroDivisionError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return 1
+        except VerificationFailed as exc:
+            print(f"{path}: verification failed: {exc}", file=sys.stderr)
+            return 3
         reports, code = run_workspace(workspace, options)
         for rep in reports:
-            if args.json_out:
+            if json_out:
                 print(json.dumps(rep.doc, default=_json_default, sort_keys=False,
                                  separators=(",", ":")))
             else:

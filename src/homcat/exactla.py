@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and GF(p).
+"""Exact linear algebra over Q and GF(p).
 
 Everything downstream (structure constants, resolutions, cochain ranks)
 reduces to the handful of primitives here: rank, kernel bases, solving,
@@ -8,15 +8,20 @@ bases come out of the reduced echelon form in free-column order, and no
 randomization is used anywhere.
 
 Elements are `Fraction` over the rationals and plain ints in [0, p) over
-GF(p).  Over Q the forward elimination is fraction-free (Bareiss) on an
-integer-scaled copy of the rows, which keeps intermediate entries from
-exploding on the bar-complex matrices.
+GF(p); matrices are dense tuples of rows.  Elimination works on sparse
+rows (column -> value), since cochain and resolution matrices are mostly
+zero.  `rank` is a forward elimination only and never builds the reduced
+form.  Over Q that elimination is fraction-free on primitive integer
+rows, and `rref` back-reduces in integers as well, dividing by the leads
+only when it writes the result.  The full reduced form over GF(p) is
+dense Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 
 class FieldMismatch(ValueError):
@@ -25,6 +30,12 @@ class FieldMismatch(ValueError):
 
 class ContainmentViolation(ValueError):
     pass
+
+
+class VerificationFailed(AssertionError):
+    """A computed result failed one of the engine's own consistency checks
+    (exit 3 from the command line).  An explicit raise, so `python -O`
+    keeps it."""
 
 
 def _is_prime(p):
@@ -387,73 +398,119 @@ def _rref_gf(rows, p):
     return pivots
 
 
-def _rref_q(rows):
-    """RREF over Q.  Forward pass is fraction-free (Bareiss) on
-    integer-rescaled rows; the reduced form is then produced exactly."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = math.lcm(den, x.denominator)
-        work.append([int(x * den) for x in row])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pr = i
+def _echelon(data, p):
+    """Sparse forward elimination of the rows of `data` over GF(p), or over
+    Q when p == 0; returns {pivot column: row}, each row a dict
+    column -> nonzero value led by its pivot.
+
+    Each row is reduced against the pivots found so far until its leftmost
+    entry lies in a new pivot column.  Over GF(p) the leads are 1.  Over Q
+    each row is scaled to a primitive integer vector (gcd 1, lead
+    positive), so elimination is fraction-free and builds no `Fraction`.
+    """
+    pivots = {}
+    cols = range(len(data[0]) if data else 0)
+    for row in data:
+        if p:
+            r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
+        else:
+            nz = list(compress(cols, row))
+            den = math.lcm(*[row[j].denominator for j in nz]) if nz else 1
+            r = {j: row[j].numerator * (den // row[j].denominator) for j in nz}
+        while r:
+            c = min(r)
+            q = pivots.get(c)
+            if q is None:
                 break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        wr = work[r]
-        for i in range(r + 1, nrows):
-            lead = work[i][c]
-            # the zero-lead rows must be rescaled too, or the exact
-            # divisions of later steps silently truncate
-            work[i] = [(piv * x - lead * y) // prev for x, y in zip(work[i], wr)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    # back substitution with exact fractions
-    frac_rows = [[Fraction(x) for x in row] for row in work[:len(pivots)]]
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        piv = frac_rows[k][c]
-        frac_rows[k] = [x / piv for x in frac_rows[k]]
-        lead_row = frac_rows[k]
-        for i in range(k):
-            f = frac_rows[i][c]
-            if f:
-                frac_rows[i] = [x - f * y for x, y in zip(frac_rows[i], lead_row)]
-    for i in range(len(pivots), nrows):
-        frac_rows.append([Fraction(0)] * ncols)
-    rows[:] = frac_rows
+            a = r[c]
+            if p:
+                for j, y in q.items():
+                    v = (r.get(j, 0) - a * y) % p
+                    if v:
+                        r[j] = v
+                    else:
+                        r.pop(j, None)
+            else:
+                r = _combine(r, q, a, q[c])
+        if r:
+            lead = r[c]
+            if p:
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    r = {j: v * inv % p for j, v in r.items()}
+            else:
+                r = _primitive(r, lead)
+            pivots[c] = r
     return pivots
+
+
+def _combine(r, q, a, b):
+    """b*r - a*q with the common factor of a and b removed; a/b is the
+    ratio that clears q's lead from r.  Integer rows over Q."""
+    g = math.gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        r = {j: b * v for j, v in r.items()}
+    for j, y in q.items():
+        v = r.get(j, 0) - a * y
+        if v:
+            r[j] = v
+        else:
+            r.pop(j, None)
+    return r
+
+
+def _primitive(r, lead):
+    """r divided by the gcd of its entries, with the sign of `lead` made positive."""
+    g = math.gcd(*r.values())
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return r
+    return {j: v // g for j, v in r.items()}
+
+
+def _rref_q(m):
+    """RREF rows and pivots over Q: `_echelon`, then back-reduction from
+    the right in integers; each row is divided by its lead only at the end."""
+    pivots = _echelon(m.data, 0)
+    order = sorted(pivots)
+    for c in reversed(order):
+        r = pivots[c]
+        hits = [j for j in r if j != c and j in pivots]
+        if hits:
+            for j in hits:
+                q = pivots[j]
+                r = _combine(r, q, r[j], q[j])
+            pivots[c] = _primitive(r, r[c])
+    zero = Fraction(0)
+    rows = []
+    for c in order:
+        r = pivots[c]
+        lead = r[c]
+        row = [zero] * m.cols
+        for j, v in r.items():
+            row[j] = Fraction(v, lead)
+        rows.append(tuple(row))
+    rows.extend([(zero,) * m.cols] * (m.rows - len(order)))
+    return tuple(rows), tuple(order)
 
 
 def rref(m):
     """Reduced row echelon form and pivot columns (deterministic)."""
-    rows = [list(r) for r in m.data]
     if m.field.p:
-        pivots = _rref_gf(rows, m.field.p)
+        rows = [list(r) for r in m.data]
+        pivots = tuple(_rref_gf(rows, m.field.p))
+        data = tuple(tuple(r) for r in rows)
     else:
-        pivots = _rref_q(rows)
-    return Mat(m.field, m.rows, m.cols, tuple(tuple(r) for r in rows)), tuple(pivots)
+        data, pivots = _rref_q(m)
+    return Mat(m.field, m.rows, m.cols, data), pivots
 
 
 def rank(m):
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = rref(m)
-    return len(pivots)
+    return len(_echelon(m.data, m.field.p))
 
 
 def kernel_basis(m):

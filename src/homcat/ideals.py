@@ -9,7 +9,7 @@ the total Hom dimension, which bounds the number of strict rank jumps.
 
 from __future__ import annotations
 
-from .exactla import EchelonSpace, Mat, rank, solve, unit_vector
+from .exactla import EchelonSpace, Mat, VerificationFailed, rank, solve, unit_vector
 from .kcat import NotTriangular, UnknownObject
 
 
@@ -111,7 +111,7 @@ def _saturate(c, seeds):
             continue
         inserted += 1
         if inserted > cap:
-            raise AssertionError("ideal saturation exceeded the rank cap")
+            raise VerificationFailed("ideal saturation exceeded the rank cap")
         for z in c.objects:
             for j in range(c.dim(y, z)):
                 g = unit_vector(c.field, c.dim(y, z), j)

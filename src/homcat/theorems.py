@@ -13,7 +13,8 @@ comparison, never bookkeeping.
 
 from __future__ import annotations
 
-from .exactla import Mat, block_diag, kernel_basis, rank, solve, ComplementData
+from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, rank,
+                      solve)
 from .kcat import enveloping, opposite, opposite_functor, pair_object, quotient_category, \
     tensor_functor, triangular_matrix, one_point_extension
 from .ideals import is_idempotent, opposite_ideal, representable_ideal_module, triangular_ideal
@@ -141,7 +142,7 @@ class _CohomologyData:
                 img = Mat.from_cols(field, img_cols, rows=dims[n])
                 coords = solve(z, img)
                 if coords is None:
-                    raise AssertionError("boundaries are not cocycles")
+                    raise VerificationFailed("boundaries are not cocycles")
                 bnd_in_z = coords
             comp = ComplementData(bnd_in_z)
             self.cocycles.append(z)
@@ -155,7 +156,7 @@ class _CohomologyData:
         for v in vectors:
             coords = solve(z, Mat.from_cols(self.field, [v], rows=z.rows))
             if coords is None:
-                raise AssertionError("vector is not a cocycle")
+                raise VerificationFailed("vector is not a cocycle")
             cols.append(self.class_proj[n].proj.mul_vec(coords.col(0)))
         return Mat.from_cols(self.field, cols, rows=self.dims[n])
 
@@ -196,10 +197,10 @@ def les_from_ses(res, ses, max_deg):
     proj_chain = chain_map(data_c, data_h, ses.projection)
     for k in range(n_internal + 1):
         if diffs_c[k].mul(incl_chain[k]) != incl_chain[k + 1].mul(diffs_i[k]):
-            raise AssertionError(
+            raise VerificationFailed(
                 f"inclusion cochain map does not commute with the differentials at degree {k}")
         if diffs_h[k].mul(proj_chain[k]) != proj_chain[k + 1].mul(diffs_c[k]):
-            raise AssertionError(
+            raise VerificationFailed(
                 f"projection cochain map does not commute with the differentials at degree {k}")
 
     coh_i = _CohomologyData(field, dims_i, diffs_i, n_internal)
@@ -220,11 +221,11 @@ def les_from_ses(res, ses, max_deg):
             z = coh_h.representative(n, k)
             y = solve(proj_chain[n], Mat.from_cols(field, [z], rows=len(z)))
             if y is None:
-                raise AssertionError("cochain surjection failed to lift a cocycle")
+                raise VerificationFailed("cochain surjection failed to lift a cocycle")
             w = diffs_c[n].mul(y)
             v = solve(incl_chain[n + 1], w)
             if v is None:
-                raise AssertionError("differential of a lift missed the subcomplex")
+                raise VerificationFailed("differential of a lift missed the subcomplex")
             cols.append(v.col(0))
         delta_mat = coh_i.classes_of(n + 1, cols) if cols else Mat.zeros(
             field, coh_i.dims[n + 1], 0)

@@ -1,12 +1,18 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homcat
 from homcat.cli import (
     FinitenessError, ParseError, UnresolvedName, Workspace, format_workspace,
     main, parse, run_workspace,
 )
-from homcat.exactla import Field
+from homcat.exactla import Field, VerificationFailed
 
 A2_SRC = """\
 # the path category of 1 -> 2
@@ -355,3 +361,85 @@ task cmp T U M
     reports, code = run_source(src)
     assert code == 0
     assert all(reports[0].doc["exact_at"])
+
+
+Q_LES_SRC = """\
+category D over Q
+quiver
+object s
+arrow x: s -> s
+rel x*x = 0
+category A over Q
+quiver
+object 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+ideal I in A gens: e2
+task cohomology D
+task les A I
+"""
+
+# SHA-256 of `homcat <file> --json --max-degree 3` stdout, frozen so that a
+# change to the elimination kernels cannot move a report byte unnoticed
+FROZEN_REPORTS = {
+    "demo": "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f",
+    "q-les": "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
+def test_frozen_report_bytes(name, tmp_path, capsys):
+    if name == "demo":
+        path = Path(__file__).resolve().parent.parent / "demo.kcat"
+    else:
+        path = tmp_path / "q.kcat"
+        path.write_text(Q_LES_SRC)
+    assert main([str(path), "--json", "--max-degree", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_REPORTS[name]
+
+
+def test_verification_failure_in_task_gives_exit_3(monkeypatch):
+    import homcat.cli as cli_mod
+
+    def broken(cat, ideal, n):
+        raise VerificationFailed("boundaries are not cocycles")
+
+    monkeypatch.setattr(cli_mod, "theorem_les_pipeline", broken)
+    src = A2_SRC + "ideal I in A2 gens: e2\ntask les A2 I\n"
+    reports, code = run_source(src)
+    assert reports[0].status == "verification"
+    assert reports[0].doc["notes"] == ["verification failed: boundaries are not cocycles"]
+    assert code == 3
+
+
+def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path, capsys):
+    import homcat.cli as cli_mod
+
+    def broken(cat, gens):
+        raise VerificationFailed("ideal saturation exceeded the rank cap")
+
+    monkeypatch.setattr(cli_mod, "ideal_from_generators", broken)
+    path = tmp_path / "ws.kcat"
+    path.write_text(A2_SRC + "ideal I in A2 gens: a\ntask validate A2\n")
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: verification failed: ideal saturation exceeded the rank cap\n"
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    path = tmp_path / "many.kcat"
+    path.write_text(DUAL_SRC + "task validate D\n" * 1000)
+    # 1000 reports of about 150 bytes: more than a pipe buffer holds
+    with subprocess.Popen(
+            [sys.executable, "-m", "homcat", str(path), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(homcat.__file__).resolve().parents[1])}
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert json.loads(first)["task"] == "validate"
+    assert err == b""

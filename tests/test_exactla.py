@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import homcat.exactla
 from homcat.exactla import (
     ComplementData, ContainmentViolation, EchelonSpace, Field, Mat,
     kernel_basis, kron, rank, rref, solve, subquotient_dim,
@@ -51,6 +53,36 @@ def naive_rank(m):
                     rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def naive_rref(m):
+    # independent oracle: plain Fraction Gauss-Jordan, reduced mod p over GF(p)
+    p = m.field.p
+    if p:
+        def norm(x):
+            return Fraction(x.numerator * pow(x.denominator, -1, p) % p)
+    else:
+        def norm(x):
+            return x
+    rows = [[Fraction(x) for x in row] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if norm(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [norm(x / lead) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and norm(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if p:
+        rows = [[int(norm(x)) for x in row] for row in rows]
+    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def random_mat(field, rng, rows, cols, scale=5):
@@ -184,3 +216,95 @@ def test_field_of_and_gf_parse():
         Field(4)
     with pytest.raises(ZeroDivisionError):
         F5.of(Fraction(1, 5))
+
+
+# entries of the sparse differential matrices over Q: negative leads, huge
+# and tiny non-integers, so that row scaling and gcd removal both matter
+Q_ENTRIES = [1, -1, 2, -3, Fraction(-5, 3), 10 ** 12, Fraction(-1, 10 ** 9), Fraction(7, 2)]
+DIFF_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
+
+
+def sparse_mats(field, seed, count=40):
+    """Seeded sparse matrices up to 40x30 at 3-10% density, each with
+    forced dependent rows (combinations of earlier rows) and zero rows."""
+    rng = random.Random(seed)
+    if field.p:
+        entries = [x for x in (1, 2, field.p - 1, 12345, -7) if field.of(x)]
+        coeffs = [x % field.p for x in (1, -1, 2, 5) if x % field.p]
+    else:
+        entries = Q_ENTRIES
+        coeffs = [1, -1, Fraction(-5, 3), 10 ** 12]
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 30)
+        density = rng.uniform(0.03, 0.10)
+        data = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        for i in range(rows):
+            dice = rng.random()
+            if dice < 0.15 and i >= 2:
+                a, b = rng.sample(range(i), 2)
+                ca, cb = rng.choice(coeffs), rng.choice(coeffs)
+                data[i] = [ca * x + cb * y for x, y in zip(data[a], data[b])]
+            elif dice < 0.25:
+                data[i] = [0] * cols
+        out.append(Mat.from_rows(field, data))
+    return out
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=repr)
+def test_sparse_elimination_matches_naive(field):
+    for m in sparse_mats(field, 4100 + field.p):
+        r, pivots = rref(m)
+        assert (r.data, pivots) == naive_rref(m)
+        if field.p == 0:
+            assert all(type(x) is Fraction for row in r.data for x in row)
+        k = rank(m)
+        assert k == naive_rank(m) == len(pivots)
+        assert k == rank(m.transpose())
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=repr)
+def test_rank_does_not_build_rref(field, monkeypatch):
+    mats = sparse_mats(field, 4200 + field.p, count=15)
+    expected = [naive_rank(m) for m in mats]
+
+    def refuse(m):
+        raise AssertionError("rank must not run the reduced echelon form")
+
+    monkeypatch.setattr(homcat.exactla, "rref", refuse)
+    assert [rank(m) for m in mats] == expected
+
+
+@st.composite
+def matrix_and_row_ops(draw):
+    field = draw(st.sampled_from([Q, Field.gf(2), Field.gf(3)]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-5, 3), Fraction(1, 7)])
+    if field.p:
+        entry = st.integers(0, field.p - 1)
+    m = Mat.from_rows(field, draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                           min_size=rows, max_size=rows)))
+    scalar = (st.sampled_from([1, -1, 2, Fraction(-5, 3), Fraction(3, 7)]) if not field.p
+              else st.integers(1, field.p - 1))
+    ops = draw(st.lists(st.tuples(st.sampled_from(["swap", "scale", "add"]),
+                                  st.integers(0, rows - 1), st.integers(0, rows - 1),
+                                  scalar), max_size=8))
+    return m, ops
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix_and_row_ops())
+def test_rref_invariant_under_invertible_row_ops(case):
+    m, ops = case
+    f = m.field
+    rows = [list(r) for r in m.data]
+    for kind, i, j, c in ops:
+        c = f.of(c)
+        if kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "scale":
+            rows[i] = [f.mul(c, x) for x in rows[i]]
+        elif i != j:
+            rows[i] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+    assert rref(Mat(f, m.rows, m.cols, tuple(map(tuple, rows)))) == rref(m)

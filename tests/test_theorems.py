@@ -112,7 +112,7 @@ def test_chain_map_check_survives_optimized_mode():
         capture_output=True, text=True, timeout=120, cwd=tests,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode != 0
-    assert "AssertionError: inclusion cochain map does not commute with the differentials" \
+    assert "VerificationFailed: inclusion cochain map does not commute with the differentials" \
         in proc.stderr
 
 
