@@ -8,13 +8,13 @@ bases come out of the reduced echelon form in free-column order, and no
 randomization is used anywhere.
 
 Elements are `Fraction` over the rationals and plain ints in [0, p) over
-GF(p); matrices are dense tuples of rows.  Elimination works on sparse
-rows (column -> value), since cochain and resolution matrices are mostly
-zero.  `rank` is a forward elimination only and never builds the reduced
-form.  Over Q that elimination is fraction-free on primitive integer
-rows, and `rref` back-reduces in integers as well, dividing by the leads
-only when it writes the result.  The full reduced form over GF(p) is
-dense Gauss-Jordan.
+GF(p); matrices are dense tuples of rows.  Over Q, elimination works on
+sparse rows (column -> value), since cochain and resolution matrices are
+mostly zero, and is fraction-free on primitive integer rows: `rank` is
+the forward elimination alone and never builds the reduced form, and
+`rref` back-reduces in integers as well, dividing by the leads only when
+it writes the result.  Over GF(p), `rank` and `rref` share one dense
+Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -398,55 +398,40 @@ def _rref_gf(rows, p):
     return pivots
 
 
-def _echelon(data, p):
-    """Sparse forward elimination of the rows of `data` over GF(p), or over
-    Q when p == 0; returns {pivot column: row}, each row a dict
-    column -> nonzero value led by its pivot.
+def _echelon(data):
+    """Sparse fraction-free forward elimination of the rows of `data` over
+    Q; returns {pivot column: row}, each row a primitive integer vector
+    (column -> nonzero int, gcd 1, lead positive) led by its pivot.
 
-    Each row is reduced against the pivots found so far until its leftmost
-    entry lies in a new pivot column.  Over GF(p) the leads are 1.  Over Q
-    each row is scaled to a primitive integer vector (gcd 1, lead
-    positive), so elimination is fraction-free and builds no `Fraction`.
+    Each row is cleared of denominators and reduced against the pivots
+    found so far until its leftmost entry lies in a new pivot column, so
+    no `Fraction` is built.
     """
     pivots = {}
     cols = range(len(data[0]) if data else 0)
     for row in data:
-        if p:
-            r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
-        else:
-            nz = list(compress(cols, row))
-            den = math.lcm(*[row[j].denominator for j in nz]) if nz else 1
-            r = {j: row[j].numerator * (den // row[j].denominator) for j in nz}
+        nz = list(compress(cols, row))
+        den = math.lcm(*[row[j].denominator for j in nz]) if nz else 1
+        r = {j: row[j].numerator * (den // row[j].denominator) for j in nz}
         while r:
             c = min(r)
             q = pivots.get(c)
             if q is None:
+                pivots[c] = _primitive(r, r[c])
                 break
-            a = r[c]
-            if p:
-                for j, y in q.items():
-                    v = (r.get(j, 0) - a * y) % p
-                    if v:
-                        r[j] = v
-                    else:
-                        r.pop(j, None)
-            else:
-                r = _combine(r, q, a, q[c])
-        if r:
-            lead = r[c]
-            if p:
-                if lead != 1:
-                    inv = pow(lead, -1, p)
-                    r = {j: v * inv % p for j, v in r.items()}
-            else:
-                r = _primitive(r, lead)
-            pivots[c] = r
+            r = _combine(r, q, r[c], q[c])
     return pivots
 
 
 def _combine(r, q, a, b):
     """b*r - a*q with the common factor of a and b removed; a/b is the
-    ratio that clears q's lead from r.  Integer rows over Q."""
+    ratio that clears q's lead from r.  Integer rows over Q.
+
+    When b != 1 the result is divided by the gcd of its entries.  Without
+    that, a row reduced against k pivots gains the bits of each of their
+    leads, quadratically in k on a dense matrix; the content-free row is
+    bounded by the minors it represents, linearly in k as with Bareiss.
+    """
     g = math.gcd(a, b)
     if g != 1:
         a //= g
@@ -459,6 +444,10 @@ def _combine(r, q, a, b):
             r[j] = v
         else:
             r.pop(j, None)
+    if b != 1 and r:
+        g = math.gcd(*r.values())
+        if g != 1:
+            r = {j: v // g for j, v in r.items()}
     return r
 
 
@@ -475,7 +464,7 @@ def _primitive(r, lead):
 def _rref_q(m):
     """RREF rows and pivots over Q: `_echelon`, then back-reduction from
     the right in integers; each row is divided by its lead only at the end."""
-    pivots = _echelon(m.data, 0)
+    pivots = _echelon(m.data)
     order = sorted(pivots)
     for c in reversed(order):
         r = pivots[c]
@@ -510,7 +499,11 @@ def rref(m):
 
 
 def rank(m):
-    return len(_echelon(m.data, m.field.p))
+    """Number of pivots; over Q from the forward elimination alone."""
+    p = m.field.p
+    if p:
+        return len(_rref_gf([list(r) for r in m.data], p))
+    return len(_echelon(m.data))
 
 
 def kernel_basis(m):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -274,6 +275,30 @@ def test_rank_does_not_build_rref(field, monkeypatch):
 
     monkeypatch.setattr(homcat.exactla, "rref", refuse)
     assert [rank(m) for m in mats] == expected
+
+
+def test_dense_q_entries_stay_within_hadamard_bound(monkeypatch):
+    # every row of the fraction-free elimination stands for a vector of
+    # minors, so no intermediate entry may outgrow Hadamard's bound on the
+    # integer matrix (as with Bareiss); rows that keep the content of each
+    # pivot lead they were scaled by break it by hundreds of bits
+    rng = random.Random(4300)
+    data = [[rng.randint(-50, 50) for _ in range(24)] for _ in range(24)]
+    hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in data)
+    widest = 0
+    combine = homcat.exactla._combine
+
+    def spy(r, q, a, b):
+        nonlocal widest
+        out = combine(r, q, a, b)
+        widest = max(widest, *map(abs, out.values()))
+        return out
+
+    monkeypatch.setattr(homcat.exactla, "_combine", spy)
+    m = Mat.from_rows(Q, data)
+    assert rank(m) == naive_rank(m) == 24
+    assert rref(m)[0].data == naive_rref(m)[0]
+    assert 0 < widest <= hadamard
 
 
 @st.composite
