@@ -1,17 +1,20 @@
 """The standard (bar) resolution and Hochschild-Mitchell cohomology.
 
-Degree-n cochains live on (n+1)-tuples of objects: the component at a
-tuple (q_1,...,q_{n+1}) is Hom_K(C(q_1,q_2) x ... x C(q_n,q_{n+1}),
-X(q_1,q_{n+1})) for a bimodule coefficient X.  This is the reduced model
-obtained from Hom out of the standard resolution by the hom-tensor
-adjunction; the bimodule terms themselves are only materialized at low
-degree, for the oracle cross-checks.
+Degree-n cochains live on composable chains q_1 -> ... -> q_{n+1} of
+objects, those with every C(q_i,q_{i+1}) nonzero (Mitchell, "Rings with
+several objects", 1972): the component at a chain is
+Hom_K(C(q_1,q_2) x ... x C(q_n,q_{n+1}), X(q_1,q_{n+1})) for a bimodule
+coefficient X, and every other object tuple contributes nothing.  This
+is the reduced model obtained from Hom out of the standard resolution by
+the hom-tensor adjunction; the bimodule terms themselves are only
+materialized at low degree, for the oracle cross-checks.
 
 The differential composes adjacent tensor slots with alternating signs;
 the outer two slots act on the coefficient through the enveloping
-category action.  The unnormalized complex is used throughout (identity
-tensor factors are not stripped).  Tuples are enumerated in lexicographic
-object order so all matrices are reproducible.
+category action, looked up once per basis morphism and far object in
+each build.  The unnormalized complex is used throughout (identity
+tensor factors are not stripped).  Chains are enumerated in
+lexicographic object order so all matrices are reproducible.
 """
 
 from __future__ import annotations
@@ -61,8 +64,13 @@ class CochainComplex:
         return complex_cohomology_dims(self.dims, self.diffs, upto)
 
 
-def _tuples(objects, n):
-    return list(iproduct(objects, repeat=n))
+def _chains(c, n):
+    """Composable chains q_1 -> ... -> q_{n+1}, every C(q_i,q_{i+1})
+    nonzero, in lexicographic object order."""
+    chains = [(x,) for x in c.objects]
+    for _ in range(n):
+        chains = [ch + (y,) for ch in chains for y in c.objects if c.dim(ch[-1], y)]
+    return chains
 
 
 def _inner_basis(c, tup):
@@ -77,12 +85,10 @@ def bar_dims(c, max_deg):
     for n in range(max_deg + 1):
         tuples = []
         total = 0
-        for tup in _tuples(c.objects, n + 1):
+        for tup in _chains(c, n):
             inner = 1
             for i in range(n):
                 inner *= c.dim(tup[i], tup[i + 1])
-            if inner == 0:
-                continue
             bim = 0
             for c1 in c.objects:
                 for c2 in c.objects:
@@ -106,7 +112,7 @@ def bar_resolution(c, length, env=None, regular=None):
     layouts = []      # per degree: list of (tuple, inner index tuple)
     for n in range(length + 1):
         layout = []
-        for tup in _tuples(c.objects, n + 1):
+        for tup in _chains(c, n):
             for w in _inner_basis(c, tup):
                 layout.append((tup, w))
         layouts.append(layout)
@@ -192,25 +198,20 @@ def _bar_differential_image(c, env, res, n, tup, w, prev_layout):
 class _Layout:
 
     def __init__(self, c, coeff, n):
-        self.components = []   # (tuple, inner basis list, coeff obj, coeff dim, offset)
+        self.components = []   # (chain, inner basis list, coeff obj, coeff dim, offset)
+        self.index = {}        # chain -> (offset, coeff dim, inner index tuple -> position)
         off = 0
-        for tup in _tuples(c.objects, n + 1):
+        for tup in _chains(c, n):
             inner = _inner_basis(c, tup)
-            if not inner:
-                continue
             cobj = pair_object(tup[0], tup[-1])
             cdim = coeff.dims[cobj]
             self.components.append((tup, inner, cobj, cdim, off))
+            self.index[tup] = (off, cdim, {w: k for k, w in enumerate(inner)})
             off += len(inner) * cdim
         self.dim = off
-        self.index = {}
-        for comp_i, (tup, inner, cobj, cdim, off) in enumerate(self.components):
-            pos = {w: k for k, w in enumerate(inner)}
-            self.index[tup] = (comp_i, pos)
 
-    def offset(self, tup, w, cdim):
-        comp_i, pos = self.index[tup]
-        _, _, _, _, off = self.components[comp_i]
+    def offset(self, tup, w):
+        off, cdim, pos = self.index[tup]
         return off + pos[w] * cdim
 
 
@@ -227,11 +228,31 @@ def hochschild_cochain_complex(c, coeff, max_deg):
             raise InvalidCoefficient("coefficient does not match the category's enveloping")
     field = c.field
     layouts = [_Layout(c, coeff, n) for n in range(max_deg + 2)]
+    acts = {}
+
+    def outer(first, x, y, i, far):
+        """Nonzero (row, col, value) entries of basis morphism i of C(x,y)
+        acting in the first (contravariant) or last slot, with 1_far in
+        the other."""
+        key = (first, x, y, i, far)
+        if key not in acts:
+            f = unit_vector(field, c.dim(x, y), i)
+            if first:
+                mat = coeff.act_vec(pair_object(y, far), pair_object(x, far),
+                                    vkron(field, f, c.id_coords(far)))
+            else:
+                mat = coeff.act_vec(pair_object(far, x), pair_object(far, y),
+                                    vkron(field, c.id_coords(far), f))
+            acts[key] = [(r, s, a) for r, row in enumerate(mat.data)
+                         for s, a in enumerate(row) if a]
+        return acts[key]
+
     diffs = []
     for n in range(max_deg + 1):
         src = layouts[n]
         tgt = layouts[n + 1]
         grid = [[field.zero()] * src.dim for _ in range(tgt.dim)]
+        last_sign = field.one() if (n + 1) % 2 == 0 else field.neg(field.one())
         for tup, inner, cobj, cdim, toff in tgt.components:
             if cdim == 0:
                 continue
@@ -239,54 +260,30 @@ def hochschild_cochain_complex(c, coeff, max_deg):
                 row0 = toff + wi * cdim
                 # term 0: f_1 moves onto the coefficient through the
                 # contravariant slot
-                sub = tup[1:]
-                if sub in src.index:
-                    scobj = pair_object(sub[0], sub[-1])
-                    scdim = coeff.dims[scobj]
-                    if scdim:
-                        f1 = unit_vector(field, c.dim(tup[0], tup[1]), w[0])
-                        coords = vkron(field, f1, c.id_coords(tup[-1]))
-                        mat = coeff.act_vec(scobj, cobj, coords)
-                        col0 = src.offset(sub, w[1:], scdim)
-                        _accumulate(grid, row0, col0, mat, field, field.one())
-                # middle terms: compose adjacent inner slots
+                col0 = src.offset(tup[1:], w[1:])
+                for r, s, a in outer(True, tup[0], tup[1], w[0], tup[-1]):
+                    grid[row0 + r][col0 + s] = field.add(grid[row0 + r][col0 + s], a)
+                # middle terms: compose adjacent inner slots; a nonzero
+                # composite leaves a composable chain
                 for i in range(1, n + 1):
-                    s = field.one() if i % 2 == 0 else field.neg(field.one())
+                    sign = field.one() if i % 2 == 0 else field.neg(field.one())
                     comp = c.compose_basis(tup[i - 1], tup[i], tup[i + 1],
                                            w[i - 1], w[i])
                     new_tup = tup[:i] + tup[i + 1:]
-                    if new_tup not in src.index:
-                        continue
                     for h, a in enumerate(comp):
                         if not a:
                             continue
-                        new_w = w[:i - 1] + (h,) + w[i + 1:]
-                        col0 = src.offset(new_tup, new_w, cdim)
+                        col0 = src.offset(new_tup, w[:i - 1] + (h,) + w[i + 1:])
                         for r in range(cdim):
                             grid[row0 + r][col0 + r] = field.add(
-                                grid[row0 + r][col0 + r], field.mul(s, a))
+                                grid[row0 + r][col0 + r], field.mul(sign, a))
                 # last term: f_{n+1} acts through the covariant slot
-                s = field.one() if (n + 1) % 2 == 0 else field.neg(field.one())
-                sub = tup[:-1]
-                if sub in src.index:
-                    scobj = pair_object(sub[0], sub[-1])
-                    scdim = coeff.dims[scobj]
-                    if scdim:
-                        fn = unit_vector(field, c.dim(tup[-2], tup[-1]), w[-1])
-                        coords = vkron(field, c.id_coords(tup[0]), fn)
-                        mat = coeff.act_vec(scobj, cobj, coords)
-                        col0 = src.offset(sub, w[:-1], scdim)
-                        _accumulate(grid, row0, col0, mat, field, s)
+                col0 = src.offset(tup[:-1], w[:-1])
+                for r, s, a in outer(False, tup[-2], tup[-1], w[-1], tup[0]):
+                    grid[row0 + r][col0 + s] = field.add(
+                        grid[row0 + r][col0 + s], field.mul(last_sign, a))
         diffs.append(Mat(field, tgt.dim, src.dim, tuple(tuple(r) for r in grid)))
     return CochainComplex(field, [l.dim for l in layouts], diffs)
-
-
-def _accumulate(grid, row0, col0, mat, field, scale):
-    for r in range(mat.rows):
-        row = grid[row0 + r]
-        for s in range(mat.cols):
-            if mat.data[r][s]:
-                row[col0 + s] = field.add(row[col0 + s], field.mul(scale, mat.data[r][s]))
 
 
 def hochschild_cohomology(c, max_deg=4, coeff=None, env=None):

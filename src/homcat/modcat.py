@@ -65,11 +65,13 @@ class CatModule:
         return m
 
     def act_vec(self, x, y, coords):
+        support = [i for i, a in enumerate(coords) if a]
+        if len(support) == 1 and coords[support[0]] == 1:
+            return self.act_mat(x, y, support[0])
         r, c = self._shape(x, y)
         out = Mat.zeros(self.base.field, r, c)
-        for i, a in enumerate(coords):
-            if a:
-                out = out.add(self.act_mat(x, y, i).scale(a))
+        for i in support:
+            out = out.add(self.act_mat(x, y, i).scale(coords[i]))
         return out
 
     def validate(self):

@@ -1,16 +1,38 @@
+from itertools import product as iproduct
+from math import comb
+
 import pytest
 
+from homcat.cli import build_quiver_category
 from homcat.exactla import Field, complex_cohomology_dims
-from homcat.kcat import enveloping
-from homcat.modcat import ext, ext_data, module_hom, regular_bimodule
+from homcat.ideals import ideal_from_generators
+from homcat.kcat import FiniteKCategory, enveloping
+from homcat.modcat import ext, ext_data, ideal_bimodule, module_hom, regular_bimodule
 from homcat.hochschild import (
-    InvalidCoefficient, bar_dims, bar_resolution, center,
+    InvalidCoefficient, _Layout, bar_dims, bar_resolution, center,
     hochschild_cochain_complex, hochschild_cohomology,
 )
 from homcat import zoo
 
 Q = Field.rationals()
 F = Field.gf(32003)
+FIELDS = [Q, Field.gf(2), Field.gf(3), F]
+RANDOM_SEEDS = (1, 2, 3)
+
+
+def route_categories(field):
+    """The zoo battery, A_3 and seeded random two-object categories."""
+    cats = dict(zoo.standard_categories(field))
+    cats["A3"] = zoo.a3(field)
+    for seed in RANDOM_SEEDS:
+        cats[f"random{seed}"] = zoo.random_two_object(field, seed)
+    return cats
+
+
+def linear_a5(field):
+    objects = [str(i) for i in range(1, 6)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, 5)]
+    return build_quiver_category(field, objects, arrows, [], 6)
 
 
 def test_bar_dims_unit():
@@ -94,14 +116,52 @@ def test_h0_equals_center():
 
 
 def test_cochain_path_matches_bar_and_minimal_resolution():
-    for name, cat in zoo.standard_categories(F).items():
-        env = enveloping(cat)
-        reg = regular_bimodule(cat, env)
-        cochain = hochschild_cohomology(cat, 3, coeff=reg)
-        data = ext_data(bar_resolution(cat, 5, env=env, regular=reg), reg, 3)
-        from_bar = complex_cohomology_dims(data.dims, data.diffs, 3)
-        from_minres = ext(reg, reg, 3)
-        assert cochain == from_bar == from_minres, name
+    for field in FIELDS:
+        for name, cat in route_categories(field).items():
+            env = enveloping(cat)
+            reg = regular_bimodule(cat, env)
+            cochain = hochschild_cohomology(cat, 3, coeff=reg)
+            data = ext_data(bar_resolution(cat, 5, env=env, regular=reg), reg, 3)
+            from_bar = complex_cohomology_dims(data.dims, data.diffs, 3)
+            from_minres = ext(reg, reg, 3)
+            assert cochain == from_bar == from_minres, (field, name)
+
+
+def test_layout_components_are_the_composable_chains():
+    # chain enumeration against the brute-force filter of all object
+    # tuples, in content and in lexicographic order
+    for field in (Q, Field.gf(2)):
+        for name, cat in route_categories(field).items():
+            reg = regular_bimodule(cat)
+            terms = bar_dims(cat, 3)
+            for n in range(4):
+                brute = [t for t in iproduct(cat.objects, repeat=n + 1)
+                         if all(cat.dim(t[i], t[i + 1]) for i in range(n))]
+                assert [comp[0] for comp in _Layout(cat, reg, n).components] == brute, name
+                assert [t[0] for t in terms[n].tuples] == brute, name
+
+
+def test_a5_cochain_dims_are_binomial():
+    a5 = linear_a5(F)
+    cx = hochschild_cochain_complex(a5, regular_bimodule(a5), 6)
+    # degree k counts the weakly increasing (k+1)-tuples of 5 objects
+    assert cx.dims == [comb(5 + k, k + 1) for k in range(8)]
+
+
+def test_a5_cochains_skip_zero_hom_tuples(monkeypatch):
+    a5 = linear_a5(F)
+    reg = regular_bimodule(a5)
+    calls = []
+    dim = FiniteKCategory.dim
+
+    def counting_dim(self, x, y):
+        calls.append(None)
+        return dim(self, x, y)
+
+    monkeypatch.setattr(FiniteKCategory, "dim", counting_dim)
+    hochschild_cochain_complex(a5, reg, 6)
+    # walking all 5^(n+1) object tuples costs millions of lookups
+    assert len(calls) < 50_000
 
 
 def classical_algebra_hh(field, mult, unit_coords, upto):
@@ -230,16 +290,28 @@ def test_invalid_coefficient_rejected():
         hochschild_cochain_complex(a2, regular_bimodule(zoo.dual_numbers(Q)), 2)
 
 
+def first_arrow_ideal(cat):
+    """The ideal generated by the first non-identity basis morphism."""
+    for x, y, i, _ in cat.basis_morphisms():
+        if x != y or i > 0:
+            coords = [0] * cat.dim(x, y)
+            coords[i] = 1
+            return ideal_from_generators(cat, [(x, y, tuple(coords))])
+
+
 def test_twisted_coefficients_ideal_bimodule():
-    # coefficients other than the regular bimodule flow through the same complex
-    from homcat.ideals import ideal_from_generators
-    from homcat.modcat import ideal_bimodule
-    a2 = zoo.a2(Q)
-    env = enveloping(a2)
-    reg = regular_bimodule(a2, env)
-    ideal = ideal_from_generators(a2, [("1", "2", (1,))])
-    sub, _ = ideal_bimodule(a2, ideal, env=env, regular=reg)
-    cx = hochschild_cochain_complex(a2, sub, 3)
-    assert cx.verify_dd() == []
-    data = ext_data(bar_resolution(a2, 5, env=env, regular=reg), sub, 3)
-    assert cx.cohomology(3) == complex_cohomology_dims(data.dims, data.diffs, 3)
+    # coefficients other than the regular bimodule flow through the same
+    # complex, and the outer actions are those of the ideal bimodule
+    for field in FIELDS:
+        cats = {"A2": zoo.a2(field), "A3": zoo.a3(field), "kronecker": zoo.kronecker(field)}
+        for seed in RANDOM_SEEDS:
+            cats[f"random{seed}"] = zoo.random_two_object(field, seed)
+        for name, cat in cats.items():
+            env = enveloping(cat)
+            reg = regular_bimodule(cat, env)
+            sub, _ = ideal_bimodule(cat, first_arrow_ideal(cat), env=env, regular=reg)
+            cx = hochschild_cochain_complex(cat, sub, 3)
+            assert cx.verify_dd() == [], (field, name)
+            data = ext_data(bar_resolution(cat, 5, env=env, regular=reg), sub, 3)
+            from_bar = complex_cohomology_dims(data.dims, data.diffs, 3)
+            assert cx.cohomology(3) == from_bar == ext(reg, sub, 3), (field, name)

@@ -1,10 +1,11 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from homcat.exactla import Field, Mat
+from homcat.exactla import Field, Mat, unit_vector
 from homcat.kcat import (
     enveloping, opposite, pair_object, tensor_category, unit_category,
 )
@@ -21,6 +22,46 @@ from homcat import zoo
 
 Q = Field.rationals()
 F = Field.gf(32003)
+
+
+def bimodule_actions(field):
+    """(module, x, y) for every nonzero Hom space of the enveloping
+    categories of the Kronecker quiver and the dual numbers."""
+    for cat in (zoo.kronecker(field), zoo.dual_numbers(field)):
+        env = enveloping(cat)
+        reg = regular_bimodule(cat, env)
+        for x in env.objects:
+            for y in env.objects:
+                if env.dim(x, y):
+                    yield reg, x, y
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2), F], ids=repr)
+def test_act_vec_unit_coordinates_return_the_stored_matrix(field):
+    for m, x, y in bimodule_actions(field):
+        for i in range(m.base.dim(x, y)):
+            stored = m.act_mat(x, y, i)
+            assert m.act_vec(x, y, unit_vector(field, m.base.dim(x, y), i)) is stored
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), F], ids=repr)
+def test_act_vec_is_the_linear_combination_of_actions(field):
+    rng = random.Random(7 + field.p)
+    for m, x, y in bimodule_actions(field):
+        d = m.base.dim(x, y)
+        for _ in range(4):
+            coords = tuple(field.of(Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 7))))
+                           for _ in range(d))
+            rows, cols = m.act_mat(x, y, 0).shape
+            want = [[field.zero()] * cols for _ in range(rows)]
+            for i, a in enumerate(coords):
+                for r, row in enumerate(m.act_mat(x, y, i).data):
+                    for c, v in enumerate(row):
+                        want[r][c] = field.add(want[r][c], field.mul(a, v))
+            got = m.act_vec(x, y, coords)
+            assert got == Mat.from_rows(field, want, cols=cols)
+            if field.p == 0:
+                assert all(type(v) is Fraction for row in got.data for v in row)
 
 
 def test_representable_dims():
