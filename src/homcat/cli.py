@@ -41,15 +41,16 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactla import EchelonSpace, Field, Mat, VerificationFailed, unit_vector
-from .kcat import Bimodule, FiniteKCategory, InvalidCategory
-from .ideals import ideal_from_generators
-from .modcat import CatModule, InvalidModule
+from .exactla import EchelonSpace, Field, FieldMismatch, Mat, VerificationFailed, unit_vector
+from .kcat import (Bimodule, FiniteKCategory, InvalidBimodule, InvalidCategory,
+                   InvalidFunctor, NotTriangular, UnknownObject)
+from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
+from .modcat import BaseMismatch, CatModule, InvalidModule
 from .hochschild import bar_resolution, hochschild_cohomology, center
 from .modcat import ext, ext_data, regular_bimodule
 from .exactla import complex_cohomology_dims
 from .kcat import enveloping
-from .theorems import (HypothesisFailed, cmp_pipeline, happel_pipeline,
+from .theorems import (HypothesisFailed, ZeroModule, cmp_pipeline, happel_pipeline,
                        strongly_idempotent_check, theorem_les_pipeline,
                        audit_hypotheses)
 
@@ -71,6 +72,24 @@ class FinitenessError(ValueError):
 
 class UnresolvedName(ValueError):
     pass
+
+
+# homcat's own errors for bad input: a task that raises one of these is
+# reported as "validation"; any other exception is an internal error
+INPUT_ERRORS = (ParseError, FinitenessError, UnresolvedName, InvalidCategory,
+                UnknownObject, NotTriangular, InvalidBimodule, InvalidModule,
+                InvalidFunctor, CoordinateMismatch, ParentMismatch, InvalidIdeal,
+                BaseMismatch, ZeroModule, FieldMismatch)
+
+# exit code of each report status that fails a run
+EXIT_CODES = {"internal": 4, "validation": 1, "hypothesis": 2, "verification": 3}
+# several failing tasks or files exit with the first of these codes present
+EXIT_PRECEDENCE = (4, 1, 2, 3)
+
+
+def _worst_code(codes):
+    codes = set(codes)
+    return next((c for c in EXIT_PRECEDENCE if c in codes), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +304,8 @@ class WorkspaceFile:
         self.order = []                # declaration order for printing
 
 
-TASK_KINDS = ("cohomology", "ideal-check", "les", "cmp", "happel", "validate")
+# task kind -> number of arguments
+TASK_ARITY = {"cohomology": 1, "ideal-check": 2, "les": 2, "cmp": 3, "happel": 2, "validate": 1}
 
 
 def parse(source):
@@ -459,11 +479,14 @@ def parse(source):
             while ts.peek()[0] == "-":          # hyphenated kinds (ideal-check)
                 ts.next()
                 kind += "-" + ts.expect("NAME")[1]
-            if kind not in TASK_KINDS:
+            if kind not in TASK_ARITY:
                 raise ParseError(line_no, 1, f"unknown task kind {kind!r}")
             args = []
             while not ts.done():
                 args.append(_name_or_num(ts, line_no))
+            if len(args) != TASK_ARITY[kind]:
+                raise ParseError(line_no, 1, f"task {kind} takes {TASK_ARITY[kind]} "
+                                             f"arguments, got {len(args)}")
             current = None
             ws.tasks.append(TaskDecl(kind, args, line_no))
             ws.order.append(("task", len(ws.tasks) - 1))
@@ -627,13 +650,6 @@ def build_quiver_category(field, objects, arrows, relations, bound):
         frontier = new_frontier
         by_level.append(new_frontier)
     index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
-
-    def path_pair(p):
-        if not p:
-            return None
-        s = arrow_map[p[0]][0]
-        g = arrow_map[p[-1]][1]
-        return (s, g)
 
     def resolve_term_path(names, line_hint=""):
         # written right-to-left: reverse into application order
@@ -885,9 +901,13 @@ class Workspace:
         self.tasks = ws_file.tasks
 
     def _category(self, name):
-        if name not in self.categories:
-            raise UnresolvedName(f"unknown category {name!r}")
-        return self.categories[name]
+        return self._named("category", self.categories, name)
+
+    @staticmethod
+    def _named(kind, table, name):
+        if name not in table:
+            raise UnresolvedName(f"unknown {kind} {name!r}")
+        return table[name]
 
     def _basis_lookup(self, cat):
         table = {}
@@ -1098,7 +1118,7 @@ class Report:
 
     def __init__(self, task, status, doc, human_lines):
         self.task = task
-        self.status = status          # "pass" | "validation" | "hypothesis" | "verification"
+        self.status = status          # "pass" | "validation" | "hypothesis" | "verification" | "internal"
         self.doc = doc
         self.human_lines = human_lines
 
@@ -1153,7 +1173,7 @@ def run_workspace(workspace, options):
                 human += ["  " + x for x in doc["notes"]]
             elif task.kind == "ideal-check":
                 cat = workspace._category(task.args[0])
-                ideal = workspace.ideals[task.args[1]]
+                ideal = workspace._named("ideal", workspace.ideals, task.args[1])
                 audit = audit_hypotheses(cat, ideal)
                 check = strongly_idempotent_check(cat, ideal, n)
                 doc["hypotheses"] = {
@@ -1172,18 +1192,18 @@ def run_workspace(workspace, options):
                     human.append(f"  witness: {check.witness}")
             elif task.kind == "les":
                 cat = workspace._category(task.args[0])
-                ideal = workspace.ideals[task.args[1]]
+                ideal = workspace._named("ideal", workspace.ideals, task.args[1])
                 les = theorem_les_pipeline(cat, ideal, n)
                 status, human = _les_doc(doc, les, f"les {task.args[0]}/{task.args[1]}")
             elif task.kind == "cmp":
                 t = workspace._category(task.args[0])
                 u = workspace._category(task.args[1])
-                m = workspace.bimodules[task.args[2]]
+                m = workspace._named("bimodule", workspace.bimodules, task.args[2])
                 les = cmp_pipeline(t, u, m, n)
                 status, human = _les_doc(doc, les, f"cmp [{task.args[0]} 0; {task.args[2]} {task.args[1]}]")
             elif task.kind == "happel":
                 u = workspace._category(task.args[0])
-                m = workspace.modules[task.args[1]]
+                m = workspace._named("module", workspace.modules, task.args[1])
                 hap = happel_pipeline(u, m, n)
                 status, human = _les_doc(doc, hap.les, f"happel {task.args[0]}[{task.args[1]}]")
                 doc["happel"] = {
@@ -1208,20 +1228,17 @@ def run_workspace(workspace, options):
             doc["notes"].append(f"verification failed: {exc}")
             status = "verification"
             human = [f"{task.kind} {' '.join(task.args)}: verification failed: {exc}"]
-        except (ValueError, KeyError) as exc:
+        except INPUT_ERRORS as exc:
             doc["notes"] = [f"task error: {exc}"]
             status = "validation"
             human = [f"{task.kind} {' '.join(task.args)}: ERROR {exc}"]
+        except Exception as exc:
+            note = f"internal error: {type(exc).__name__}: {exc}"
+            doc["notes"] = [note]
+            status = "internal"
+            human = [f"{task.kind} {' '.join(task.args)}: {note}"]
         reports.append(Report(task, status, doc, human))
-    exit_code = 0
-    statuses = [r.status for r in reports]
-    if "validation" in statuses:
-        exit_code = 1
-    elif "hypothesis" in statuses:
-        exit_code = 2
-    elif "verification" in statuses:
-        exit_code = 3
-    return reports, exit_code
+    return reports, _worst_code(EXIT_CODES.get(r.status, 0) for r in reports)
 
 
 def _les_doc(doc, les, title):
@@ -1305,24 +1322,27 @@ def main(argv=None):
 
 
 def _run_files(paths, override, options, json_out):
-    worst = 0
+    """Run every file; a file that cannot be read or built gets one stderr
+    line and counts by the same precedence as a failed task."""
+    codes = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 1
-        try:
             ws_file = parse(source)
             workspace = Workspace(ws_file, field_override=override)
-        except (ParseError, FinitenessError, UnresolvedName, InvalidCategory,
-                InvalidModule, ValueError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, ZeroDivisionError, *INPUT_ERRORS) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
-            return 1
+            codes.append(1)
+            continue
         except VerificationFailed as exc:
             print(f"{path}: verification failed: {exc}", file=sys.stderr)
-            return 3
+            codes.append(3)
+            continue
+        except Exception as exc:
+            print(f"{path}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            codes.append(4)
+            continue
         reports, code = run_workspace(workspace, options)
         for rep in reports:
             if json_out:
@@ -1331,8 +1351,11 @@ def _run_files(paths, override, options, json_out):
             else:
                 for line in rep.human_lines:
                     print(line)
-        worst = max(worst, code)
-    return worst
+            if rep.status == "internal":
+                print(f"{path}: {rep.task.kind} {' '.join(rep.task.args)}: "
+                      f"{rep.doc['notes'][0]}", file=sys.stderr)
+        codes.append(code)
+    return _worst_code(codes)
 
 
 if __name__ == "__main__":

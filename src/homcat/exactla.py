@@ -8,20 +8,22 @@ bases come out of the reduced echelon form in free-column order, and no
 randomization is used anywhere.
 
 Elements are `Fraction` over the rationals and plain ints in [0, p) over
-GF(p); matrices are dense tuples of rows.  Over Q, elimination works on
-sparse rows (column -> value), since cochain and resolution matrices are
-mostly zero, and is fraction-free on primitive integer rows: `rank` is
-the forward elimination alone and never builds the reduced form, and
-`rref` back-reduces in integers as well, dividing by the leads only when
-it writes the result.  Over GF(p), `rank` and `rref` share one dense
-Gauss-Jordan.
+GF(p).  A matrix keeps its rows sparse, as dicts column -> nonzero entry,
+because structure-constant blocks, cochain differentials and resolution
+matrices are mostly zero: products, sums, transposes, stacks and
+Kronecker products cost their nonzero entries, not their shape.  The
+dense rows (`Mat.data`) are built only on request.  Over Q, elimination
+starts from the matrix's own rows and is fraction-free on primitive
+integer rows: `rank` is the forward elimination alone and never builds
+the reduced form, and `rref` back-reduces in integers as well, dividing
+by the leads only when it writes the result.  Over GF(p), `rank` and
+`rref` share one dense Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 
 
 class FieldMismatch(ValueError):
@@ -49,6 +51,11 @@ def _is_prime(p):
             return False
         d += 2
     return True
+
+
+# Fractions are immutable, so Q's constants are built once
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 class Field:
@@ -86,10 +93,10 @@ class Field:
         return "Q" if self.p == 0 else f"GF({self.p})"
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return _Q_ZERO if self.p == 0 else 0
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return _Q_ONE if self.p == 0 else 1
 
     def of(self, value):
         """Coerce an int, Fraction or 'a/b' string to a canonical element."""
@@ -152,11 +159,17 @@ def vscale(field, c, v):
 
 
 def vkron(field, u, v):
-    """Kronecker product of coordinate vectors, u-major."""
+    """Kronecker product of coordinate vectors, u-major; over Q a zero
+    factor gives Fraction(0) without a `Fraction` product."""
     if field.p:
         p = field.p
         return tuple(a * b % p for a in u for b in v)
-    return tuple(a * b for a in u for b in v)
+    zero = _Q_ZERO
+    zeros = (zero,) * len(v)
+    out = []
+    for a in u:
+        out.extend([a * b if b else zero for b in v] if a else zeros)
+    return tuple(out)
 
 
 def unit_vector(field, n, i):
@@ -166,19 +179,36 @@ def unit_vector(field, n, i):
 
 
 class Mat:
-    """Immutable dense matrix; `data` is a tuple of row tuples."""
+    """Immutable matrix stored by sparse rows.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    `nz` holds one dict per row, column -> entry, with no zero stored;
+    rows are shared between matrices and never mutated.  `data` is the
+    dense tuple of row tuples, built on demand.
+    """
+
+    __slots__ = ("field", "rows", "cols", "nz")
 
     def __init__(self, field, rows, cols, data):
+        """A matrix from dense rows `data`; only nonzero entries are coerced."""
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.nz = tuple(_sparse(field, row) for row in data)
+
+    @classmethod
+    def from_sparse(cls, field, rows, cols, nz):
+        """A matrix from rows already in `nz` form: canonical, nonzero
+        entries that nothing will mutate."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.nz = nz
+        return m
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
-        rows = [tuple(field.of(x) for x in row) for row in rows]
+        rows = list(rows)
         if rows:
             cols = len(rows[0])
             for row in rows:
@@ -186,11 +216,11 @@ class Mat:
                     raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
-        return cls(field, len(rows), cols, tuple(rows))
+        return cls(field, len(rows), cols, rows)
 
     @classmethod
     def from_cols(cls, field, cols, rows=None):
-        cols = [tuple(field.of(x) for x in col) for col in cols]
+        cols = list(cols)
         if cols:
             rows = len(cols[0])
             for col in cols:
@@ -198,39 +228,50 @@ class Mat:
                     raise ValueError("ragged columns")
         elif rows is None:
             rows = 0
-        data = tuple(tuple(col[i] for col in cols) for i in range(rows))
-        return cls(field, rows, len(cols), data)
+        nz = [{} for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, x in _sparse(field, col).items():
+                nz[i][j] = x
+        return cls.from_sparse(field, rows, len(cols), tuple(nz))
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return cls.from_sparse(field, rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, field, n):
-        one, z = field.one(), field.zero()
-        return cls(field, n, n, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
+        one = field.one()
+        return cls.from_sparse(field, n, n, tuple({i: one} for i in range(n)))
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def data(self):
+        return tuple(self.row(i) for i in range(self.rows))
+
     def row(self, i):
-        return self.data[i]
+        out = [self.field.zero()] * self.cols
+        for j, x in self.nz[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j):
-        return tuple(r[j] for r in self.data)
+        z = self.field.zero()
+        return tuple(r.get(j, z) for r in self.nz)
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(self.transpose().data)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.nz == other.nz)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.nz)))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
@@ -239,8 +280,7 @@ class Mat:
         return [list(r) for r in self.data]
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(self.nz)
 
     def mul(self, other):
         if self.field != other.field:
@@ -248,18 +288,21 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         p = self.field.p
-        bt = list(zip(*other.data)) if other.data else [()] * other.cols
-        if other.rows == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        if p:
-            data = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                for row in self.data)
-        else:
-            data = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.data)
-        return Mat(self.field, self.rows, other.cols, data)
+        b = other.nz
+        out = []
+        for row in self.nz:
+            acc = {}
+            for k, x in row.items():
+                for j, y in b[k].items():
+                    if j in acc:
+                        acc[j] += x * y
+                    else:
+                        acc[j] = x * y
+            if p:
+                out.append({j: v % p for j, v in acc.items() if v % p})
+            else:
+                out.append({j: v for j, v in acc.items() if v})
+        return Mat.from_sparse(self.field, self.rows, other.cols, tuple(out))
 
     def __mul__(self, other):
         return self.mul(other)
@@ -269,43 +312,82 @@ class Mat:
             raise ValueError("vector length mismatch")
         p = self.field.p
         if p:
-            return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.data)
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+            return tuple(sum(x * vec[j] for j, x in r.items()) % p for r in self.nz)
+        return tuple(sum(x * vec[j] for j, x in r.items() if vec[j]) or _Q_ZERO
+                     for r in self.nz)
 
     def add(self, other):
         self._same_shape(other)
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.data, other.data)))
+        return Mat.from_sparse(self.field, self.rows, self.cols,
+                               tuple(_merge(self.field, r1, r2)
+                                     for r1, r2 in zip(self.nz, other.nz)))
 
     def sub(self, other):
         self._same_shape(other)
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.data, other.data)))
+        return Mat.from_sparse(self.field, self.rows, self.cols,
+                               tuple(_merge(self.field, r1, r2, neg=True)
+                                     for r1, r2 in zip(self.nz, other.nz)))
 
     def neg(self):
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   tuple(tuple(f.neg(a) for a in r) for r in self.data))
+        return self.scale(-1)
 
     def scale(self, c):
         f = self.field
         c = f.of(c)
-        return Mat(f, self.rows, self.cols,
-                   tuple(tuple(f.mul(c, a) for a in r) for r in self.data))
+        if not c:
+            return Mat.zeros(f, self.rows, self.cols)
+        p = f.p
+        if p:
+            nz = tuple({j: c * x % p for j, x in r.items()} for r in self.nz)
+        else:
+            nz = tuple({j: c * x for j, x in r.items()} for r in self.nz)
+        return Mat.from_sparse(f, self.rows, self.cols, nz)
 
     def transpose(self):
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(zip(*self.data)) if self.data else tuple(() for _ in range(self.cols)))
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return Mat.from_sparse(self.field, self.cols, self.rows, tuple(out))
 
     def _same_shape(self, other):
         if self.field != other.field:
             raise FieldMismatch("mixed fields")
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def _sparse(field, vec):
+    """The nonzero entries of a dense vector as column -> canonical value."""
+    of = field.of
+    out = {}
+    for j, x in enumerate(vec):
+        if x:
+            x = of(x)
+            if x:
+                out[j] = x
+    return out
+
+
+def add_to_row(field, row, j, x):
+    """row[j] += x in a sparse row, dropping the entry when it cancels."""
+    x = field.add(row.get(j, 0), x)
+    if x:
+        row[j] = x
+    else:
+        row.pop(j, None)
+
+
+def _merge(field, r1, r2, neg=False):
+    """The sparse row r1 + r2, or r1 - r2 with `neg`; may return r1 or r2."""
+    if not r2:
+        return r1
+    if not r1 and not neg:
+        return r2
+    out = dict(r1)
+    for j, y in r2.items():
+        add_to_row(field, out, j, field.neg(y) if neg else y)
+    return out
 
 
 def hstack(mats):
@@ -316,8 +398,14 @@ def hstack(mats):
     for m in mats:
         if m.rows != rows or m.field != field:
             raise ValueError("hstack shape/field mismatch")
-    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-    return Mat(field, rows, sum(m.cols for m in mats), data)
+    nz = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:
+        for out, r in zip(nz, m.nz):
+            for j, x in r.items():
+                out[off + j] = x
+        off += m.cols
+    return Mat.from_sparse(field, rows, off, tuple(nz))
 
 
 def vstack(mats):
@@ -328,8 +416,8 @@ def vstack(mats):
     for m in mats:
         if m.cols != cols or m.field != field:
             raise ValueError("vstack shape/field mismatch")
-    return Mat(field, sum(m.rows for m in mats), cols,
-               tuple(row for m in mats for row in m.data))
+    return Mat.from_sparse(field, sum(m.rows for m in mats), cols,
+                           tuple(r for m in mats for r in m.nz))
 
 
 def block_diag(field, mats, rows=0, cols=0):
@@ -337,17 +425,15 @@ def block_diag(field, mats, rows=0, cols=0):
     mats = list(mats)
     if not mats:
         return Mat.zeros(field, rows, cols)
-    total_r = sum(m.rows for m in mats)
-    total_c = sum(m.cols for m in mats)
-    z = field.zero()
-    grid = [[z] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
+    nz = []
+    c0 = 0
     for m in mats:
-        for i, row in enumerate(m.data):
-            grid[r0 + i][c0:c0 + m.cols] = row
-        r0 += m.rows
+        if c0:
+            nz.extend({c0 + j: x for j, x in r.items()} for r in m.nz)
+        else:
+            nz.extend(m.nz)
         c0 += m.cols
-    return Mat(field, total_r, total_c, tuple(tuple(r) for r in grid))
+    return Mat.from_sparse(field, len(nz), c0, tuple(nz))
 
 
 def kron(a, b):
@@ -356,14 +442,15 @@ def kron(a, b):
         raise FieldMismatch("mixed fields")
     f = a.field
     p = f.p
+    w = b.cols
     out = []
-    for arow in a.data:
-        for brow in b.data:
+    for arow in a.nz:
+        for brow in b.nz:
             if p:
-                out.append(tuple(x * y % p for x in arow for y in brow))
+                out.append({i * w + k: x * y % p for i, x in arow.items() for k, y in brow.items()})
             else:
-                out.append(tuple(x * y for x in arow for y in brow))
-    return Mat(f, a.rows * b.rows, a.cols * b.cols, tuple(out))
+                out.append({i * w + k: x * y for i, x in arow.items() for k, y in brow.items()})
+    return Mat.from_sparse(f, a.rows * b.rows, a.cols * w, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +485,33 @@ def _rref_gf(rows, p):
     return pivots
 
 
-def _echelon(data):
-    """Sparse fraction-free forward elimination of the rows of `data` over
-    Q; returns {pivot column: row}, each row a primitive integer vector
-    (column -> nonzero int, gcd 1, lead positive) led by its pivot.
+def _dense(m):
+    """The rows of a GF(p) matrix as dense lists, for `_rref_gf`."""
+    out = []
+    for r in m.nz:
+        row = [0] * m.cols
+        for j, x in r.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def _echelon(nz):
+    """Sparse fraction-free forward elimination of the rows `nz` of a
+    matrix over Q; returns {pivot column: row}, each row a primitive
+    integer vector (column -> nonzero int, gcd 1, lead positive) led by
+    its pivot.
 
     Each row is cleared of denominators and reduced against the pivots
     found so far until its leftmost entry lies in a new pivot column, so
     no `Fraction` is built.
     """
     pivots = {}
-    cols = range(len(data[0]) if data else 0)
-    for row in data:
-        nz = list(compress(cols, row))
-        den = math.lcm(*[row[j].denominator for j in nz]) if nz else 1
-        r = {j: row[j].numerator * (den // row[j].denominator) for j in nz}
+    for row in nz:
+        if not row:
+            continue
+        den = math.lcm(*[x.denominator for x in row.values()])
+        r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
         while r:
             c = min(r)
             q = pivots.get(c)
@@ -464,7 +563,7 @@ def _primitive(r, lead):
 def _rref_q(m):
     """RREF rows and pivots over Q: `_echelon`, then back-reduction from
     the right in integers; each row is divided by its lead only at the end."""
-    pivots = _echelon(m.data)
+    pivots = _echelon(m.nz)
     order = sorted(pivots)
     for c in reversed(order):
         r = pivots[c]
@@ -474,36 +573,53 @@ def _rref_q(m):
                 q = pivots[j]
                 r = _combine(r, q, r[j], q[j])
             pivots[c] = _primitive(r, r[c])
-    zero = Fraction(0)
     rows = []
     for c in order:
         r = pivots[c]
         lead = r[c]
-        row = [zero] * m.cols
-        for j, v in r.items():
-            row[j] = Fraction(v, lead)
-        rows.append(tuple(row))
-    rows.extend([(zero,) * m.cols] * (m.rows - len(order)))
+        rows.append({j: Fraction(v, lead) for j, v in r.items()})
+    rows.extend([{}] * (m.rows - len(order)))
     return tuple(rows), tuple(order)
 
 
 def rref(m):
     """Reduced row echelon form and pivot columns (deterministic)."""
-    if m.field.p:
-        rows = [list(r) for r in m.data]
-        pivots = tuple(_rref_gf(rows, m.field.p))
-        data = tuple(tuple(r) for r in rows)
+    p = m.field.p
+    if p:
+        rows = _dense(m)
+        pivots = tuple(_rref_gf(rows, p))
+        # rows past the pivots are zero
+        nz = [{j: x for j, x in enumerate(r) if x} for r in rows[:len(pivots)]]
+        nz = tuple(nz + [{}] * (m.rows - len(pivots)))
     else:
-        data, pivots = _rref_q(m)
-    return Mat(m.field, m.rows, m.cols, data), pivots
+        nz, pivots = _rref_q(m)
+    return Mat.from_sparse(m.field, m.rows, m.cols, nz), pivots
 
 
 def rank(m):
     """Number of pivots; over Q from the forward elimination alone."""
     p = m.field.p
     if p:
-        return len(_rref_gf([list(r) for r in m.data], p))
-    return len(_echelon(m.data))
+        return len(_rref_gf(_dense(m), p))
+    return len(_echelon(m.nz))
+
+
+def _free_rows(f, r, pivots, n):
+    """For the RREF `r` (pivot columns `pivots`) of a matrix with n
+    columns: the free columns and, for each, the row of the kernel basis
+    vector it leads (1 at the free column, minus the free column of r at
+    each pivot), as sparse rows indexed by free-column position."""
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    at = {j: t for t, j in enumerate(free)}
+    one = f.one()
+    out = [{j: one} for j in free]
+    for k, pc in enumerate(pivots):
+        for j, x in r.nz[k].items():
+            t = at.get(j)
+            if t is not None:
+                out[t][pc] = f.neg(x)
+    return free, out
 
 
 def kernel_basis(m):
@@ -511,17 +627,8 @@ def kernel_basis(m):
     results are reproducible (one column per free variable, taken in
     ascending column order)."""
     r, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
-    f = m.field
-    one, zero = f.one(), f.zero()
-    cols = []
-    for j in free:
-        v = [zero] * m.cols
-        v[j] = one
-        for k, pc in enumerate(pivots):
-            v[pc] = f.neg(r.data[k][j])
-        cols.append(tuple(v))
-    return Mat.from_cols(f, cols, rows=m.cols)
+    _, vecs = _free_rows(m.field, r, pivots, m.cols)
+    return Mat.from_sparse(m.field, len(vecs), m.cols, tuple(vecs)).transpose()
 
 
 def solve(a, b):
@@ -534,16 +641,14 @@ def solve(a, b):
     f = a.field
     if b.cols == 0:
         return Mat.zeros(f, a.cols, 0)
-    aug = hstack([a, b])
-    r, pivots = rref(aug)
-    for pc in pivots:
-        if pc >= a.cols:
-            return None
-    zero = f.zero()
-    sol = [[zero] * b.cols for _ in range(a.cols)]
+    n = a.cols
+    r, pivots = rref(hstack([a, b]))
+    if pivots and pivots[-1] >= n:
+        return None
+    sol = [{}] * n
     for k, pc in enumerate(pivots):
-        sol[pc] = list(r.data[k][a.cols:])
-    return Mat(f, a.cols, b.cols, tuple(tuple(row) for row in sol))
+        sol[pc] = {j - n: x for j, x in r.nz[k].items() if j >= n}
+    return Mat.from_sparse(f, n, b.cols, tuple(sol))
 
 
 def subquotient_dim(span_a, span_b):
@@ -562,41 +667,35 @@ def subquotient_dim(span_a, span_b):
 class ComplementData:
     """Canonical complement of a column span S inside K^n.
 
-    `proj` maps K^n onto coordinates of the complement (kernel = S),
+    `proj` maps K^n onto coordinates of the complement (kernel = S), and
     `section` embeds those coordinates back as representing vectors,
-    and `reduce` sends v to its canonical representative v - s, s in S,
     supported off the pivot coordinates.
     """
 
-    __slots__ = ("dim", "ambient", "pivots", "free", "proj", "section", "_rref_rows")
+    __slots__ = ("dim", "ambient", "pivots", "free", "proj", "section")
 
     def __init__(self, span):
         f = span.field
         n = span.rows
         r, pivots = rref(span.transpose())
-        free = [j for j in range(n) if j not in pivots]
+        free, proj = _free_rows(f, r, pivots, n)
         self.dim = len(free)
         self.ambient = n
         self.pivots = pivots
         self.free = tuple(free)
-        zero, one = f.zero(), f.one()
-        proj = []
-        for fi in free:
-            row = [zero] * n
-            row[fi] = one
-            for k, pc in enumerate(pivots):
-                row[pc] = f.neg(r.data[k][fi])
-            proj.append(tuple(row))
-        self.proj = Mat(f, self.dim, n, tuple(proj))
-        self.section = Mat.from_cols(f, [unit_vector(f, n, fi) for fi in free], rows=n)
-        self._rref_rows = r
+        self.proj = Mat.from_sparse(f, self.dim, n, tuple(proj))
+        section = [{}] * n
+        one = f.one()
+        for t, j in enumerate(free):
+            section[j] = {t: one}
+        self.section = Mat.from_sparse(f, n, self.dim, tuple(section))
 
 
 def column_space_basis(m):
     """Canonical (reduced-echelon) basis of the column space."""
     sp = EchelonSpace(m.field, m.rows)
-    for j in range(m.cols):
-        sp.add(m.col(j))
+    for col in m.transpose().nz:
+        sp.add(col)
     return sp.basis_matrix()
 
 
@@ -623,58 +722,69 @@ class EchelonSpace:
 
     Used for two-sided-ideal saturation and for greedy module generator
     searches, where membership tests and insertions alternate heavily.
+    `rows` maps each pivot column to its basis row, a sparse row with
+    entry 1 at the pivot and 0 at every other pivot.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots")
+    __slots__ = ("field", "n", "rows")
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.rows = []
-        self.pivots = []
+        self.rows = {}
 
     @property
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, vec):
+        """vec (dense, or a sparse row) minus its part along the pivots."""
         f = self.field
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                for j in range(self.n):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        p = f.p
+        if isinstance(vec, dict):
+            v = dict(vec)
+        elif p:
+            v = {j: x % p for j, x in enumerate(vec) if x % p}
+        else:
+            v = {j: x for j, x in enumerate(vec) if x}
+        rows = self.rows
+        for pc in [j for j in v if j in rows]:
+            c = v.pop(pc)
+            for j, y in rows[pc].items():
+                if j == pc:
+                    continue
+                x = v.get(j, 0) - c * y
+                if p:
+                    x %= p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
         return v
 
     def contains(self, vec):
-        zero = self.field.zero()
-        return all(x == zero for x in self._reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec):
-        """Insert vec; returns True when the space grew."""
+        """Insert vec (dense, or a sparse row); returns True when the space grew."""
         f = self.field
         v = self._reduce(vec)
-        pivot = None
-        for j in range(self.n):
-            if v[j]:
-                pivot = j
-                break
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
         inv = f.inv(v[pivot])
-        v = [f.mul(inv, x) for x in v]
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
+        v = {j: f.mul(inv, x) for j, x in v.items()}
+        for pc, row in self.rows.items():
+            c = row.get(pivot)
             if c:
-                self.rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pivot:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pivot)
+                self.rows[pc] = _merge(f, row, {j: f.mul(c, x) for j, x in v.items()}, neg=True)
+        self.rows[pivot] = v
         return True
 
     def basis_matrix(self):
-        """Canonical basis of the subspace as columns."""
-        return Mat.from_cols(self.field, [tuple(r) for r in self.rows], rows=self.n)
+        """Canonical basis of the subspace as columns, in pivot order."""
+        cols = [{} for _ in range(self.n)]
+        for t, pc in enumerate(sorted(self.rows)):
+            for j, x in self.rows[pc].items():
+                cols[j][t] = x
+        return Mat.from_sparse(self.field, self.n, len(self.rows), tuple(cols))

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .exactla import Mat, complex_cohomology_dims, kernel_basis, unit_vector, vkron
+from .exactla import (Mat, add_to_row, complex_cohomology_dims, kernel_basis, unit_vector,
+                      vkron)
 from .kcat import enveloping, pair_object
 from .modcat import BaseMismatch, FreeResolution, regular_bimodule
 
@@ -106,7 +107,6 @@ def bar_resolution(c, length, env=None, regular=None):
         env = enveloping(c)
     if regular is None:
         regular = regular_bimodule(c, env)
-    field = c.field
     gens = []
     images = []
     layouts = []      # per degree: list of (tuple, inner index tuple)
@@ -123,25 +123,16 @@ def bar_resolution(c, length, env=None, regular=None):
     images.append([c.id_coords(tup[0]) for tup, _ in layouts[0]])
     res = FreeResolution(env, regular, gens, images)
     for n in range(1, length + 1):
-        prev_layout = layouts[n - 1]
-        prev_index = {}
-        offset = 0
-        offsets = []
-        for tup, w in prev_layout:
-            prev_index[(tup, w)] = len(offsets)
-            offsets.append(offset)
-            offset += 1
-        level_images = []
-        for tup, w in layouts[n]:
-            vec = _bar_differential_image(c, env, res, n, tup, w, prev_layout)
-            level_images.append(vec)
-        images.append(level_images)
+        prev_index = {key: j for j, key in enumerate(layouts[n - 1])}
+        images.append([_bar_differential_image(c, env, res, n, tup, w, prev_index)
+                       for tup, w in layouts[n]])
     return res
 
 
-def _bar_differential_image(c, env, res, n, tup, w, prev_layout):
+def _bar_differential_image(c, env, res, n, tup, w, index_of):
     """Image of the generator (tup, w) of S_n under d_n, as a vector in
-    S_{n-1} evaluated at the outer pair of tup."""
+    S_{n-1} evaluated at the outer pair of tup; `index_of` numbers the
+    generators (tuple, inner index) of S_{n-1}."""
     field = c.field
     y = pair_object(tup[0], tup[-1])
     # P_{n-1}(y) basis: for each previous generator j at object x_j, the
@@ -161,7 +152,6 @@ def _bar_differential_image(c, env, res, n, tup, w, prev_layout):
             if a:
                 vec[base + t] = field.add(vec[base + t], field.mul(scale, a))
 
-    index_of = {key: j for j, key in enumerate(prev_layout)}
     # i = 0: first inner morphism becomes the outer-left component
     sub_tup = tup[1:]
     sub_w = w[1:]
@@ -243,15 +233,15 @@ def hochschild_cochain_complex(c, coeff, max_deg):
             else:
                 mat = coeff.act_vec(pair_object(far, x), pair_object(far, y),
                                     vkron(field, c.id_coords(far), f))
-            acts[key] = [(r, s, a) for r, row in enumerate(mat.data)
-                         for s, a in enumerate(row) if a]
+            acts[key] = [(r, s, a) for r, row in enumerate(mat.nz)
+                         for s, a in row.items()]
         return acts[key]
 
     diffs = []
     for n in range(max_deg + 1):
         src = layouts[n]
         tgt = layouts[n + 1]
-        grid = [[field.zero()] * src.dim for _ in range(tgt.dim)]
+        grid = [{} for _ in range(tgt.dim)]
         last_sign = field.one() if (n + 1) % 2 == 0 else field.neg(field.one())
         for tup, inner, cobj, cdim, toff in tgt.components:
             if cdim == 0:
@@ -262,7 +252,7 @@ def hochschild_cochain_complex(c, coeff, max_deg):
                 # contravariant slot
                 col0 = src.offset(tup[1:], w[1:])
                 for r, s, a in outer(True, tup[0], tup[1], w[0], tup[-1]):
-                    grid[row0 + r][col0 + s] = field.add(grid[row0 + r][col0 + s], a)
+                    add_to_row(field, grid[row0 + r], col0 + s, a)
                 # middle terms: compose adjacent inner slots; a nonzero
                 # composite leaves a composable chain
                 for i in range(1, n + 1):
@@ -274,15 +264,14 @@ def hochschild_cochain_complex(c, coeff, max_deg):
                         if not a:
                             continue
                         col0 = src.offset(new_tup, w[:i - 1] + (h,) + w[i + 1:])
+                        a = field.mul(sign, a)
                         for r in range(cdim):
-                            grid[row0 + r][col0 + r] = field.add(
-                                grid[row0 + r][col0 + r], field.mul(sign, a))
+                            add_to_row(field, grid[row0 + r], col0 + r, a)
                 # last term: f_{n+1} acts through the covariant slot
                 col0 = src.offset(tup[:-1], w[:-1])
                 for r, s, a in outer(False, tup[-2], tup[-1], w[-1], tup[0]):
-                    grid[row0 + r][col0 + s] = field.add(
-                        grid[row0 + r][col0 + s], field.mul(last_sign, a))
-        diffs.append(Mat(field, tgt.dim, src.dim, tuple(tuple(r) for r in grid)))
+                    add_to_row(field, grid[row0 + r], col0 + s, field.mul(last_sign, a))
+        diffs.append(Mat.from_sparse(field, tgt.dim, src.dim, tuple(grid)))
     return CochainComplex(field, [l.dim for l in layouts], diffs)
 
 

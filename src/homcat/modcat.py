@@ -19,7 +19,7 @@ covers minimal, and all bases canonical.
 from __future__ import annotations
 
 from .exactla import (
-    ComplementData, EchelonSpace, Mat, block_diag, column_space_basis,
+    ComplementData, EchelonSpace, Mat, add_to_row, block_diag, column_space_basis,
     complex_cohomology_dims, kernel_basis, kron, rank, solve,
     unit_vector, vzero,
 )
@@ -166,8 +166,9 @@ class ModuleMap:
     def flatten(self):
         out = []
         for x in self.source.base.objects:
-            for row in self.comp[x].data:
-                out.extend(row)
+            m = self.comp[x]
+            for i in range(m.rows):
+                out.extend(m.row(i))
         return tuple(out)
 
 
@@ -212,8 +213,9 @@ def simple(c, x, side="left"):
     for i in range(d):
         post = c.post_matrix_basis(x, x, x, i)
         tr = f.zero()
-        for k in range(d):
-            tr = f.add(tr, post.data[k][k])
+        for k, row in enumerate(post.nz):
+            if k in row:
+                tr = f.add(tr, row[k])
         scalars.append(f.div(tr, f.of(d)))
     dims = {y: 1 if y == x else 0 for y in c.objects}
     act = {(x, x, i): Mat.from_rows(f, [[s]]) for i, s in enumerate(scalars)}
@@ -357,8 +359,8 @@ def module_generators(m):
             gens.append((x, e))
             grown = _orbit_closure(m, [(x, e)])
             for y in c.objects:
-                for row in grown[y].rows:
-                    spaces[y].add(tuple(row))
+                for row in grown[y].rows.values():
+                    spaces[y].add(row)
     # prune: earlier generators may become redundant once later ones are in
     changed = True
     while changed and len(gens) > 1:
@@ -456,21 +458,18 @@ class HomBasis:
                         b = source.act_mat(x, y, i)
                         src_obj, tgt_obj = y, x
                     # a * C_src - C_tgt * b = 0
-                    ns, ms = target.dims[src_obj], source.dims[src_obj]
+                    ms = source.dims[src_obj]
                     nt = target.dims[tgt_obj]
                     mt = source.dims[tgt_obj]
+                    bt = b.transpose().nz
                     for r in range(nt):
                         for cc in range(ms):
-                            row = [f.zero()] * total
-                            for s in range(ns):
-                                if a.data[r][s]:
-                                    row[offsets[src_obj] + s * ms + cc] = a.data[r][s]
-                            for t in range(mt):
-                                if b.data[t][cc]:
-                                    idx = offsets[tgt_obj] + r * mt + t
-                                    row[idx] = f.sub(row[idx], b.data[t][cc])
+                            row = {offsets[src_obj] + s * ms + cc: v
+                                   for s, v in a.nz[r].items()}
+                            for t, v in bt[cc].items():
+                                add_to_row(f, row, offsets[tgt_obj] + r * mt + t, f.neg(v))
                             rows.append(row)
-        system = Mat.from_rows(f, rows, cols=total)
+        system = Mat.from_sparse(f, len(rows), total, tuple(rows))
         self.basis_matrix = kernel_basis(system)
         self.dim = self.basis_matrix.cols
 
@@ -523,18 +522,15 @@ class TensorSpace:
                 for i in range(c.dim(x, y)):
                     na = n.act_mat(x, y, i)    # n(y) -> n(x)
                     ma = m.act_mat(x, y, i)    # m(x) -> m(y)
+                    nat = na.transpose().nz
+                    mat = ma.transpose().nz
                     for u in range(n.dims[y]):
                         for v in range(m.dims[x]):
-                            vec = [f.zero()] * total
-                            for s in range(n.dims[x]):
-                                if na.data[s][u]:
-                                    idx = offsets[x] + s * m.dims[x] + v
-                                    vec[idx] = f.add(vec[idx], na.data[s][u])
-                            for t in range(m.dims[y]):
-                                if ma.data[t][v]:
-                                    idx = offsets[y] + u * m.dims[y] + t
-                                    vec[idx] = f.sub(vec[idx], ma.data[t][v])
-                            relations.append(tuple(vec))
+                            vec = {offsets[x] + s * m.dims[x] + v: a
+                                   for s, a in nat[u].items()}
+                            for t, a in mat[v].items():
+                                add_to_row(f, vec, offsets[y] + u * m.dims[y] + t, f.neg(a))
+                            relations.append(vec)
         # reduce to a basis of the relation space for the complement
         sp = EchelonSpace(f, total)
         for col in relations:
@@ -869,14 +865,6 @@ class FreeResolution:
                 cols.append(prev.act_vec(xj, y, fb.col(b)).mul_vec(img))
         return Mat.from_cols(c.field, cols, rows=prev.dims[y])
 
-    def module_map(self, k):
-        """d_k as a validated ModuleMap (k = 0 gives the augmentation)."""
-        if k == 0:
-            comp = {y: self.aug_matrix(y) for y in self.base.objects}
-            return ModuleMap(self.term(0), self.module, comp)
-        comp = {y: self.map_matrix(k, y) for y in self.base.objects}
-        return ModuleMap(self.term(k), self.term(k - 1), comp)
-
     def verify(self, up_to=None):
         """Composite-zero, surjectivity and rank-exactness checks; returns
         a list of failure strings (empty = certified exact)."""
@@ -1033,7 +1021,7 @@ def ext_data(res, coeff, upto):
         tgt = _level_gens(res, k + 1)
         src = _level_gens(res, k)
         rows, cols = dims[k + 1], dims[k]
-        grid = [[f.zero()] * cols for _ in range(rows)]
+        grid = [{} for _ in range(rows)]
         roff = 0
         for j, (xt, _) in enumerate(tgt):
             _, bt, pt = inv[k + 1][j]
@@ -1050,14 +1038,12 @@ def ext_data(res, coeff, upto):
                     if a:
                         acc = acc.add(coeff.act_vec(xs, xt, fb.col(b)).scale(a))
                 blk = pt.mul(acc).mul(bs)
-                for r in range(blk.rows):
-                    row = grid[roff + r]
-                    for s in range(blk.cols):
-                        if blk.data[r][s]:
-                            row[coff + s] = f.add(row[coff + s], blk.data[r][s])
+                # each block fills its own columns coff.. of rows roff..
+                for r, brow in enumerate(blk.nz):
+                    grid[roff + r].update((coff + s, a) for s, a in brow.items())
                 coff += bs.cols
             roff += bt.cols
-        diffs.append(Mat(f, rows, cols, tuple(tuple(r) for r in grid)))
+        diffs.append(Mat.from_sparse(f, rows, cols, tuple(grid)))
     return ExtComplexData(dims, diffs, inv)
 
 

@@ -379,24 +379,33 @@ task cohomology D
 task les A I
 """
 
-# SHA-256 of `homcat <file> --json --max-degree 3` stdout, frozen so that a
-# change to the elimination kernels cannot move a report byte unnoticed
+# SHA-256 of `homcat <file> --json --max-degree 3 <flags>` stdout, frozen so
+# that a change to the elimination kernels cannot move a report byte
+# unnoticed.  `demo-gf2` runs demo.kcat in characteristic 2, where sparse
+# sums cancel to zero; `demo-q` runs its GF(32003) category over Q, and
+# its report equals `demo`'s because no dimension in it depends on the
+# characteristic away from 2.
 FROZEN_REPORTS = {
-    "demo": "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f",
-    "q-les": "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a",
+    "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
+    "demo-gf2": (["--field", "gf:2"],
+                 "4d27f1ce5b9501f6a7803b6ff489edef597d0978d755c6a4e8684ae880e1d46c"),
+    "demo-q": (["--field", "Q"],
+               "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
+    "q-les": ([], "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
 def test_frozen_report_bytes(name, tmp_path, capsys):
-    if name == "demo":
+    flags, digest = FROZEN_REPORTS[name]
+    if name.startswith("demo"):
         path = Path(__file__).resolve().parent.parent / "demo.kcat"
     else:
         path = tmp_path / "q.kcat"
         path.write_text(Q_LES_SRC)
-    assert main([str(path), "--json", "--max-degree", "3"]) == 0
+    assert main([str(path), "--json", "--max-degree", "3"] + flags) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_REPORTS[name]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verification_failure_in_task_gives_exit_3(monkeypatch):
@@ -426,6 +435,99 @@ def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: verification failed: ideal saturation exceeded the rank cap\n"
+
+
+def test_internal_error_while_building_gives_exit_4(monkeypatch, tmp_path, capsys):
+    import homcat.cli as cli_mod
+
+    def broken(cat, gens):
+        raise TypeError("unhashable type: 'list'")
+
+    monkeypatch.setattr(cli_mod, "ideal_from_generators", broken)
+    path = tmp_path / "ws.kcat"
+    path.write_text(A2_SRC + "ideal I in A2 gens: a\ntask validate A2\n")
+    assert main([str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: internal error: TypeError: unhashable type: 'list'\n"
+
+
+def test_internal_error_in_task_gives_exit_4(monkeypatch, tmp_path, capsys):
+    import homcat.exactla
+
+    def broken(self, other):
+        raise ValueError("shape mismatch (2, 3) * (2, 3)")
+
+    # a bare built-in error from a kernel is a bug, not invalid input
+    monkeypatch.setattr(homcat.exactla.Mat, "mul", broken)
+    src = A2_SRC + "ideal I in A2 gens: e2\ntask les A2 I\n"
+    reports, code = run_source(src)
+    assert reports[0].status == "internal"
+    assert reports[0].doc["notes"] == ["internal error: ValueError: shape mismatch (2, 3) * (2, 3)"]
+    assert code == 4
+    path = tmp_path / "ws.kcat"
+    path.write_text(src)
+    assert main([str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "les A2 I: internal error: ValueError: shape mismatch" in captured.out
+    assert captured.err == (f"{path}: les A2 I: internal error: ValueError: "
+                            "shape mismatch (2, 3) * (2, 3)\n")
+
+
+def test_unknown_task_names_are_validation_errors():
+    reports, code = run_source(A2_SRC + "task les A2 J\ntask happel A2 M\ntask cmp A2 A2 B\n")
+    assert [r.status for r in reports] == ["validation"] * 3
+    assert reports[0].doc["notes"] == ["task error: unknown ideal 'J'"]
+    assert code == 1
+
+
+def test_task_arity_checked_at_parse():
+    with pytest.raises(ParseError, match="task les takes 2 arguments, got 1"):
+        parse(A2_SRC + "task les A2\n")
+
+
+# one workspace per failure kind at task time, with its exit code alone
+FAILING_TASKS = {
+    "validation": (A2_SRC + "task les A2 J\n", 1),
+    "hypothesis": (A2_SRC + "ideal R in A2 gens: a\ntask ideal-check A2 R\n", 2),
+    "verification": (A2_SRC + "ideal I in A2 gens: e2\ntask les A2 I\n", 3),
+}
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    ("validation", "verification", 1), ("verification", "validation", 1),
+    ("hypothesis", "verification", 2), ("verification", "hypothesis", 2),
+    ("validation", "hypothesis", 1), ("hypothesis", "validation", 1),
+])
+def test_exit_precedence_is_the_same_across_files(first, second, expected,
+                                                  monkeypatch, tmp_path, capsys):
+    import homcat.cli as cli_mod
+
+    def broken(cat, ideal, n):
+        raise VerificationFailed("boundaries are not cocycles")
+
+    monkeypatch.setattr(cli_mod, "theorem_les_pipeline", broken)
+    paths = []
+    for kind in (first, second):
+        src, alone = FAILING_TASKS[kind]
+        paths.append(tmp_path / f"{kind}.kcat")
+        paths[-1].write_text(src)
+        assert main([str(paths[-1])]) == alone
+    # within one file and across files the same order holds
+    assert run_source(FAILING_TASKS[first][0] + FAILING_TASKS[second][0]
+                      .replace(A2_SRC, ""))[1] == expected
+    assert main([str(p) for p in paths]) == expected
+
+
+def test_file_that_fails_to_build_does_not_stop_the_run(tmp_path, capsys):
+    bad = tmp_path / "bad.kcat"
+    bad.write_text("category X over Q\nquiver\nobject 1\narrow a: 1 -> 2\n")
+    good = tmp_path / "good.kcat"
+    good.write_text(A2_SRC + "task validate A2\n")
+    assert main([str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "validate A2: ok\n"
+    assert captured.err.startswith(f"{bad}: ")
 
 
 def test_closed_pipe_exits_quietly(tmp_path):

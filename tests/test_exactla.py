@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import homcat.exactla
 from homcat.exactla import (
     ComplementData, ContainmentViolation, EchelonSpace, Field, Mat,
-    kernel_basis, kron, rank, rref, solve, subquotient_dim,
+    block_diag, hstack, kernel_basis, kron, rank, rref, solve, subquotient_dim, vstack,
 )
 
 Q = Field.rationals()
@@ -326,3 +326,189 @@ def test_rref_invariant_under_invertible_row_ops(case):
         elif i != j:
             rows[i] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[i], rows[j])]
     assert rref(Mat(f, m.rows, m.cols, tuple(map(tuple, rows)))) == rref(m)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against dense oracles on `.data`
+
+SPARSE_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (6, 2), (7, 7)]
+
+
+def canon(field, x):
+    # independent coercion: Fraction over Q, int in [0, p) over GF(p)
+    x = Fraction(x)
+    if field.p:
+        return x.numerator * pow(x.denominator, -1, field.p) % field.p
+    return x
+
+
+def seeded_mat(field, rng, rows, cols, density=0.35):
+    entries = [1, -1, 2, Fraction(-5, 3), 7, Fraction(1, 4)] if not field.p else [1, 2, -1, 5, 10 ** 6]
+    data = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if rows > 1:
+        data[rng.randrange(rows)] = [0] * cols      # a zero row
+    return Mat.from_rows(field, data, cols=cols)
+
+
+def assert_canonical(m):
+    assert len(m.nz) == m.rows
+    for row in m.nz:
+        for j, x in row.items():
+            assert 0 <= j < m.cols
+            if m.field.p:
+                assert type(x) is int and 0 < x < m.field.p
+            else:
+                assert type(x) is Fraction and x != 0
+    dense = Mat(m.field, m.rows, m.cols, m.data)
+    assert dense == m and hash(dense) == hash(m)
+    zero = m.field.zero()
+    assert all(type(x) is type(zero) for row in m.data for x in row)
+
+
+def naive_mul(a, b):
+    f = a.field
+    return [[canon(f, sum((Fraction(a.data[i][k]) * Fraction(b.data[k][j])
+                           for k in range(a.cols)), Fraction(0)))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def grid(m, data):
+    return Mat.from_rows(m.field, data, cols=m.cols)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+def test_sparse_kernels_match_dense_oracle(field):
+    rng = random.Random(4400 + field.p)
+    f = field
+    for rows, cols in SHAPES * 3:
+        a = seeded_mat(f, rng, rows, cols)
+        b = seeded_mat(f, rng, rows, cols)
+        inner = rng.randrange(0, 5)
+        c = seeded_mat(f, rng, cols, inner)
+        for m in (a, b, c):
+            assert_canonical(m)
+        dense_a = [[canon(f, x) for x in row] for row in a.data]
+        dense_b = [[canon(f, x) for x in row] for row in b.data]
+
+        prod = a.mul(c)
+        assert prod.shape == (rows, inner)
+        assert prod.data == tuple(map(tuple, naive_mul(a, c)))
+        vec = tuple(canon(f, rng.choice([0, 0, 1, -2, Fraction(3, 5) if not f.p else 4]))
+                    for _ in range(cols))
+        assert a.mul_vec(vec) == tuple(
+            canon(f, sum((Fraction(x) * Fraction(v) for x, v in zip(row, vec)), Fraction(0)))
+            for row in dense_a)
+        assert all(type(x) is type(f.zero()) for x in a.mul_vec(vec))
+
+        assert a.add(b).data == tuple(tuple(canon(f, x + y) for x, y in zip(r, s))
+                                      for r, s in zip(dense_a, dense_b))
+        assert a.sub(b).data == tuple(tuple(canon(f, x - y) for x, y in zip(r, s))
+                                      for r, s in zip(dense_a, dense_b))
+        assert a.neg().data == tuple(tuple(canon(f, -x) for x in r) for r in dense_a)
+        s = rng.choice([0, 2, -1, Fraction(7, 3)] if not f.p else [0, 1, 2, f.p - 1])
+        assert a.scale(s).data == tuple(tuple(canon(f, canon(f, s) * x) for x in r)
+                                        for r in dense_a)
+        assert a.transpose().data == tuple(tuple(r[i] for r in dense_a) for i in range(cols))
+        assert Mat.from_cols(f, a.columns(), rows=rows) == a
+        assert a.columns() == [a.col(j) for j in range(cols)]
+        assert [a.row(i) for i in range(rows)] == list(a.data)
+
+        assert a.sub(a).is_zero() and a.add(a.neg()).is_zero()
+        assert a.is_zero() == all(x == 0 for r in dense_a for x in r)
+        assert Mat.zeros(f, rows, cols).data == ((f.zero(),) * cols,) * rows
+        assert Mat.identity(f, cols).data == tuple(
+            tuple(f.one() if i == j else f.zero() for j in range(cols)) for i in range(cols))
+
+        assert hstack([a, b]).data == tuple(tuple(r) + tuple(s) for r, s in zip(dense_a, dense_b))
+        assert vstack([a, b]).data == tuple(map(tuple, dense_a + dense_b))
+        bd = block_diag(f, [a, c, b])
+        width = cols + inner + cols
+        expect = [list(r) + [f.zero()] * (width - cols) for r in dense_a]
+        expect += [[f.zero()] * cols + list(r) + [f.zero()] * cols for r in c.data]
+        expect += [[f.zero()] * (cols + inner) + list(r) for r in dense_b]
+        assert bd.data == tuple(map(tuple, expect))
+        small = seeded_mat(f, rng, rng.randrange(0, 3), rng.randrange(0, 3))
+        k = kron(small, c)
+        assert k.data == tuple(
+            tuple(canon(f, x * y) for x in sr for y in cr)
+            for sr in small.data for cr in c.data)
+
+        for m in (prod, a.add(b), a.sub(b), a.neg(), a.scale(s), a.transpose(),
+                  hstack([a, b]), vstack([a, b]), bd, k, Mat.zeros(f, rows, cols),
+                  Mat.identity(f, cols)):
+            assert_canonical(m)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+def test_sparse_sums_that_cancel_store_no_zero(field):
+    f = field
+    if f.p == 2:
+        a = Mat.from_rows(f, [[1, 1, 0], [0, 1, 1]])
+        assert a.add(a).is_zero() and a.add(a).nz == ({}, {})
+        # 1 + 1 = 0 inside a product: (1 1) times (1 1)^T
+        assert Mat.from_rows(f, [[1, 1]]).mul(Mat.from_rows(f, [[1], [1]])).nz == ({},)
+    half = f.of(Fraction(1, 2)) if f.p != 2 else f.one()
+    a = Mat.from_rows(f, [[half, 1, 0], [0, 0, 0]])
+    b = Mat.from_rows(f, [[half, 1, 3], [0, 0, 0]])
+    d = a.sub(b)
+    assert d.nz == ({2: f.of(-3)} if f.of(-3) else {}, {})
+    assert_canonical(d)
+    # a - a inside a product: (1 -1) times (1 1)^T, and a row that cancels in mul_vec
+    assert Mat.from_rows(f, [[1, -1]]).mul(Mat.from_rows(f, [[1], [1]])).nz == ({},)
+    assert Mat.from_rows(f, [[1, -1]]).mul_vec((f.one(), f.one())) == (f.zero(),)
+    assert type(Mat.from_rows(f, [[1, -1]]).mul_vec((f.one(), f.one()))[0]) is type(f.zero())
+    # dense input with zeros (and, over GF(p), multiples of p) stores none of them
+    m = Mat(f, 2, 3, ((0, 1, 0), (0, 0, 0)))
+    assert m.nz == ({1: f.one()}, {})
+    if f.p:
+        assert Mat.from_rows(f, [[f.p, 2 * f.p + 1]]).nz == ({1: 1},)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+def test_elimination_results_are_canonical_sparse_rows(field):
+    rng = random.Random(4500 + field.p)
+    for rows, cols in SHAPES * 2:
+        a = seeded_mat(field, rng, rows, cols)
+        r, pivots = rref(a)
+        assert (r.data, pivots) == naive_rref(a)
+        k = kernel_basis(a)
+        b = seeded_mat(field, rng, rows, 2)
+        x = solve(a, b)
+        comp = ComplementData(a)
+        for m in (r, k, comp.proj, comp.section) + ((x,) if x is not None else ()):
+            assert_canonical(m)
+        assert a.mul(k).is_zero() and k.cols == cols - len(pivots)
+        if x is not None:
+            assert a.mul(x) == b
+        else:
+            assert rank(hstack([a, b])) > rank(a)
+        assert comp.proj.mul(a).is_zero() and comp.dim == rows - rank(a)
+        assert comp.proj.mul(comp.section) == Mat.identity(field, comp.dim)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+def test_echelon_space_matches_rref(field):
+    rng = random.Random(4600 + field.p)
+    for n in (0, 1, 4, 9):
+        for count in (0, 1, 3, 8, 12):
+            vecs = seeded_mat(field, rng, count, n, density=0.3)
+            sp = EchelonSpace(field, n)
+            for i in range(count):
+                sp.add(vecs.row(i))
+            r, pivots = rref(vecs)
+            basis = sp.basis_matrix()
+            assert_canonical(basis)
+            assert basis.shape == (n, len(pivots))
+            assert basis.transpose().data == r.data[:len(pivots)]
+            assert sp.dim == rank(vecs)
+            for _ in range(5):
+                probe = seeded_mat(field, rng, 1, n, density=0.4)
+                if rng.random() < 0.5 and count:
+                    # a combination of the inserted vectors
+                    coeffs = seeded_mat(field, rng, 1, count, density=0.6)
+                    probe = coeffs.mul(vecs)
+                inside = rank(vstack([vecs, probe])) == rank(vecs)
+                assert sp.contains(probe.row(0)) == inside
+                assert sp.contains(probe.nz[0]) == inside
