@@ -18,7 +18,7 @@ triangular matrix categories and one-point extensions are all built here.
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, unit_vector, vadd, vkron, vscale, vzero,
+    FieldMismatch, Mat, kron, unit_vector, vadd, vkron, vscale, vzero,
     ComplementData,
 )
 
@@ -432,6 +432,15 @@ class KFunctor:
             if self.object_map.get(x) not in t.objects:
                 raise InvalidFunctor(f"object {x} not mapped into the target")
         for x in s.objects:
+            for y in s.objects:
+                m = self.morphism_map.get((x, y))
+                if m is None:
+                    raise InvalidFunctor(f"no matrix for Hom({x},{y})")
+                shape = (t.dim(self.object_map[x], self.object_map[y]), s.dim(x, y))
+                if m.shape != shape:
+                    raise InvalidFunctor(
+                        f"matrix for Hom({x},{y}) has shape {m.shape}, expected {shape}")
+        for x in s.objects:
             fx = self.object_map[x]
             if self.on_coords(x, x, s.id_coords(x)) != t.id_coords(fx):
                 raise InvalidFunctor(f"identity at {x} not preserved")
@@ -472,13 +481,20 @@ def opposite_functor(fun):
     return KFunctor(s_op, t_op, dict(fun.object_map), mm)
 
 
-def tensor_functor(f, g):
-    """F tensor G between the tensor product categories."""
-    src = tensor_category(f.source, g.source)
-    tgt = tensor_category(f.target, g.target)
+def tensor_functor(f, g, source, target):
+    """F tensor G from source = F.source tensor G.source to target =
+    F.target tensor G.target, both already built.  It sends f tensor g to
+    F(f) tensor G(g), and pure tensors span, so it preserves identities
+    and composition when F and G do: the factors are validated, not the
+    product."""
+    f.validate()
+    g.validate()
+    if source.product_of != (f.source, g.source):
+        raise InvalidFunctor("source is not the tensor product of the factor sources")
+    if target.product_of != (f.target, g.target):
+        raise InvalidFunctor("target is not the tensor product of the factor targets")
     om = {}
     mm = {}
-    from .exactla import kron
     for a in f.source.objects:
         for b in g.source.objects:
             om[pair_object(a, b)] = pair_object(f.on_object(a), g.on_object(b))
@@ -488,7 +504,7 @@ def tensor_functor(f, g):
                 for b2 in g.source.objects:
                     mm[(pair_object(a, b), pair_object(a2, b2))] = kron(
                         f.morphism_map[(a, a2)], g.morphism_map[(b, b2)])
-    return KFunctor(src, tgt, om, mm)
+    return KFunctor(source, target, om, mm, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,11 @@ class SESOfBimodules:
         return True
 
 
-def canonical_ses(c, ideal, env=None, regular=None, quotient=None):
+def canonical_ses(c, ideal, env=None, regular=None, quotient=None, quotient_regular=None):
     """The sequence 0 -> I -> C -> H -> 0 in bimodules, with H built by
     pulling the quotient's regular bimodule back along the squared
-    projection functor."""
+    projection functor, which runs between the two enveloping categories
+    the regular bimodules live over."""
     if regular is None:
         regular = regular_bimodule(c, env)
     env = regular.base
@@ -84,8 +85,10 @@ def canonical_ses(c, ideal, env=None, regular=None, quotient=None):
     if quotient is None:
         quotient = quotient_category(c, ideal)
     b, phi = quotient
-    phi_e = tensor_functor(opposite_functor(phi), phi)
-    h = restrict_module(regular_bimodule(b), phi_e)
+    if quotient_regular is None:
+        quotient_regular = regular_bimodule(b)
+    phi_e = tensor_functor(opposite_functor(phi), phi, env, quotient_regular.base)
+    h = restrict_module(quotient_regular, phi_e)
     proj_comp = {}
     for x1 in c.objects:
         for x2 in c.objects:
@@ -357,16 +360,18 @@ def strongly_idempotent_check(c, ideal, max_deg=4, samples=None, _mirror=True):
 # ---------------------------------------------------------------------------
 # the main pipelines
 
-def audit_hypotheses(c, ideal):
-    """Idempotency plus projectivity of every I(x,-); returns (ok, details)."""
+def audit_hypotheses(c, ideal, ideal_modules=None):
+    """Idempotency plus projectivity of every I(x,-) (given by object in
+    ideal_modules, or built here); returns (ok, details)."""
     reasons = []
     idem = is_idempotent(ideal)
     if not idem:
         reasons.append("ideal is not idempotent")
+    if ideal_modules is None:
+        ideal_modules = {x: representable_ideal_module(ideal, x) for x in c.objects}
     projective = {}
     for x in c.objects:
-        mod = representable_ideal_module(ideal, x)
-        projective[x] = is_projective(mod)
+        projective[x] = is_projective(ideal_modules[x])
         if not projective[x]:
             reasons.append(f"I({x},-) is not projective")
     return {
@@ -381,18 +386,21 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     """Audit the hypotheses, build the SES and assemble the long exact
     sequence, then verify the identification lemmas as dimension
     equalities (the degree-0 one also by an explicit embedding)."""
-    audit = audit_hypotheses(c, ideal)
+    ideal_modules = {x: representable_ideal_module(ideal, x) for x in c.objects}
+    audit = audit_hypotheses(c, ideal, ideal_modules)
     if not audit["ok"]:
         raise HypothesisFailed(audit["reasons"])
     env = enveloping(c)
     regular = regular_bimodule(c, env)
     b, phi = quotient_category(c, ideal)
-    ses = canonical_ses(c, ideal, env=env, regular=regular, quotient=(b, phi))
+    b_regular = regular_bimodule(b)
+    ses = canonical_ses(c, ideal, env=env, regular=regular, quotient=(b, phi),
+                        quotient_regular=b_regular)
     res = projective_resolution(regular, max_deg + 2)
     report = les_from_ses(res, ses, max_deg)
     report.hypotheses = audit
 
-    hb_independent = hochschild_cohomology(b, max_deg)
+    hb_independent = hochschild_cohomology(b, max_deg, coeff=b_regular)
     identifications = {
         "HB_independent": hb_independent,
         "hom_CH_equals_H0B": report.dims["HB"][0] == hb_independent[0],
@@ -416,13 +424,15 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     identifications["H0_embedding"] = (
         emb_rank == hom_hh.dim and hom_hh.dim == hom_ch.dim)
 
-    # vanishing of Ext(I(x,-), H(x'',-)) over Mod(C), all object pairs
+    # vanishing of Ext(I(x,-), H(x'',-)) over Mod(C), all object pairs,
+    # with one resolution per I(x,-)
+    hmods = [quotient_representable(c, ideal, x2, "left") for x2 in c.objects]
     lemma_table = {}
     for x in c.objects:
-        for x2 in c.objects:
-            hmod = quotient_representable(c, ideal, x2, "left")
-            imod = representable_ideal_module(ideal, x)
-            lemma_table[(x, x2)] = ext(imod, hmod, max_deg)
+        imod = ideal_modules[x]
+        ires = projective_resolution(imod, max_deg + 1)
+        for x2, hmod in zip(c.objects, hmods):
+            lemma_table[(x, x2)] = ext(imod, hmod, max_deg, res=ires)
     identifications["one_sided_ext_vanishing"] = all(
         all(d == 0 for d in row) for row in lemma_table.values())
     identifications["one_sided_ext_table"] = {f"{k}": v for k, v in lemma_table.items()}

@@ -379,12 +379,40 @@ task cohomology D
 task les A I
 """
 
+# A_4 over GF(32003) cut at its second vertex, and the triangular category
+# of the dual numbers over Q with a two-dimensional bimodule.
+LES_A4_CMP_SRC = """\
+category A over GF(32003)
+quiver
+object 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 3 -> 4
+ideal I in A gens: e2
+category U over Q
+quiver
+object s
+arrow x: s -> s
+rel x*x = 0
+category T over Q
+quiver
+object 1
+bimodule M over (U,T)
+dim s 1 = 2
+lact x 1 = [[0,0],[1,0]]
+task les A I
+task cmp T U M
+"""
+
+FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC}
+
 # SHA-256 of `homcat <file> --json --max-degree 3 <flags>` stdout, frozen so
 # that a change to the elimination kernels cannot move a report byte
 # unnoticed.  `demo-gf2` runs demo.kcat in characteristic 2, where sparse
 # sums cancel to zero; `demo-q` runs its GF(32003) category over Q, and
 # its report equals `demo`'s because no dimension in it depends on the
-# characteristic away from 2.
+# characteristic away from 2.  `les-a4-cmp` covers the `les` and `cmp`
+# pipelines over GF(32003) and Q.
 FROZEN_REPORTS = {
     "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "demo-gf2": (["--field", "gf:2"],
@@ -392,6 +420,7 @@ FROZEN_REPORTS = {
     "demo-q": (["--field", "Q"],
                "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "q-les": ([], "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a"),
+    "les-a4-cmp": ([], "32d8093d7050d2ed243f96d5174a4854deb7682dccb8deaf3caa78828f87e38d"),
 }
 
 
@@ -401,8 +430,8 @@ def test_frozen_report_bytes(name, tmp_path, capsys):
     if name.startswith("demo"):
         path = Path(__file__).resolve().parent.parent / "demo.kcat"
     else:
-        path = tmp_path / "q.kcat"
-        path.write_text(Q_LES_SRC)
+        path = tmp_path / f"{name}.kcat"
+        path.write_text(FROZEN_SOURCES[name])
     assert main([str(path), "--json", "--max-degree", "3"] + flags) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

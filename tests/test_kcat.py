@@ -2,7 +2,7 @@ import pytest
 
 from homcat.exactla import Field, Mat
 from homcat.kcat import (
-    Bimodule, InvalidCategory, enveloping,
+    Bimodule, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
     one_point_extension, opposite, opposite_functor, quotient_category,
     tensor_category, tensor_functor, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
@@ -233,8 +233,52 @@ def test_functor_validation_and_tensor_functor():
     assert ident.validate()
     op = opposite_functor(ident)
     assert op.source == opposite(a2)
-    sq = tensor_functor(ident, ident)
+    square = tensor_category(a2, a2)
+    sq = tensor_functor(ident, ident, square, square)
     assert sq.validate()
+
+
+def a3_functor(arrow_matrix, check=True):
+    """The identity of A_3 except on Hom(1,2), which gets arrow_matrix."""
+    a3 = zoo.a3(Q)
+    mm = dict(identity_functor(a3).morphism_map)
+    mm[("1", "2")] = arrow_matrix
+    return KFunctor(a3, a3, {x: x for x in a3.objects}, mm, check=check)
+
+
+def test_functor_validation_names_missing_and_misshapen_pairs():
+    a2 = zoo.a2(Q)
+    mm = dict(identity_functor(a2).morphism_map)
+    del mm[("1", "2")]
+    with pytest.raises(InvalidFunctor, match=r"no matrix for Hom\(1,2\)"):
+        KFunctor(a2, a2, {"1": "1", "2": "2"}, mm)
+    with pytest.raises(InvalidFunctor, match=r"Hom\(1,2\) has shape \(2, 1\), expected \(1, 1\)"):
+        a3_functor(Mat.zeros(Q, 2, 1))
+
+
+def test_tensor_functor_rejects_invalid_factors():
+    ident = a3_functor(Mat.identity(Q, 1))
+    square = tensor_category(ident.source, ident.source)
+    # a -> 2a keeps identities but sends b o a to half of F(b) o F(a)
+    broken = a3_functor(Mat.identity(Q, 1).scale(2), check=False)
+    misshapen = a3_functor(Mat.zeros(Q, 2, 1), check=False)
+    for bad, message in ((broken, "composition not preserved"), (misshapen, "shape")):
+        for f, g in ((bad, ident), (ident, bad)):
+            with pytest.raises(InvalidFunctor, match=message):
+                tensor_functor(f, g, square, square)
+
+
+def test_tensor_functor_checks_its_product_categories():
+    a2 = zoo.a2(Q)
+    ident = identity_functor(a2)
+    env = enveloping(a2)
+    square = tensor_category(a2, a2)
+    built = tensor_functor(opposite_functor(ident), ident, env, env)
+    assert built.source is env and built.target is env
+    assert built.validate()
+    for source, target in ((env, square), (square, env), (a2, square), (square, a2)):
+        with pytest.raises(InvalidFunctor, match="not the tensor product"):
+            tensor_functor(ident, ident, source, target)
 
 
 def test_constructions_all_validate():

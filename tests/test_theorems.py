@@ -12,11 +12,13 @@ from homcat.kcat import (
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
-    ideal_from_generators, triangular_ideal, whole_ideal, zero_ideal,
+    ideal_from_generators, representable_ideal_module, triangular_ideal, whole_ideal,
+    zero_ideal,
 )
+from homcat.cli import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, ext, projective_resolution, regular_bimodule, representable,
-    simple,
+    CatModule, ModuleMap, ext, projective_resolution, quotient_representable,
+    regular_bimodule, representable, simple,
 )
 from homcat.theorems import (
     HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule, audit_hypotheses,
@@ -331,3 +333,56 @@ def test_lemma_vanishing_recorded():
     report = theorem_les_pipeline(lam, triangular_ideal(lam), 2)
     table = report.identifications["one_sided_ext_table"]
     assert all(all(v == 0 for v in row) for row in table.values())
+
+
+def linear_a4(field):
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, 4)]
+    return build_quiver_category(field, ["1", "2", "3", "4"], arrows, [], 5)
+
+
+def count_resolutions(monkeypatch):
+    """Record the module of every projective_resolution call the pipeline
+    makes, directly or through ext."""
+    import homcat.modcat as modcat_mod
+    import homcat.theorems as theorems_mod
+    calls = []
+    real = modcat_mod.projective_resolution
+
+    def counted(m, length):
+        calls.append(m)
+        return real(m, length)
+
+    monkeypatch.setattr(modcat_mod, "projective_resolution", counted)
+    monkeypatch.setattr(theorems_mod, "projective_resolution", counted)
+    return calls
+
+
+def test_pipeline_resolves_each_module_once(monkeypatch):
+    # C over C^e, I over C^e for Ext(I, H), and each I(x,-) once
+    a3 = zoo.a3(Q)
+    ideal = ideal_from_generators(a3, [("1", "1", (1,))])
+    calls = count_resolutions(monkeypatch)
+    report = theorem_les_pipeline(a3, ideal, 3)
+    assert report.all_exact()
+    assert len(calls) == len(a3.objects) + 2 == 5
+    over_c = [m for m in calls if m.base is a3]
+    assert over_c == [representable_ideal_module(ideal, x) for x in a3.objects]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_one_sided_ext_table_matches_fresh_ext(p, monkeypatch):
+    field = Field.gf(p) if p else Q
+    calls = count_resolutions(monkeypatch)
+    for c in (zoo.a3(field), linear_a4(field)):
+        for v in c.objects:
+            ideal = ideal_from_generators(c, [(v, v, c.id_coords(v))])
+            calls.clear()
+            report = theorem_les_pipeline(c, ideal, 2)
+            assert report.all_exact()
+            assert len(calls) == len(c.objects) + 2
+            fresh = {f"{(x, x2)}": ext(representable_ideal_module(ideal, x),
+                                       quotient_representable(c, ideal, x2), 2)
+                     for x in c.objects for x2 in c.objects}
+            table = report.identifications["one_sided_ext_table"]
+            assert list(table) == list(fresh)
+            assert table == fresh
