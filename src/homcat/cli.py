@@ -41,7 +41,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactla import EchelonSpace, Field, FieldMismatch, Mat, VerificationFailed, unit_vector
+from .exactla import (ComplementData, EchelonSpace, Field, FieldMismatch, Mat,
+                      VerificationFailed, unit_vector)
 from .kcat import (Bimodule, FiniteKCategory, InvalidBimodule, InvalidCategory,
                    InvalidFunctor, NotTriangular, UnknownObject)
 from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
@@ -734,7 +735,6 @@ def build_quiver_category(field, objects, arrows, relations, bound):
                         f"path {'*'.join(reversed(p))} of length {cap} does not reduce "
                         f"to 0; cannot certify finite Hom spaces at bound {bound}")
 
-    from .exactla import ComplementData
     comps = {key: ComplementData(spans[key].basis_matrix()) for key in paths}
     hom = {}
     labels = {}

@@ -12,12 +12,15 @@ GF(p).  A matrix keeps its rows sparse, as dicts column -> nonzero entry,
 because structure-constant blocks, cochain differentials and resolution
 matrices are mostly zero: products, sums, transposes, stacks and
 Kronecker products cost their nonzero entries, not their shape.  The
-dense rows (`Mat.data`) are built only on request.  Over Q, elimination
-starts from the matrix's own rows and is fraction-free on primitive
-integer rows: `rank` is the forward elimination alone and never builds
-the reduced form, and `rref` back-reduces in integers as well, dividing
-by the leads only when it writes the result.  Over GF(p), `rank` and
-`rref` share one dense Gauss-Jordan.
+dense rows (`Mat.data`) are built only on request.
+
+One sparse elimination serves both fields and starts from the matrix's
+own rows: `rank` is the forward elimination alone and never builds the
+reduced form, and `rref` back-reduces the same rows.  Over GF(p) the
+rows are kept monic.  Over Q they are kept as primitive integer rows
+(fraction-free), and `rref` divides by the leads only when it writes the
+result.  GF(p) elimination and `EchelonSpace` share one sparse row
+operation, r - a*q; Q keeps its fraction-free one, `_combine`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ from fractions import Fraction
 
 
 class FieldMismatch(ValueError):
-    pass
-
-
-class ContainmentViolation(ValueError):
     pass
 
 
@@ -276,9 +275,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
 
-    def to_lists(self):
-        return [list(r) for r in self.data]
-
     def is_zero(self):
         return not any(self.nz)
 
@@ -455,70 +451,59 @@ def kron(a, b):
 
 # ---------------------------------------------------------------------------
 # elimination
+#
+# One forward elimination serves both fields and leaves {pivot column:
+# row}, each row led by its pivot: `rank` counts the pivots, and `rref`
+# back-reduces the same rows from the right.
 
-def _rref_gf(rows, p):
-    """In-place RREF over GF(p); returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _sub_multiple(r, a, q, p):
+    """r - a*q on sparse rows, in place on r, a row nothing else holds;
+    entries reduced mod p over GF(p) (p > 0), exact over Q (p == 0)."""
+    for j, y in q.items():
+        v = r.get(j, 0) - a * y
+        if p:
+            v %= p
+        if v:
+            r[j] = v
+        else:
+            r.pop(j, None)
 
 
-def _dense(m):
-    """The rows of a GF(p) matrix as dense lists, for `_rref_gf`."""
-    out = []
-    for r in m.nz:
-        row = [0] * m.cols
-        for j, x in r.items():
-            row[j] = x
-        out.append(row)
-    return out
+def _echelon(nz, p):
+    """Sparse forward elimination of the rows `nz` of a matrix over GF(p),
+    or over Q when p == 0; returns {pivot column: row}.
 
-
-def _echelon(nz):
-    """Sparse fraction-free forward elimination of the rows `nz` of a
-    matrix over Q; returns {pivot column: row}, each row a primitive
-    integer vector (column -> nonzero int, gcd 1, lead positive) led by
-    its pivot.
-
-    Each row is cleared of denominators and reduced against the pivots
-    found so far until its leftmost entry lies in a new pivot column, so
-    no `Fraction` is built.
+    Each row is reduced against the pivots found so far until its
+    leftmost entry lies in a new pivot column.  Over GF(p) a pivot row is
+    monic.  Over Q the elimination is fraction-free: a row is cleared of
+    denominators first and a pivot row is a primitive integer vector
+    (column -> nonzero int, gcd 1, lead positive), so no `Fraction` is
+    built.
     """
     pivots = {}
     for row in nz:
         if not row:
             continue
-        den = math.lcm(*[x.denominator for x in row.values()])
-        r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        if p:
+            r = dict(row)
+        else:
+            den = math.lcm(*[x.denominator for x in row.values()])
+            r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
         while r:
             c = min(r)
             q = pivots.get(c)
             if q is None:
-                pivots[c] = _primitive(r, r[c])
+                if not p:
+                    r = _primitive(r, r[c])
+                elif r[c] != 1:
+                    inv = pow(r[c], -1, p)
+                    r = {j: v * inv % p for j, v in r.items()}
+                pivots[c] = r
                 break
-            r = _combine(r, q, r[c], q[c])
+            if p:
+                _sub_multiple(r, r[c], q, p)
+            else:
+                r = _combine(r, q, r[c], q[c])
     return pivots
 
 
@@ -560,48 +545,44 @@ def _primitive(r, lead):
     return {j: v // g for j, v in r.items()}
 
 
-def _rref_q(m):
-    """RREF rows and pivots over Q: `_echelon`, then back-reduction from
-    the right in integers; each row is divided by its lead only at the end."""
-    pivots = _echelon(m.nz)
+def rref(m):
+    """Reduced row echelon form and pivot columns (deterministic).
+
+    The rows of `_echelon` are back-reduced from the right, so each is
+    cleared only by pivot rows that are already reduced.  Over Q this
+    stays in integers, and each row is divided by its lead only when the
+    result is written."""
+    p = m.field.p
+    pivots = _echelon(m.nz, p)
     order = sorted(pivots)
     for c in reversed(order):
         r = pivots[c]
         hits = [j for j in r if j != c and j in pivots]
-        if hits:
-            for j in hits:
-                q = pivots[j]
+        if not hits:
+            continue
+        for j in hits:
+            q = pivots[j]
+            if p:
+                _sub_multiple(r, r[j], q, p)
+            else:
                 r = _combine(r, q, r[j], q[j])
+        if not p:
             pivots[c] = _primitive(r, r[c])
-    rows = []
-    for c in order:
-        r = pivots[c]
-        lead = r[c]
-        rows.append({j: Fraction(v, lead) for j, v in r.items()})
-    rows.extend([{}] * (m.rows - len(order)))
-    return tuple(rows), tuple(order)
-
-
-def rref(m):
-    """Reduced row echelon form and pivot columns (deterministic)."""
-    p = m.field.p
     if p:
-        rows = _dense(m)
-        pivots = tuple(_rref_gf(rows, p))
-        # rows past the pivots are zero
-        nz = [{j: x for j, x in enumerate(r) if x} for r in rows[:len(pivots)]]
-        nz = tuple(nz + [{}] * (m.rows - len(pivots)))
+        rows = [pivots[c] for c in order]
     else:
-        nz, pivots = _rref_q(m)
-    return Mat.from_sparse(m.field, m.rows, m.cols, nz), pivots
+        rows = []
+        for c in order:
+            r = pivots[c]
+            lead = r[c]
+            rows.append({j: Fraction(v, lead) for j, v in r.items()})
+    rows.extend([{}] * (m.rows - len(order)))
+    return Mat.from_sparse(m.field, m.rows, m.cols, tuple(rows)), tuple(order)
 
 
 def rank(m):
-    """Number of pivots; over Q from the forward elimination alone."""
-    p = m.field.p
-    if p:
-        return len(_rref_gf(_dense(m), p))
-    return len(_echelon(m.nz))
+    """Number of pivots of the forward elimination; no reduced form is built."""
+    return len(_echelon(m.nz, m.field.p))
 
 
 def _free_rows(f, r, pivots, n):
@@ -649,19 +630,6 @@ def solve(a, b):
     for k, pc in enumerate(pivots):
         sol[pc] = {j - n: x for j, x in r.nz[k].items() if j >= n}
     return Mat.from_sparse(f, n, b.cols, tuple(sol))
-
-
-def subquotient_dim(span_a, span_b):
-    """dim(A/B) for column spans with B contained in A (containment checked)."""
-    if span_a.field != span_b.field:
-        raise FieldMismatch("spans over different fields")
-    if span_a.rows != span_b.rows:
-        raise ValueError("spans live in different ambient spaces")
-    ra = rank(span_a)
-    if span_b.cols:
-        if rank(hstack([span_a, span_b])) != ra:
-            raise ContainmentViolation("second span is not contained in the first")
-    return ra - rank(span_b)
 
 
 class ComplementData:
@@ -723,7 +691,8 @@ class EchelonSpace:
     Used for two-sided-ideal saturation and for greedy module generator
     searches, where membership tests and insertions alternate heavily.
     `rows` maps each pivot column to its basis row, a sparse row with
-    entry 1 at the pivot and 0 at every other pivot.
+    entry 1 at the pivot and 0 at every other pivot.  The rows are
+    updated in place, so none is handed out.
     """
 
     __slots__ = ("field", "n", "rows")
@@ -739,8 +708,7 @@ class EchelonSpace:
 
     def _reduce(self, vec):
         """vec (dense, or a sparse row) minus its part along the pivots."""
-        f = self.field
-        p = f.p
+        p = self.field.p
         if isinstance(vec, dict):
             v = dict(vec)
         elif p:
@@ -749,17 +717,7 @@ class EchelonSpace:
             v = {j: x for j, x in enumerate(vec) if x}
         rows = self.rows
         for pc in [j for j in v if j in rows]:
-            c = v.pop(pc)
-            for j, y in rows[pc].items():
-                if j == pc:
-                    continue
-                x = v.get(j, 0) - c * y
-                if p:
-                    x %= p
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
+            _sub_multiple(v, v[pc], rows[pc], p)
         return v
 
     def contains(self, vec):
@@ -774,10 +732,10 @@ class EchelonSpace:
         pivot = min(v)
         inv = f.inv(v[pivot])
         v = {j: f.mul(inv, x) for j, x in v.items()}
-        for pc, row in self.rows.items():
+        for row in self.rows.values():
             c = row.get(pivot)
             if c:
-                self.rows[pc] = _merge(f, row, {j: f.mul(c, x) for j, x in v.items()}, neg=True)
+                _sub_multiple(row, c, v, f.p)
         self.rows[pivot] = v
         return True
 

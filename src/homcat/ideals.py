@@ -168,7 +168,8 @@ def ideal_product(i, j):
                 for f in jm.columns():
                     for g in im.columns():
                         spaces[(x, z)].add(c.compose(x, y, z, f, g))
-    return TwoSidedIdeal(c, {k: sp.basis_matrix() for k, sp in spaces.items()})
+    # a two-sided ideal by construction: I and J absorb composition on either side
+    return TwoSidedIdeal(c, {k: sp.basis_matrix() for k, sp in spaces.items()}, check=False)
 
 
 def is_idempotent(i):

@@ -474,11 +474,12 @@ def identity_functor(c):
 
 
 def opposite_functor(fun):
-    """F^op: source^op -> target^op, same data on transposed Hom keys."""
+    """F^op: source^op -> target^op, same data on transposed Hom keys.
+    Not validated: F^op is a functor exactly when F is."""
     s_op = opposite(fun.source)
     t_op = opposite(fun.target)
     mm = {(x, y): fun.morphism_map[(y, x)] for x in s_op.objects for y in s_op.objects}
-    return KFunctor(s_op, t_op, dict(fun.object_map), mm)
+    return KFunctor(s_op, t_op, dict(fun.object_map), mm, check=False)
 
 
 def tensor_functor(f, g, source, target):

@@ -531,11 +531,9 @@ class TensorSpace:
                             for t, a in mat[v].items():
                                 add_to_row(f, vec, offsets[y] + u * m.dims[y] + t, f.neg(a))
                             relations.append(vec)
-        # reduce to a basis of the relation space for the complement
-        sp = EchelonSpace(f, total)
-        for col in relations:
-            sp.add(col)
-        self.comp = ComplementData(sp.basis_matrix())
+        # the relations are the columns of the span to complement
+        self.comp = ComplementData(
+            Mat.from_sparse(f, len(relations), total, tuple(relations)).transpose())
         self.dim = self.comp.dim
         self.proj = self.comp.proj
         self.section = self.comp.section

@@ -284,10 +284,12 @@ rel b*a - 1/5*b*c = 0
     assert main([str(path)]) == 0
 
 
-def test_cli_verify_oracle(tmp_path, capsys):
+@pytest.mark.parametrize("field", [[], ["--field", "gf:2"], ["--field", "gf:3"]],
+                         ids=["default", "gf2", "gf3"])
+def test_cli_verify_oracle(tmp_path, capsys, field):
     path = tmp_path / "d.kcat"
     path.write_text(DUAL_SRC + "task cohomology D\n")
-    code = main([str(path), "--max-degree", "3", "--verify-oracle"])
+    code = main([str(path), "--max-degree", "3", "--verify-oracle"] + field)
     assert code == 0
     out = capsys.readouterr().out
     assert "bar-resolution oracle" in out

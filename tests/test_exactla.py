@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import homcat.exactla
 from homcat.exactla import (
-    ComplementData, ContainmentViolation, EchelonSpace, Field, Mat,
-    block_diag, hstack, kernel_basis, kron, rank, rref, solve, subquotient_dim, vstack,
+    ComplementData, EchelonSpace, Field, Mat,
+    block_diag, hstack, kernel_basis, kron, rank, rref, solve, vstack,
 )
 
 Q = Field.rationals()
@@ -108,16 +109,6 @@ def test_solve_trivial_cases():
         solve(Mat.identity(Q, 2), Mat.identity(Q, 3))
 
 
-def test_subquotient_dim():
-    eye = Mat.identity(Q, 2)
-    first = Mat.from_cols(Q, [(1, 0)])
-    assert subquotient_dim(eye, first) == 1
-    assert subquotient_dim(eye, eye) == 0
-    assert subquotient_dim(Mat.identity(Q, 3), Mat.zeros(Q, 3, 0)) == 3
-    with pytest.raises(ContainmentViolation):
-        subquotient_dim(first, Mat.from_cols(Q, [(0, 1)]))
-
-
 def test_empty_shapes():
     z = Mat.zeros(Q, 0, 3)
     assert rank(z) == 0
@@ -157,7 +148,7 @@ def test_determinism_bit_identical():
     rng = random.Random(5)
     m = random_mat(Q, rng, 6, 7, scale=30)
     r1, p1 = rref(m)
-    r2, p2 = rref(Mat.from_rows(Q, m.to_lists()))
+    r2, p2 = rref(Mat.from_rows(Q, m.data))
     assert r1 == r2 and p1 == p2
     # fraction inputs go through the same integer-scaled pipeline
     m3 = m.scale(Fraction(1, 6))
@@ -269,6 +260,32 @@ def test_rank_does_not_build_rref(field, monkeypatch):
     monkeypatch.setattr(homcat.exactla, "rref", refuse)
     assert [rank(m) for m in mats] == expected
 
+
+
+def test_wide_sparse_gf_elimination_costs_nonzeros():
+    # 20 x 100000 over GF(32003) with two nonzeros a row: a dense
+    # elimination holds two million entries (16 MiB), the sparse one 40
+    f = Field.gf(32003)
+    rng = random.Random(4700)
+    nz = tuple({j: rng.randrange(1, f.p) for j in rng.sample(range(100000), 2)}
+               for _ in range(20))
+    m = Mat.from_sparse(f, 20, 100000, nz)
+    tracemalloc.start()
+    try:
+        k = rank(m)
+        r, pivots = rref(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the same elimination on the columns that hold a nonzero
+    used = sorted({j for row in nz for j in row})
+    small = Mat.from_sparse(f, 20, len(used),
+                            tuple({used.index(j): x for j, x in row.items()} for row in nz))
+    small_rows, small_pivots = naive_rref(small)
+    assert k == len(pivots) == naive_rank(small)
+    assert pivots == tuple(used[c] for c in small_pivots)
+    assert r.nz == tuple({used[c]: x for c, x in enumerate(row) if x} for row in small_rows)
 
 def test_dense_q_entries_stay_within_hadamard_bound(monkeypatch):
     # every row of the fraction-free elimination stands for a vector of
