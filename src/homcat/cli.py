@@ -225,7 +225,11 @@ def _parse_matrix(ts):
                     ts.next()
                     continue
                 break
-        ts.expect("]")
+        close = ts.expect("]")
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(ts.line, close[2] + 1,
+                             f"matrix row {len(rows) + 1} has {len(row)} entries, "
+                             f"row 1 has {len(rows[0])}")
         rows.append(row)
         if ts.peek()[0] == ",":
             ts.next()
@@ -331,8 +335,13 @@ def parse(source):
                 spec = "Q"
             elif fk == "NAME" and fv == "GF":
                 ts.expect("(")
-                p = int(ts.expect("NUM")[1])
+                ptok = ts.peek()
+                p = _expect_int(ts)
                 ts.expect(")")
+                try:
+                    Field.gf(p)
+                except ValueError as exc:    # not a prime characteristic
+                    raise ParseError(line_no, ptok[2] + 1, str(exc)) from exc
                 spec = ("GF", p)
             else:
                 raise ParseError(line_no, fcol + 1, "field must be Q or GF(p)")
@@ -375,7 +384,7 @@ def parse(source):
         elif word == "bound":
             ts.next()
             _require_block(current, CategoryDecl, "quiver", line_no, word)
-            current.bound = int(ts.expect("NUM")[1])
+            current.bound = _expect_int(ts)
         elif word == "hom":
             ts.next()
             _require_block(current, CategoryDecl, "table", line_no, word)
@@ -432,12 +441,12 @@ def parse(source):
             if isinstance(current, ModuleDecl):
                 obj = _name_or_num(ts, line_no)
                 ts.expect("=")
-                current.dims.append((obj, int(ts.expect("NUM")[1])))
+                current.dims.append((obj, _expect_int(ts)))
             elif isinstance(current, BimoduleDecl):
                 uo = _name_or_num(ts, line_no)
                 to = _name_or_num(ts, line_no)
                 ts.expect("=")
-                current.dims.append((uo, to, int(ts.expect("NUM")[1])))
+                current.dims.append((uo, to, _expect_int(ts)))
             else:
                 raise ParseError(line_no, 1, "'dim' outside a module block")
         elif word == "act":
@@ -493,21 +502,22 @@ def parse(source):
             ws.order.append(("task", len(ws.tasks) - 1))
         else:
             raise ParseError(line_no, col + 1, f"unknown keyword {word!r}")
-        if isinstance(current, CategoryDecl) or current is None:
-            pass
-        if not ts.done() and word not in ("object",):
+        if not ts.done():
             tok = ts.peek()
-            if tok[0] is not None and word not in (
-                    "rel", "comp", "id", "hom", "ideal", "task", "act",
-                    "lact", "ract", "dim", "arrow", "category", "module",
-                    "bimodule", "bound", "quiver", "table"):
-                raise ParseError(line_no, tok[2] + 1, f"trailing input {tok[1]!r}")
+            raise ParseError(line_no, tok[2] + 1, f"trailing input {tok[1]!r}")
     return ws
 
 
 def _require_block(current, klass, kind, line_no, word):
     if not isinstance(current, klass) or getattr(current, "kind", kind) != kind:
         raise ParseError(line_no, 1, f"'{word}' is only valid in a {kind} block")
+
+
+def _expect_int(ts):
+    tok = ts.expect("NUM")
+    if "/" in tok[1]:
+        raise ParseError(ts.line, tok[2] + 1, f"expected an integer, got {tok[1]!r}")
+    return int(tok[1])
 
 
 def _name_or_num(ts, line_no):
@@ -931,11 +941,8 @@ class Workspace:
             x, y, i = lookup[arrow][0]
             shape = (dims.get(y, 0), dims.get(x, 0)) if decl.side == "left" else \
                 (dims.get(x, 0), dims.get(y, 0))
-            mat = Mat.from_rows(field, rows) if rows and rows[0] else Mat.zeros(field, *shape)
-            if mat.shape != shape:
-                raise UnresolvedName(
-                    f"module {decl.name}: act {arrow} has shape {mat.shape}, expected {shape}")
-            given[(x, y, i)] = mat
+            given[(x, y, i)] = _given_matrix(field, rows, shape,
+                                             f"module {decl.name}: act {arrow}")
         act = _complete_action(cat, decl.side, dims, given)
         try:
             return CatModule(cat, decl.side, dims, act)
@@ -948,6 +955,8 @@ class Workspace:
         field = u.field
         dims = {}
         for uo, to, k in decl.dims:
+            if uo not in u.objects or to not in t.objects:
+                raise UnresolvedName(f"bimodule {decl.name}: unknown object pair ({uo},{to})")
             dims[(uo, to)] = k
         lookup_u = self._basis_lookup(u)
         lookup_t = self._basis_lookup(t)
@@ -955,14 +964,22 @@ class Workspace:
         for arrow, to, rows in decl.lacts:
             if arrow not in lookup_u or len(lookup_u[arrow]) != 1:
                 raise UnresolvedName(f"bimodule {decl.name}: unknown U-morphism {arrow!r}")
+            if to not in t.objects:
+                raise UnresolvedName(f"bimodule {decl.name}: unknown T-object {to!r}")
             x, y, i = lookup_u[arrow][0]
-            lact[(x, y, i, to)] = Mat.from_rows(field, rows)
+            lact[(x, y, i, to)] = _given_matrix(
+                field, rows, (dims.get((y, to), 0), dims.get((x, to), 0)),
+                f"bimodule {decl.name}: lact {arrow} {to}")
         ract = {}
         for arrow, uo, rows in decl.racts:
             if arrow not in lookup_t or len(lookup_t[arrow]) != 1:
                 raise UnresolvedName(f"bimodule {decl.name}: unknown T-morphism {arrow!r}")
+            if uo not in u.objects:
+                raise UnresolvedName(f"bimodule {decl.name}: unknown U-object {uo!r}")
             x, y, i = lookup_t[arrow][0]
-            ract[(x, y, i, uo)] = Mat.from_rows(field, rows)
+            ract[(x, y, i, uo)] = _given_matrix(
+                field, rows, (dims.get((uo, x), 0), dims.get((uo, y), 0)),
+                f"bimodule {decl.name}: ract {arrow} {uo}")
         lact = _complete_bimodule_action(u, t, dims, lact, left=True)
         ract = _complete_bimodule_action(t, u, dims, ract, left=False)
         return Bimodule(u, t, dims, lact, ract)
@@ -1026,6 +1043,15 @@ class Workspace:
         return None
 
 
+def _given_matrix(field, rows, shape, what):
+    """A matrix written in the file, which must have the expected shape;
+    an empty matrix [[]] is the zero matrix of that shape."""
+    mat = Mat.from_rows(field, rows) if rows and rows[0] else Mat.zeros(field, *shape)
+    if mat.shape != shape:
+        raise UnresolvedName(f"{what} has shape {mat.shape}, expected {shape}")
+    return mat
+
+
 def _complete_action(cat, side, dims, given):
     """Fill in identity actions and derive path actions for quiver
     categories; every remaining basis morphism must have been given."""
@@ -1069,45 +1095,14 @@ def _complete_action(cat, side, dims, given):
 
 
 def _complete_bimodule_action(acting, other, dims, given, left):
-    """Identity and path completion for bimodule actions; mirrors
-    _complete_action one slot at a time."""
-    field = acting.field
-    act = dict(given)
-    for x, y, i, label in acting.basis_morphisms():
-        for oo in other.objects:
-            key = (x, y, i, oo)
-            if key in act:
-                continue
-            if left:
-                shape = (dims.get((y, oo), 0), dims.get((x, oo), 0))
-            else:
-                shape = (dims.get((oo, x), 0), dims.get((oo, y), 0))
-            if x == y and acting.id_coords(x) == unit_vector(field, acting.dim(x, x), i):
-                act[key] = Mat.identity(field, shape[0])
-                continue
-            if acting.paths is not None:
-                p = acting.paths[(x, y)][i]
-                if len(p) >= 2:
-                    mat = None
-                    for arrow in p:
-                        hit = None
-                        for (a, b, j, o2) in act:
-                            if o2 == oo and acting.paths[(a, b)][j] == (arrow,):
-                                hit = (a, b, j, o2)
-                                break
-                        if hit is None:
-                            raise UnresolvedName(f"no bimodule action for arrow {arrow!r}")
-                        m = act[hit]
-                        if left:
-                            mat = m if mat is None else m.mul(mat)
-                        else:
-                            mat = m if mat is None else mat.mul(m)
-                    act[key] = mat
-                    continue
-            if shape[0] == 0 or shape[1] == 0:
-                act[key] = Mat.zeros(field, *shape)
-                continue
-            raise UnresolvedName(f"no bimodule action given for {label!r} at {oo!r}")
+    """_complete_action on each slice: the left action at a fixed
+    T-object, the right action at a fixed U-object."""
+    act = {}
+    for oo in other.objects:
+        slice_dims = {x: dims.get((x, oo) if left else (oo, x), 0) for x in acting.objects}
+        part = _complete_action(acting, "left" if left else "right", slice_dims,
+                                {k[:3]: m for k, m in given.items() if k[3] == oo})
+        act.update(((x, y, i, oo), m) for (x, y, i), m in part.items())
     return act
 
 
@@ -1331,7 +1326,7 @@ def _run_files(paths, override, options, json_out):
                 source = fh.read()
             ws_file = parse(source)
             workspace = Workspace(ws_file, field_override=override)
-        except (OSError, ValueError, ZeroDivisionError, *INPUT_ERRORS) as exc:
+        except (OSError, UnicodeDecodeError, ZeroDivisionError, *INPUT_ERRORS) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             codes.append(1)
             continue

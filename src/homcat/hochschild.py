@@ -24,7 +24,7 @@ from itertools import product as iproduct
 from .exactla import (Mat, add_to_row, complex_cohomology_dims, kernel_basis, unit_vector,
                       vkron)
 from .kcat import enveloping, pair_object
-from .modcat import BaseMismatch, FreeResolution, regular_bimodule
+from .modcat import BaseMismatch, FreeResolution, regular_bimodule, slot_action
 
 
 class InvalidCoefficient(BaseMismatch):
@@ -226,13 +226,9 @@ def hochschild_cochain_complex(c, coeff, max_deg):
         the other."""
         key = (first, x, y, i, far)
         if key not in acts:
-            f = unit_vector(field, c.dim(x, y), i)
-            if first:
-                mat = coeff.act_vec(pair_object(y, far), pair_object(x, far),
-                                    vkron(field, f, c.id_coords(far)))
-            else:
-                mat = coeff.act_vec(pair_object(far, x), pair_object(far, y),
-                                    vkron(field, c.id_coords(far), f))
+            # the first slot is C^op, where C(x,y) is C^op(y,x)
+            a, b = (y, x) if first else (x, y)
+            mat = slot_action(coeff, first, a, b, i, far)
             acts[key] = [(r, s, a) for r, row in enumerate(mat.nz)
                          for s, a in row.items()]
         return acts[key]

@@ -6,6 +6,14 @@ ones).  Bimodules over C are uniformly left modules over enveloping(C),
 so the regular bimodule, ideal bimodules and their quotients all live in
 one module category and share the resolution machinery.
 
+Hom and the tensor over C share one intertwining system: Hom(M, N) is
+its kernel, and over a field N tensor_C M is the complement of the
+system for Hom(M, D(N)) (Cartan-Eilenberg, Homological Algebra, VI).
+Modules over a product category A tensor B (the regular bimodule, outer
+tensors, swapped products, box tensors) are assembled by one loop over
+pair objects, and one slot action gives a basis morphism acting in one
+factor with an identity in the other.
+
 Resolutions are presentations by projective summands: a term is a finite
 coproduct of summands C(x,-) o e cut out of representables by the
 orthogonal identity decompositions the category carries, and a
@@ -21,10 +29,10 @@ from __future__ import annotations
 from .exactla import (
     ComplementData, EchelonSpace, Mat, add_to_row, block_diag, column_space_basis,
     complex_cohomology_dims, kernel_basis, kron, rank, solve,
-    unit_vector, vzero,
+    unit_vector, vkron,
 )
 from .kcat import (InvalidModule, UnknownObject, enveloping, opposite,
-                   pair_object, tensor_category)
+                   pair_object, tensor_category, unit_category)
 
 
 class BaseMismatch(ValueError):
@@ -289,34 +297,6 @@ def restrict_module(m, fun):
     return CatModule(src, m.side, dims, act, check=False)
 
 
-def swap_product_module(m, swapped_base=None):
-    """Transport a left module over A tensor B to one over B tensor A."""
-    ab = m.base.product_of
-    if ab is None:
-        raise BaseMismatch("module base is not a tensor product category")
-    a, b = ab
-    if swapped_base is None:
-        swapped_base = tensor_category(b, a)
-    dims = {}
-    for alpha in a.objects:
-        for beta in b.objects:
-            dims[pair_object(beta, alpha)] = m.dims[pair_object(alpha, beta)]
-    act = {}
-    for a1 in a.objects:
-        for b1 in b.objects:
-            for a2 in a.objects:
-                for b2 in b.objects:
-                    da = a.dim(a1, a2)
-                    db = b.dim(b1, b2)
-                    src = pair_object(b1, a1)
-                    tgt = pair_object(b2, a2)
-                    for j in range(db):
-                        for i in range(da):
-                            act[(src, tgt, j * da + i)] = m.act_mat(
-                                pair_object(a1, b1), pair_object(a2, b2), i * db + j)
-    return CatModule(swapped_base, "left", dims, act, check=False)
-
-
 # ---------------------------------------------------------------------------
 # submodules, quotients, generators
 
@@ -428,6 +408,39 @@ def quotient_representable(c, ideal, x, side="left"):
 # ---------------------------------------------------------------------------
 # Hom and tensor
 
+def _intertwining_system(source, target):
+    """Block offsets and the linear system whose kernel is
+    Hom(source, target): component x of a map is the target(x) by
+    source(x) block at offsets[x], row-major, and every basis morphism
+    contributes the rows of a * C_src - C_tgt * b = 0."""
+    c = source.base
+    f = c.field
+    offsets = {}
+    total = 0
+    for x in c.objects:
+        offsets[x] = total
+        total += target.dims[x] * source.dims[x]
+    rows = []
+    for x in c.objects:
+        for y in c.objects:
+            for i in range(c.dim(x, y)):
+                a = target.act_mat(x, y, i)
+                b = source.act_mat(x, y, i)
+                src_obj, tgt_obj = (x, y) if source.side == "left" else (y, x)
+                ms = source.dims[src_obj]
+                nt = target.dims[tgt_obj]
+                mt = source.dims[tgt_obj]
+                bt = b.transpose().nz
+                for r in range(nt):
+                    for cc in range(ms):
+                        row = {offsets[src_obj] + s * ms + cc: v
+                               for s, v in a.nz[r].items()}
+                        for t, v in bt[cc].items():
+                            add_to_row(f, row, offsets[tgt_obj] + r * mt + t, f.neg(v))
+                        rows.append(row)
+    return offsets, Mat.from_sparse(f, len(rows), total, tuple(rows))
+
+
 class HomBasis:
     """Basis of natural transformations between two modules, computed as
     the kernel of the intertwining system.  Column order is canonical."""
@@ -437,39 +450,7 @@ class HomBasis:
             raise BaseMismatch("Hom between incompatible modules")
         self.source = source
         self.target = target
-        c = source.base
-        f = c.field
-        offsets = {}
-        total = 0
-        for x in c.objects:
-            offsets[x] = total
-            total += target.dims[x] * source.dims[x]
-        self.offsets = offsets
-        rows = []
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.dim(x, y)):
-                    if source.side == "left":
-                        a = target.act_mat(x, y, i)   # target(x) -> target(y)
-                        b = source.act_mat(x, y, i)
-                        src_obj, tgt_obj = x, y
-                    else:
-                        a = target.act_mat(x, y, i)   # target(y) -> target(x)
-                        b = source.act_mat(x, y, i)
-                        src_obj, tgt_obj = y, x
-                    # a * C_src - C_tgt * b = 0
-                    ms = source.dims[src_obj]
-                    nt = target.dims[tgt_obj]
-                    mt = source.dims[tgt_obj]
-                    bt = b.transpose().nz
-                    for r in range(nt):
-                        for cc in range(ms):
-                            row = {offsets[src_obj] + s * ms + cc: v
-                                   for s, v in a.nz[r].items()}
-                            for t, v in bt[cc].items():
-                                add_to_row(f, row, offsets[tgt_obj] + r * mt + t, f.neg(v))
-                            rows.append(row)
-        system = Mat.from_sparse(f, len(rows), total, tuple(rows))
+        self.offsets, system = _intertwining_system(source, target)
         self.basis_matrix = kernel_basis(system)
         self.dim = self.basis_matrix.cols
 
@@ -499,7 +480,12 @@ def module_hom(m, n):
 
 class TensorSpace:
     """The coend (direct sum of pointwise tensors modulo the bimodule
-    relations) of a right module with a left module."""
+    relations) of a right module n with a left module m.
+
+    Over a field n tensor m is the linear dual of Hom(m, D(n))
+    (Cartan-Eilenberg, Homological Algebra, VI), and the relations are
+    exactly the rows of that intertwining system: the tensor space is the
+    complement of their span, with n(x) tensor m(x) at the same offsets."""
 
     def __init__(self, n, m):
         if n.base != m.base:
@@ -508,32 +494,9 @@ class TensorSpace:
             raise BaseMismatch("tensor_over_cat takes (right, left)")
         self.n = n
         self.m = m
-        c = n.base
-        f = c.field
-        offsets = {}
-        total = 0
-        for x in c.objects:
-            offsets[x] = total
-            total += n.dims[x] * m.dims[x]
-        self.ambient = total
-        relations = []
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.dim(x, y)):
-                    na = n.act_mat(x, y, i)    # n(y) -> n(x)
-                    ma = m.act_mat(x, y, i)    # m(x) -> m(y)
-                    nat = na.transpose().nz
-                    mat = ma.transpose().nz
-                    for u in range(n.dims[y]):
-                        for v in range(m.dims[x]):
-                            vec = {offsets[x] + s * m.dims[x] + v: a
-                                   for s, a in nat[u].items()}
-                            for t, a in mat[v].items():
-                                add_to_row(f, vec, offsets[y] + u * m.dims[y] + t, f.neg(a))
-                            relations.append(vec)
-        # the relations are the columns of the span to complement
-        self.comp = ComplementData(
-            Mat.from_sparse(f, len(relations), total, tuple(relations)).transpose())
+        _, relations = _intertwining_system(m, dualize(n))
+        self.ambient = relations.cols
+        self.comp = ComplementData(relations.transpose())
         self.dim = self.comp.dim
         self.proj = self.comp.proj
         self.section = self.comp.section
@@ -544,32 +507,67 @@ def tensor_over_cat(n, m):
 
 
 # ---------------------------------------------------------------------------
-# bimodule-style constructions
+# modules over product categories
+
+def _product_module(base, dims, action):
+    """The left module over base = A tensor B with value dims(a, b) at
+    (a,b) and action(a1, b1, a2, b2, i, j) as the matrix of basis
+    morphism i of A(a1,a2) tensor basis morphism j of B(b1,b2), which is
+    basis morphism i * dim B(b1,b2) + j of the product."""
+    a, b = base.product_of
+    act = {}
+    for a1 in a.objects:
+        for b1 in b.objects:
+            src = pair_object(a1, b1)
+            for a2 in a.objects:
+                da = a.dim(a1, a2)
+                for b2 in b.objects:
+                    db = b.dim(b1, b2)
+                    tgt = pair_object(a2, b2)
+                    for i in range(da):
+                        for j in range(db):
+                            act[(src, tgt, i * db + j)] = action(a1, b1, a2, b2, i, j)
+    values = {pair_object(x, y): dims(x, y) for x in a.objects for y in b.objects}
+    return CatModule(base, "left", values, act, check=False)
+
+
+def slot_action(m, first, x, y, i, far):
+    """Action on a left module over A tensor B of basis morphism i of
+    A(x,y) tensor 1_far (first) or of 1_far tensor basis morphism i of
+    B(x,y) (not first)."""
+    a, b = m.base.product_of
+    f = m.base.field
+    if first:
+        return m.act_vec(pair_object(x, far), pair_object(y, far),
+                         vkron(f, unit_vector(f, a.dim(x, y), i), b.id_coords(far)))
+    return m.act_vec(pair_object(far, x), pair_object(far, y),
+                     vkron(f, a.id_coords(far), unit_vector(f, b.dim(x, y), i)))
+
+
+def swap_product_module(m, swapped_base=None):
+    """Transport a left module over A tensor B to one over B tensor A."""
+    ab = m.base.product_of
+    if ab is None:
+        raise BaseMismatch("module base is not a tensor product category")
+    a, b = ab
+    if swapped_base is None:
+        swapped_base = tensor_category(b, a)
+    return _product_module(
+        swapped_base,
+        lambda b1, a1: m.dims[pair_object(a1, b1)],
+        lambda b1, a1, b2, a2, j, i: m.act_mat(pair_object(a1, b1), pair_object(a2, b2),
+                                               i * b.dim(b1, b2) + j))
+
 
 def regular_bimodule(c, env=None):
     """C as a left module over its enveloping category: value C(x',x),
     with (f^op tensor g) acting by h -> g o h o f."""
     if env is None:
         env = enveloping(c)
-    dims = {}
-    for x1 in c.objects:
-        for x2 in c.objects:
-            dims[pair_object(x1, x2)] = c.dim(x1, x2)
-    act = {}
-    for x1 in c.objects:
-        for x2 in c.objects:
-            src = pair_object(x1, x2)
-            for y1 in c.objects:
-                for y2 in c.objects:
-                    tgt = pair_object(y1, y2)
-                    d_f = c.dim(y1, x1)     # C^op(x1, y1)
-                    d_g = c.dim(x2, y2)
-                    for i in range(d_f):
-                        pre = c.pre_matrix_basis(y1, x1, x2, i)
-                        for j in range(d_g):
-                            post = c.post_matrix_basis(y1, x2, y2, j)
-                            act[(src, tgt, i * d_g + j)] = post.mul(pre)
-    return CatModule(env, "left", dims, act, check=False)
+    return _product_module(
+        env, c.dim,
+        lambda x1, x2, y1, y2, i, j: c.post_matrix_basis(y1, x2, y2, j).mul(
+            c.pre_matrix_basis(y1, x1, x2, i)))
 
 
 def ideal_bimodule(c, ideal, env=None, regular=None):
@@ -585,65 +583,29 @@ def ideal_bimodule(c, ideal, env=None, regular=None):
     return sub, incl
 
 
-def outer_tensor(m, n, env=None):
-    """(m outer-tensor n)(x',x) = m(x') tensor n(x) over enveloping(C)."""
-    if m.base != n.base:
-        raise BaseMismatch("outer tensor over different bases")
+def outer_tensor(m, n, product=None):
+    """(m outer-tensor n)(x,d) = m(x) tensor n(d) as a left module over
+    C^op tensor D, for a right C-module m and a left D-module n."""
     if m.side != "right" or n.side != "left":
         raise BaseMismatch("outer_tensor takes (right, left)")
-    c = m.base
-    if env is None:
-        env = enveloping(c)
-    dims = {}
-    for x1 in c.objects:
-        for x2 in c.objects:
-            dims[pair_object(x1, x2)] = m.dims[x1] * n.dims[x2]
-    act = {}
-    for x1 in c.objects:
-        for x2 in c.objects:
-            src = pair_object(x1, x2)
-            for y1 in c.objects:
-                for y2 in c.objects:
-                    tgt = pair_object(y1, y2)
-                    d_f = c.dim(y1, x1)
-                    d_g = c.dim(x2, y2)
-                    for i in range(d_f):
-                        ma = m.act_mat(y1, x1, i)    # m(x1) -> m(y1)
-                        for j in range(d_g):
-                            na = n.act_mat(x2, y2, j)
-                            act[(src, tgt, i * d_g + j)] = kron(ma, na)
-    return CatModule(env, "left", dims, act, check=False)
+    c_op = opposite(m.base)
+    if product is None:
+        product = tensor_category(c_op, n.base)
+    elif product.product_of != (c_op, n.base):
+        raise BaseMismatch("outer tensor over a product of other factors")
+    return _product_module(
+        product, lambda x, d: m.dims[x] * n.dims[d],
+        lambda x1, d1, x2, d2, i, j: kron(m.act_mat(x2, x1, i), n.act_mat(d1, d2, j)))
 
 
 def hom_module(f, h, product=None):
     """Hom_K(f(-), h(?)) as a left module over C^op tensor D for a left
-    C-module f and a left D-module h.  Value basis at (x,d) is the
-    row-major flattening of the matrix space."""
+    C-module f and a left D-module h: the outer tensor of the dual D(f)
+    with h, so the value basis at (x,d) is the dual basis of f(x) tensor
+    the basis of h(d)."""
     if f.side != "left" or h.side != "left":
         raise BaseMismatch("hom_module takes two left modules")
-    cop = opposite(f.base)
-    if product is None:
-        product = tensor_category(cop, h.base)
-    c, d = f.base, h.base
-    dims = {}
-    for x in c.objects:
-        for dd in d.objects:
-            dims[pair_object(x, dd)] = h.dims[dd] * f.dims[x]
-    act = {}
-    for x in c.objects:
-        for dd in d.objects:
-            src = pair_object(x, dd)
-            for y in c.objects:
-                for dd2 in d.objects:
-                    tgt = pair_object(y, dd2)
-                    d_phi = c.dim(y, x)      # C^op(x,y)
-                    d_psi = d.dim(dd, dd2)
-                    for i in range(d_phi):
-                        fa = f.act_mat(y, x, i)     # f(y) -> f(x)
-                        for j in range(d_psi):
-                            ha = h.act_mat(dd, dd2, j)
-                            act[(src, tgt, i * d_psi + j)] = kron(ha, fa.transpose())
-    return CatModule(product, "left", dims, act, check=False)
+    return outer_tensor(dualize(f), h, product)
 
 
 def boxtimes(f, g, out_base=None):
@@ -651,128 +613,66 @@ def boxtimes(f, g, out_base=None):
     E^op tensor C) against a module over C^op tensor D.
 
     Returns a left D-module in the plain case and a left module over
-    E^op tensor D in the bimodule case."""
+    E^op tensor D in the bimodule case.  The plain case is the bimodule
+    case over the unit category E: f is lifted to a module over
+    E^op tensor C and the result collapsed back onto D."""
     prod = g.base.product_of
     if prod is None:
         raise BaseMismatch("second factor must live over a tensor product category")
     c_op, d = prod
     c = opposite(c_op)
     if f.base.product_of is not None and f.base.product_of[1] == c:
-        return _boxtimes_bimodule(f, g, c, d, out_base)
+        return _contract(f, g, c, d, out_base)
     if f.base != c:
         raise BaseMismatch("first factor is not a module over the contracted category")
     if f.side != "left" or g.side != "left":
         raise BaseMismatch("boxtimes takes left modules")
-
-    def g_right_slice(dd):
-        dims = {x: g.dims[pair_object(x, dd)] for x in c.objects}
-        act = {}
-        for x in c.objects:
-            for y in c.objects:
-                dxy = c.dim(x, y)
-                d_id = d.dim(dd, dd)
-                for i in range(dxy):
-                    # f: x->y acting on the right = C^op basis i at (y,x)
-                    coords = vzero(c.field, c.dim(x, y) * d_id)
-                    coords = list(coords)
-                    idc = d.id_coords(dd)
-                    for t, a in enumerate(idc):
-                        coords[i * d_id + t] = a
-                    act[(x, y, i)] = g.act_vec(pair_object(y, dd), pair_object(x, dd),
-                                               tuple(coords))
-        return CatModule(c, "right", dims, act, check=False)
-
-    slices = {dd: tensor_over_cat(g_right_slice(dd), f) for dd in d.objects}
-    dims = {dd: slices[dd].dim for dd in d.objects}
-    act = {}
-    for dd in d.objects:
-        for dd2 in d.objects:
-            for j in range(d.dim(dd, dd2)):
-                blocks = []
-                for x in c.objects:
-                    psi = unit_vector(d.field, d.dim(dd, dd2), j)
-                    coords = vzero(c.field, c.dim(x, x) * d.dim(dd, dd2))
-                    coords = list(coords)
-                    for s, a in enumerate(c.id_coords(x)):
-                        for t in range(d.dim(dd, dd2)):
-                            if psi[t] and a:
-                                coords[s * d.dim(dd, dd2) + t] = c.field.mul(a, psi[t])
-                    gmap = g.act_vec(pair_object(x, dd), pair_object(x, dd2), tuple(coords))
-                    blocks.append(kron(gmap, Mat.identity(c.field, f.dims[x])))
-                big = block_diag(c.field, blocks, slices[dd2].ambient, slices[dd].ambient)
-                act[(dd, dd2, j)] = slices[dd2].proj.mul(big).mul(slices[dd].section)
-    return CatModule(d, "left", dims, act)
+    unit = unit_category(c.field)
+    lifted = _product_module(tensor_category(unit, c), lambda _, x: f.dims[x],
+                             lambda u, x, u2, y, k, i: f.act_mat(x, y, i))
+    out = _contract(lifted, g, c, d, None)
+    back = {pair_object(unit.objects[0], dd): dd for dd in d.objects}
+    return CatModule(d, "left", {back[p]: k for p, k in out.dims.items()},
+                     {(back[p], back[q], j): mat for (p, q, j), mat in out.act.items()},
+                     check=False)
 
 
-def _boxtimes_bimodule(f, g, c, d, out_base):
+def _contract(f, g, c, d, out_base):
+    """f over E^op tensor C contracted against g over C^op tensor D: at
+    (eps,d) the tensor over C of the right C-module g(-,d) with the left
+    C-module f(eps,-), acted on blockwise through the outer slots."""
     e_op = f.base.product_of[0]
     if out_base is None:
         out_base = tensor_category(e_op, d)
 
     def f_left_slice(eps):
         dims = {x: f.dims[pair_object(eps, x)] for x in c.objects}
-        act = {}
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.dim(x, y)):
-                    d_e = e_op.dim(eps, eps)
-                    coords = [c.field.zero()] * (d_e * c.dim(x, y))
-                    for s, a in enumerate(e_op.id_coords(eps)):
-                        coords[s * c.dim(x, y) + i] = a
-                    act[(x, y, i)] = f.act_vec(pair_object(eps, x), pair_object(eps, y),
-                                               tuple(coords))
+        act = {(x, y, i): slot_action(f, False, x, y, i, eps)
+               for x in c.objects for y in c.objects for i in range(c.dim(x, y))}
         return CatModule(c, "left", dims, act, check=False)
 
     def g_right_slice(dd):
+        # f: x -> y acting on the right is C^op basis i at (y,x)
         dims = {x: g.dims[pair_object(x, dd)] for x in c.objects}
-        act = {}
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.dim(x, y)):
-                    d_id = d.dim(dd, dd)
-                    coords = [c.field.zero()] * (c.dim(x, y) * d_id)
-                    for t, a in enumerate(d.id_coords(dd)):
-                        coords[i * d_id + t] = a
-                    act[(x, y, i)] = g.act_vec(pair_object(y, dd), pair_object(x, dd),
-                                               tuple(coords))
+        act = {(x, y, i): slot_action(g, True, y, x, i, dd)
+               for x in c.objects for y in c.objects for i in range(c.dim(x, y))}
         return CatModule(c, "right", dims, act, check=False)
 
     f_slices = {eps: f_left_slice(eps) for eps in e_op.objects}
     g_slices = {dd: g_right_slice(dd) for dd in d.objects}
     spaces = {(eps, dd): tensor_over_cat(g_slices[dd], f_slices[eps])
               for eps in e_op.objects for dd in d.objects}
-    dims = {pair_object(eps, dd): spaces[(eps, dd)].dim
-            for eps in e_op.objects for dd in d.objects}
-    act = {}
-    for eps in e_op.objects:
-        for dd in d.objects:
-            src = pair_object(eps, dd)
-            for eps2 in e_op.objects:
-                for dd2 in d.objects:
-                    tgt = pair_object(eps2, dd2)
-                    d_eta = e_op.dim(eps, eps2)
-                    d_psi = d.dim(dd, dd2)
-                    for ii in range(d_eta):
-                        for jj in range(d_psi):
-                            blocks = []
-                            for x in c.objects:
-                                gco = [c.field.zero()] * (c.dim(x, x) * d_psi)
-                                for s, a in enumerate(c.id_coords(x)):
-                                    gco[s * d_psi + jj] = a
-                                gmap = g.act_vec(pair_object(x, dd), pair_object(x, dd2),
-                                                 tuple(gco))
-                                fco = [c.field.zero()] * (d_eta * c.dim(x, x))
-                                for t, a in enumerate(c.id_coords(x)):
-                                    fco[ii * c.dim(x, x) + t] = a
-                                fmap = f.act_vec(pair_object(eps, x), pair_object(eps2, x),
-                                                 tuple(fco))
-                                blocks.append(kron(gmap, fmap))
-                            big = block_diag(c.field, blocks,
-                                             spaces[(eps2, dd2)].ambient,
-                                             spaces[(eps, dd)].ambient)
-                            act[(src, tgt, ii * d_psi + jj)] = (
-                                spaces[(eps2, dd2)].proj.mul(big).mul(spaces[(eps, dd)].section))
-    return CatModule(out_base, "left", dims, act)
+
+    def action(eps, dd, eps2, dd2, ii, jj):
+        blocks = [kron(slot_action(g, False, dd, dd2, jj, x),
+                       slot_action(f, True, eps, eps2, ii, x)) for x in c.objects]
+        big = block_diag(c.field, blocks, spaces[(eps2, dd2)].ambient,
+                         spaces[(eps, dd)].ambient)
+        return spaces[(eps2, dd2)].proj.mul(big).mul(spaces[(eps, dd)].section)
+
+    out = _product_module(out_base, lambda eps, dd: spaces[(eps, dd)].dim, action)
+    out.validate()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,28 +101,16 @@ class LESReport:
     """Dimension tables, maps (including connecting homomorphisms) and
     literal exactness flags for the assembled long exact sequence."""
 
-    def __init__(self, max_degree, dims, maps, exact_at, node_labels,
-                 hypotheses=None, notes=None):
+    def __init__(self, max_degree, dims, maps, exact_at, hypotheses=None, notes=None):
         self.max_degree = max_degree
         self.dims = dims              # {"ExtCI": [...], "HC": [...], "HB": [...]}
         self.maps = maps              # {"incl": [...], "proj": [...], "delta": [...]}
         self.exact_at = exact_at
-        self.node_labels = node_labels
         self.hypotheses = hypotheses or {}
         self.notes = notes or []
 
     def all_exact(self):
         return all(self.exact_at)
-
-    def to_doc(self):
-        return {
-            "degrees": self.max_degree,
-            "dims": {k: list(v) for k, v in self.dims.items()},
-            "exact_at": list(self.exact_at),
-            "nodes": list(self.node_labels),
-            "hypotheses": self.hypotheses,
-            "notes": list(self.notes),
-        }
 
 
 class _CohomologyData:
@@ -237,15 +225,11 @@ def les_from_ses(res, ses, max_deg):
     # exactness at each node of
     # 0 -> A_0 -> B_0 -> C_0 -> A_1 -> ...
     exact_at = []
-    node_labels = []
     for n in range(max_deg + 1):
         incoming_a = deltas[n - 1] if n >= 1 else Mat.zeros(field, coh_i.dims[0], 0)
         exact_at.append(_exact_at_node(incoming_a, incl_maps[n]))
-        node_labels.append(f"Ext^{n}(C,I)")
         exact_at.append(_exact_at_node(incl_maps[n], proj_maps[n]))
-        node_labels.append(f"H^{n}(C)")
         exact_at.append(_exact_at_node(proj_maps[n], deltas[n]))
-        node_labels.append(f"Ext^{n}(C,H)")
     dims = {
         "ExtCI": [coh_i.dims[n] for n in range(max_deg + 1)],
         "HC": [coh_c.dims[n] for n in range(max_deg + 1)],
@@ -254,7 +238,7 @@ def les_from_ses(res, ses, max_deg):
     maps = {"incl": incl_maps, "proj": proj_maps, "delta": deltas}
     notes = [f"exactness verified up to degree {max_deg}",
              f"internal cochain degree {n_internal + 1}"]
-    return LESReport(max_deg, dims, maps, exact_at, node_labels, notes=notes)
+    return LESReport(max_deg, dims, maps, exact_at, notes=notes)
 
 
 def _exact_at_node(incoming, outgoing):
@@ -287,17 +271,6 @@ class CheckReport:
     @property
     def passed(self):
         return all(ok for *_, ok in self.rows)
-
-    def to_doc(self):
-        return {
-            "max_degree": self.max_degree,
-            "passed": self.passed,
-            "witness": self.witness,
-            "rows": [
-                {"condition": c, "object": x, "sample": s, "dims": d, "ok": ok}
-                for c, x, s, d, ok in self.rows
-            ],
-        }
 
 
 def default_quotient_samples(b):
@@ -467,16 +440,6 @@ class HappelReport:
     @property
     def passed(self):
         return self.les.all_exact() and all(ok for *_, ok in self.identities)
-
-    def to_doc(self):
-        doc = self.les.to_doc()
-        doc["hom_MM_dim"] = self.hom_dim
-        doc["ext_MM"] = self.ext_self
-        doc["identities"] = [
-            {"label": lab, "lhs": l, "rhs": r, "ok": ok}
-            for lab, l, r, ok in self.identities
-        ]
-        return doc
 
 
 def happel_pipeline(u, module, max_deg=4):

@@ -284,6 +284,61 @@ rel b*a - 1/5*b*c = 0
     assert main([str(path)]) == 0
 
 
+QUIVER_HEAD = "category A over Q\nquiver\nobject 1 2\n"
+
+
+@pytest.mark.parametrize("src, token", [
+    ("category A over GF(32003) extra junk\nquiver\nobject 1\n", "extra"),
+    (QUIVER_HEAD + "arrow a: 1 -> 2 junk\n", "junk"),
+    (QUIVER_HEAD + "arrow a: 1 -> 2\nbound 5 7\n", "7"),
+], ids=["category", "arrow", "bound"])
+def test_trailing_tokens_are_parse_errors(src, token, tmp_path, capsys):
+    with pytest.raises(ParseError, match=f"trailing input '{token}'"):
+        parse(src)
+    path = tmp_path / "ws.kcat"
+    path.write_text(src)
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+BIMODULE_SRC = """\
+category U over Q
+quiver
+object 1
+arrow x: 1 -> 1
+rel x*x = 0
+category T over Q
+quiver
+object 1
+bimodule M over (U,T)
+dim 1 1 = 2
+"""
+
+# bad input that reaches no kernel: each is named by its line or its name
+BAD_INPUTS = {
+    "gf4": ("category A over GF(4)\nquiver\nobject 1\n", "line 1, column 20: "),
+    "fractional-bound": (QUIVER_HEAD + "bound 3/4\n", "line 4, column 7: "),
+    "ragged-act": (A2_SRC + "module M over A2 left\ndim 1 = 2\ndim 2 = 2\n"
+                   "act a = [[1,0],[0]]\n", "line 9, column 18: "),
+    "lact-shape": (BIMODULE_SRC + "lact x 1 = [[0,1]]\n",
+                   "bimodule M: lact x 1 has shape (1, 2), expected (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_named_and_exits_1(name, tmp_path, capsys):
+    src, message = BAD_INPUTS[name]
+    path = tmp_path / "bad.kcat"
+    path.write_text(src)
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{path}: {message}")
+
+
 @pytest.mark.parametrize("field", [[], ["--field", "gf:2"], ["--field", "gf:3"]],
                          ids=["default", "gf2", "gf3"])
 def test_cli_verify_oracle(tmp_path, capsys, field):
@@ -481,6 +536,22 @@ def test_internal_error_while_building_gives_exit_4(monkeypatch, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: internal error: TypeError: unhashable type: 'list'\n"
+
+
+def test_bare_value_error_while_building_gives_exit_4(monkeypatch, tmp_path, capsys):
+    import homcat.cli as cli_mod
+
+    def broken(cat, gens):
+        raise ValueError("not enough values to unpack")
+
+    # only homcat's own input errors mean bad input; a bare ValueError is a bug
+    monkeypatch.setattr(cli_mod, "ideal_from_generators", broken)
+    path = tmp_path / "ws.kcat"
+    path.write_text(A2_SRC + "ideal I in A2 gens: a\ntask validate A2\n")
+    assert main([str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: internal error: ValueError: not enough values to unpack\n"
 
 
 def test_internal_error_in_task_gives_exit_4(monkeypatch, tmp_path, capsys):

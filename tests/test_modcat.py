@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -406,3 +407,173 @@ def test_right_module_ext_via_opposite():
     # over the opposite path category the extension flips direction
     assert ext(s2r, s1r, 3) == [0, 1, 0, 0]
     assert ext(s1r, s2r, 3) == [0, 0, 0, 0]
+
+
+# -- one assembly routine: reference oracles and frozen action matrices ------
+
+FOUR_FIELDS = (Q, Field.gf(2), Field.gf(3), F)
+
+
+def _reference_tensor(n, m):
+    """The coend relations of n (right) and m (left) written out directly:
+    for every basis morphism a: x -> y and basis vectors u of n(y), v of
+    m(x), the relation (u.a) tensor v - u tensor (a.v)."""
+    from homcat.exactla import ComplementData, add_to_row
+    c = n.base
+    f = c.field
+    offsets = {}
+    total = 0
+    for x in c.objects:
+        offsets[x] = total
+        total += n.dims[x] * m.dims[x]
+    relations = []
+    for x in c.objects:
+        for y in c.objects:
+            for i in range(c.dim(x, y)):
+                nat = n.act_mat(x, y, i).transpose().nz
+                mat = m.act_mat(x, y, i).transpose().nz
+                for u in range(n.dims[y]):
+                    for v in range(m.dims[x]):
+                        vec = {offsets[x] + s * m.dims[x] + v: a
+                               for s, a in nat[u].items()}
+                        for t, a in mat[v].items():
+                            add_to_row(f, vec, offsets[y] + u * m.dims[y] + t, f.neg(a))
+                        relations.append(vec)
+    return ComplementData(Mat.from_sparse(f, len(relations), total,
+                                          tuple(relations)).transpose())
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_tensor_space_matches_the_relation_assembly(field):
+    rng = random.Random(41 + field.p)
+    pairs = 0
+    for cat in (zoo.a2(field), zoo.kronecker(field), zoo.dual_numbers(field),
+                zoo.random_two_object(field, 3)):
+        for _ in range(4):
+            n = random_module(cat, rng, "right")
+            m = random_module(cat, rng, "left")
+            got = tensor_over_cat(n, m)
+            want = _reference_tensor(n, m)
+            assert got.dim == want.dim
+            assert got.proj == want.proj
+            assert got.section == want.section
+            pairs += 1
+    assert pairs == 16
+
+
+def _action_digest(modules):
+    """SHA-256 over the side, dimensions and every basis action matrix,
+    in the base category's object and basis order."""
+    h = hashlib.sha256()
+    for mod in modules:
+        c = mod.base
+        h.update(repr((mod.side, [(x, mod.dims[x]) for x in c.objects])).encode())
+        for x in c.objects:
+            for y in c.objects:
+                for i in range(c.dim(x, y)):
+                    h.update(repr((x, y, i, mod.act_mat(x, y, i).data)).encode())
+    return h.hexdigest()
+
+
+def _nonzero(cat, rng, side):
+    """The first nonzero module `random_module` draws."""
+    while True:
+        m = random_module(cat, rng, side)
+        if not m.is_zero():
+            return m
+
+
+def _regular_cases(field, rng):
+    for cat in (zoo.a3(field), zoo.kronecker(field), zoo.dual_numbers(field),
+                zoo.random_two_object(field, 5)):
+        yield regular_bimodule(cat)
+
+
+def _outer_cases(field, rng):
+    for cat in (zoo.a2(field), zoo.kronecker(field), zoo.dual_numbers(field)):
+        for _ in range(2):
+            yield outer_tensor(_nonzero(cat, rng, "right"),
+                               _nonzero(cat, rng, "left"))
+
+
+def _swap_cases(field, rng):
+    prod = tensor_category(zoo.a2(field), zoo.dual_numbers(field))
+    for _ in range(3):
+        yield swap_product_module(_nonzero(prod, rng, "left"))
+
+
+def _boxtimes_plain_cases(field, rng):
+    a2 = zoo.a2(field)
+    prod = tensor_category(opposite(a2), zoo.dual_numbers(field))
+    for _ in range(3):
+        yield boxtimes(_nonzero(a2, rng, "left"),
+                       _nonzero(prod, rng, "left"))
+
+
+def _boxtimes_bimodule_cases(field, rng):
+    c = zoo.a2(field)
+    e = zoo.dual_numbers(field)
+    ec = tensor_category(opposite(e), c)
+    cd = tensor_category(opposite(c), zoo.discrete(field, 2))
+    for _ in range(3):
+        yield boxtimes(_nonzero(ec, rng, "left"),
+                       _nonzero(cd, rng, "left"))
+
+
+# computed before the product-module loop, the slot action and the box
+# tensor were folded into one routine each: the assembly must not move
+# an entry of any action matrix
+FROZEN_ACTIONS = {
+    "regular_bimodule": (_regular_cases,
+                         "5e00bd0c7f17e633d4d4a920a86d424c8b6960c8dc7eec3b431499c9ae924ff4"),
+    "outer_tensor": (_outer_cases,
+                     "d96a52a29d8969d64d71ed10d3330dee5970c356ecad532685bb21ec67aa33c9"),
+    "swap_product_module": (_swap_cases,
+                            "c9b7d1af2b5f0d85f4c86e96d3558c01eb70e78b181f3c8e4cadd9122fd9f3ce"),
+    "boxtimes-plain": (_boxtimes_plain_cases,
+                       "dd81fb08e52c53941f0e63a117afacc7d7d52d8343ab17057a392ff30ad2f3e8"),
+    "boxtimes-bimodule": (_boxtimes_bimodule_cases,
+                          "7ad96b105a3ea28440f8abaf0a1f06c23e7b410efdcfb489321ad361393bf360"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ACTIONS))
+def test_frozen_action_matrices(name):
+    cases, digest = FROZEN_ACTIONS[name]
+    modules = []
+    for field in FOUR_FIELDS:
+        modules.extend(cases(field, random.Random(53 + field.p)))
+    assert _action_digest(modules) == digest
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_hom_module_is_the_outer_tensor_of_the_dual(field):
+    rng = random.Random(59 + field.p)
+    a2 = zoo.a2(field)
+    d = zoo.dual_numbers(field)
+    prod = tensor_category(opposite(a2), d)
+    for _ in range(3):
+        fmod = _nonzero(a2, rng, "left")
+        hmod = _nonzero(d, rng, "left")
+        hm = hom_module(fmod, hmod, prod)
+        hm.validate()
+        for x in a2.objects:
+            for y in d.objects:
+                assert hm.dims[pair_object(x, y)] == fmod.dims[x] * hmod.dims[y]
+        # two different categories: a right A2-module with a left module
+        # over the dual numbers
+        ot = outer_tensor(_nonzero(a2, rng, "right"), hmod)
+        ot.validate()
+        assert ot.base.product_of == (opposite(a2), d)
+
+
+def test_outer_tensor_rejects_a_product_of_other_factors():
+    a2 = zoo.a2(Q)
+    d = zoo.dual_numbers(Q)
+    m = representable(a2, "1", "right")
+    n = representable(d, "*", "left")
+    for product in (enveloping(a2), tensor_category(a2, d), d):
+        with pytest.raises(BaseMismatch):
+            outer_tensor(m, n, product)
+    with pytest.raises(BaseMismatch):
+        outer_tensor(n, m)
