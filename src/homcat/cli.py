@@ -28,9 +28,13 @@ A workspace is a line-oriented text file (# starts a comment):
     task cmp <t> <u> <bimodule>
     task happel <u> <module>
 
-A quiver category is certified finite by checking that every path longer
-than the bound reduces to zero modulo the relation ideal; otherwise the
-file is rejected with a FinitenessError.
+A quiver category is certified finite (`homcat.certify`) by a path
+length, at most bound + 1, at which every path reduces to zero modulo
+the relation ideal.  With homogeneous relations the lengths are reduced
+one at a time and certification stops at the first such length.  A
+quiver without one is rejected with a FinitenessError, as is one that
+makes more than 20000 paths before certification stops; only the paths
+enumerated count.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactla import (ComplementData, EchelonSpace, Field, FieldMismatch, Mat,
-                      VerificationFailed, unit_vector)
+from .certify import FinitenessError, UnresolvedName, build_quiver_category, coefficient
+from .exactla import Field, FieldMismatch, Mat, VerificationFailed, unit_vector
 from .kcat import (Bimodule, FiniteKCategory, InvalidBimodule, InvalidCategory,
                    InvalidFunctor, NotTriangular, UnknownObject)
 from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
@@ -65,14 +69,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
-
-
-class FinitenessError(ValueError):
-    pass
-
-
-class UnresolvedName(ValueError):
-    pass
 
 
 # homcat's own errors for bad input: a task that raises one of these is
@@ -119,8 +115,11 @@ def _tokenize(text, line_no):
                 j += 1
             if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
                 j += 1
+                den = j
                 while j < n and text[j].isdigit():
                     j += 1
+                if not int(text[den:j]):
+                    raise ParseError(line_no, i + 1, f"zero denominator in {text[i:j]!r}")
             tokens.append(("NUM", text[i:j], i))
             i = j
             continue
@@ -616,187 +615,6 @@ def _field_of(spec, override=None):
     return Field.gf(spec[1])
 
 
-def build_quiver_category(field, objects, arrows, relations, bound):
-    """Path category modulo relations, with finiteness certification.
-
-    relations come in as [(coefficient string, [arrow names])] term lists;
-    paths in the source are written right-to-left (b*a = a then b) and are
-    stored in application order.
-    """
-    objects = list(objects)
-    if len(set(objects)) != len(objects) or not objects:
-        raise FinitenessError("object list empty or duplicated")
-    arrow_map = {}
-    for name, s, g in arrows:
-        if name in arrow_map:
-            raise UnresolvedName(f"duplicate arrow {name}")
-        if s not in objects or g not in objects:
-            raise UnresolvedName(f"arrow {name} references unknown objects")
-        arrow_map[name] = (s, g)
-    # enumerate paths by length; a path is a tuple of arrow names in
-    # application order; () at (x,x) is the identity
-    paths = {(x, y): [] for x in objects for y in objects}
-    for x in objects:
-        paths[(x, x)].append(())
-    frontier = {(x, x): [()] for x in objects}
-    by_level = [dict(frontier)]
-    cap = bound + 1
-    total = len(objects)
-    for _ in range(cap):
-        new_frontier = {}
-        for (x, y), plist in frontier.items():
-            for p in plist:
-                for name, (s, g) in arrow_map.items():
-                    if s != y:
-                        continue
-                    q = p + (name,)
-                    new_frontier.setdefault((x, g), []).append(q)
-                    total += 1
-                    if total > 20000:
-                        raise FinitenessError(
-                            "path enumeration exceeded 20000 paths; the quiver is "
-                            "too large or not plausibly finite at this bound")
-        for key, plist in new_frontier.items():
-            paths[key].extend(plist)
-        frontier = new_frontier
-        by_level.append(new_frontier)
-    index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
-
-    def resolve_term_path(names, line_hint=""):
-        # written right-to-left: reverse into application order
-        seq = tuple(reversed(names))
-        for a in seq:
-            if a not in arrow_map:
-                raise UnresolvedName(f"unknown arrow {a!r}{line_hint}")
-        for a, b in zip(seq, seq[1:]):
-            if arrow_map[a][1] != arrow_map[b][0]:
-                raise UnresolvedName(f"path {'*'.join(names)} does not compose")
-        return seq
-
-    relation_vectors = []
-    for terms in relations:
-        pair = None
-        entries = {}
-        for coeff, names in terms:
-            c = field.of(coeff)
-            if not names:
-                if Fraction(coeff) != 0:
-                    raise UnresolvedName("scalar terms are not valid in relations")
-                continue
-            seq = resolve_term_path(names)
-            p = (arrow_map[seq[0]][0], arrow_map[seq[-1]][1])
-            if pair is None:
-                pair = p
-            elif pair != p:
-                raise UnresolvedName("relation mixes different Hom spaces")
-            if len(seq) > cap:
-                raise FinitenessError("relation path exceeds the length bound")
-            entries[seq] = field.add(entries.get(seq, field.zero()), c)
-        if pair is None:
-            continue
-        vec = [field.zero()] * len(paths[pair])
-        for seq, c in entries.items():
-            vec[index[pair][seq]] = c
-        relation_vectors.append((pair, tuple(vec)))
-
-    # two-sided saturation inside the length-capped path space; products
-    # whose length escapes the cap are dropped (sound for certification)
-    spans = {key: EchelonSpace(field, len(plist)) for key, plist in paths.items()}
-    work = list(relation_vectors)
-    while work:
-        (x, y), vec = work.pop()
-        if not spans[(x, y)].add(vec):
-            continue
-        plist = paths[(x, y)]
-        for name, (s, g) in arrow_map.items():
-            if s == y:
-                ok = True
-                new = [field.zero()] * len(paths[(x, g)])
-                for i, a in enumerate(vec):
-                    if a:
-                        q = plist[i] + (name,)
-                        if len(q) > cap:
-                            ok = False
-                            break
-                        new[index[(x, g)][q]] = a
-                if ok:
-                    work.append(((x, g), tuple(new)))
-            if g == x:
-                ok = True
-                new = [field.zero()] * len(paths[(s, y)])
-                for i, a in enumerate(vec):
-                    if a:
-                        q = (name,) + plist[i]
-                        if len(q) > cap:
-                            ok = False
-                            break
-                        new[index[(s, y)][q]] = a
-                if ok:
-                    work.append(((s, y), tuple(new)))
-
-    # finiteness: every path of full length cap must die in the ideal
-    for (x, y), plist in paths.items():
-        for p in plist:
-            if len(p) == cap:
-                vec = [field.zero()] * len(plist)
-                vec[index[(x, y)][p]] = field.one()
-                if not spans[(x, y)].contains(tuple(vec)):
-                    raise FinitenessError(
-                        f"path {'*'.join(reversed(p))} of length {cap} does not reduce "
-                        f"to 0; cannot certify finite Hom spaces at bound {bound}")
-
-    comps = {key: ComplementData(spans[key].basis_matrix()) for key in paths}
-    hom = {}
-    labels = {}
-    basis_paths = {}
-    for x in objects:
-        for y in objects:
-            key = (x, y)
-            surviving = [paths[key][i] for i in comps[key].free]
-            for p in surviving:
-                if len(p) == cap:
-                    raise VerificationFailed("certified-dead path survived reduction")
-            names = []
-            for p in surviving:
-                names.append(f"e{x}" if not p else "*".join(reversed(p)))
-            if len(set(names)) != len(names):
-                raise UnresolvedName(f"colliding basis labels in Hom({x},{y})")
-            hom[key] = tuple(names)
-            labels[key] = names
-            basis_paths[key] = surviving
-    comp_tables = {}
-    for x in objects:
-        for y in objects:
-            if not hom[(x, y)]:
-                continue
-            for z in objects:
-                if not hom[(y, z)]:
-                    continue
-                table = []
-                for p in basis_paths[(x, y)]:
-                    row = []
-                    for q in basis_paths[(y, z)]:
-                        concat = p + q
-                        if len(concat) > bound:
-                            row.append((0,) * len(hom[(x, z)]))
-                            continue
-                        vec = [field.zero()] * len(paths[(x, z)])
-                        vec[index[(x, z)][concat]] = field.one()
-                        reduced = comps[(x, z)].proj.mul_vec(tuple(vec))
-                        row.append(reduced)
-                    table.append(row)
-                comp_tables[(x, y, z)] = table
-    identities = {x: comps[(x, x)].proj.mul_vec(
-        tuple(field.one() if i == index[(x, x)][()] else field.zero()
-              for i in range(len(paths[(x, x)])))) for x in objects}
-    comp_full = {}
-    for (x, y, z), table in comp_tables.items():
-        comp_full[(x, y, z)] = tuple(tuple(tuple(v) for v in row) for row in table)
-    cat = FiniteKCategory(field, objects, hom, comp_full, identities,
-                          paths=basis_paths)
-    return cat
-
-
 def build_table_category(field, decl):
     objects = []
     hom = {}
@@ -831,7 +649,7 @@ def build_table_category(field, decl):
                 pair = (x, y)
             elif pair != (x, y):
                 raise UnresolvedName("linear combination mixes Hom spaces")
-            acc[i] = field.add(acc.get(i, field.zero()), field.of(coeff))
+            acc[i] = field.add(acc.get(i, field.zero()), coefficient(field, coeff))
         if pair is None:
             raise UnresolvedName("empty linear combination needs a Hom space")
         vec = [field.zero()] * len(hom[pair])
@@ -1009,7 +827,7 @@ class Workspace:
                     pair = (x, y)
                 elif pair != (x, y):
                     raise UnresolvedName(f"ideal {decl.name}: generator mixes Hom spaces")
-                acc[i] = field.add(acc.get(i, field.zero()), field.of(coeff))
+                acc[i] = field.add(acc.get(i, field.zero()), coefficient(field, coeff))
             if pair is None:
                 continue
             vec = [field.zero()] * cat.dim(*pair)
@@ -1046,7 +864,10 @@ class Workspace:
 def _given_matrix(field, rows, shape, what):
     """A matrix written in the file, which must have the expected shape;
     an empty matrix [[]] is the zero matrix of that shape."""
-    mat = Mat.from_rows(field, rows) if rows and rows[0] else Mat.zeros(field, *shape)
+    if rows and rows[0]:
+        mat = Mat.from_rows(field, [[coefficient(field, v) for v in row] for row in rows])
+    else:
+        mat = Mat.zeros(field, *shape)
     if mat.shape != shape:
         raise UnresolvedName(f"{what} has shape {mat.shape}, expected {shape}")
     return mat
@@ -1326,7 +1147,7 @@ def _run_files(paths, override, options, json_out):
                 source = fh.read()
             ws_file = parse(source)
             workspace = Workspace(ws_file, field_override=override)
-        except (OSError, UnicodeDecodeError, ZeroDivisionError, *INPUT_ERRORS) as exc:
+        except (OSError, UnicodeDecodeError, *INPUT_ERRORS) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             codes.append(1)
             continue

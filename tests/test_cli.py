@@ -339,6 +339,40 @@ def test_bad_input_is_named_and_exits_1(name, tmp_path, capsys):
     assert captured.err.startswith(f"{path}: {message}")
 
 
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    src = "category C over Q\nquiver\nobject s\narrow x: s -> s\nrel 1/0*x*x = 0\n"
+    with pytest.raises(ParseError, match="line 5, column 5: zero denominator in '1/0'"):
+        parse(src)
+    path = tmp_path / "bad.kcat"
+    path.write_text(src)
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}: line 5, column 5: zero denominator in '1/0'\n"
+
+
+DUAL_GF5 = DUAL_SRC.replace("GF(32003)", "GF(5)")
+
+# a coefficient whose denominator is a multiple of p, at each place one is read
+VANISHING_DENOMINATORS = {
+    "rel": DUAL_GF5 + "rel 1/5*x*x*x = 0\n",
+    "act": DUAL_GF5 + "module S over D left\ndim s = 1\nact x = [[1/5]]\n",
+    "comp": TABLE_SRC.replace("over Q", "over GF(5)").replace("comp e*e = e",
+                                                              "comp e*e = 1/5*e"),
+    "ideal": DUAL_GF5 + "ideal I in D gens: 1/5*x\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANISHING_DENOMINATORS))
+def test_denominator_that_vanishes_in_gf_p_exits_1(name, tmp_path, capsys):
+    path = tmp_path / "bad.kcat"
+    path.write_text(VANISHING_DENOMINATORS[name])
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}: coefficient 1/5 is not defined in GF(5): "
+                            "its denominator vanishes\n")
+
+
 @pytest.mark.parametrize("field", [[], ["--field", "gf:2"], ["--field", "gf:3"]],
                          ids=["default", "gf2", "gf3"])
 def test_cli_verify_oracle(tmp_path, capsys, field):
@@ -552,6 +586,22 @@ def test_bare_value_error_while_building_gives_exit_4(monkeypatch, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: internal error: ValueError: not enough values to unpack\n"
+
+
+def test_zero_division_while_building_gives_exit_4(monkeypatch, tmp_path, capsys):
+    import homcat.cli as cli_mod
+
+    def broken(cat, gens):
+        raise ZeroDivisionError("inverse of 0")
+
+    # bad input never divides by zero, so a ZeroDivisionError is a bug
+    monkeypatch.setattr(cli_mod, "ideal_from_generators", broken)
+    path = tmp_path / "ws.kcat"
+    path.write_text(A2_SRC + "ideal I in A2 gens: a\ntask validate A2\n")
+    assert main([str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: internal error: ZeroDivisionError: inverse of 0\n"
 
 
 def test_internal_error_in_task_gives_exit_4(monkeypatch, tmp_path, capsys):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from homcat.cli import build_quiver_category
+from homcat.certify import build_quiver_category
 from homcat.exactla import Field, complex_cohomology_dims
 from homcat.ideals import ideal_from_generators
 from homcat.kcat import FiniteKCategory, enveloping

@@ -15,7 +15,7 @@ from homcat.ideals import (
     ideal_from_generators, representable_ideal_module, triangular_ideal, whole_ideal,
     zero_ideal,
 )
-from homcat.cli import build_quiver_category
+from homcat.certify import build_quiver_category
 from homcat.modcat import (
     CatModule, ModuleMap, ext, projective_resolution, quotient_representable,
     regular_bimodule, representable, simple,
