@@ -688,8 +688,8 @@ def complex_cohomology_dims(space_dims, diffs, upto):
 class EchelonSpace:
     """A growing subspace of K^n kept in reduced echelon form.
 
-    Used for two-sided-ideal saturation and for greedy module generator
-    searches, where membership tests and insertions alternate heavily.
+    Used for two-sided-ideal saturation and for the module generator
+    search, where membership tests and insertions alternate heavily.
     `rows` maps each pivot column to its basis row, a sparse row with
     entry 1 at the pivot and 0 at every other pivot.  The rows are
     updated in place, so none is handed out.

@@ -17,11 +17,13 @@ factor with an identity in the other.
 Resolutions are presentations by projective summands: a term is a finite
 coproduct of summands C(x,-) o e cut out of representables by the
 orthogonal identity decompositions the category carries, and a
-differential is the list of generator images in the previous term.  Ext
-complexes then come out of the Yoneda identification
-Hom(C(x,-) o e, N) = e-invariants of N(x), and Tor complexes are the Ext
-complexes into the linear dual, which keeps the cochain spaces small, the
-covers minimal, and all bases canonical.
+differential is the list of generator images in the previous term.  One
+generator search, a minimal generating set split along the identity
+summands, gives every cover: the terms of a resolution and the cover that
+the projectivity test splits.  Ext complexes then come out of the Yoneda
+identification Hom(C(x,-) o e, N) = e-invariants of N(x), and Tor
+complexes are the Ext complexes into the linear dual, which keeps the
+cochain spaces small, the covers minimal, and all bases canonical.
 """
 
 from __future__ import annotations
@@ -211,20 +213,34 @@ def representable(c, x, side="left"):
 def simple(c, x, side="left"):
     """The one-dimensional module supported at x.
 
-    The scalar through which End(x) acts is trace/dim of left
-    multiplication, which is the correct algebra map exactly when End(x)
-    is local (identity plus nilpotents); anything else fails validation.
+    End(x) acts through the scalar s of a = s * 1 + (nilpotent), which
+    exists exactly when End(x) is local; anything else fails validation.
+    s is trace/d of the left multiplication L_a, d = dim End(x), unless d
+    vanishes in K = GF(p): then L_a^q = s * 1 for the least power q >= d
+    of p, since (s * 1 + n)^q = s^q * 1 = s * 1.
     """
     f = c.field
     d = c.dim(x, x)
     scalars = []
     for i in range(d):
         post = c.post_matrix_basis(x, x, x, i)
-        tr = f.zero()
-        for k, row in enumerate(post.nz):
-            if k in row:
-                tr = f.add(tr, row[k])
-        scalars.append(f.div(tr, f.of(d)))
+        if f.p and d % f.p == 0:
+            q = f.p
+            while q < d:
+                q *= f.p
+            power = post
+            for _ in range(q - 1):
+                power = power.mul(post)
+            s = power.nz[0].get(0, f.zero())
+            if power != Mat.identity(f, d).scale(s):
+                raise InvalidModule(f"no simple module supported at {x}: End({x}) is not local")
+        else:
+            tr = f.zero()
+            for k, row in enumerate(post.nz):
+                if k in row:
+                    tr = f.add(tr, row[k])
+            s = f.div(tr, f.of(d))
+        scalars.append(s)
     dims = {y: 1 if y == x else 0 for y in c.objects}
     act = {(x, x, i): Mat.from_rows(f, [[s]]) for i, s in enumerate(scalars)}
     try:
@@ -300,10 +316,13 @@ def restrict_module(m, fun):
 # ---------------------------------------------------------------------------
 # submodules, quotients, generators
 
-def _orbit_closure(m, seeds):
-    """Echelon spans of the submodule generated by (object, vector) seeds."""
+def _orbit_closure(m, seeds, spaces=None):
+    """Echelon spans of the submodule generated by (object, vector) seeds,
+    grown in place from `spaces` when given (they must already span a
+    submodule)."""
     c = m.base
-    spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
+    if spaces is None:
+        spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     out_arrows = {x: [] for x in c.objects}
     for x in c.objects:
         for y in c.objects:
@@ -320,39 +339,6 @@ def _orbit_closure(m, seeds):
         for y, mat in out_arrows[x]:
             work.append((y, mat.mul_vec(vec)))
     return spaces
-
-
-def module_generators(m):
-    """An irredundant generating set [(object, vector)], deterministic in
-    the object and basis orders.  Greedy collection followed by
-    redundancy pruning; over a finite-dimensional category irredundant
-    generating sets are minimal (Nakayama), which keeps resolutions from
-    ballooning."""
-    c = m.base
-    spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
-    gens = []
-    for x in c.objects:
-        for b in range(m.dims[x]):
-            e = unit_vector(c.field, m.dims[x], b)
-            if spaces[x].contains(e):
-                continue
-            gens.append((x, e))
-            grown = _orbit_closure(m, [(x, e)])
-            for y in c.objects:
-                for row in grown[y].rows.values():
-                    spaces[y].add(row)
-    # prune: earlier generators may become redundant once later ones are in
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens) - 1, -1, -1):
-            others = gens[:i] + gens[i + 1:]
-            closure = _orbit_closure(m, others)
-            x, vec = gens[i]
-            if closure[x].contains(vec):
-                gens.pop(i)
-                changed = True
-    return gens
 
 
 def submodule_module(m, spans):
@@ -797,39 +783,42 @@ def _split_module(c, summands):
     return CatModule(c, "left", dims, act, check=False)
 
 
-def _free_module(c, gen_objects):
-    dims = {y: sum(c.dim(xj, y) for xj in gen_objects) for y in c.objects}
-    act = {}
-    for y in c.objects:
-        for z in c.objects:
-            for i in range(c.dim(y, z)):
-                blocks = [c.post_matrix_basis(xj, y, z, i) for xj in gen_objects]
-                act[(y, z, i)] = block_diag(c.field, blocks, dims[z], dims[y])
-    return CatModule(c, "left", dims, act, check=False)
-
-
 def minimal_split_generators(m):
-    """Generators split along the identity summands of their objects and
-    pruned to an irredundant (hence minimal) homogeneous set.  Returns
-    [(object, idempotent coords, component vector)]."""
+    """A minimal generating set split along the identity summands,
+    [(object, idempotent coords, component vector)], deterministic in the
+    object, basis and summand orders.
+
+    A greedy pass keeps each component e.b of a basis vector b that is not
+    yet in the span of those kept, growing that span in place; one
+    backward pass then drops each component in the closure of the others.
+    A component kept at step i is outside the closure of a superset of the
+    final others, so the set is irredundant, hence minimal over a
+    finite-dimensional category (Nakayama)."""
     c = m.base
+    spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     comps = []
-    for x, vec in module_generators(m):
-        for e in c.identity_summands[x]:
-            comp = m.act_vec(x, x, e).mul_vec(vec)
-            if any(comp):
-                comps.append((x, e, comp))
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps) - 1, -1, -1):
-            others = [(x, v) for k, (x, _, v) in enumerate(comps) if k != i]
-            closure = _orbit_closure(m, others)
-            x, _, vec = comps[i]
-            if closure[x].contains(vec):
-                comps.pop(i)
-                changed = True
+    for x in c.objects:
+        cuts = [(e, m.act_vec(x, x, e)) for e in c.identity_summands[x]]
+        for b in range(m.dims[x]):
+            for e, cut in cuts:
+                comp = cut.col(b)
+                if not spaces[x].contains(comp):
+                    comps.append((x, e, comp))
+                    _orbit_closure(m, [(x, comp)], spaces)
+    for i in range(len(comps) - 1, -1, -1):
+        others = [(y, v) for k, (y, _, v) in enumerate(comps) if k != i]
+        x, _, vec = comps[i]
+        if _orbit_closure(m, others)[x].contains(vec):
+            comps.pop(i)
     return comps
+
+
+def _cover(m):
+    """P_0 -> m on the split summands of a minimal generating set of m, as
+    a resolution of length 0."""
+    comps = minimal_split_generators(m)
+    return FreeResolution(m.base, m, [[(x, e) for x, e, _ in comps]],
+                          [[v for *_, v in comps]])
 
 
 def projective_resolution(m, length):
@@ -838,10 +827,8 @@ def projective_resolution(m, length):
     if m.side != "left":
         raise BaseMismatch("resolutions are computed for left modules; transport first")
     c = m.base
-    comps = minimal_split_generators(m)
-    gens = [[(x, e) for x, e, _ in comps]]
-    images = [[v for *_, v in comps]]
-    res = FreeResolution(c, m, gens, images)
+    res = _cover(m)
+    gens, images = res.gens, res.images
     for k in range(1, length + 1):
         if not gens[k - 1]:
             gens.append([])
@@ -983,25 +970,18 @@ def tor(n, m, max_deg=4, res=None):
 
 
 def is_projective(m):
-    """Splitting test: cover m by representables on a generating set and
-    look for a natural section of the cover among Hom(m, cover) (an
-    epimorphism from a projective splits exactly when the target is
-    projective)."""
+    """Splitting test: cover m by the split summands of its minimal
+    generating set and look for a natural section of the cover among
+    Hom(m, cover) (an epimorphism from a projective splits exactly when
+    the target is projective)."""
     if m.is_zero():
         return True
     work = m if m.side == "left" else as_left_over_op(m)
     c = work.base
     f = c.field
-    gens = module_generators(work)
-    p = _free_module(c, [x for x, _ in gens])
-    eps = {}
-    for y in c.objects:
-        cols = []
-        for xj, img in gens:
-            for fi in range(c.dim(xj, y)):
-                cols.append(work.act_mat(xj, y, fi).mul_vec(img))
-        eps[y] = Mat.from_cols(f, cols, rows=work.dims[y])
-    cover = ModuleMap(p, work, eps, check=False)
+    top = _cover(work)
+    p = top.term(0)
+    cover = ModuleMap(p, work, {y: top.aug_matrix(y) for y in c.objects}, check=False)
     ident = ModuleMap(work, work, {y: Mat.identity(f, work.dims[y]) for y in c.objects},
                       check=False).flatten()
     # eps o (sum_k c_k sigma_k) = id is linear in the coefficients c_k

@@ -697,3 +697,29 @@ def test_closed_pipe_exits_quietly(tmp_path):
         assert proc.wait(timeout=120) == 141
     assert json.loads(first)["task"] == "validate"
     assert err == b""
+
+
+# dim End(1) = 2 for the loop x with x*x = 0, so the simple at 1 takes its
+# scalar from a power of the action when the characteristic is 2
+LOOP_IDEAL_SRC = """category C over GF(2)
+quiver
+object 1 2
+arrow x: 1 -> 1
+arrow a: 1 -> 2
+rel x*x = 0
+rel a*x = 0
+ideal I in C gens: a
+task ideal-check C I
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--field", "gf:3"]])
+def test_ideal_check_with_dim_end_divisible_by_the_characteristic(tmp_path, capsys, flags):
+    path = tmp_path / "loop.kcat"
+    path.write_text(LOOP_IDEAL_SRC)
+    assert main([str(path), "--json"] + flags) == 2
+    doc = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert doc["hypotheses"]["ideal_module_projective"] == {"1": True, "2": True}
+    assert doc["hypotheses"]["witness"] == {
+        "condition": "tor-vanishing-projective", "object": "2", "sample": "rep(1)",
+        "degree": 1, "dim": 1}

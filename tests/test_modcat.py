@@ -6,19 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from homcat.exactla import Field, Mat, unit_vector
+from homcat import modcat
+from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import (
-    enveloping, opposite, pair_object, tensor_category, unit_category,
+    Bimodule, InvalidModule, category_from_tables, enveloping, one_point_extension,
+    opposite, pair_object, tensor_category, triangular_matrix, unit_category,
 )
 from homcat.modcat import (
     BaseMismatch, CatModule, as_left_over_op, boxtimes,
     direct_sum, dualize, ext, hom_module, is_projective, module_hom,
-    minimal_split_generators, module_generators, outer_tensor,
+    minimal_split_generators, outer_tensor,
     projective_resolution, quotient_representable, random_module,
     regular_bimodule, representable, restrict_module, simple,
     swap_product_module, tensor_over_cat, tor, zero_module,
 )
-from homcat.ideals import ideal_from_generators, zero_ideal
+from homcat.certify import build_quiver_category
+from homcat.ideals import (ideal_from_generators, representable_ideal_module,
+                           triangular_ideal, zero_ideal)
 from homcat import zoo
 
 Q = Field.rationals()
@@ -99,6 +103,30 @@ def test_simple_dual_numbers_and_invalid():
     s = simple(d, "*")
     assert s.dims == {"*": 1}
     assert s.act_mat("*", "*", 1).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_simple_when_the_characteristic_divides_dim_end(p):
+    field = Field.gf(p)
+    d = zoo.dual_numbers(field)                 # dim End = 2
+    s = simple(d, "*")
+    assert s.dims == {"*": 1}
+    assert s.act_mat("*", "*", 0) == Mat.identity(field, 1)
+    assert s.act_mat("*", "*", 1).is_zero()
+    # End = K x K is not local, whatever the characteristic
+    kk = category_from_tables(field, ["*"], {("*", "*"): ("e", "f")},
+                              {("*", "*", "*"): [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+                              {"*": (1, 1)})
+    with pytest.raises(InvalidModule, match="no simple module supported at"):
+        simple(kk, "*")
+    # an object of dim End = 3, local: K[x]/(x^3)
+    trunc = category_from_tables(field, ["*"], {("*", "*"): ("e", "x", "xx")},
+                                 {("*", "*", "*"): [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                                    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                                                    [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]},
+                                 {"*": (1, 0, 0)})
+    t = simple(trunc, "*")
+    assert [t.act_mat("*", "*", i).nz for i in range(3)] == [({0: 1},), ({},), ({},)]
 
 
 def test_coyoneda_tensor():
@@ -227,6 +255,22 @@ def test_dualize_involution_and_dims():
     assert inj.dims == {"1": 1, "2": 1}
 
 
+def _triangular_family(field):
+    u = unit_category(field)
+    a2, d = zoo.a2(field), zoo.dual_numbers(field)
+    one = Mat.identity(field, 1)
+    k = Bimodule(u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): one}, {("*", "*", 0, "*"): one})
+    return [
+        triangular_matrix(u, u, k),
+        one_point_extension(a2, representable(a2, "1", "left")),
+        triangular_matrix(a2, u, Bimodule.from_right_module(
+            a2, representable(a2, "2", "right"), u)),
+        triangular_matrix(a2, a2, Bimodule.zero(a2, a2)),
+        one_point_extension(d, representable(d, "*", "left")),
+        one_point_extension(d, simple(d, "*")),
+    ]
+
+
 def test_is_projective():
     a2 = zoo.a2(Q)
     assert is_projective(representable(a2, "1", "left"))
@@ -236,6 +280,30 @@ def test_is_projective():
     assert is_projective(zero_module(a2))
     d = zoo.dual_numbers(Q)
     assert not is_projective(simple(d, "*"))
+    # identities that split: per object I(x,-), C/I(x,-), C(x,-), C(-,x)
+    # and D C(-,x) for the triangular ideal, as the cover by whole
+    # representables decided them
+    want = ["TTTTF", "TTTTF TTTTF", "TTTTF TTTTF", "TTTTF TTTTF TTTTF TTTTT",
+            "TTTTF", "TTTTF"]
+    for field in (Q, Field.gf(7), F):
+        for lam, verdicts in zip(_triangular_family(field), want):
+            assert all(len(lam.identity_summands[x]) > 1 for x in lam.objects)
+            ideal = triangular_ideal(lam)
+            got = []
+            for x in lam.objects:
+                modules = [representable_ideal_module(ideal, x),
+                           quotient_representable(lam, ideal, x),
+                           representable(lam, x), representable(lam, x, "right"),
+                           dualize(representable(lam, x, "right"))]
+                got.append("".join("T" if is_projective(m) else "F" for m in modules))
+            assert " ".join(got) == verdicts
+        a4 = build_quiver_category(field, ["1", "2", "3", "4"],
+                                   [(f"a{i}", str(i), str(i + 1)) for i in range(1, 4)], [], 5)
+        for c in (zoo.a3(field), a4):
+            for v in c.objects:
+                ideal = ideal_from_generators(c, [(v, v, c.id_coords(v))])
+                assert all(is_projective(representable_ideal_module(ideal, x))
+                           for x in c.objects)
 
 
 def test_outer_tensor_representables():
@@ -380,7 +448,6 @@ def test_minimal_generators_of_free_module():
     two = direct_sum([reg, reg])
     gens = minimal_split_generators(two)
     assert len(gens) == 2
-    assert len(module_generators(two)) == 2
 
 
 def test_resolution_independence_of_ext():
@@ -577,3 +644,110 @@ def test_outer_tensor_rejects_a_product_of_other_factors():
             outer_tensor(m, n, product)
     with pytest.raises(BaseMismatch):
         outer_tensor(n, m)
+
+
+# -- one generator search: the two-stage search as a differential oracle ----
+
+def _closure(m, seeds):
+    """Echelon spans of the submodule generated by (object, vector) seeds,
+    by breadth-first images under every basis morphism."""
+    c = m.base
+    spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
+    work = list(seeds)
+    while work:
+        x, vec = work.pop()
+        if not spaces[x].add(vec):
+            continue
+        for y in c.objects:
+            for i in range(c.dim(x, y) if m.side == "left" else c.dim(y, x)):
+                if m.side == "left":
+                    work.append((y, m.act_mat(x, y, i).mul_vec(vec)))
+                else:
+                    work.append((y, m.act_mat(y, x, i).mul_vec(vec)))
+    return spaces
+
+
+def _prune_until_stable(m, items):
+    """Drop, last first, each item in the closure of the others; repeat
+    until a pass drops nothing.  Items end with (object, ..., vector)."""
+    changed = True
+    while changed and len(items) > 1:
+        changed = False
+        for i in range(len(items) - 1, -1, -1):
+            others = [(t[0], t[-1]) for k, t in enumerate(items) if k != i]
+            if _closure(m, others)[items[i][0]].contains(items[i][-1]):
+                items.pop(i)
+                changed = True
+    return items
+
+
+def _two_stage_generators(m):
+    """The earlier generator search: greedy unit vectors, pruning, then a
+    split along the identity summands and pruning again."""
+    c = m.base
+    spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
+    gens = []
+    for x in c.objects:
+        for b in range(m.dims[x]):
+            e = unit_vector(c.field, m.dims[x], b)
+            if spaces[x].contains(e):
+                continue
+            gens.append((x, e))
+            for y, space in _closure(m, [(x, e)]).items():
+                for row in space.rows.values():
+                    spaces[y].add(row)
+    comps = []
+    for x, vec in _prune_until_stable(m, gens):
+        for e in c.identity_summands[x]:
+            comp = m.act_vec(x, x, e).mul_vec(vec)
+            if any(comp):
+                comps.append((x, e, comp))
+    return _prune_until_stable(m, comps)
+
+
+def _generator_cases(field, rng):
+    """Left modules over the zoo, A_3, triangular categories (whose
+    identities split), and C^e, plus nonzero seeded random draws."""
+    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
+    triangular = _triangular_family(field)
+    for cat in cats + triangular:
+        for x in cat.objects:
+            yield representable(cat, x, "left")
+            yield as_left_over_op(representable(cat, x, "right"))
+            try:
+                yield simple(cat, x)
+            except InvalidModule:
+                pass
+        for _ in range(3):
+            yield _nonzero(cat, rng, "left")
+    for cat in cats[2:] + triangular[1:2]:
+        yield regular_bimodule(cat)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_generator_search_matches_the_two_stage_search(field, monkeypatch):
+    rng = random.Random(71 + field.p)
+    searched = []
+
+    def recording(m):
+        searched.append(m)
+        return minimal_split_generators(m)
+
+    # every module a resolution searches, the kernels included
+    monkeypatch.setattr(modcat, "minimal_split_generators", recording)
+    for m in _generator_cases(field, rng):
+        projective_resolution(m, 2)
+    monkeypatch.undo()
+    assert len(searched) > 100
+    split = 0
+    for m in searched:
+        got = minimal_split_generators(m)
+        assert got == _two_stage_generators(m)
+        c = m.base
+        split += any(len(c.identity_summands[x]) > 1 for x, _, _ in got)
+        spans = _closure(m, [(x, v) for x, _, v in got])
+        assert all(spans[x].dim == m.dims[x] for x in c.objects)
+        for i, (x, _, vec) in enumerate(got):
+            others = [(y, v) for k, (y, _, v) in enumerate(got) if k != i]
+            assert not _closure(m, others)[x].contains(vec)
+    assert split > 35
