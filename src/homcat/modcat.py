@@ -214,16 +214,17 @@ def simple(c, x, side="left"):
     """The one-dimensional module supported at x.
 
     End(x) acts through the scalar s of a = s * 1 + (nilpotent), which
-    exists exactly when End(x) is local; anything else fails validation.
-    s is trace/d of the left multiplication L_a, d = dim End(x), unless d
-    vanishes in K = GF(p): then L_a^q = s * 1 for the least power q >= d
-    of p, since (s * 1 + n)^q = s^q * 1 = s * 1.
+    exists exactly when End(x) is local: s must be an algebra map, which
+    validation checks, with a nilpotent kernel, checked first.  s is trace/d
+    of the left multiplication L_a, d = dim End(x), unless d vanishes in
+    K = GF(p): then L_a^q = s * 1 for the least power q >= d of p, since
+    (s * 1 + n)^q = s^q * 1 = s * 1.
     """
     f = c.field
     d = c.dim(x, x)
+    posts = [c.post_matrix_basis(x, x, x, i) for i in range(d)]
     scalars = []
-    for i in range(d):
-        post = c.post_matrix_basis(x, x, x, i)
+    for post in posts:
         if f.p and d % f.p == 0:
             q = f.p
             while q < d:
@@ -232,8 +233,6 @@ def simple(c, x, side="left"):
             for _ in range(q - 1):
                 power = power.mul(post)
             s = power.nz[0].get(0, f.zero())
-            if power != Mat.identity(f, d).scale(s):
-                raise InvalidModule(f"no simple module supported at {x}: End({x}) is not local")
         else:
             tr = f.zero()
             for k, row in enumerate(post.nz):
@@ -241,6 +240,19 @@ def simple(c, x, side="left"):
                     tr = f.add(tr, row[k])
             s = f.div(tr, f.of(d))
         scalars.append(s)
+    # the powers of a nilpotent kernel of dimension < d vanish by the d-th
+    kern = kernel_basis(Mat.from_rows(f, [scalars]))
+    power = [kern.col(k) for k in range(kern.cols)]
+    for _ in range(d):
+        space = EchelonSpace(f, d)
+        for v in power:
+            times_v = Mat.from_cols(f, [post.mul_vec(v) for post in posts], rows=d)
+            for k in range(kern.cols):
+                space.add(times_v.mul_vec(kern.col(k)))
+        basis = space.basis_matrix()
+        power = [basis.col(k) for k in range(basis.cols)]
+    if power:
+        raise InvalidModule(f"no simple module supported at {x}: End({x}) is not local")
     dims = {y: 1 if y == x else 0 for y in c.objects}
     act = {(x, x, i): Mat.from_rows(f, [[s]]) for i, s in enumerate(scalars)}
     try:

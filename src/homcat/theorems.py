@@ -19,7 +19,7 @@ from .kcat import enveloping, opposite, opposite_functor, pair_object, quotient_
     tensor_functor, triangular_matrix, one_point_extension
 from .ideals import is_idempotent, opposite_ideal, representable_ideal_module, triangular_ideal
 from .modcat import (
-    BaseMismatch, ModuleMap, dualize, ext, ext_data,
+    ModuleMap, as_right_over_op, dualize, ext, ext_data,
     ideal_bimodule, is_projective, module_hom, projective_resolution,
     quotient_representable, regular_bimodule, representable, restrict_module,
     simple, tor, InvalidModule,
@@ -39,10 +39,6 @@ class ResolutionTooShort(ValueError):
 
 
 class ZeroModule(ValueError):
-    pass
-
-
-class SampleBaseMismatch(BaseMismatch):
     pass
 
 
@@ -126,15 +122,9 @@ class _CohomologyData:
             if n == 0:
                 bnd_in_z = Mat.zeros(field, z.cols, 0)
             else:
-                img_cols = []
-                prev = diffs[n - 1]
-                for k in range(prev.cols):
-                    img_cols.append(prev.col(k))
-                img = Mat.from_cols(field, img_cols, rows=dims[n])
-                coords = solve(z, img)
-                if coords is None:
+                bnd_in_z = solve(z, diffs[n - 1])
+                if bnd_in_z is None:
                     raise VerificationFailed("boundaries are not cocycles")
-                bnd_in_z = coords
             comp = ComplementData(bnd_in_z)
             self.cocycles.append(z)
             self.class_proj.append(comp)
@@ -289,44 +279,35 @@ def default_quotient_samples(b):
     return samples
 
 
-def strongly_idempotent_check(c, ideal, max_deg=4, samples=None, _mirror=True):
+def strongly_idempotent_check(c, ideal, max_deg=4):
     """Vanishing checks characterizing strong idempotency, run degreewise
-    up to max_deg on sample modules over the quotient (and mirrored on
-    the opposite category).  Samples may be plain modules or
-    (name, module, is_projective) triples."""
-    b, phi = quotient_category(c, ideal)
-    if samples is None:
-        samples = default_quotient_samples(b)
-    else:
-        samples = [s if isinstance(s, tuple) else (f"sample{i}", s, False)
-                   for i, s in enumerate(samples)]
+    up to max_deg on sample modules over the quotient, on C and mirrored
+    on C^op ("op:" rows).
+
+    Only the quotient representables C/I(x,-) over C and over C^op are
+    resolved, once each.  Ext(C/I(x,-), M) reads the resolution on the
+    sample's side.  Tor(C/I(-,x), M) reads the other side's, since
+    C/I(-,x) over C is C^op/I^op(x,-) over C^op and Tor is balanced:
+    Tor^C_n(N, M) = Tor^{C^op}_n(M, N) (Weibel, An Introduction to
+    Homological Algebra, Thm 2.7.2)."""
+    c_op = opposite(c)
+    sides = [(c, ideal, ""), (c_op, opposite_ideal(ideal, c_op), "op:")]
+    resolved = [{x: projective_resolution(quotient_representable(cat, i, x), max_deg + 1)
+                 for x in c.objects} for cat, i, _ in sides]
     report = CheckReport(max_deg)
-    pulled = []
-    for name, sample, projective in samples:
-        if sample.base != b or sample.side != "left":
-            raise SampleBaseMismatch(f"sample {name} is not a left module over the quotient")
-        pulled.append((name, restrict_module(sample, phi), projective))
-    quotients = []
-    for x in c.objects:
-        q_left = quotient_representable(c, ideal, x, "left")
-        quotients.append((x, q_left, projective_resolution(q_left, max_deg + 1),
-                          quotient_representable(c, ideal, x, "right")))
-    for name, module, projective in pulled:
-        res = projective_resolution(module, max_deg + 1)
-        for x, q_left, q_res, q_right in quotients:
-            dims = ext(q_left, module, max_deg, res=q_res)[1:]
-            report.record("ext-vanishing", x, name, dims)
-            tor_dims = tor(q_right, module, max_deg, res=res)[1:]
-            condition = "tor-vanishing-projective" if projective else "tor-vanishing"
-            report.record(condition, x, name, tor_dims)
-    if _mirror:
-        c_op = opposite(c)
-        ideal_op = opposite_ideal(ideal, c_op)
-        mirror = strongly_idempotent_check(c_op, ideal_op, max_deg, _mirror=False)
-        for cond, x, s, dims, ok in mirror.rows:
-            report.rows.append((f"op:{cond}", x, s, dims, ok))
-            if not ok and report.witness is None:
-                report.witness = mirror.witness
+    for s, (cat, i, prefix) in enumerate(sides):
+        other = sides[1 - s][0]
+        b, phi = quotient_category(cat, i)
+        for name, sample, projective in default_quotient_samples(b):
+            module = restrict_module(sample, phi)
+            as_right = as_right_over_op(module, other)
+            for x in c.objects:
+                q_res, q_other = resolved[s][x], resolved[1 - s][x]
+                report.record(prefix + "ext-vanishing", x, name,
+                              ext(q_res.module, module, max_deg, res=q_res)[1:])
+                condition = "tor-vanishing-projective" if projective else "tor-vanishing"
+                report.record(prefix + condition, x, name,
+                              tor(as_right, q_other.module, max_deg, res=q_other)[1:])
     return report
 
 

@@ -13,7 +13,7 @@ from homcat.kcat import (
     opposite, pair_object, tensor_category, triangular_matrix, unit_category,
 )
 from homcat.modcat import (
-    BaseMismatch, CatModule, as_left_over_op, boxtimes,
+    BaseMismatch, CatModule, as_left_over_op, as_right_over_op, boxtimes,
     direct_sum, dualize, ext, hom_module, is_projective, module_hom,
     minimal_split_generators, outer_tensor,
     projective_resolution, quotient_representable, random_module,
@@ -127,6 +127,16 @@ def test_simple_when_the_characteristic_divides_dim_end(p):
                                  {"*": (1, 0, 0)})
     t = simple(trunc, "*")
     assert [t.act_mat("*", "*", i).nz for i in range(3)] == [({0: 1},), ({},), ({},)]
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), Field.gf(5)], ids=repr)
+def test_simple_rejects_a_non_local_end_in_every_characteristic(field):
+    # End([*;*]) of [K 0; K K] is 3-dimensional and not local; over GF(2)
+    # trace/3 is still an algebra map, but its kernel is not nilpotent
+    lam = _triangular_family(field)[0]
+    assert lam.objects == ("[*;*]",) and lam.dim("[*;*]", "[*;*]") == 3
+    with pytest.raises(InvalidModule, match="not local"):
+        simple(lam, "[*;*]")
 
 
 def test_coyoneda_tensor():
@@ -548,6 +558,20 @@ def _nonzero(cat, rng, side):
         m = random_module(cat, rng, side)
         if not m.is_zero():
             return m
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_tor_is_balanced(field):
+    # Tor^C(N, M) = Tor^{C^op}(M, N): the strong-idempotency check reads
+    # its Tor rows from the resolutions on the other side
+    rng = random.Random(83 + field.p)
+    for cat in (list(zoo.standard_categories(field).values())
+                + [zoo.random_two_object(field, s) for s in range(2)]):
+        c_op = opposite(cat)
+        for _ in range(2):
+            n, m = _nonzero(cat, rng, "right"), _nonzero(cat, rng, "left")
+            assert tor(n, m, 3) == tor(as_right_over_op(m, c_op),
+                                       as_left_over_op(n, c_op), 3), (field, cat.objects)
 
 
 def _regular_cases(field, rng):

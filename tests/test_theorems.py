@@ -8,22 +8,22 @@ import pytest
 import homcat
 from homcat.exactla import Field, Mat
 from homcat.kcat import (
-    Bimodule, enveloping, one_point_extension,
+    Bimodule, enveloping, one_point_extension, opposite, quotient_category,
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
-    ideal_from_generators, representable_ideal_module, triangular_ideal, whole_ideal,
-    zero_ideal,
+    ideal_from_generators, opposite_ideal, representable_ideal_module, triangular_ideal,
+    whole_ideal, zero_ideal,
 )
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, ext, projective_resolution, quotient_representable,
-    regular_bimodule, representable, simple,
+    CatModule, ModuleMap, as_left_over_op, ext, projective_resolution, quotient_representable,
+    regular_bimodule, representable, restrict_module, simple, tor,
 )
 from homcat.theorems import (
-    HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule, audit_hypotheses,
-    canonical_ses, cmp_pipeline, happel_pipeline, les_from_ses,
-    strongly_idempotent_check, theorem_les_pipeline,
+    CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule,
+    audit_hypotheses, canonical_ses, cmp_pipeline, default_quotient_samples, happel_pipeline,
+    les_from_ses, strongly_idempotent_check, theorem_les_pipeline,
 )
 from homcat import zoo
 
@@ -386,3 +386,70 @@ def test_one_sided_ext_table_matches_fresh_ext(p, monkeypatch):
             table = report.identifications["one_sided_ext_table"]
             assert list(table) == list(fresh)
             assert table == fresh
+
+
+def _reference_check(c, ideal, max_deg, mirror=True):
+    """The strong-idempotency check without the balance route: every
+    pulled-back sample is resolved for its Tor rows against C/I(-,x), and
+    the whole check reruns on C^op for the "op:" rows."""
+    b, phi = quotient_category(c, ideal)
+    report = CheckReport(max_deg)
+    quotients = [(x, projective_resolution(quotient_representable(c, ideal, x), max_deg + 1),
+                  quotient_representable(c, ideal, x, "right")) for x in c.objects]
+    for name, sample, projective in default_quotient_samples(b):
+        module = restrict_module(sample, phi)
+        res = projective_resolution(module, max_deg + 1)
+        for x, q_res, q_right in quotients:
+            report.record("ext-vanishing", x, name,
+                          ext(q_res.module, module, max_deg, res=q_res)[1:])
+            condition = "tor-vanishing-projective" if projective else "tor-vanishing"
+            report.record(condition, x, name, tor(q_right, module, max_deg, res=res)[1:])
+    if mirror:
+        c_op = opposite(c)
+        op = _reference_check(c_op, opposite_ideal(ideal, c_op), max_deg, mirror=False)
+        for cond, x, s, dims, ok in op.rows:
+            report.rows.append((f"op:{cond}", x, s, dims, ok))
+            if not ok and report.witness is None:
+                report.witness = op.witness
+    return report
+
+
+def _single_morphism_ideals(c):
+    """The zero ideal and the ideal of every single basis morphism."""
+    yield zero_ideal(c)
+    for x in c.objects:
+        for y in c.objects:
+            for i in range(c.dim(x, y)):
+                coords = tuple(1 if j == i else 0 for j in range(c.dim(x, y)))
+                yield ideal_from_generators(c, [(x, y, coords)])
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_check_matches_the_per_sample_reference(p):
+    field = Field.gf(p) if p else Q
+    failing = 0
+    for c in (zoo.kronecker(field), zoo.dual_numbers(field),
+              zoo.random_two_object(field, p % 4), zoo.a3(field)):
+        for ideal in _single_morphism_ideals(c):
+            got = strongly_idempotent_check(c, ideal, 2)
+            want = _reference_check(c, ideal, 2)
+            assert got.rows == want.rows
+            assert got.witness == want.witness
+            failing += not got.passed
+    assert failing
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_check_resolves_each_quotient_representable_once_per_side(p, monkeypatch):
+    field = Field.gf(p) if p else Q
+    a3 = zoo.a3(field)
+    calls = count_resolutions(monkeypatch)
+    for ideal in (zero_ideal(a3), ideal_from_generators(a3, [("1", "2", (1,))])):
+        calls.clear()
+        strongly_idempotent_check(a3, ideal, 2)
+        assert len(calls) == 2 * len(a3.objects)
+        a3_op = opposite(a3)
+        assert calls == (
+            [quotient_representable(a3, ideal, x) for x in a3.objects]
+            + [as_left_over_op(quotient_representable(a3, ideal, x, "right"), a3_op)
+               for x in a3.objects])
