@@ -192,7 +192,7 @@ class Mat:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.nz = tuple(_sparse(field, row) for row in data)
+        self.nz = tuple(sparse_row(field, row) for row in data)
 
     @classmethod
     def from_sparse(cls, field, rows, cols, nz):
@@ -229,7 +229,7 @@ class Mat:
             rows = 0
         nz = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
-            for i, x in _sparse(field, col).items():
+            for i, x in sparse_row(field, col).items():
                 nz[i][j] = x
         return cls.from_sparse(field, rows, len(cols), tuple(nz))
 
@@ -353,7 +353,7 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _sparse(field, vec):
+def sparse_row(field, vec):
     """The nonzero entries of a dense vector as column -> canonical value."""
     of = field.of
     out = {}

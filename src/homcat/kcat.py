@@ -11,6 +11,19 @@ identity coordinate vectors.  Conventions used throughout the package:
   * categories are validated eagerly -- an invalid composition table is
     rejected at construction, never repaired.
 
+Beside the dense table a category keeps one sparse view of it, built once
+on first use: basis_row(x,y,z,i,j) is g_j o f_i as {k: coefficient} with
+keys ascending and no zero, the `Mat.nz` form.  Validation (unit laws,
+associativity, identity summands), `compose` and the pre/post-composition
+matrices read the view, so they cost nonzero structure constants, not
+dense vectors.
+
+A tensor product category A tensor B (C^e = C^op tensor C among them)
+keeps no table at all (`comp` is None): basis index ic * dim + id pairs
+the factors' bases, composites are Kronecker products of the factors'
+rows, its pre/post-composition matrices are `kron`s of theirs, and its
+opposite is A^op tensor B^op.
+
 Tensor products, opposites, enveloping categories, quotients by ideals,
 triangular matrix categories and one-point extensions are all built here.
 """
@@ -18,7 +31,7 @@ triangular matrix categories and one-point extensions are all built here.
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, kron, unit_vector, vadd, vkron, vscale, vzero,
+    FieldMismatch, Mat, kron, sparse_row, unit_vector, vadd, vkron, vzero,
     ComplementData,
 )
 
@@ -83,7 +96,7 @@ class FiniteKCategory:
         self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
         for pair in [(x, y) for x in self.objects for y in self.objects]:
             self.hom_basis.setdefault(pair, ())
-        self.comp = comp
+        self.comp = comp             # None for a product category
         self.identity = identity
         self.product_of = product_of
         self.triangular = triangular
@@ -94,9 +107,14 @@ class FiniteKCategory:
         if identity_summands is None:
             identity_summands = {x: (identity[x],) for x in self.objects}
         self.identity_summands = identity_summands
+        self._rows = None            # the sparse view of comp, built on first use
+        self._report = None          # validate()'s report, once computed
         self._post_cache = {}
         self._pre_cache = {}
         self._summand_cache = {}     # (x, idempotent coords) -> modcat._Summand
+        if product_of is not None:
+            a, b = product_of
+            self._factors = {pair_object(u, v): (u, v) for u in a.objects for v in b.objects}
         if len(set(self.objects)) != len(self.objects) or not self.objects:
             raise InvalidCategory(_quick_report("objects", "object list empty or duplicated"))
         for (x, y), labels in self.hom_basis.items():
@@ -142,37 +160,84 @@ class FiniteKCategory:
                 for i, label in enumerate(self.hom_basis[(x, y)]):
                     yield x, y, i, label
 
+    def _sparse_view(self):
+        """comp as sparse rows, view[(x,y,z)][i][j] = {k: coefficient}
+        with keys ascending and no zero (the `Mat.nz` form)."""
+        if self._rows is None:
+            f = self.field
+            self._rows = {t: tuple(tuple(sparse_row(f, v) or _EMPTY for v in row)
+                                   for row in table)
+                          for t, table in self.comp.items()}
+        return self._rows
+
+    def _factor_triples(self, x, y, z):
+        """The object triples of the two factors under a product triple."""
+        f = self._factors
+        (a, b), (a2, b2), (a3, b3) = f[x], f[y], f[z]
+        return (a, a2, a3), (b, b2, b3)
+
+    def basis_row(self, x, y, z, i, j):
+        """g_j o f_i as a sparse row {k: coefficient}, never mutated.  A
+        product multiplies its factors' rows: basis index ic * dim + id."""
+        if self.product_of is None:
+            table = self._sparse_view().get((x, y, z))
+            return _EMPTY if table is None else table[i][j]
+        c, d = self.product_of
+        ct, dt = self._factor_triples(x, y, z)
+        ic, id_ = divmod(i, d.dim(*dt[:2]))
+        jc, jd = divmod(j, d.dim(*dt[1:]))
+        w = d.dim(dt[0], dt[2])
+        p = self.field.p
+        rc = c.basis_row(*ct, ic, jc)
+        rd = d.basis_row(*dt, id_, jd)
+        if p:
+            return {kc * w + kd: u * v % p for kc, u in rc.items() for kd, v in rd.items()}
+        return {kc * w + kd: u * v for kc, u in rc.items() for kd, v in rd.items()}
+
     def compose_basis(self, x, y, z, i, j):
         """Coordinates of g_j o f_i."""
-        return self.comp[(x, y, z)][i][j]
+        if self.product_of is None:
+            return self.comp[(x, y, z)][i][j]
+        return self._dense(self.basis_row(x, y, z, i, j), self.dim(x, z))
+
+    def _compose_rows(self, x, y, z, f, g):
+        """g o f for sparse f in Hom(x,y) and g in Hom(y,z), as a sparse row."""
+        row = self.basis_row
+        return _lincomb(self.field.p, ((a * b, row(x, y, z, i, j))
+                                       for i, a in f.items() for j, b in g.items()))
+
+    def _dense(self, row, n):
+        out = [self.field.zero()] * n
+        for k, v in row.items():
+            out[k] = v
+        return tuple(out)
 
     def compose(self, x, y, z, f_coords, g_coords):
         """Bilinear extension of the composition table."""
-        out = vzero(self.field, self.dim(x, z))
-        table = self.comp.get((x, y, z))
-        if table is None:
-            return out
-        for i, a in enumerate(f_coords):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in enumerate(g_coords):
-                if not b:
-                    continue
-                out = vadd(self.field, out, vscale(self.field, self.field.mul(a, b), row[j]))
-        return out
+        f = {i: a for i, a in enumerate(f_coords) if a}
+        g = {j: b for j, b in enumerate(g_coords) if b}
+        return self._dense(self._compose_rows(x, y, z, f, g), self.dim(x, z))
+
+    def _table_matrix(self, x, y, z, cells):
+        """The matrix whose column c holds g_j o f_i for (i, j) = cells[c]."""
+        nz = [{} for _ in range(self.dim(x, z))]
+        for col, (i, j) in enumerate(cells):
+            for k, v in self.basis_row(x, y, z, i, j).items():
+                nz[k][col] = v
+        return Mat.from_sparse(self.field, len(nz), len(cells), tuple(nz))
 
     def post_matrix_basis(self, x, y, z, j):
         """Matrix of (g_j o -): Hom(x,y) -> Hom(x,z)."""
         key = (x, y, z, j)
         m = self._post_cache.get(key)
         if m is None:
-            table = self.comp.get((x, y, z))
-            if table is None:
-                m = Mat.zeros(self.field, self.dim(x, z), self.dim(x, y))
+            if self.product_of is None:
+                m = self._table_matrix(x, y, z, [(i, j) for i in range(self.dim(x, y))])
             else:
-                cols = [table[i][j] for i in range(self.dim(x, y))]
-                m = Mat.from_cols(self.field, cols, rows=self.dim(x, z))
+                c, d = self.product_of
+                ct, dt = self._factor_triples(x, y, z)
+                jc, jd = divmod(j, d.dim(*dt[1:]))
+                m = kron(c.post_matrix_basis(*ct, jc), d.post_matrix_basis(*dt, jd))
             self._post_cache[key] = m
         return m
 
@@ -181,12 +246,13 @@ class FiniteKCategory:
         key = (x, y, z, i)
         m = self._pre_cache.get(key)
         if m is None:
-            table = self.comp.get((x, y, z))
-            if table is None:
-                m = Mat.zeros(self.field, self.dim(x, z), self.dim(y, z))
+            if self.product_of is None:
+                m = self._table_matrix(x, y, z, [(i, j) for j in range(self.dim(y, z))])
             else:
-                cols = [table[i][j] for j in range(self.dim(y, z))]
-                m = Mat.from_cols(self.field, cols, rows=self.dim(x, z))
+                c, d = self.product_of
+                ct, dt = self._factor_triples(x, y, z)
+                ic, id_ = divmod(i, d.dim(*dt[:2]))
+                m = kron(c.pre_matrix_basis(*ct, ic), d.pre_matrix_basis(*dt, id_))
             self._pre_cache[key] = m
         return m
 
@@ -200,7 +266,19 @@ class FiniteKCategory:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """The axiom violations; a category does not change after
+        construction, so the report is computed once and kept."""
+        if self._report is None:
+            self._report = self._check()
+        return self._report
+
+    def _check(self):
         report = ValidationReport()
+        if self.product_of is not None:
+            # A tensor B is a category exactly when A and B are
+            for factor in self.product_of:
+                report.failures.extend(factor.validate().failures)
+            return report
         objs = self.objects
         for x in objs:
             if x not in self.identity or len(self.identity[x]) != self.dim(x, x):
@@ -219,38 +297,38 @@ class FiniteKCategory:
                 if (x, y, y) not in self.comp and self.dim(x, y) and self.dim(y, y):
                     report.fail("comp-missing", (x, y, y), "no composition table")
         # unit laws
+        one = self.field.one()
+        ids = {x: {i: a for i, a in enumerate(self.identity[x]) if a} for x in objs}
         for x, y, i, label in self.basis_morphisms():
-            f = unit_vector(self.field, self.dim(x, y), i)
-            left = self.compose(x, y, y, f, self.id_coords(y))
-            if left != f:
+            f = {i: one}
+            if self._compose_rows(x, y, y, f, ids[y]) != f:
                 report.fail("unit-left", (x, y), f"1_{y} o {label} != {label}")
-            right = self.compose(x, x, y, self.id_coords(x), f)
-            if right != f:
+            if self._compose_rows(x, x, y, ids[x], f) != f:
                 report.fail("unit-right", (x, y), f"{label} o 1_{x} != {label}")
-        # associativity on basis triples
+        # associativity on basis triples: h_k o (g_j o f_i) is read off
+        # the rows of (x,z,w), (h_k o g_j) o f_i off those of (x,y,w)
+        view = self._sparse_view()
+        p = self.field.p
+        after = {x: [(y, self.dim(x, y)) for y in objs if self.dim(x, y)] for x in objs}
         for x in objs:
-            for y in objs:
-                dxy = self.dim(x, y)
-                if not dxy:
-                    continue
-                for z in objs:
-                    dyz = self.dim(y, z)
-                    if not dyz:
-                        continue
-                    for w in objs:
-                        dzw = self.dim(z, w)
-                        if not dzw:
-                            continue
+            for y, dxy in after[x]:
+                for z, dyz in after[y]:
+                    gfs = view.get((x, y, z))
+                    for w, dzw in after[z]:
+                        hgs = view.get((y, z, w))
+                        left = view.get((x, z, w))
+                        right = view.get((x, y, w))
                         for i in range(dxy):
-                            f = unit_vector(self.field, dxy, i)
                             for j in range(dyz):
-                                gf = self.compose_basis(x, y, z, i, j)
-                                g = unit_vector(self.field, dyz, j)
+                                gf = gfs[i][j] if gfs else _EMPTY
                                 for k in range(dzw):
-                                    h = unit_vector(self.field, dzw, k)
-                                    lhs = self.compose(x, z, w, gf, h)
-                                    hg = self.compose(y, z, w, g, h)
-                                    rhs = self.compose(x, y, w, f, hg)
+                                    hg = hgs[j][k] if hgs else _EMPTY
+                                    if not gf and not hg:
+                                        continue
+                                    lhs = _lincomb(p, ((a, left[m][k]) for m, a in gf.items())
+                                                   ) if left else _EMPTY
+                                    rhs = _lincomb(p, ((b, right[i][n]) for n, b in hg.items())
+                                                   ) if right else _EMPTY
                                     if lhs != rhs:
                                         report.fail(
                                             "associativity", (x, y, z, w),
@@ -260,8 +338,12 @@ class FiniteKCategory:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteKCategory)
-                and self.field == other.field
+        if not isinstance(other, FiniteKCategory):
+            return False
+        if self.product_of is not None or other.product_of is not None:
+            # a product keeps no table: its factors determine it
+            return self.product_of == other.product_of
+        return (self.field == other.field
                 and self.objects == other.objects
                 and self.hom_basis == other.hom_basis
                 and self.comp == other.comp
@@ -272,6 +354,27 @@ class FiniteKCategory:
     def __repr__(self):
         return (f"FiniteKCategory({len(self.objects)} objects, "
                 f"total hom dim {self.total_dim()}, over {self.field})")
+
+
+# the empty sparse row, shared by every zero composite; never mutated
+_EMPTY = {}
+
+
+def _lincomb(p, terms):
+    """The sum of a * row over (a, row) pairs as a sparse row, no zero kept."""
+    acc = {}
+    for a, row in terms:
+        scaled = a != 1          # a Fraction product costs a gcd
+        for k, v in row.items():
+            if scaled:
+                v = a * v
+            if k in acc:
+                acc[k] += v
+            else:
+                acc[k] = v
+    if p:
+        return {k: v % p for k, v in acc.items() if v % p}
+    return {k: v for k, v in acc.items() if v}
 
 
 def _quick_report(where, message):
@@ -330,7 +433,11 @@ def category_from_tables(field, objects, hom_basis, comp_entries, identities):
 
 
 def opposite(c):
-    """Same objects and labels, reversed Hom spaces and composition."""
+    """Same objects and labels, reversed Hom spaces and composition; the
+    opposite of A tensor B is A^op tensor B^op."""
+    if c.product_of is not None:
+        a, b = c.product_of
+        return tensor_category(opposite(a), opposite(b))
     hom = {(x, y): c.hom_basis[(y, x)] for x in c.objects for y in c.objects}
     comp = {}
     for (z, y, x), table in c.comp.items():
@@ -354,7 +461,8 @@ def pair_label(f, g):
 
 def tensor_category(c, d):
     """Mitchell's tensor product category: objects are pairs, Hom spaces
-    are tensor products, composition is componentwise."""
+    are tensor products, composition is componentwise.  It keeps no
+    composition table: composites are answered from the factors."""
     if c.field != d.field:
         raise FieldMismatch("tensor product over different fields")
     field = c.field
@@ -366,36 +474,13 @@ def tensor_category(c, d):
             hom[(o1, o2)] = tuple(pair_label(f, g)
                                   for f in c.hom_basis[(a, a2)]
                                   for g in d.hom_basis[(b, b2)])
-    comp = {}
-    for o1, (a, b) in source.items():
-        for o2, (a2, b2) in source.items():
-            d1 = len(hom[(o1, o2)])
-            if not d1:
-                continue
-            for o3, (a3, b3) in source.items():
-                d2 = len(hom[(o2, o3)])
-                if not d2:
-                    continue
-                dc2 = d.dim(b, b2)
-                dd2 = d.dim(b2, b3)
-                table = []
-                for i in range(d1):
-                    ic, id_ = divmod(i, dc2)
-                    row = []
-                    for j in range(d2):
-                        jc, jd = divmod(j, dd2)
-                        cf = c.compose_basis(a, a2, a3, ic, jc)
-                        dg = d.compose_basis(b, b2, b3, id_, jd)
-                        row.append(vkron(field, cf, dg))
-                    table.append(tuple(row))
-                comp[(o1, o2, o3)] = tuple(table)
     identity = {pair_object(a, b): vkron(field, c.id_coords(a), d.id_coords(b))
                 for a in c.objects for b in d.objects}
     summands = {pair_object(a, b): tuple(vkron(field, e, f)
                                          for e in c.identity_summands[a]
                                          for f in d.identity_summands[b])
                 for a in c.objects for b in d.objects}
-    return FiniteKCategory(field, objects, hom, comp, identity,
+    return FiniteKCategory(field, objects, hom, None, identity,
                            check=False, product_of=(c, d),
                            identity_summands=summands)
 

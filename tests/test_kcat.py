@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from homcat.exactla import Field, Mat
+from homcat.cli import Workspace, parse
+from homcat.exactla import Field, Mat, unit_vector, vadd, vkron, vscale, vzero
 from homcat.kcat import (
-    Bimodule, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
+    Bimodule, FiniteKCategory, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
     one_point_extension, opposite, opposite_functor, quotient_category,
     tensor_category, tensor_functor, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
@@ -12,6 +15,7 @@ from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
 from homcat.modcat import CatModule, representable
 
 Q = Field.rationals()
+FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
 
 
 def corrupt_a2():
@@ -305,3 +309,320 @@ def test_bimodule_validation_rejects_bad_action():
         Bimodule(u, u, {("*", "*"): 1},
                  {("*", "*", 0, "*"): Mat.from_rows(Q, [[2]])},   # identity must act as 1
                  {("*", "*", 0, "*"): Mat.identity(Q, 1)})
+
+
+# ---------------------------------------------------------------------------
+# rejection: every failure kind, in the order the dense check reported it
+
+def _failures(objects, hom, comp, ids):
+    with pytest.raises(InvalidCategory) as err:
+        category_from_tables(Q, objects, hom, comp, ids)
+    return err.value.report.failures
+
+
+# basis e, a, b of End(*): a*a = b and b*a = a, every other product of a
+# and b zero; the unit laws hold and associativity fails
+_Z = (0, 0, 0)
+NON_ASSOCIATIVE = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                   [(0, 1, 0), (0, 0, 1), (0, 1, 0)],
+                   [(0, 0, 1), _Z, _Z]]
+
+
+def _assoc(where, i, j, k):
+    return ("associativity", where, f"(h o g) o f != h o (g o f) at basis ({i},{j},{k})")
+
+
+def test_validate_rejects_a_non_associative_table():
+    failures = _failures(("*",), {("*", "*"): ("e", "a", "b")},
+                         {("*", "*", "*"): NON_ASSOCIATIVE}, {"*": (1, 0, 0)})
+    star = ("*",) * 4
+    assert failures == [_assoc(star, 1, 1, 1), _assoc(star, 1, 1, 2),
+                        _assoc(star, 1, 2, 1), _assoc(star, 1, 2, 2)]
+
+
+def test_validate_reports_failures_in_object_then_basis_order():
+    # the algebra at both objects, and c: 1 -> 2 with c*a1 = a2*c = c,
+    # c*b1 = b2*c = 0
+    hom = {("1", "1"): ("e1", "a1", "b1"), ("2", "2"): ("e2", "a2", "b2"),
+           ("1", "2"): ("c",)}
+    comp = {("1", "1", "1"): NON_ASSOCIATIVE, ("2", "2", "2"): NON_ASSOCIATIVE,
+            ("1", "1", "2"): [[(1,)], [(1,)], [(0,)]],
+            ("1", "2", "2"): [[(1,), (1,), (0,)]]}
+    failures = _failures(("1", "2"), hom, comp, {"1": (1, 0, 0), "2": (1, 0, 0)})
+    assert failures == [
+        _assoc(("1", "1", "1", "1"), 1, 1, 1), _assoc(("1", "1", "1", "1"), 1, 1, 2),
+        _assoc(("1", "1", "1", "1"), 1, 2, 1), _assoc(("1", "1", "1", "1"), 1, 2, 2),
+        _assoc(("1", "1", "1", "2"), 1, 1, 0), _assoc(("1", "1", "1", "2"), 1, 2, 0),
+        _assoc(("1", "2", "2", "2"), 0, 1, 1), _assoc(("1", "2", "2", "2"), 0, 1, 2),
+        _assoc(("2", "2", "2", "2"), 1, 1, 1), _assoc(("2", "2", "2", "2"), 1, 1, 2),
+        _assoc(("2", "2", "2", "2"), 1, 2, 1), _assoc(("2", "2", "2", "2"), 1, 2, 2)]
+
+
+def _a2_tables():
+    objects = ("1", "2")
+    hom = {("1", "1"): ("e1",), ("2", "2"): ("e2",), ("1", "2"): ("a",)}
+    one = ((Q.one(),),)
+    comp = {("1", "1", "1"): (one,), ("2", "2", "2"): (one,),
+            ("1", "1", "2"): (one,), ("1", "2", "2"): (one,)}
+    return objects, hom, comp, {"1": (Q.one(),), "2": (Q.one(),)}
+
+
+def test_validate_rejects_a_table_of_the_wrong_shape():
+    objects, hom, comp, ids = _a2_tables()
+    comp[("1", "1", "2")] = ((), ())             # two rows for one basis vector
+    comp[("1", "2", "2")] = (((Q.one(), Q.one()),),)   # a vector of length 2
+    with pytest.raises(InvalidCategory) as err:
+        FiniteKCategory(Q, objects, hom, comp, ids)
+    assert err.value.report.failures == [
+        ("comp-shape", ("1", "1", "2"), "wrong first index range"),
+        ("comp-shape", ("1", "2", "2"), "wrong table shape")]
+
+
+def test_validate_rejects_a_missing_table():
+    objects, hom, comp, ids = _a2_tables()
+    del comp[("1", "2", "2")]
+    with pytest.raises(InvalidCategory) as err:
+        FiniteKCategory(Q, objects, hom, comp, ids)
+    # the missing table composes to zero, so 1_2 o a fails too
+    assert err.value.report.failures == [
+        ("comp-missing", ("1", "2", "2"), "no composition table"),
+        ("unit-left", ("1", "2"), "1_2 o a != a")]
+
+
+def test_validate_rejects_bad_identity_coordinates():
+    objects, hom, comp, ids = _a2_tables()
+    ids["1"] = (Q.one(), Q.zero())
+    ids["2"] = ()
+    with pytest.raises(InvalidCategory) as err:
+        FiniteKCategory(Q, objects, hom, comp, ids)
+    assert err.value.report.failures == [
+        ("identity", "1", "missing or wrong-length identity coordinates"),
+        ("identity", "2", "missing or wrong-length identity coordinates")]
+
+
+def test_validate_report_is_kept_on_the_category():
+    cat = zoo.a2(Q)
+    assert cat.validate() is cat.validate()
+    assert enveloping(cat).validate().ok
+
+
+def test_product_validate_reports_its_factors_failures():
+    bad = FiniteKCategory(Q, ("*",), {("*", "*"): ("e", "a", "b")},
+                          {("*", "*", "*"): tuple(tuple(tuple(Q.of(v) for v in vec)
+                                                        for vec in row)
+                                                  for row in NON_ASSOCIATIVE)},
+                          {"*": (Q.one(), Q.zero(), Q.zero())}, check=False)
+    failures = bad.validate().failures
+    assert len(failures) == 4
+    assert tensor_category(zoo.a2(Q), bad).validate().failures == failures
+    assert tensor_category(bad, bad).validate().failures == failures + failures
+
+
+# ---------------------------------------------------------------------------
+# the sparse check against the dense one it replaced
+
+def _dense_compose(cat, x, y, z, f, g):
+    field = cat.field
+    out = vzero(field, cat.dim(x, z))
+    table = cat.comp.get((x, y, z))
+    if table is None:
+        return out
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out = vadd(field, out, vscale(field, field.mul(a, b), table[i][j]))
+    return out
+
+
+def _dense_validate(cat):
+    """Every check of FiniteKCategory.validate on dense coordinate vectors."""
+    out = []
+    objs = cat.objects
+    for x in objs:
+        if x not in cat.identity or len(cat.identity[x]) != cat.dim(x, x):
+            out.append(("identity", x, "missing or wrong-length identity coordinates"))
+    for (x, y, z), table in cat.comp.items():
+        if len(table) != cat.dim(x, y):
+            out.append(("comp-shape", (x, y, z), "wrong first index range"))
+            continue
+        for row in table:
+            if len(row) != cat.dim(y, z) or any(len(v) != cat.dim(x, z) for v in row):
+                out.append(("comp-shape", (x, y, z), "wrong table shape"))
+    if out:
+        return out
+    for x in objs:
+        for y in objs:
+            if (x, y, y) not in cat.comp and cat.dim(x, y) and cat.dim(y, y):
+                out.append(("comp-missing", (x, y, y), "no composition table"))
+    for x, y, i, label in cat.basis_morphisms():
+        f = unit_vector(cat.field, cat.dim(x, y), i)
+        if _dense_compose(cat, x, y, y, f, cat.identity[y]) != f:
+            out.append(("unit-left", (x, y), f"1_{y} o {label} != {label}"))
+        if _dense_compose(cat, x, x, y, cat.identity[x], f) != f:
+            out.append(("unit-right", (x, y), f"{label} o 1_{x} != {label}"))
+    for x in objs:
+        for y in objs:
+            for z in objs:
+                for w in objs:
+                    dxy, dyz, dzw = cat.dim(x, y), cat.dim(y, z), cat.dim(z, w)
+                    if not (dxy and dyz and dzw):
+                        continue
+                    for i in range(dxy):
+                        f = unit_vector(cat.field, dxy, i)
+                        for j in range(dyz):
+                            g = unit_vector(cat.field, dyz, j)
+                            gf = cat.comp[(x, y, z)][i][j]
+                            for k in range(dzw):
+                                h = unit_vector(cat.field, dzw, k)
+                                lhs = _dense_compose(cat, x, z, w, gf, h)
+                                hg = _dense_compose(cat, y, z, w, g, h)
+                                if lhs != _dense_compose(cat, x, y, w, f, hg):
+                                    out.append(_assoc((x, y, z, w), i, j, k))
+    return out
+
+
+QUIVERS = {
+    "A3": "object 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n",
+    "kronecker": "object 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n",
+    # x*x lies beyond the bound, so its table entry is the int 0
+    "dual-bound1": "object s\narrow x: s -> s\nrel x*x = 0\nbound 1\n",
+    "square": ("object 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\n"
+               "arrow d: 3 -> 4\nrel b*a - d*c = 0\n"),
+    "cycle": ("object 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\nrel b*a = 0\n"
+              "rel a*b*a = 0\nrel b*a*b = 0\n"),
+}
+
+
+def _certified(field, name):
+    source = f"category C over {field!r}\nquiver\n" + QUIVERS[name]
+    return Workspace(parse(source)).categories["C"]
+
+
+def _k_times_k_in_another_basis(field):
+    # basis b1 = e1, b2 = e1 - e2 of K x K: the identity is 2*b1 - b2 and
+    # b2*b2 = 2*b1 - b2, so the unit law at b2 cancels the b1 coordinate
+    return category_from_tables(field, ("*",), {("*", "*"): ("b1", "b2")},
+                                {("*", "*", "*"): [[(1, 0), (1, 0)], [(1, 0), (2, -1)]]},
+                                {"*": (2, -1)})
+
+
+def _tables(field):
+    cats = list(zoo.standard_categories(field).values()) + [_k_times_k_in_another_basis(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in range(3)]
+    return cats + [_certified(field, name) for name in sorted(QUIVERS)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sparse_validate_matches_the_dense_one_on_perturbed_tables(field):
+    rng = random.Random(7 + field.p)
+    failing = 0
+    for cat in _tables(field):
+        filled = [key for key, table in sorted(cat.comp.items()) if table and table[0]]
+        for _ in range(12):
+            comp = {key: [[list(v) for v in row] for row in table]
+                    for key, table in cat.comp.items()}
+            ids = {x: list(v) for x, v in cat.identity.items()}
+            if rng.random() < 0.2:
+                x = rng.choice(cat.objects)
+                vec = ids[x]
+            else:
+                key = rng.choice(filled)
+                table = comp[key]
+                vec = rng.choice(rng.choice(table))
+            t = rng.randrange(len(vec))
+            vec[t] = field.of(vec[t] + rng.randrange(1, field.p or 5))
+            bad = FiniteKCategory(
+                field, cat.objects, cat.hom_basis,
+                {key: tuple(tuple(tuple(v) for v in row) for row in table)
+                 for key, table in comp.items()},
+                {x: tuple(v) for x, v in ids.items()}, check=False)
+            expect = _dense_validate(bad)
+            assert bad.validate().failures == expect
+            failing += bool(expect)
+        assert _dense_validate(cat) == [] and cat.validate().ok
+    assert failing >= 120
+
+
+# ---------------------------------------------------------------------------
+# product categories answer from their factors, as the dense table did
+
+def _dense_product_table(c, d):
+    """The composition table tensor_category used to build: every triple
+    of pair objects, vkron of the factor products."""
+    field = c.field
+    table = {}
+    pairs = [(a, b) for a in c.objects for b in d.objects]
+    for a, b in pairs:
+        for a2, b2 in pairs:
+            d1 = c.dim(a, a2) * d.dim(b, b2)
+            for a3, b3 in pairs:
+                d2 = c.dim(a2, a3) * d.dim(b2, b3)
+                if not (d1 and d2):
+                    continue
+                rows = []
+                for i in range(d1):
+                    ic, id_ = divmod(i, d.dim(b, b2))
+                    rows.append(tuple(
+                        vkron(field, c.compose_basis(a, a2, a3, ic, j // d.dim(b2, b3)),
+                              d.compose_basis(b, b2, b3, id_, j % d.dim(b2, b3)))
+                        for j in range(d2)))
+                key = (pair_object(a, b), pair_object(a2, b2), pair_object(a3, b3))
+                table[key] = tuple(rows)
+    return table
+
+
+def _transposed(table):
+    """The composition table of the opposite category."""
+    return {(z, y, x): tuple(tuple(t[j][i] for j in range(len(t)))
+                             for i in range(len(t[0])))
+            for (x, y, z), t in table.items()}
+
+
+def _random_vector(rng, field, n):
+    return tuple(field.of(rng.choice((0, 0, 1, 2, -1))) for _ in range(n))
+
+
+def _check_against_table(prod, table, rng):
+    field = prod.field
+    for (x, y, z), t in sorted(table.items()):
+        dxy, dyz, dxz = prod.dim(x, y), prod.dim(y, z), prod.dim(x, z)
+        for i in range(dxy):
+            for j in range(dyz):
+                # entry types included: Fractions over Q, ints over GF(p)
+                assert repr(prod.compose_basis(x, y, z, i, j)) == repr(t[i][j])
+        for j in range(dyz):
+            expect = Mat.from_cols(field, [t[i][j] for i in range(dxy)], rows=dxz)
+            assert prod.post_matrix_basis(x, y, z, j) == expect
+        for i in range(dxy):
+            expect = Mat.from_cols(field, [t[i][j] for j in range(dyz)], rows=dxz)
+            assert prod.pre_matrix_basis(x, y, z, i) == expect
+        f = _random_vector(rng, field, dxy)
+        g = _random_vector(rng, field, dyz)
+        expect = vzero(field, dxz)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                if a and b:
+                    expect = vadd(field, expect, vscale(field, field.mul(a, b), t[i][j]))
+        assert prod.compose(x, y, z, f, g) == expect
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_categories_match_the_dense_product_table(field):
+    rng = random.Random(3 + field.p)
+    cats = list(zoo.standard_categories(field).values())
+    cats += [_certified(field, "A3"), _certified(field, "kronecker")]
+    pairs = [(opposite(c), c) for c in cats]
+    pairs += [(zoo.a2(field), zoo.dual_numbers(field)),
+              (_certified(field, "A3"), zoo.kronecker(field))]
+    for c, d in pairs:
+        prod = tensor_category(c, d)
+        table = _dense_product_table(c, d)
+        _check_against_table(prod, table, rng)
+        op = opposite(prod)
+        assert op.product_of == (opposite(c), opposite(d))
+        assert op.hom_basis == {(x, y): prod.hom_basis[(y, x)]
+                                for x in prod.objects for y in prod.objects}
+        _check_against_table(op, _transposed(table), rng)
+        assert opposite(op) == prod
