@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactla import EchelonSpace
-from .kcat import FiniteKCategory
+from .kcat import EMPTY_ROW, FiniteKCategory
 
 MAX_PATHS = 20000
 
@@ -109,19 +109,14 @@ def build_quiver_category(field, objects, arrows, relations, bound):
             raise UnresolvedName(f"colliding basis labels in Hom({x},{y})")
         hom[(x, y)] = tuple(names)
 
-    def coords(pair, path):
-        # a path longer than the bound is zero, in the ideal or not
-        n = len(hom[pair])
-        if len(path) > bound:
-            return (0,) * n
-        vec = [field.zero()] * n
-        piece = piece_of.get(len(path))
-        if piece is not None:
-            for t, c in piece.coords(pair, path).items():
-                vec[t] = c
-        return tuple(vec)
+    def row(pair, path):
+        # a path longer than the bound is zero, in the ideal or not, and so
+        # is one past the first dead length
+        if len(path) > bound or len(path) not in piece_of:
+            return EMPTY_ROW
+        return piece_of[len(path)].coords(pair, path) or EMPTY_ROW
 
-    comp = {}
+    rows = {}
     for x in objects:
         for y in objects:
             if not hom[(x, y)]:
@@ -129,11 +124,13 @@ def build_quiver_category(field, objects, arrows, relations, bound):
             for z in objects:
                 if not hom[(y, z)]:
                     continue
-                comp[(x, y, z)] = tuple(
-                    tuple(coords((x, z), p + q) for q in basis_paths[(y, z)])
+                rows[(x, y, z)] = tuple(
+                    tuple(row((x, z), p + q) for q in basis_paths[(y, z)])
                     for p in basis_paths[(x, y)])
-    identities = {x: coords((x, x), ()) for x in objects}
-    return FiniteKCategory(field, objects, hom, comp, identities, paths=basis_paths)
+    zero = field.zero()
+    identities = {x: tuple(row((x, x), ()).get(t, zero) for t in range(len(hom[(x, x)])))
+                  for x in objects}
+    return FiniteKCategory(field, objects, hom, rows, identities, paths=basis_paths)
 
 
 def _relation_rows(field, arrow_map, relations, cap):
@@ -250,11 +247,13 @@ class _Piece:
                     base.append(p)
 
     def coords(self, pair, path):
-        """{basis index: coefficient} of the path modulo the ideal: itself
-        when it is a basis path, otherwise minus the rest of its pivot row."""
+        """{basis index: coefficient} of the path modulo the ideal, keys
+        ascending: itself when it is a basis path, otherwise minus the rest
+        of its pivot row."""
         j = self.index[pair][path]
         position = self.position[pair]
         if j in position:
             return {position[j]: self.field.one()}
         neg = self.field.neg
-        return {position[c]: neg(v) for c, v in self.spans[pair].rows[j].items() if c != j}
+        return {position[c]: neg(v)
+                for c, v in sorted(self.spans[pair].rows[j].items()) if c != j}

@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from .certify import FinitenessError, UnresolvedName, build_quiver_category, coefficient
 from .exactla import Field, FieldMismatch, Mat, VerificationFailed, unit_vector
-from .kcat import (Bimodule, FiniteKCategory, InvalidBimodule, InvalidCategory,
-                   InvalidFunctor, NotTriangular, UnknownObject)
+from .kcat import (Bimodule, InvalidBimodule, InvalidCategory, InvalidFunctor,
+                   NotTriangular, UnknownObject, category_from_tables)
 from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
 from .modcat import BaseMismatch, CatModule, InvalidModule
 from .hochschild import bar_resolution, hochschild_cohomology, center
@@ -674,26 +674,7 @@ def build_table_category(field, decl):
     for x in objects:
         if x not in ids:
             raise UnresolvedName(f"missing 'id {x} = ...' line")
-    comp = {}
-    for x in objects:
-        for y in objects:
-            dxy = len(hom.get((x, y), ()))
-            if not dxy:
-                continue
-            for z in objects:
-                dyz = len(hom.get((y, z), ()))
-                if not dyz:
-                    continue
-                dxz = len(hom.get((x, z), ()))
-                given = comp_entries.get((x, y, z), {})
-                table = []
-                for i in range(dxy):
-                    row = []
-                    for j in range(dyz):
-                        row.append(given.get((i, j), (field.zero(),) * dxz))
-                    table.append(tuple(row))
-                comp[(x, y, z)] = tuple(table)
-    return FiniteKCategory(field, objects, hom, comp, ids)
+    return category_from_tables(field, objects, hom, comp_entries, ids)
 
 
 class Workspace:

@@ -162,12 +162,10 @@ def _bar_differential_image(c, env, res, n, tup, w, index_of):
     # 1 <= i <= n-1: compose adjacent inner morphisms
     for i in range(1, n):
         s = field.one() if i % 2 == 0 else field.neg(field.one())
-        comp = c.compose_basis(tup[i - 1], tup[i], tup[i + 1], w[i - 1], w[i])
+        comp = c.basis_row(tup[i - 1], tup[i], tup[i + 1], w[i - 1], w[i])
         new_tup = tup[:i] + tup[i + 1:]
         outer = vkron(field, c.id_coords(tup[0]), c.id_coords(tup[-1]))
-        for h, a in enumerate(comp):
-            if not a:
-                continue
+        for h, a in comp.items():
             new_w = w[:i - 1] + (h,) + w[i + 1:]
             j = index_of[(new_tup, new_w)]
             add(j, outer, s)
@@ -253,12 +251,9 @@ def hochschild_cochain_complex(c, coeff, max_deg):
                 # composite leaves a composable chain
                 for i in range(1, n + 1):
                     sign = field.one() if i % 2 == 0 else field.neg(field.one())
-                    comp = c.compose_basis(tup[i - 1], tup[i], tup[i + 1],
-                                           w[i - 1], w[i])
+                    comp = c.basis_row(tup[i - 1], tup[i], tup[i + 1], w[i - 1], w[i])
                     new_tup = tup[:i] + tup[i + 1:]
-                    for h, a in enumerate(comp):
-                        if not a:
-                            continue
+                    for h, a in comp.items():
                         col0 = src.offset(new_tup, w[:i - 1] + (h,) + w[i + 1:])
                         a = field.mul(sign, a)
                         for r in range(cdim):
@@ -295,18 +290,16 @@ def center(c):
             if not dxy:
                 continue
             for i in range(dxy):
-                # z_y o f - f o z_x = 0 as linear conditions on z
-                for r in range(dxy):
-                    row = [field.zero()] * total
-                    for j in range(c.dim(y, y)):
-                        val = c.compose_basis(x, y, y, i, j)[r]
-                        if val:
-                            row[offsets[y] + j] = field.add(row[offsets[y] + j], val)
-                    for j in range(c.dim(x, x)):
-                        val = c.compose_basis(x, x, y, j, i)[r]
-                        if val:
-                            row[offsets[x] + j] = field.sub(row[offsets[x] + j], val)
-                    rows.append(row)
+                # z_y o f - f o z_x = 0 as linear conditions on z, one per
+                # coordinate r of Hom(x,y)
+                conds = [[field.zero()] * total for _ in range(dxy)]
+                for j in range(c.dim(y, y)):
+                    for r, val in c.basis_row(x, y, y, i, j).items():
+                        conds[r][offsets[y] + j] = field.add(conds[r][offsets[y] + j], val)
+                for j in range(c.dim(x, x)):
+                    for r, val in c.basis_row(x, x, y, j, i).items():
+                        conds[r][offsets[x] + j] = field.sub(conds[r][offsets[x] + j], val)
+                rows.extend(conds)
     system = Mat.from_rows(field, rows, cols=total)
     basis = kernel_basis(system)
     families = []

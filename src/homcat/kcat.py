@@ -4,22 +4,25 @@ A category is stored by structure constants: ordered objects, an ordered
 basis for every Hom space, a composition tensor per object triple, and
 identity coordinate vectors.  Conventions used throughout the package:
 
-  * morphisms compose right-to-left: comp[(x,y,z)][i][j] holds the
-    coordinates of g_j o f_i for f_i in Hom(x,y), g_j in Hom(y,z);
+  * morphisms compose right-to-left: rows[(x,y,z)][i][j] holds g_j o f_i
+    for f_i in Hom(x,y), g_j in Hom(y,z);
   * all orderings (objects, bases, tensor pairs) are explicit, so every
     matrix derived downstream is reproducible;
   * categories are validated eagerly -- an invalid composition table is
     rejected at construction, never repaired.
 
-Beside the dense table a category keeps one sparse view of it, built once
-on first use: basis_row(x,y,z,i,j) is g_j o f_i as {k: coefficient} with
-keys ascending and no zero, the `Mat.nz` form.  Validation (unit laws,
-associativity, identity summands), `compose` and the pre/post-composition
-matrices read the view, so they cost nonzero structure constants, not
-dense vectors.
+The composition tensor is kept in one sparse form only: each composite
+rows[(x,y,z)][i][j] is a row {k: coefficient} with keys ascending and no
+zero, the `Mat.nz` form, and the shared empty row for a zero composite.
+Every constructor here writes these rows directly; dense coordinate
+tables (the zoo, `.kcat` tables, tests) enter through
+`category_from_tables` alone.  Validation (unit laws, associativity,
+identity summands), `compose` and the pre/post-composition matrices read
+the rows, so they cost nonzero structure constants, not dense vectors;
+`compose_basis` renders one composite densely.
 
 A tensor product category A tensor B (C^e = C^op tensor C among them)
-keeps no table at all (`comp` is None): basis index ic * dim + id pairs
+keeps no rows at all (`rows` is None): basis index ic * dim + id pairs
 the factors' bases, composites are Kronecker products of the factors'
 rows, its pre/post-composition matrices are `kron`s of theirs, and its
 opposite is A^op tensor B^op.
@@ -31,8 +34,7 @@ triangular matrix categories and one-point extensions are all built here.
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, kron, sparse_row, unit_vector, vadd, vkron, vzero,
-    ComplementData,
+    FieldMismatch, Mat, kron, sparse_row, vadd, vkron, vzero, ComplementData,
 )
 
 
@@ -88,7 +90,7 @@ class ValidationReport:
 
 class FiniteKCategory:
 
-    def __init__(self, field, objects, hom_basis, comp, identity,
+    def __init__(self, field, objects, hom_basis, rows, identity,
                  check=True, product_of=None, triangular=None, paths=None,
                  identity_summands=None):
         self.field = field
@@ -96,18 +98,11 @@ class FiniteKCategory:
         self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
         for pair in [(x, y) for x in self.objects for y in self.objects]:
             self.hom_basis.setdefault(pair, ())
-        self.comp = comp             # None for a product category
+        self.rows = rows             # None for a product category
         self.identity = identity
         self.product_of = product_of
         self.triangular = triangular
         self.paths = paths
-        # orthogonal idempotents summing to the identity, used to split
-        # representables into smaller projective summands during
-        # resolutions; the trivial decomposition is always legal
-        if identity_summands is None:
-            identity_summands = {x: (identity[x],) for x in self.objects}
-        self.identity_summands = identity_summands
-        self._rows = None            # the sparse view of comp, built on first use
         self._report = None          # validate()'s report, once computed
         self._post_cache = {}
         self._pre_cache = {}
@@ -124,6 +119,14 @@ class FiniteKCategory:
             report = self.validate()
             if not report.ok:
                 raise InvalidCategory(report)
+        # orthogonal idempotents summing to the identity, used to split
+        # representables into smaller projective summands during
+        # resolutions; the trivial decomposition is always legal.  The
+        # default reads identity[x], which only validation vouches for.
+        if identity_summands is None:
+            identity_summands = {x: (identity[x],) for x in self.objects}
+        self.identity_summands = identity_summands
+        if check:
             self._check_summands()
 
     def _check_summands(self):
@@ -160,16 +163,6 @@ class FiniteKCategory:
                 for i, label in enumerate(self.hom_basis[(x, y)]):
                     yield x, y, i, label
 
-    def _sparse_view(self):
-        """comp as sparse rows, view[(x,y,z)][i][j] = {k: coefficient}
-        with keys ascending and no zero (the `Mat.nz` form)."""
-        if self._rows is None:
-            f = self.field
-            self._rows = {t: tuple(tuple(sparse_row(f, v) or _EMPTY for v in row)
-                                   for row in table)
-                          for t, table in self.comp.items()}
-        return self._rows
-
     def _factor_triples(self, x, y, z):
         """The object triples of the two factors under a product triple."""
         f = self._factors
@@ -180,8 +173,8 @@ class FiniteKCategory:
         """g_j o f_i as a sparse row {k: coefficient}, never mutated.  A
         product multiplies its factors' rows: basis index ic * dim + id."""
         if self.product_of is None:
-            table = self._sparse_view().get((x, y, z))
-            return _EMPTY if table is None else table[i][j]
+            table = self.rows.get((x, y, z))
+            return EMPTY_ROW if table is None else table[i][j]
         c, d = self.product_of
         ct, dt = self._factor_triples(x, y, z)
         ic, id_ = divmod(i, d.dim(*dt[:2]))
@@ -195,9 +188,7 @@ class FiniteKCategory:
         return {kc * w + kd: u * v for kc, u in rc.items() for kd, v in rd.items()}
 
     def compose_basis(self, x, y, z, i, j):
-        """Coordinates of g_j o f_i."""
-        if self.product_of is None:
-            return self.comp[(x, y, z)][i][j]
+        """Coordinates of g_j o f_i as a dense tuple."""
         return self._dense(self.basis_row(x, y, z, i, j), self.dim(x, z))
 
     def _compose_rows(self, x, y, z, f, g):
@@ -283,18 +274,19 @@ class FiniteKCategory:
         for x in objs:
             if x not in self.identity or len(self.identity[x]) != self.dim(x, x):
                 report.fail("identity", x, "missing or wrong-length identity coordinates")
-        for (x, y, z), table in self.comp.items():
+        for (x, y, z), table in self.rows.items():
             if len(table) != self.dim(x, y):
                 report.fail("comp-shape", (x, y, z), "wrong first index range")
                 continue
+            dyz, dxz = self.dim(y, z), self.dim(x, z)
             for row in table:
-                if len(row) != self.dim(y, z) or any(len(v) != self.dim(x, z) for v in row):
+                if len(row) != dyz or any(k >= dxz for v in row for k in v):
                     report.fail("comp-shape", (x, y, z), "wrong table shape")
         if not report.ok:
             return report
         for x in objs:
             for y in objs:
-                if (x, y, y) not in self.comp and self.dim(x, y) and self.dim(y, y):
+                if (x, y, y) not in self.rows and self.dim(x, y) and self.dim(y, y):
                     report.fail("comp-missing", (x, y, y), "no composition table")
         # unit laws
         one = self.field.one()
@@ -307,7 +299,7 @@ class FiniteKCategory:
                 report.fail("unit-right", (x, y), f"{label} o 1_{x} != {label}")
         # associativity on basis triples: h_k o (g_j o f_i) is read off
         # the rows of (x,z,w), (h_k o g_j) o f_i off those of (x,y,w)
-        view = self._sparse_view()
+        view = self.rows
         p = self.field.p
         after = {x: [(y, self.dim(x, y)) for y in objs if self.dim(x, y)] for x in objs}
         for x in objs:
@@ -320,15 +312,15 @@ class FiniteKCategory:
                         right = view.get((x, y, w))
                         for i in range(dxy):
                             for j in range(dyz):
-                                gf = gfs[i][j] if gfs else _EMPTY
+                                gf = gfs[i][j] if gfs else EMPTY_ROW
                                 for k in range(dzw):
-                                    hg = hgs[j][k] if hgs else _EMPTY
+                                    hg = hgs[j][k] if hgs else EMPTY_ROW
                                     if not gf and not hg:
                                         continue
                                     lhs = _lincomb(p, ((a, left[m][k]) for m, a in gf.items())
-                                                   ) if left else _EMPTY
+                                                   ) if left else EMPTY_ROW
                                     rhs = _lincomb(p, ((b, right[i][n]) for n, b in hg.items())
-                                                   ) if right else _EMPTY
+                                                   ) if right else EMPTY_ROW
                                     if lhs != rhs:
                                         report.fail(
                                             "associativity", (x, y, z, w),
@@ -341,12 +333,12 @@ class FiniteKCategory:
         if not isinstance(other, FiniteKCategory):
             return False
         if self.product_of is not None or other.product_of is not None:
-            # a product keeps no table: its factors determine it
+            # a product keeps no rows: its factors determine it
             return self.product_of == other.product_of
         return (self.field == other.field
                 and self.objects == other.objects
                 and self.hom_basis == other.hom_basis
-                and self.comp == other.comp
+                and self.rows == other.rows
                 and self.identity == other.identity)
 
     __hash__ = None
@@ -357,7 +349,7 @@ class FiniteKCategory:
 
 
 # the empty sparse row, shared by every zero composite; never mutated
-_EMPTY = {}
+EMPTY_ROW = {}
 
 
 def _lincomb(p, terms):
@@ -377,6 +369,12 @@ def _lincomb(p, terms):
     return {k: v for k, v in acc.items() if v}
 
 
+def _sorted_row(row):
+    """A sparse row with its keys put in ascending order; the shared empty
+    row when it has none."""
+    return dict(sorted(row.items())) if row else EMPTY_ROW
+
+
 def _quick_report(where, message):
     r = ValidationReport()
     r.fail("structure", where, message)
@@ -391,45 +389,39 @@ def unit_category(field):
     one = field.one()
     return FiniteKCategory(
         field, ("*",), {("*", "*"): ("e",)},
-        {("*", "*", "*"): (((one,),),)},
+        {("*", "*", "*"): (({0: one},),)},
         {"*": (one,)})
 
 
 def category_from_tables(field, objects, hom_basis, comp_entries, identities):
-    """Build a category from sparse composition data.
+    """Build a category from dense composition data; the one place where
+    dense coordinate vectors become the sparse rows a category keeps.
 
-    comp_entries maps (x,y,z) -> nested list [i][j] of coordinate lists;
-    missing triples default to zero composition (only legal when it is,
-    validation decides).
+    comp_entries maps (x,y,z) to the coordinate vectors of g_j o f_i,
+    either as a nested list [i][j] or as a dict {(i, j): vector} whose
+    absent pairs compose to zero.  Missing triples compose to zero (only
+    legal when that is right; validation decides).  A nested list is read
+    as given, its row counts included, so a table of the wrong shape is
+    reported by validation rather than cut or padded here.
     """
-    comp = {}
     hb = {k: tuple(v) for k, v in hom_basis.items()}
+    rows = {}
     for x in objects:
         for y in objects:
-            hb.setdefault((x, y), ())
-    for x in objects:
-        for y in objects:
-            dxy = len(hb[(x, y)])
+            dxy = len(hb.get((x, y), ()))
             if not dxy:
                 continue
             for z in objects:
-                dyz = len(hb[(y, z)])
+                dyz = len(hb.get((y, z), ()))
                 if not dyz:
                     continue
-                dxz = len(hb[(x, z)])
-                given = comp_entries.get((x, y, z))
-                table = []
-                for i in range(dxy):
-                    row = []
-                    for j in range(dyz):
-                        if given is not None:
-                            row.append(tuple(field.of(v) for v in given[i][j]))
-                        else:
-                            row.append(vzero(field, dxz))
-                    table.append(tuple(row))
-                comp[(x, y, z)] = tuple(table)
-    ids = {x: tuple(field.of(v) for v in identities[x]) for x in objects}
-    return FiniteKCategory(field, objects, hb, comp, ids)
+                given = comp_entries.get((x, y, z), {})
+                if isinstance(given, dict):
+                    given = [[given.get((i, j), ()) for j in range(dyz)] for i in range(dxy)]
+                rows[(x, y, z)] = tuple(tuple(sparse_row(field, v) or EMPTY_ROW for v in row)
+                                        for row in given)
+    ids = {x: tuple(field.of(v) for v in identities[x]) for x in objects if x in identities}
+    return FiniteKCategory(field, objects, hb, rows, ids)
 
 
 def opposite(c):
@@ -439,14 +431,9 @@ def opposite(c):
         a, b = c.product_of
         return tensor_category(opposite(a), opposite(b))
     hom = {(x, y): c.hom_basis[(y, x)] for x in c.objects for y in c.objects}
-    comp = {}
-    for (z, y, x), table in c.comp.items():
-        # op-composition of f in op(x,y)=C(y,x), g in op(y,z)=C(z,y)
-        dxy = len(table[0]) if table else 0
-        new = tuple(tuple(table[j][i] for j in range(len(table)))
-                    for i in range(dxy))
-        comp[(x, y, z)] = new
-    return FiniteKCategory(c.field, c.objects, hom, comp, dict(c.identity),
+    # op-composition of f in op(x,y)=C(y,x), g in op(y,z)=C(z,y) is f o g
+    rows = {(x, y, z): tuple(zip(*table)) for (z, y, x), table in c.rows.items()}
+    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c.identity),
                            check=False,
                            identity_summands=dict(c.identity_summands))
 
@@ -529,6 +516,9 @@ class KFunctor:
             fx = self.object_map[x]
             if self.on_coords(x, x, s.id_coords(x)) != t.id_coords(fx):
                 raise InvalidFunctor(f"identity at {x} not preserved")
+        # F of every basis morphism, column by column, as sparse rows
+        images = {pair: mat.transpose().nz for pair, mat in self.morphism_map.items()}
+        p = s.field.p
         for x in s.objects:
             for y in s.objects:
                 dxy = s.dim(x, y)
@@ -538,14 +528,13 @@ class KFunctor:
                     dyz = s.dim(y, z)
                     if not dyz:
                         continue
+                    fx, fy, fz = self.object_map[x], self.object_map[y], self.object_map[z]
                     for i in range(dxy):
-                        fi = self.on_coords(x, y, unit_vector(s.field, dxy, i))
                         for j in range(dyz):
-                            gf = s.compose_basis(x, y, z, i, j)
-                            gj = self.on_coords(y, z, unit_vector(s.field, dyz, j))
-                            lhs = self.on_coords(x, z, gf)
-                            rhs = t.compose(self.object_map[x], self.object_map[y],
-                                            self.object_map[z], fi, gj)
+                            gf = s.basis_row(x, y, z, i, j)
+                            lhs = _lincomb(p, ((a, images[(x, z)][k]) for k, a in gf.items()))
+                            rhs = t._compose_rows(fx, fy, fz, images[(x, y)][i],
+                                                  images[(y, z)][j])
                             if lhs != rhs:
                                 raise InvalidFunctor(
                                     f"composition not preserved at ({x},{y},{z}) basis ({i},{j})")
@@ -615,34 +604,33 @@ def quotient_category(c, ideal):
     for (x, y), comp_data in comps.items():
         labels = c.hom_basis[(x, y)]
         hom[(x, y)] = tuple(labels[i] for i in comp_data.free)
-    comp = {}
+    # the section sends quotient basis vector i to basis vector free[i] of
+    # C, so a composite is a row of C, projected column by column
+    proj_cols = {pair: cd.proj.transpose().nz for pair, cd in comps.items()}
+    p = field.p
+    rows = {}
     for x in c.objects:
         for y in c.objects:
-            cxy = comps[(x, y)]
-            if not cxy.dim:
+            fxy = comps[(x, y)].free
+            if not fxy:
                 continue
             for z in c.objects:
-                cyz = comps[(y, z)]
-                if not cyz.dim:
+                fyz = comps[(y, z)].free
+                if not fyz:
                     continue
-                cxz = comps[(x, z)]
-                table = []
-                for i in range(cxy.dim):
-                    fi = cxy.section.col(i)
-                    row = []
-                    for j in range(cyz.dim):
-                        gj = cyz.section.col(j)
-                        composite = c.compose(x, y, z, fi, gj)
-                        row.append(cxz.proj.mul_vec(composite))
-                    table.append(tuple(row))
-                comp[(x, y, z)] = tuple(table)
+                cols = proj_cols[(x, z)]
+                rows[(x, y, z)] = tuple(
+                    tuple(_sorted_row(_lincomb(p, ((v, cols[k]) for k, v in
+                                                   c.basis_row(x, y, z, fi, gj).items())))
+                          for gj in fyz)
+                    for fi in fxy)
     identity = {x: comps[(x, x)].proj.mul_vec(c.id_coords(x)) for x in c.objects}
     zero_of = {x: vzero(field, comps[(x, x)].dim) for x in c.objects}
     summands = {}
     for x in c.objects:
         projected = [comps[(x, x)].proj.mul_vec(e) for e in c.identity_summands[x]]
         summands[x] = tuple(e for e in projected if e != zero_of[x]) or (identity[x],)
-    quot = FiniteKCategory(field, c.objects, hom, comp, identity,
+    quot = FiniteKCategory(field, c.objects, hom, rows, identity,
                            identity_summands=summands)
     proj = KFunctor(c, quot, {x: x for x in c.objects},
                     {pair: comps[pair].proj for pair in comps})
@@ -691,18 +679,18 @@ class Bimodule:
             m = Mat.zeros(self.field, self.dims[(U, T)], self.dims[(U, T2)])
         return m
 
-    def lact_vec(self, U, U2, coords, T):
+    def lact_row(self, U, U2, row, T):
+        """The left action of the U-morphism with sparse coordinates row."""
         out = Mat.zeros(self.field, self.dims[(U2, T)], self.dims[(U, T)])
-        for i, a in enumerate(coords):
-            if a:
-                out = out.add(self.lact_mat(U, U2, i, T).scale(a))
+        for i, a in row.items():
+            out = out.add(self.lact_mat(U, U2, i, T).scale(a))
         return out
 
-    def ract_vec(self, T, T2, coords, U):
+    def ract_row(self, T, T2, row, U):
+        """The right action of the T-morphism with sparse coordinates row."""
         out = Mat.zeros(self.field, self.dims[(U, T)], self.dims[(U, T2)])
-        for j, a in enumerate(coords):
-            if a:
-                out = out.add(self.ract_mat(T, T2, j, U).scale(a))
+        for j, a in row.items():
+            out = out.add(self.ract_mat(T, T2, j, U).scale(a))
         return out
 
     def validate(self):
@@ -710,9 +698,11 @@ class Bimodule:
         for U in u.objects:
             for T in t.objects:
                 d = self.dims[(U, T)]
-                if self.lact_vec(U, U, u.id_coords(U), T) != Mat.identity(self.field, d):
+                one_u = sparse_row(self.field, u.id_coords(U))
+                if self.lact_row(U, U, one_u, T) != Mat.identity(self.field, d):
                     raise InvalidBimodule(f"U-identity does not act as identity at ({U},{T})")
-                if self.ract_vec(T, T, t.id_coords(T), U) != Mat.identity(self.field, d):
+                one_t = sparse_row(self.field, t.id_coords(T))
+                if self.ract_row(T, T, one_t, U) != Mat.identity(self.field, d):
                     raise InvalidBimodule(f"T-identity does not act as identity at ({U},{T})")
         # functoriality of the left action
         for U1 in u.objects:
@@ -720,9 +710,9 @@ class Bimodule:
                 for i in range(u.dim(U1, U2)):
                     for U3 in u.objects:
                         for j in range(u.dim(U2, U3)):
-                            comp = u.compose_basis(U1, U2, U3, i, j)
+                            comp = u.basis_row(U1, U2, U3, i, j)
                             for T in t.objects:
-                                lhs = self.lact_vec(U1, U3, comp, T)
+                                lhs = self.lact_row(U1, U3, comp, T)
                                 rhs = self.lact_mat(U2, U3, j, T).mul(self.lact_mat(U1, U2, i, T))
                                 if lhs != rhs:
                                     raise InvalidBimodule(
@@ -733,9 +723,9 @@ class Bimodule:
                 for i in range(t.dim(T1, T2)):
                     for T3 in t.objects:
                         for j in range(t.dim(T2, T3)):
-                            comp = t.compose_basis(T1, T2, T3, i, j)
+                            comp = t.basis_row(T1, T2, T3, i, j)
                             for U in u.objects:
-                                lhs = self.ract_vec(T1, T3, comp, U)
+                                lhs = self.ract_row(T1, T3, comp, U)
                                 rhs = self.ract_mat(T1, T2, i, U).mul(self.ract_mat(T2, T3, j, U))
                                 if lhs != rhs:
                                     raise InvalidBimodule(
@@ -835,19 +825,7 @@ def triangular_matrix(t, u, m):
                       + tuple(f"u:{l}" for l in u.hom_basis[(U, U2)]))
             hom[(o1, o2)] = labels
 
-    z = field.zero()
-
-    def embed(dt, dm, du, tpart=None, mpart=None, upart=None):
-        vec = [z] * (dt + dm + du)
-        if tpart is not None:
-            vec[:dt] = tpart
-        if mpart is not None:
-            vec[dt:dt + dm] = mpart
-        if upart is not None:
-            vec[dt + dm:] = upart
-        return tuple(vec)
-
-    comp = {}
+    rows = {}
     for o1 in objects:
         T, U = src[o1]
         for o2 in objects:
@@ -862,43 +840,47 @@ def triangular_matrix(t, u, m):
                 d2 = d2t + d2m + d2u
                 if not d2:
                     continue
-                dct, dcm, dcu = blocks(o1, o3)
-                table = [[vzero(field, dct + dcm + dcu) for _ in range(d2)]
-                         for _ in range(d1)]
-                # f = t-basis i, g = t-basis j
+                # the composite's blocks start at 0 (t), dct (m) and dct + dcm (u)
+                dct, dcm, _ = blocks(o1, o3)
+                table = [[EMPTY_ROW] * d2 for _ in range(d1)]
                 for i in range(d1t):
+                    # f = t-basis i, g = t-basis j
                     for j in range(d2t):
-                        table[i][j] = embed(dct, dcm, dcu,
-                                            tpart=t.compose_basis(T, T2, T3, i, j))
+                        table[i][j] = t.basis_row(T, T2, T3, i, j)
                     # f = t-basis i, g = m-basis k: corner = m2 after t1
-                    rmat = m.ract_vec(T, T2, unit_vector(field, d1t, i), U3)
+                    rcols = m.ract_mat(T, T2, i, U3).transpose().nz
                     for k in range(d2m):
-                        table[i][d2t + k] = embed(dct, dcm, dcu, mpart=rmat.col(k))
+                        table[i][d2t + k] = _shifted(rcols[k], dct)
                 # f = m-basis k, g = u-basis j: corner = u2 acting on m1
                 for j in range(d2u):
-                    lmat = m.lact_vec(U2, U3, unit_vector(field, d2u, j), T)
+                    lcols = m.lact_mat(U2, U3, j, T).transpose().nz
                     for k in range(d1m):
-                        table[d1t + k][d2t + d2m + j] = embed(dct, dcm, dcu,
-                                                              mpart=lmat.col(k))
+                        table[d1t + k][d2t + d2m + j] = _shifted(lcols[k], dct)
                 # f = u-basis i, g = u-basis j
                 for i in range(d1u):
                     for j in range(d2u):
-                        table[d1t + d1m + i][d2t + d2m + j] = embed(
-                            dct, dcm, dcu, upart=u.compose_basis(U, U2, U3, i, j))
-                comp[(o1, o2, o3)] = tuple(tuple(row) for row in table)
+                        table[d1t + d1m + i][d2t + d2m + j] = _shifted(
+                            u.basis_row(U, U2, U3, i, j), dct + dcm)
+                rows[(o1, o2, o3)] = tuple(tuple(row) for row in table)
     identity = {}
     summands = {}
     for o in objects:
         T, U = src[o]
         dt, dm, du = blocks(o, o)
-        identity[o] = embed(dt, dm, du, tpart=t.id_coords(T), upart=u.id_coords(U))
+        zt, zm, zu = (vzero(field, n) for n in (dt, dm, du))
+        identity[o] = t.id_coords(T) + zm + u.id_coords(U)
         # the canonical splitting 1 = e_T + e_U, refined by the factors
         summands[o] = tuple(
-            [embed(dt, dm, du, tpart=e) for e in t.identity_summands[T]]
-            + [embed(dt, dm, du, upart=e) for e in u.identity_summands[U]])
-    return FiniteKCategory(field, objects, hom, comp, identity,
+            [e + zm + zu for e in t.identity_summands[T]]
+            + [zt + zm + e for e in u.identity_summands[U]])
+    return FiniteKCategory(field, objects, hom, rows, identity,
                            triangular={"t": t, "u": u, "m": m, "source": src},
                            identity_summands=summands)
+
+
+def _shifted(row, offset):
+    """A sparse row with every key moved up by offset."""
+    return {k + offset: v for k, v in row.items()} if row else EMPTY_ROW
 
 
 def one_point_extension(u, module):

@@ -75,13 +75,19 @@ class CatModule:
         return m
 
     def act_vec(self, x, y, coords):
-        support = [i for i, a in enumerate(coords) if a]
-        if len(support) == 1 and coords[support[0]] == 1:
-            return self.act_mat(x, y, support[0])
+        return self.act_row(x, y, {i: a for i, a in enumerate(coords) if a})
+
+    def act_row(self, x, y, row):
+        """The action of the morphism with sparse coordinates row; a basis
+        morphism gets its stored matrix."""
+        if len(row) == 1:
+            (i, a), = row.items()
+            if a == 1:
+                return self.act_mat(x, y, i)
         r, c = self._shape(x, y)
         out = Mat.zeros(self.base.field, r, c)
-        for i in support:
-            out = out.add(self.act_mat(x, y, i).scale(coords[i]))
+        for i, a in row.items():
+            out = out.add(self.act_mat(x, y, i).scale(a))
         return out
 
     def validate(self):
@@ -106,8 +112,8 @@ class CatModule:
                         continue
                     for i in range(dxy):
                         for j in range(dyz):
-                            gf = c.compose_basis(x, y, z, i, j)
-                            lhs = self.act_vec(x, z, gf)
+                            gf = c.basis_row(x, y, z, i, j)
+                            lhs = self.act_row(x, z, gf)
                             if self.side == "left":
                                 rhs = self.act_mat(y, z, j).mul(self.act_mat(x, y, i))
                             else:

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from homcat.cli import Workspace, parse
-from homcat.exactla import Field, Mat, unit_vector, vadd, vkron, vscale, vzero
+from homcat.exactla import (
+    ComplementData, Field, Mat, sparse_row, unit_vector, vadd, vkron, vscale, vzero,
+)
 from homcat.kcat import (
-    Bimodule, FiniteKCategory, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
+    EMPTY_ROW, Bimodule, FiniteKCategory, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
     one_point_extension, opposite, opposite_functor, quotient_category,
     tensor_category, tensor_functor, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
@@ -371,18 +374,23 @@ def test_validate_rejects_a_table_of_the_wrong_shape():
     objects, hom, comp, ids = _a2_tables()
     comp[("1", "1", "2")] = ((), ())             # two rows for one basis vector
     comp[("1", "2", "2")] = (((Q.one(), Q.one()),),)   # a vector of length 2
-    with pytest.raises(InvalidCategory) as err:
-        FiniteKCategory(Q, objects, hom, comp, ids)
-    assert err.value.report.failures == [
+    assert _failures(objects, hom, comp, ids) == [
         ("comp-shape", ("1", "1", "2"), "wrong first index range"),
         ("comp-shape", ("1", "2", "2"), "wrong table shape")]
 
 
+def test_dense_input_with_too_few_composites_is_a_shape_fault():
+    objects, hom, _, ids = _a2_tables()
+    assert _failures(objects, hom, {("1", "1", "2"): [[]]}, ids) == [
+        ("comp-shape", ("1", "1", "2"), "wrong table shape")]
+
+
 def test_validate_rejects_a_missing_table():
     objects, hom, comp, ids = _a2_tables()
-    del comp[("1", "2", "2")]
+    rows = dict(category_from_tables(Q, objects, hom, comp, ids).rows)
+    del rows[("1", "2", "2")]
     with pytest.raises(InvalidCategory) as err:
-        FiniteKCategory(Q, objects, hom, comp, ids)
+        FiniteKCategory(Q, objects, hom, rows, ids)
     # the missing table composes to zero, so 1_2 o a fails too
     assert err.value.report.failures == [
         ("comp-missing", ("1", "2", "2"), "no composition table"),
@@ -393,11 +401,22 @@ def test_validate_rejects_bad_identity_coordinates():
     objects, hom, comp, ids = _a2_tables()
     ids["1"] = (Q.one(), Q.zero())
     ids["2"] = ()
-    with pytest.raises(InvalidCategory) as err:
-        FiniteKCategory(Q, objects, hom, comp, ids)
-    assert err.value.report.failures == [
+    assert _failures(objects, hom, comp, ids) == [
         ("identity", "1", "missing or wrong-length identity coordinates"),
         ("identity", "2", "missing or wrong-length identity coordinates")]
+
+
+def test_validate_rejects_a_missing_identity():
+    # the default identity summands read identity[x]: they must wait for
+    # the identity check
+    objects, hom, comp, ids = _a2_tables()
+    rows = category_from_tables(Q, objects, hom, comp, ids).rows
+    del ids["2"]
+    expect = [("identity", "2", "missing or wrong-length identity coordinates")]
+    assert _failures(objects, hom, comp, ids) == expect
+    with pytest.raises(InvalidCategory) as err:
+        FiniteKCategory(Q, objects, hom, rows, ids)
+    assert err.value.report.failures == expect
 
 
 def test_validate_report_is_kept_on_the_category():
@@ -408,8 +427,7 @@ def test_validate_report_is_kept_on_the_category():
 
 def test_product_validate_reports_its_factors_failures():
     bad = FiniteKCategory(Q, ("*",), {("*", "*"): ("e", "a", "b")},
-                          {("*", "*", "*"): tuple(tuple(tuple(Q.of(v) for v in vec)
-                                                        for vec in row)
+                          {("*", "*", "*"): tuple(tuple(sparse_row(Q, vec) for vec in row)
                                                   for row in NON_ASSOCIATIVE)},
                           {"*": (Q.one(), Q.zero(), Q.zero())}, check=False)
     failures = bad.validate().failures
@@ -420,6 +438,32 @@ def test_product_validate_reports_its_factors_failures():
 
 # ---------------------------------------------------------------------------
 # the sparse check against the dense one it replaced
+
+def _dense_table(cat):
+    """The composition of cat as dense coordinate tuples [i][j] per object
+    triple, read through compose_basis in the order of the stored rows."""
+    return {(x, y, z): tuple(tuple(cat.compose_basis(x, y, z, i, j) for j in range(cat.dim(y, z)))
+                             for i in range(cat.dim(x, y)))
+            for x, y, z in cat.rows}
+
+
+class _DenseTables:
+    """Dense composition tables as given to category_from_tables, with
+    the accessors the dense check reads."""
+
+    def __init__(self, field, objects, hom, comp, identity):
+        self.field, self.objects, self.comp, self.identity = field, objects, comp, identity
+        self.hom_basis = {(x, y): hom.get((x, y), ()) for x in objects for y in objects}
+
+    def dim(self, x, y):
+        return len(self.hom_basis[(x, y)])
+
+    def basis_morphisms(self):
+        for x in self.objects:
+            for y in self.objects:
+                for i, label in enumerate(self.hom_basis[(x, y)]):
+                    yield x, y, i, label
+
 
 def _dense_compose(cat, x, y, z, f, g):
     field = cat.field
@@ -486,7 +530,7 @@ def _dense_validate(cat):
 QUIVERS = {
     "A3": "object 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n",
     "kronecker": "object 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n",
-    # x*x lies beyond the bound, so its table entry is the int 0
+    # x*x lies beyond the bound, so it is zero without being reduced
     "dual-bound1": "object s\narrow x: s -> s\nrel x*x = 0\nbound 1\n",
     "square": ("object 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\n"
                "arrow d: 3 -> 4\nrel b*a - d*c = 0\n"),
@@ -514,15 +558,26 @@ def _tables(field):
     return cats + [_certified(field, name) for name in sorted(QUIVERS)]
 
 
+def _failures_in(field, dense):
+    """The validation failures of the dense tables, built through the dense
+    entry point; [] when they make a category."""
+    try:
+        category_from_tables(field, dense.objects, dense.hom_basis, dense.comp, dense.identity)
+    except InvalidCategory as err:
+        return err.report.failures
+    return []
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_sparse_validate_matches_the_dense_one_on_perturbed_tables(field):
     rng = random.Random(7 + field.p)
     failing = 0
     for cat in _tables(field):
-        filled = [key for key, table in sorted(cat.comp.items()) if table and table[0]]
+        dense = _dense_table(cat)
+        filled = [key for key, table in sorted(dense.items()) if table and table[0]]
         for _ in range(12):
             comp = {key: [[list(v) for v in row] for row in table]
-                    for key, table in cat.comp.items()}
+                    for key, table in dense.items()}
             ids = {x: list(v) for x, v in cat.identity.items()}
             if rng.random() < 0.2:
                 x = rng.choice(cat.objects)
@@ -533,15 +588,16 @@ def test_sparse_validate_matches_the_dense_one_on_perturbed_tables(field):
                 vec = rng.choice(rng.choice(table))
             t = rng.randrange(len(vec))
             vec[t] = field.of(vec[t] + rng.randrange(1, field.p or 5))
-            bad = FiniteKCategory(
+            bad = _DenseTables(
                 field, cat.objects, cat.hom_basis,
                 {key: tuple(tuple(tuple(v) for v in row) for row in table)
                  for key, table in comp.items()},
-                {x: tuple(v) for x, v in ids.items()}, check=False)
+                {x: tuple(v) for x, v in ids.items()})
             expect = _dense_validate(bad)
-            assert bad.validate().failures == expect
+            assert _failures_in(field, bad) == expect
             failing += bool(expect)
-        assert _dense_validate(cat) == [] and cat.validate().ok
+        original = _DenseTables(field, cat.objects, cat.hom_basis, dense, cat.identity)
+        assert _dense_validate(original) == [] and cat.validate().ok
     assert failing >= 120
 
 
@@ -626,3 +682,166 @@ def test_product_categories_match_the_dense_product_table(field):
                                 for x in prod.objects for y in prod.objects}
         _check_against_table(op, _transposed(table), rng)
         assert opposite(op) == prod
+
+
+def test_certified_q_composites_are_fractions():
+    # a composite past the bound is zero without lying in the ideal; over
+    # Q it is still Fraction(0), not the int 0
+    for name in sorted(QUIVERS):
+        cat = _certified(Q, name)
+        for table in _dense_table(cat).values():
+            for row in table:
+                for vec in row:
+                    assert all(type(a) is Fraction for a in vec), (name, vec)
+
+
+# ---------------------------------------------------------------------------
+# the constructors that write rows, against the dense tables they wrote
+
+def _dense_quotient_table(c, ideal):
+    """The table quotient_category used to build: section columns composed
+    densely in C, each composite projected with proj.mul_vec."""
+    comps = {(x, y): ComplementData(ideal.span[(x, y)]) for x in c.objects for y in c.objects}
+    table = {}
+    for x in c.objects:
+        for y in c.objects:
+            cxy = comps[(x, y)]
+            for z in c.objects:
+                cyz, cxz = comps[(y, z)], comps[(x, z)]
+                if cxy.dim and cyz.dim:
+                    table[(x, y, z)] = tuple(
+                        tuple(cxz.proj.mul_vec(c.compose(x, y, z, cxy.section.col(i),
+                                                         cyz.section.col(j)))
+                              for j in range(cyz.dim))
+                        for i in range(cxy.dim))
+    return table
+
+
+def _dense_triangular(t, u, m):
+    """The table, identities and identity summands triangular_matrix used
+    to build, every composite embedded densely into its three blocks."""
+    field = t.field
+    src = {}
+    for T in t.objects:
+        for U in u.objects:
+            src[f"[{T};{U}]"] = (T, U)
+
+    def blocks(o1, o2):
+        (T, U), (T2, U2) = src[o1], src[o2]
+        return t.dim(T, T2), m.dim(U2, T), u.dim(U, U2)
+
+    def embed(dt, dm, du, tpart=None, mpart=None, upart=None):
+        vec = [field.zero()] * (dt + dm + du)
+        if tpart is not None:
+            vec[:dt] = tpart
+        if mpart is not None:
+            vec[dt:dt + dm] = mpart
+        if upart is not None:
+            vec[dt + dm:] = upart
+        return tuple(vec)
+
+    table = {}
+    for o1, (T, U) in src.items():
+        for o2, (T2, U2) in src.items():
+            d1t, d1m, d1u = blocks(o1, o2)
+            for o3, (T3, U3) in src.items():
+                d2t, d2m, d2u = blocks(o2, o3)
+                if not (d1t + d1m + d1u and d2t + d2m + d2u):
+                    continue
+                dc = blocks(o1, o3)
+                rows = [[vzero(field, sum(dc))] * (d2t + d2m + d2u)
+                        for _ in range(d1t + d1m + d1u)]
+                for i in range(d1t):
+                    for j in range(d2t):
+                        rows[i][j] = embed(*dc, tpart=t.compose_basis(T, T2, T3, i, j))
+                    rmat = m.ract_row(T, T2, {i: field.one()}, U3)
+                    for k in range(d2m):
+                        rows[i][d2t + k] = embed(*dc, mpart=rmat.col(k))
+                for j in range(d2u):
+                    lmat = m.lact_row(U2, U3, {j: field.one()}, T)
+                    for k in range(d1m):
+                        rows[d1t + k][d2t + d2m + j] = embed(*dc, mpart=lmat.col(k))
+                for i in range(d1u):
+                    for j in range(d2u):
+                        rows[d1t + d1m + i][d2t + d2m + j] = embed(
+                            *dc, upart=u.compose_basis(U, U2, U3, i, j))
+                table[(o1, o2, o3)] = tuple(tuple(row) for row in rows)
+    identity, summands = {}, {}
+    for o, (T, U) in src.items():
+        dims = blocks(o, o)
+        identity[o] = embed(*dims, tpart=t.id_coords(T), upart=u.id_coords(U))
+        summands[o] = tuple([embed(*dims, tpart=e) for e in t.identity_summands[T]]
+                            + [embed(*dims, upart=e) for e in u.identity_summands[U]])
+    return table, identity, summands
+
+
+def _seeded_ideal(rng, c):
+    pairs = [(x, y) for x in c.objects for y in c.objects if c.dim(x, y)]
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        x, y = rng.choice(pairs)
+        gens.append((x, y, tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(c.dim(x, y)))))
+    return ideal_from_generators(c, gens)
+
+
+def _twisted_corner(field):
+    """The two-object cmp case: T = A2, U = dual numbers, and a corner of
+    dimension 2 at (*, 2) on which x acts nilpotently."""
+    a2, d = zoo.a2(field), zoo.dual_numbers(field)
+    dims = {("*", "1"): 0, ("*", "2"): 2}
+    lact = {("*", "*", 0, "2"): Mat.identity(field, 2),
+            ("*", "*", 1, "2"): Mat.from_rows(field, [[0, 0], [1, 0]])}
+    ract = {("2", "2", 0, "*"): Mat.identity(field, 2),
+            ("1", "2", 0, "*"): Mat.zeros(field, 0, 2)}
+    return a2, d, Bimodule(d, a2, dims, lact, ract)
+
+
+def _check_row_format(cat):
+    """Every stored composite is a sparse row with keys ascending and no
+    zero; a zero composite is the shared empty row."""
+    for table in cat.rows.values():
+        for row in table:
+            for r in row:
+                assert list(r) == sorted(r) and all(r.values())
+                assert r or r is EMPTY_ROW
+
+
+def _check_rows(cat, table, rng):
+    assert list(cat.rows) == list(table)
+    _check_row_format(cat)
+    _check_against_table(cat, table, rng)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_constructors_match_the_dense_tables_they_wrote(field):
+    rng = random.Random(11 + field.p)
+    u = unit_category(field)
+    triangles = [(u, u, one_dim_bimodule(u, u)), _twisted_corner(field)]
+    a2 = zoo.a2(field)
+    point = Bimodule.from_left_module(a2, representable(a2, "1", "left"))
+    triangles.append((point.t, a2, point))
+    lams = []
+    for t, uu, m in triangles:
+        lam = triangular_matrix(t, uu, m)
+        table, identity, summands = _dense_triangular(t, uu, m)
+        _check_rows(lam, table, rng)
+        assert repr(lam.identity) == repr(identity)
+        assert repr(lam.identity_summands) == repr(summands)
+        lams.append(lam)
+    assert one_point_extension(a2, representable(a2, "1", "left")) == lams[-1]
+    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in range(4)]
+    for c in _tables(field):
+        _check_row_format(c)
+    for c in cats + lams:
+        _check_rows(opposite(c), _transposed(_dense_table(c)), rng)
+    # composites of this product are sums: modulo b1#a + b2#b some of them
+    # project to rows whose keys come out of order
+    product = tensor_category(_k_times_k_in_another_basis(field), zoo.kronecker(field))
+    sums = ideal_from_generators(product, [(pair_object("*", "1"), pair_object("*", "2"),
+                                            (1, 0, 0, 1))])
+    cases = [(c, _seeded_ideal(rng, c)) for c in cats + lams for _ in range(2)]
+    cases += [(lam, triangular_ideal(lam)) for lam in lams] + [(product, sums)]
+    for c, ideal in cases:
+        quot, _ = quotient_category(c, ideal)
+        _check_rows(quot, _dense_quotient_table(c, ideal), rng)
