@@ -7,8 +7,16 @@ the pivot rule is "leftmost nonzero column, topmost nonzero row", kernel
 bases come out of the reduced echelon form in free-column order, and no
 randomization is used anywhere.
 
-Elements are `Fraction` over the rationals and plain ints in [0, p) over
-GF(p).  A matrix keeps its rows sparse, as dicts column -> nonzero entry,
+Over GF(p) elements are plain ints in [0, p).  Over the rationals an
+element is kept in working form: a Python int when it is integral and a
+`Fraction` (denominator > 1) only when it is not, so the products and
+sums of the kernels are int arithmetic wherever the data are integral.
+Every value made here is put in that form (`Field.of`, `inv`, the
+kernels' sums and products, the division by the leads in `rref`), and a
+value leaves as a `Fraction` through `report_form` wherever it reaches
+a report or a public accessor (`Mat.data`, `Mat.row`).
+
+A matrix keeps its rows sparse, as dicts column -> nonzero entry,
 because structure-constant blocks, cochain differentials and resolution
 matrices are mostly zero: products, sums, transposes, stacks and
 Kronecker products cost their nonzero entries, not their shape.  The
@@ -52,9 +60,23 @@ def _is_prime(p):
     return True
 
 
-# Fractions are immutable, so Q's constants are built once
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+def _q(v):
+    """A rational in working form: its int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def q_row(acc):
+    """The nonzero entries of a sparse sum over Q, each in working form;
+    an int sum needs no check beyond its class."""
+    return {j: v if v.__class__ is int else _q(v) for j, v in acc.items() if v}
+
+
+def report_form(field, vec):
+    """A dense vector as it leaves the package: every entry a `Fraction`
+    over Q; over GF(p) the ints as they are."""
+    if field.p:
+        return tuple(vec)
+    return tuple(map(Fraction, vec))
 
 
 class Field:
@@ -92,17 +114,20 @@ class Field:
         return "Q" if self.p == 0 else f"GF({self.p})"
 
     def zero(self):
-        return _Q_ZERO if self.p == 0 else 0
+        return 0
 
     def one(self):
-        return _Q_ONE if self.p == 0 else 1
+        return 1
 
     def of(self, value):
-        """Coerce an int, Fraction or 'a/b' string to a canonical element."""
+        """Coerce an int, Fraction or 'a/b' string to a canonical element:
+        the working form over Q, an int in [0, p) over GF(p)."""
         if isinstance(value, str):
             value = Fraction(value)
         if self.p == 0:
-            return Fraction(value)
+            if value.__class__ is int:
+                return value
+            return _q(Fraction(value))
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -111,13 +136,13 @@ class Field:
         return value % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return (a + b) % self.p if self.p else _q(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        return (a - b) % self.p if self.p else _q(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return (a * b) % self.p if self.p else _q(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p else -a
@@ -129,7 +154,11 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / a
+        # n/d in lowest terms inverts to d/n, an int exactly when n is 1 or -1
+        n, d = a.numerator, a.denominator
+        if n == 1 or n == -1:
+            return n * d
+        return Fraction(d, n)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -146,7 +175,7 @@ def vadd(field, u, v):
     if field.p:
         p = field.p
         return tuple((a + b) % p for a, b in zip(u, v))
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(_q(a + b) for a, b in zip(u, v))
 
 
 def vscale(field, c, v):
@@ -154,20 +183,32 @@ def vscale(field, c, v):
         p = field.p
         c %= p
         return tuple(c * a % p for a in v)
-    return tuple(c * a for a in v)
+    return tuple(_q(c * a) for a in v)
 
 
 def vkron(field, u, v):
     """Kronecker product of coordinate vectors, u-major; over Q a zero
-    factor gives Fraction(0) without a `Fraction` product."""
+    factor gives 0 without a product, and an int product needs no check."""
     if field.p:
         p = field.p
         return tuple(a * b % p for a in u for b in v)
-    zero = _Q_ZERO
-    zeros = (zero,) * len(v)
+    zeros = (0,) * len(v)
     out = []
     for a in u:
-        out.extend([a * b if b else zero for b in v] if a else zeros)
+        if a:
+            for b in v:
+                x = a * b
+                out.append(x if x.__class__ is int else _q(x))
+        else:
+            out.extend(zeros)
+    return tuple(out)
+
+
+def dense_row(field, row, n):
+    """The sparse row as a dense tuple of length n, in working form."""
+    out = [field.zero()] * n
+    for j, x in row.items():
+        out[j] = x
     return tuple(out)
 
 
@@ -180,9 +221,11 @@ def unit_vector(field, n, i):
 class Mat:
     """Immutable matrix stored by sparse rows.
 
-    `nz` holds one dict per row, column -> entry, with no zero stored;
-    rows are shared between matrices and never mutated.  `data` is the
-    dense tuple of row tuples, built on demand.
+    `nz` holds one dict per row, column -> entry in working form, with
+    no zero stored; rows are shared between matrices and never mutated.
+    `data` and `row` are the dense rows in report form (Fractions over
+    Q), built on demand; `col` and `columns` hand dense columns to other
+    kernels in working form.
     """
 
     __slots__ = ("field", "rows", "cols", "nz")
@@ -196,8 +239,8 @@ class Mat:
 
     @classmethod
     def from_sparse(cls, field, rows, cols, nz):
-        """A matrix from rows already in `nz` form: canonical, nonzero
-        entries that nothing will mutate."""
+        """A matrix from rows already in `nz` form: nonzero entries in
+        working form that nothing will mutate."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
@@ -251,17 +294,15 @@ class Mat:
         return tuple(self.row(i) for i in range(self.rows))
 
     def row(self, i):
-        out = [self.field.zero()] * self.cols
-        for j, x in self.nz[i].items():
-            out[j] = x
-        return tuple(out)
+        return report_form(self.field, dense_row(self.field, self.nz[i], self.cols))
 
     def col(self, j):
         z = self.field.zero()
         return tuple(r.get(j, z) for r in self.nz)
 
     def columns(self):
-        return list(self.transpose().data)
+        f = self.field
+        return [dense_row(f, r, self.rows) for r in self.transpose().nz]
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -297,7 +338,7 @@ class Mat:
             if p:
                 out.append({j: v % p for j, v in acc.items() if v % p})
             else:
-                out.append({j: v for j, v in acc.items() if v})
+                out.append(q_row(acc))
         return Mat.from_sparse(self.field, self.rows, other.cols, tuple(out))
 
     def __mul__(self, other):
@@ -309,7 +350,7 @@ class Mat:
         p = self.field.p
         if p:
             return tuple(sum(x * vec[j] for j, x in r.items()) % p for r in self.nz)
-        return tuple(sum(x * vec[j] for j, x in r.items() if vec[j]) or _Q_ZERO
+        return tuple(_q(sum(x * vec[j] for j, x in r.items() if vec[j]))
                      for r in self.nz)
 
     def add(self, other):
@@ -336,7 +377,7 @@ class Mat:
         if p:
             nz = tuple({j: c * x % p for j, x in r.items()} for r in self.nz)
         else:
-            nz = tuple({j: c * x for j, x in r.items()} for r in self.nz)
+            nz = tuple(q_row({j: c * x for j, x in r.items()}) for r in self.nz)
         return Mat.from_sparse(f, self.rows, self.cols, nz)
 
     def transpose(self):
@@ -445,7 +486,8 @@ def kron(a, b):
             if p:
                 out.append({i * w + k: x * y % p for i, x in arow.items() for k, y in brow.items()})
             else:
-                out.append({i * w + k: x * y for i, x in arow.items() for k, y in brow.items()})
+                out.append(q_row({i * w + k: x * y for i, x in arow.items()
+                                   for k, y in brow.items()}))
     return Mat.from_sparse(f, a.rows * b.rows, a.cols * w, tuple(out))
 
 
@@ -458,11 +500,14 @@ def kron(a, b):
 
 def _sub_multiple(r, a, q, p):
     """r - a*q on sparse rows, in place on r, a row nothing else holds;
-    entries reduced mod p over GF(p) (p > 0), exact over Q (p == 0)."""
+    entries reduced mod p over GF(p) (p > 0), in working form over Q
+    (p == 0)."""
     for j, y in q.items():
         v = r.get(j, 0) - a * y
         if p:
             v %= p
+        elif v.__class__ is not int:
+            v = _q(v)
         if v:
             r[j] = v
         else:
@@ -488,7 +533,10 @@ def _echelon(nz, p):
             r = dict(row)
         else:
             den = math.lcm(*[x.denominator for x in row.values()])
-            r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            if den == 1:
+                r = dict(row)
+            else:
+                r = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
         while r:
             c = min(r)
             q = pivots.get(c)
@@ -551,7 +599,7 @@ def rref(m):
     The rows of `_echelon` are back-reduced from the right, so each is
     cleared only by pivot rows that are already reduced.  Over Q this
     stays in integers, and each row is divided by its lead only when the
-    result is written."""
+    result is written: an entry the lead divides stays an int."""
     p = m.field.p
     pivots = _echelon(m.nz, p)
     order = sorted(pivots)
@@ -575,7 +623,11 @@ def rref(m):
         for c in order:
             r = pivots[c]
             lead = r[c]
-            rows.append({j: Fraction(v, lead) for j, v in r.items()})
+            if lead != 1:
+                # lead > 0: an entry it divides is written as the int quotient
+                r = {j: v // lead if v % lead == 0 else Fraction(v, lead)
+                     for j, v in r.items()}
+            rows.append(r)
     rows.extend([{}] * (m.rows - len(order)))
     return Mat.from_sparse(m.field, m.rows, m.cols, tuple(rows)), tuple(order)
 
@@ -714,7 +766,7 @@ class EchelonSpace:
         elif p:
             v = {j: x % p for j, x in enumerate(vec) if x % p}
         else:
-            v = {j: x for j, x in enumerate(vec) if x}
+            v = q_row(dict(enumerate(vec)))
         rows = self.rows
         for pc in [j for j in v if j in rows]:
             _sub_multiple(v, v[pc], rows[pc], p)

@@ -18,8 +18,10 @@ Every constructor here writes these rows directly; dense coordinate
 tables (the zoo, `.kcat` tables, tests) enter through
 `category_from_tables` alone.  Validation (unit laws, associativity,
 identity summands), `compose` and the pre/post-composition matrices read
-the rows, so they cost nonzero structure constants, not dense vectors;
-`compose_basis` renders one composite densely.
+the rows, so they cost nonzero structure constants, not dense vectors.
+Entries are in the working form of `exactla` (ints where integral over
+Q); `compose_basis` renders one composite densely and `identity` the
+identity coordinates, both in report form (Fractions over Q).
 
 A tensor product category A tensor B (C^e = C^op tensor C among them)
 keeps no rows at all (`rows` is None): basis index ic * dim + id pairs
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from .exactla import (
     FieldMismatch, Mat, kron, sparse_row, vadd, vkron, vzero, ComplementData,
+    dense_row, report_form, q_row,
 )
 
 
@@ -99,7 +102,7 @@ class FiniteKCategory:
         for pair in [(x, y) for x in self.objects for y in self.objects]:
             self.hom_basis.setdefault(pair, ())
         self.rows = rows             # None for a product category
-        self.identity = identity
+        self._identity = identity    # working form; `identity` reports it
         self.product_of = product_of
         self.triangular = triangular
         self.paths = paths
@@ -151,10 +154,16 @@ class FiniteKCategory:
     def total_dim(self):
         return sum(len(v) for v in self.hom_basis.values())
 
+    @property
+    def identity(self):
+        """The identity coordinates of every object, in report form."""
+        return {x: report_form(self.field, v) for x, v in self._identity.items()}
+
     def id_coords(self, x):
-        if x not in self.identity:
+        """The identity coordinates of x in working form, for computing."""
+        if x not in self._identity:
             raise UnknownObject(x)
-        return self.identity[x]
+        return self._identity[x]
 
     def basis_morphisms(self):
         """Yield (x, y, index, label) over all Hom-space bases."""
@@ -185,11 +194,12 @@ class FiniteKCategory:
         rd = d.basis_row(*dt, id_, jd)
         if p:
             return {kc * w + kd: u * v % p for kc, u in rc.items() for kd, v in rd.items()}
-        return {kc * w + kd: u * v for kc, u in rc.items() for kd, v in rd.items()}
+        return q_row({kc * w + kd: u * v for kc, u in rc.items() for kd, v in rd.items()})
 
     def compose_basis(self, x, y, z, i, j):
-        """Coordinates of g_j o f_i as a dense tuple."""
-        return self._dense(self.basis_row(x, y, z, i, j), self.dim(x, z))
+        """Coordinates of g_j o f_i as a dense tuple, in report form."""
+        return report_form(self.field, dense_row(self.field, self.basis_row(x, y, z, i, j),
+                                                 self.dim(x, z)))
 
     def _compose_rows(self, x, y, z, f, g):
         """g o f for sparse f in Hom(x,y) and g in Hom(y,z), as a sparse row."""
@@ -197,17 +207,11 @@ class FiniteKCategory:
         return _lincomb(self.field.p, ((a * b, row(x, y, z, i, j))
                                        for i, a in f.items() for j, b in g.items()))
 
-    def _dense(self, row, n):
-        out = [self.field.zero()] * n
-        for k, v in row.items():
-            out[k] = v
-        return tuple(out)
-
     def compose(self, x, y, z, f_coords, g_coords):
-        """Bilinear extension of the composition table."""
+        """Bilinear extension of the composition table, in working form."""
         f = {i: a for i, a in enumerate(f_coords) if a}
         g = {j: b for j, b in enumerate(g_coords) if b}
-        return self._dense(self._compose_rows(x, y, z, f, g), self.dim(x, z))
+        return dense_row(self.field, self._compose_rows(x, y, z, f, g), self.dim(x, z))
 
     def _table_matrix(self, x, y, z, cells):
         """The matrix whose column c holds g_j o f_i for (i, j) = cells[c]."""
@@ -272,7 +276,7 @@ class FiniteKCategory:
             return report
         objs = self.objects
         for x in objs:
-            if x not in self.identity or len(self.identity[x]) != self.dim(x, x):
+            if x not in self._identity or len(self._identity[x]) != self.dim(x, x):
                 report.fail("identity", x, "missing or wrong-length identity coordinates")
         for (x, y, z), table in self.rows.items():
             if len(table) != self.dim(x, y):
@@ -290,7 +294,7 @@ class FiniteKCategory:
                     report.fail("comp-missing", (x, y, y), "no composition table")
         # unit laws
         one = self.field.one()
-        ids = {x: {i: a for i, a in enumerate(self.identity[x]) if a} for x in objs}
+        ids = {x: {i: a for i, a in enumerate(self._identity[x]) if a} for x in objs}
         for x, y, i, label in self.basis_morphisms():
             f = {i: one}
             if self._compose_rows(x, y, y, f, ids[y]) != f:
@@ -339,7 +343,7 @@ class FiniteKCategory:
                 and self.objects == other.objects
                 and self.hom_basis == other.hom_basis
                 and self.rows == other.rows
-                and self.identity == other.identity)
+                and self._identity == other._identity)
 
     __hash__ = None
 
@@ -366,7 +370,7 @@ def _lincomb(p, terms):
                 acc[k] = v
     if p:
         return {k: v % p for k, v in acc.items() if v % p}
-    return {k: v for k, v in acc.items() if v}
+    return q_row(acc)
 
 
 def _sorted_row(row):
@@ -401,10 +405,17 @@ def category_from_tables(field, objects, hom_basis, comp_entries, identities):
     either as a nested list [i][j] or as a dict {(i, j): vector} whose
     absent pairs compose to zero.  Missing triples compose to zero (only
     legal when that is right; validation decides).  A nested list is read
-    as given, its row counts included, so a table of the wrong shape is
-    reported by validation rather than cut or padded here.
+    as given, so a table of the wrong shape is reported rather than cut or
+    padded.  The sparse rows keep no vector lengths, so the shape checks
+    that validation makes first are made here on the dense input, vector
+    lengths included, with the same failures in the same order.
     """
     hb = {k: tuple(v) for k, v in hom_basis.items()}
+    ids = {x: tuple(field.of(v) for v in identities[x]) for x in objects if x in identities}
+    report = ValidationReport()
+    for x in objects:
+        if x not in ids or len(ids[x]) != len(hb.get((x, x), ())):
+            report.fail("identity", x, "missing or wrong-length identity coordinates")
     rows = {}
     for x in objects:
         for y in objects:
@@ -415,12 +426,21 @@ def category_from_tables(field, objects, hom_basis, comp_entries, identities):
                 dyz = len(hb.get((y, z), ()))
                 if not dyz:
                     continue
+                dxz = len(hb.get((x, z), ()))
                 given = comp_entries.get((x, y, z), {})
                 if isinstance(given, dict):
-                    given = [[given.get((i, j), ()) for j in range(dyz)] for i in range(dxy)]
+                    zero = (0,) * dxz
+                    given = [[given.get((i, j), zero) for j in range(dyz)] for i in range(dxy)]
+                if len(given) != dxy:
+                    report.fail("comp-shape", (x, y, z), "wrong first index range")
+                    continue
+                for row in given:
+                    if len(row) != dyz or any(len(v) != dxz for v in row):
+                        report.fail("comp-shape", (x, y, z), "wrong table shape")
                 rows[(x, y, z)] = tuple(tuple(sparse_row(field, v) or EMPTY_ROW for v in row)
                                         for row in given)
-    ids = {x: tuple(field.of(v) for v in identities[x]) for x in objects if x in identities}
+    if not report.ok:
+        raise InvalidCategory(report)
     return FiniteKCategory(field, objects, hb, rows, ids)
 
 
@@ -433,7 +453,7 @@ def opposite(c):
     hom = {(x, y): c.hom_basis[(y, x)] for x in c.objects for y in c.objects}
     # op-composition of f in op(x,y)=C(y,x), g in op(y,z)=C(z,y) is f o g
     rows = {(x, y, z): tuple(zip(*table)) for (z, y, x), table in c.rows.items()}
-    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c.identity),
+    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c._identity),
                            check=False,
                            identity_summands=dict(c.identity_summands))
 

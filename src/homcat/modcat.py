@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .exactla import (
     ComplementData, EchelonSpace, Mat, add_to_row, block_diag, column_space_basis,
-    complex_cohomology_dims, kernel_basis, kron, rank, solve,
+    complex_cohomology_dims, dense_row, kernel_basis, kron, rank, solve,
     unit_vector, vkron,
 )
 from .kcat import (InvalidModule, UnknownObject, enveloping, opposite,
@@ -183,8 +183,8 @@ class ModuleMap:
         out = []
         for x in self.source.base.objects:
             m = self.comp[x]
-            for i in range(m.rows):
-                out.extend(m.row(i))
+            for row in m.nz:
+                out.extend(dense_row(m.field, row, m.cols))
         return tuple(out)
 
 

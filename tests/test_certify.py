@@ -8,7 +8,7 @@ import pytest
 
 from homcat.certify import FinitenessError, build_quiver_category
 from homcat.cli import Workspace, main, parse
-from homcat.exactla import Field
+from homcat.exactla import Field, report_form
 
 Q = Field.rationals()
 F = Field.gf(32003)
@@ -47,7 +47,8 @@ def test_two_loops_certify_at_the_default_bound(field):
 def _reference(field, objects, arrows, relations, bound):
     """(basis paths, composition tables, identities) of the presentation,
     or the FinitenessError message; relations are {path: coefficient}
-    rows in application order, all of one Hom space."""
+    rows in application order, all of one Hom space.  Tables and
+    identities are in report form, as compose_basis and identity give them."""
     cap = bound + 1
     paths = {(x, y): [] for x in objects for y in objects}
     level = {(x, x): [()] for x in objects}
@@ -93,8 +94,8 @@ def _reference(field, objects, arrows, relations, bound):
         def red(p, cols=index[pair], pivots=pivots, free=free):
             j = cols[p]
             if j in pivots:
-                return tuple(field.neg(pivots[j][f]) for f in free)
-            return tuple(field.one() if f == j else field.zero() for f in free)
+                return report_form(field, [field.neg(pivots[j][f]) for f in free])
+            return report_form(field, [field.one() if f == j else field.zero() for f in free])
         reduce[pair] = red
     comp = {}
     for x in objects:
@@ -102,7 +103,8 @@ def _reference(field, objects, arrows, relations, bound):
             for z in objects:
                 if basis[(x, y)] and basis[(y, z)]:
                     comp[(x, y, z)] = tuple(
-                        tuple((field.zero(),) * len(basis[(x, z)]) if len(p + q) > bound
+                        tuple(report_form(field, (field.zero(),) * len(basis[(x, z)]))
+                              if len(p + q) > bound
                               else reduce[(x, z)](p + q) for q in basis[(y, z)])
                         for p in basis[(x, y)])
     identities = {x: reduce[(x, x)](()) for x in objects}

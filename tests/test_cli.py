@@ -495,7 +495,37 @@ task les A I
 task cmp T U M
 """
 
-FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC}
+# a commutative square over Q with 2 b*a = 3/2 d*c and an ideal generated
+# by 1/2 e2, and the dual numbers acting on a corner by -3/2: non-integral
+# structure constants and actions, so Fractions survive in every layer
+Q_FRACTIONS_SRC = """\
+category S over Q
+quiver
+object 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 4
+arrow c: 1 -> 3
+arrow d: 3 -> 4
+rel 2 b*a - 3/2 d*c = 0
+ideal I in S gens: 1/2 e2
+category U over Q
+quiver
+object s
+arrow x: s -> s
+rel x*x = 0
+category T over Q
+quiver
+object 1
+bimodule M over (U,T)
+dim s 1 = 2
+lact x 1 = [[0,0],[-3/2,0]]
+task cohomology S
+task les S I
+task cmp T U M
+"""
+
+FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
+                  "q-fractions": Q_FRACTIONS_SRC}
 
 # SHA-256 of `homcat <file> --json --max-degree 3 <flags>` stdout, frozen so
 # that a change to the elimination kernels cannot move a report byte
@@ -503,7 +533,8 @@ FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC}
 # sums cancel to zero; `demo-q` runs its GF(32003) category over Q, and
 # its report equals `demo`'s because no dimension in it depends on the
 # characteristic away from 2.  `les-a4-cmp` covers the `les` and `cmp`
-# pipelines over GF(32003) and Q.
+# pipelines over GF(32003) and Q.  `q-fractions` was pinned while every Q
+# entry was still a Fraction, before integral entries became ints.
 FROZEN_REPORTS = {
     "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "demo-gf2": (["--field", "gf:2"],
@@ -512,6 +543,7 @@ FROZEN_REPORTS = {
                "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "q-les": ([], "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a"),
     "les-a4-cmp": ([], "32d8093d7050d2ed243f96d5174a4854deb7682dccb8deaf3caa78828f87e38d"),
+    "q-fractions": ([], "c65c58099155b44b5328144689ad817df0589b756070c3e9b79662aa5aec1414"),
 }
 
 

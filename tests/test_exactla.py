@@ -203,9 +203,32 @@ def test_field_of_and_gf_parse():
         F5.of(Fraction(1, 5))
 
 
+def test_q_values_are_made_in_working_form():
+    # an int when integral, else a Fraction: never a float, a bool or a
+    # Fraction with denominator 1
+    for x in (Q.zero(), Q.one(), Q.of(7), Q.of("4/2"), Q.of(Fraction(6, 3)), Q.of(True)):
+        assert type(x) is int
+    assert Q.of("3/6") == Fraction(1, 2) and type(Q.of("3/6")) is Fraction
+    for a in (1, -1, 2, -3, 10 ** 12, Fraction(1, 2), Fraction(-1, 3), Fraction(-5, 3)):
+        inv = Q.inv(a)
+        assert inv == 1 / Fraction(a)
+        assert_working_form(Q, inv)
+    for a, b in ((6, 3), (3, 6), (-4, 2), (Fraction(1, 2), Fraction(1, 4)), (1, Fraction(-1, 5))):
+        q = Q.div(a, b)
+        assert q == Fraction(a) / Fraction(b)
+        assert_working_form(Q, q)
+    assert type(Q.div(6, 3)) is int and type(Q.div(3, 6)) is Fraction
+    assert type(Q.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(Q.mul(Fraction(1, 2), 2)) is int
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
+
+
 # entries of the sparse differential matrices over Q: negative leads, huge
-# and tiny non-integers, so that row scaling and gcd removal both matter
-Q_ENTRIES = [1, -1, 2, -3, Fraction(-5, 3), 10 ** 12, Fraction(-1, 10 ** 9), Fraction(7, 2)]
+# and tiny non-integers, so that row scaling and gcd removal both matter,
+# and half-integers, whose sums with each other and with ints can be ints
+Q_ENTRIES = [1, -1, 2, -3, Fraction(-5, 3), 10 ** 12, Fraction(-1, 10 ** 9), Fraction(7, 2),
+             Fraction(1, 2), Fraction(-3, 2)]
 DIFF_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
 
 
@@ -242,8 +265,7 @@ def test_sparse_elimination_matches_naive(field):
     for m in sparse_mats(field, 4100 + field.p):
         r, pivots = rref(m)
         assert (r.data, pivots) == naive_rref(m)
-        if field.p == 0:
-            assert all(type(x) is Fraction for row in r.data for x in row)
+        assert_canonical(r)
         k = rank(m)
         assert k == naive_rank(m) == len(pivots)
         assert k == rank(m.transpose())
@@ -361,7 +383,9 @@ def canon(field, x):
 
 
 def seeded_mat(field, rng, rows, cols, density=0.35):
-    entries = [1, -1, 2, Fraction(-5, 3), 7, Fraction(1, 4)] if not field.p else [1, 2, -1, 5, 10 ** 6]
+    # over Q ints and half-integers meet in every product, sum and elimination
+    entries = ([1, -1, 2, Fraction(-5, 3), 7, Fraction(1, 4), Fraction(1, 2), Fraction(-3, 2)]
+               if not field.p else [1, 2, -1, 5, 10 ** 6])
     data = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]
             for _ in range(rows)]
     if rows > 1:
@@ -369,19 +393,32 @@ def seeded_mat(field, rng, rows, cols, density=0.35):
     return Mat.from_rows(field, data, cols=cols)
 
 
+def assert_working_form(field, x):
+    """A value as the kernels keep it: over GF(p) an int in [0, p); over Q
+    an int when integral and otherwise a Fraction, never a Fraction with
+    denominator 1, a float or a bool."""
+    if field.p:
+        assert type(x) is int and 0 <= x < field.p, x
+    else:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+def assert_report_form(field, values):
+    """Values as they leave the package: Fractions over Q, ints over GF(p)."""
+    assert all(type(x) is (int if field.p else Fraction) for x in values), values
+
+
 def assert_canonical(m):
     assert len(m.nz) == m.rows
     for row in m.nz:
         for j, x in row.items():
             assert 0 <= j < m.cols
-            if m.field.p:
-                assert type(x) is int and 0 < x < m.field.p
-            else:
-                assert type(x) is Fraction and x != 0
+            assert_working_form(m.field, x)
+            assert x != 0
     dense = Mat(m.field, m.rows, m.cols, m.data)
     assert dense == m and hash(dense) == hash(m)
-    zero = m.field.zero()
-    assert all(type(x) is type(zero) for row in m.data for x in row)
+    for row in m.data:
+        assert_report_form(m.field, row)
 
 
 def naive_mul(a, b):
@@ -412,19 +449,23 @@ def test_sparse_kernels_match_dense_oracle(field):
         prod = a.mul(c)
         assert prod.shape == (rows, inner)
         assert prod.data == tuple(map(tuple, naive_mul(a, c)))
-        vec = tuple(canon(f, rng.choice([0, 0, 1, -2, Fraction(3, 5) if not f.p else 4]))
+        # over Q the vector holds Fractions, integral ones among them
+        vec = tuple(canon(f, rng.choice([0, 0, 1, -2, Fraction(3, 5) if not f.p else 4,
+                                         Fraction(1, 2) if not f.p else 3]))
                     for _ in range(cols))
         assert a.mul_vec(vec) == tuple(
             canon(f, sum((Fraction(x) * Fraction(v) for x, v in zip(row, vec)), Fraction(0)))
             for row in dense_a)
-        assert all(type(x) is type(f.zero()) for x in a.mul_vec(vec))
+        for x in a.mul_vec(vec):
+            assert_working_form(f, x)
 
         assert a.add(b).data == tuple(tuple(canon(f, x + y) for x, y in zip(r, s))
                                       for r, s in zip(dense_a, dense_b))
         assert a.sub(b).data == tuple(tuple(canon(f, x - y) for x, y in zip(r, s))
                                       for r, s in zip(dense_a, dense_b))
         assert a.neg().data == tuple(tuple(canon(f, -x) for x in r) for r in dense_a)
-        s = rng.choice([0, 2, -1, Fraction(7, 3)] if not f.p else [0, 1, 2, f.p - 1])
+        s = rng.choice([0, 2, -1, Fraction(7, 3), Fraction(2), Fraction(-1, 2)] if not f.p
+                       else [0, 1, 2, f.p - 1])
         assert a.scale(s).data == tuple(tuple(canon(f, canon(f, s) * x) for x in r)
                                         for r in dense_a)
         assert a.transpose().data == tuple(tuple(r[i] for r in dense_a) for i in range(cols))
@@ -475,7 +516,14 @@ def test_sparse_sums_that_cancel_store_no_zero(field):
     # a - a inside a product: (1 -1) times (1 1)^T, and a row that cancels in mul_vec
     assert Mat.from_rows(f, [[1, -1]]).mul(Mat.from_rows(f, [[1], [1]])).nz == ({},)
     assert Mat.from_rows(f, [[1, -1]]).mul_vec((f.one(), f.one())) == (f.zero(),)
-    assert type(Mat.from_rows(f, [[1, -1]]).mul_vec((f.one(), f.one()))[0]) is type(f.zero())
+    assert_working_form(f, Mat.from_rows(f, [[1, -1]]).mul_vec((f.one(), f.one()))[0])
+    # halves that add up to an int, in a sum, a product and a matrix-vector product
+    s = a.add(Mat.from_rows(f, [[half, 0, 0], [0, 0, 0]]))
+    assert s.data[0][:2] == (f.add(half, half), f.one())
+    assert_canonical(s)
+    two = Mat.from_rows(f, [[half, half]])
+    assert_canonical(two.mul(Mat.from_rows(f, [[1], [1]])))
+    assert_working_form(f, two.mul_vec((f.one(), f.one()))[0])
     # dense input with zeros (and, over GF(p), multiples of p) stores none of them
     m = Mat(f, 2, 3, ((0, 1, 0), (0, 0, 0)))
     assert m.nz == ({1: f.one()}, {})
@@ -513,7 +561,8 @@ def test_echelon_space_matches_rref(field):
             vecs = seeded_mat(field, rng, count, n, density=0.3)
             sp = EchelonSpace(field, n)
             for i in range(count):
-                sp.add(vecs.row(i))
+                # dense rows in report form and sparse rows in working form
+                sp.add(vecs.row(i) if i % 2 else vecs.nz[i])
             r, pivots = rref(vecs)
             basis = sp.basis_matrix()
             assert_canonical(basis)

@@ -5,7 +5,8 @@ import pytest
 
 from homcat.cli import Workspace, parse
 from homcat.exactla import (
-    ComplementData, Field, Mat, sparse_row, unit_vector, vadd, vkron, vscale, vzero,
+    ComplementData, Field, Mat, report_form, sparse_row, unit_vector, vadd, vkron, vscale,
+    vzero,
 )
 from homcat.kcat import (
     EMPTY_ROW, Bimodule, FiniteKCategory, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
@@ -379,6 +380,19 @@ def test_validate_rejects_a_table_of_the_wrong_shape():
         ("comp-shape", ("1", "2", "2"), "wrong table shape")]
 
 
+def test_dense_input_with_a_vector_of_the_wrong_length_is_a_shape_fault():
+    # a sparse row keeps no length, so category_from_tables checks each
+    # vector against dim(x, z), as the dense check did
+    long_e1 = (((Q.one(), Q.zero()),),)          # e1 o e1 given with two coordinates
+    empty_a = (((),),)                           # e2 o a given with none
+    for key, table in ((("1", "1", "1"), long_e1), (("1", "2", "2"), empty_a)):
+        objects, hom, comp, ids = _a2_tables()
+        comp[key] = table
+        expect = [("comp-shape", key, "wrong table shape")]
+        assert _dense_validate(_DenseTables(Q, objects, hom, comp, ids)) == expect
+        assert _failures(objects, hom, comp, ids) == expect
+
+
 def test_dense_input_with_too_few_composites_is_a_shape_fault():
     objects, hom, _, ids = _a2_tables()
     assert _failures(objects, hom, {("1", "1", "2"): [[]]}, ids) == [
@@ -587,7 +601,14 @@ def test_sparse_validate_matches_the_dense_one_on_perturbed_tables(field):
                 table = comp[key]
                 vec = rng.choice(rng.choice(table))
             t = rng.randrange(len(vec))
-            vec[t] = field.of(vec[t] + rng.randrange(1, field.p or 5))
+            if rng.random() < 0.15:
+                # a vector of the wrong length: one coordinate short or one too many
+                if rng.random() < 0.5:
+                    del vec[t]
+                else:
+                    vec.append(field.of(rng.randrange(field.p or 5)))
+            else:
+                vec[t] = field.of(vec[t] + rng.randrange(1, field.p or 5))
             bad = _DenseTables(
                 field, cat.objects, cat.hom_basis,
                 {key: tuple(tuple(tuple(v) for v in row) for row in table)
@@ -647,7 +668,8 @@ def _check_against_table(prod, table, rng):
         for i in range(dxy):
             for j in range(dyz):
                 # entry types included: Fractions over Q, ints over GF(p)
-                assert repr(prod.compose_basis(x, y, z, i, j)) == repr(t[i][j])
+                assert repr(prod.compose_basis(x, y, z, i, j)) == repr(report_form(field, t[i][j]))
+                _assert_working_form(field, prod.basis_row(x, y, z, i, j))
         for j in range(dyz):
             expect = Mat.from_cols(field, [t[i][j] for i in range(dxy)], rows=dxz)
             assert prod.post_matrix_basis(x, y, z, j) == expect
@@ -693,6 +715,34 @@ def test_certified_q_composites_are_fractions():
             for row in table:
                 for vec in row:
                     assert all(type(a) is Fraction for a in vec), (name, vec)
+
+
+def _k_times_k_scaled(field, c):
+    """K x K in the basis b1 = c*e1, b2 = e2: b1 o b1 = c*b1, 1 = b1/c + b2."""
+    return category_from_tables(field, ("*",), {("*", "*"): ("b1", "b2")},
+                                {("*", "*", "*"): [[(c, 0), (0, 0)], [(0, 0), (0, 1)]]},
+                                {"*": (field.inv(c), 1)})
+
+
+def test_q_constants_whose_products_are_integral_are_kept_as_ints():
+    # the constants 1/2 and 2 meet in the product's rows and identity, and
+    # in a composite with coefficient 2
+    half, double = _k_times_k_scaled(Q, Fraction(1, 2)), _k_times_k_scaled(Q, 2)
+    prod = tensor_category(half, double)
+    o = prod.objects[0]
+    assert prod.basis_row(o, o, o, 0, 0) == {0: 1}
+    assert prod.id_coords(o) == (1, 2, Fraction(1, 2), 1)
+    assert half.compose("*", "*", "*", (2, 0), (1, 0)) == (1, 0)
+    quot, _ = quotient_category(prod, ideal_from_generators(prod, [(o, o, (0, 0, 0, 1))]))
+    for vec in [prod.id_coords(o), half.compose("*", "*", "*", (2, 0), (1, 0)),
+                quot.id_coords(o)]:
+        _assert_working_form(Q, dict(enumerate(vec)))
+    for i in range(4):
+        for j in range(4):
+            _assert_working_form(Q, prod.basis_row(o, o, o, i, j))
+    _check_row_format(quot)
+    assert all(type(a) is Fraction for a in prod.identity[o])
+    assert prod.compose_basis(o, o, o, 0, 0) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +846,26 @@ def _twisted_corner(field):
     return a2, d, Bimodule(d, a2, dims, lact, ract)
 
 
+def _assert_working_form(field, row):
+    """Over Q a coefficient is an int when integral and otherwise a
+    Fraction; over GF(p) an int in [0, p)."""
+    for v in row.values():
+        if field.p:
+            assert type(v) is int and 0 <= v < field.p, v
+        else:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
 def _check_row_format(cat):
     """Every stored composite is a sparse row with keys ascending and no
-    zero; a zero composite is the shared empty row."""
+    zero, its coefficients in working form; a zero composite is the shared
+    empty row."""
     for table in cat.rows.values():
         for row in table:
             for r in row:
                 assert list(r) == sorted(r) and all(r.values())
                 assert r or r is EMPTY_ROW
+                _assert_working_form(cat.field, r)
 
 
 def _check_rows(cat, table, rng):
@@ -825,7 +887,7 @@ def test_constructors_match_the_dense_tables_they_wrote(field):
         lam = triangular_matrix(t, uu, m)
         table, identity, summands = _dense_triangular(t, uu, m)
         _check_rows(lam, table, rng)
-        assert repr(lam.identity) == repr(identity)
+        assert repr(lam.identity) == repr({o: report_form(field, v) for o, v in identity.items()})
         assert repr(lam.identity_summands) == repr(summands)
         lams.append(lam)
     assert one_point_extension(a2, representable(a2, "1", "left")) == lams[-1]

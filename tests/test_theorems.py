@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,51 @@ def count_resolutions(monkeypatch):
     monkeypatch.setattr(modcat_mod, "projective_resolution", counted)
     monkeypatch.setattr(theorems_mod, "projective_resolution", counted)
     return calls
+
+
+def _square_with_scalars():
+    """The commutative square with 2 b*a = 3/2 d*c over Q: b*a is 3/4 of
+    d*c, so ints and non-integral Fractions meet in every layer."""
+    arrows = [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    relation = [("2", ["b", "a"]), ("-3/2", ["d", "c"])]
+    return build_quiver_category(Q, ("1", "2", "3", "4"), arrows, [relation], 12)
+
+
+def test_q_les_pipeline_keeps_working_form_inside_and_fractions_outside(monkeypatch):
+    square = _square_with_scalars()
+    built = []
+    from_sparse = Mat.from_sparse.__func__
+
+    def checked(cls, field, rows, cols, nz):
+        # inside: an int when integral, else a Fraction; never a float or a bool
+        for row in nz:
+            for x in row.values():
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+        m = from_sparse(cls, field, rows, cols, nz)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(Mat, "from_sparse", classmethod(checked))
+    ideal = ideal_from_generators(square, [("2", "2", ("1/2",))])
+    report = theorem_les_pipeline(square, ideal, 3)
+    assert report.all_exact()
+    entries = [x for m in built for row in m.nz for x in row.values()]
+    assert any(type(x) is Fraction for x in entries) and any(type(x) is int for x in entries)
+    # outside: every accessor gives Fractions
+    for m in built:
+        if m.rows * m.cols <= 64:
+            assert all(type(x) is Fraction for row in m.data for x in row)
+            assert all(type(x) is Fraction for i in range(m.rows) for x in m.row(i))
+    objs = square.objects
+    for x in objs:
+        assert all(type(a) is Fraction for a in square.identity[x])
+        for y in objs:
+            for z in objs:
+                for i in range(square.dim(x, y)):
+                    for j in range(square.dim(y, z)):
+                        vec = square.compose_basis(x, y, z, i, j)
+                        assert all(type(a) is Fraction for a in vec)
+    assert square.compose_basis("1", "2", "4", 0, 0) == (Fraction(3, 4),)
 
 
 def test_pipeline_resolves_each_module_once(monkeypatch):
