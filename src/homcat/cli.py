@@ -47,10 +47,10 @@ from fractions import Fraction
 
 from .certify import FinitenessError, UnresolvedName, build_quiver_category, coefficient
 from .exactla import Field, FieldMismatch, Mat, VerificationFailed, unit_vector
-from .kcat import (Bimodule, InvalidBimodule, InvalidCategory, InvalidFunctor,
+from .kcat import (InvalidBimodule, InvalidCategory, InvalidFunctor,
                    NotTriangular, UnknownObject, category_from_tables)
 from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
-from .modcat import BaseMismatch, CatModule, InvalidModule
+from .modcat import BaseMismatch, CatModule, InvalidModule, bimodule
 from .hochschild import bar_resolution, hochschild_cohomology, center
 from .modcat import ext, ext_data, regular_bimodule
 from .exactla import complex_cohomology_dims
@@ -781,7 +781,10 @@ class Workspace:
                 f"bimodule {decl.name}: ract {arrow} {uo}")
         lact = _complete_bimodule_action(u, t, dims, lact, left=True)
         ract = _complete_bimodule_action(t, u, dims, ract, left=False)
-        return Bimodule(u, t, dims, lact, ract)
+        try:
+            return bimodule(u, t, dims, lact, ract)
+        except InvalidBimodule as exc:
+            raise UnresolvedName(f"bimodule {decl.name} is not functorial: {exc}") from exc
 
     def _build_ideal(self, decl):
         cat = self._category(decl.cat)

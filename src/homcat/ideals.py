@@ -10,7 +10,7 @@ the total Hom dimension, which bounds the number of strict rank jumps.
 from __future__ import annotations
 
 from .exactla import EchelonSpace, Mat, VerificationFailed, rank, solve, unit_vector
-from .kcat import NotTriangular, UnknownObject
+from .kcat import NotTriangular, UnknownObject, pair_object
 
 
 class CoordinateMismatch(ValueError):
@@ -196,7 +196,7 @@ def triangular_ideal(lam):
         for o2 in lam.objects:
             T2, U2 = src[o2]
             dt = t.dim(T, T2)
-            dm = m.dim(U2, T)
+            dm = m.dims[pair_object(T, U2)]
             total = lam.dim(o1, o2)
             cols = [unit_vector(lam.field, total, k) for k in range(dt + dm)]
             span[(o1, o2)] = Mat.from_cols(lam.field, cols, rows=total)

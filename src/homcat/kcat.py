@@ -31,6 +31,9 @@ opposite is A^op tensor B^op.
 
 Tensor products, opposites, enveloping categories, quotients by ideals,
 triangular matrix categories and one-point extensions are all built here.
+The M of a triangular matrix category [T 0; M U] is a (U,T)-bimodule, held
+like every other bimodule as a left module over a product category, here
+T^op tensor U (`modcat.bimodule`); the corner reads its slot actions.
 """
 
 from __future__ import annotations
@@ -658,168 +661,27 @@ def quotient_category(c, ideal):
 
 
 # ---------------------------------------------------------------------------
-# bimodules and the triangular matrix category
-
-class Bimodule:
-    """An additive K-functor M from U tensor T^op to vector spaces.
-
-    dims[(U,T)] is the dimension of M(U,T); lact[(U,U',i,T)] is the matrix
-    of the U-morphism basis element i acting M(U,T) -> M(U',T); and
-    ract[(T,T',j,U)] is the matrix of the T-morphism basis element j
-    acting contravariantly M(U,T') -> M(U,T).
-    """
-
-    def __init__(self, u, t, dims, lact, ract, check=True):
-        if u.field != t.field:
-            raise FieldMismatch("bimodule factors over different fields")
-        self.u = u
-        self.t = t
-        self.field = u.field
-        self.dims = {}
-        for U in u.objects:
-            for T in t.objects:
-                self.dims[(U, T)] = int(dims.get((U, T), 0))
-        self.lact = dict(lact)
-        self.ract = dict(ract)
-        if check:
-            self.validate()
-
-    def dim(self, U, T):
-        return self.dims[(U, T)]
-
-    def lact_mat(self, U, U2, i, T):
-        m = self.lact.get((U, U2, i, T))
-        if m is None:
-            m = Mat.zeros(self.field, self.dims[(U2, T)], self.dims[(U, T)])
-        return m
-
-    def ract_mat(self, T, T2, j, U):
-        m = self.ract.get((T, T2, j, U))
-        if m is None:
-            m = Mat.zeros(self.field, self.dims[(U, T)], self.dims[(U, T2)])
-        return m
-
-    def lact_row(self, U, U2, row, T):
-        """The left action of the U-morphism with sparse coordinates row."""
-        out = Mat.zeros(self.field, self.dims[(U2, T)], self.dims[(U, T)])
-        for i, a in row.items():
-            out = out.add(self.lact_mat(U, U2, i, T).scale(a))
-        return out
-
-    def ract_row(self, T, T2, row, U):
-        """The right action of the T-morphism with sparse coordinates row."""
-        out = Mat.zeros(self.field, self.dims[(U, T)], self.dims[(U, T2)])
-        for j, a in row.items():
-            out = out.add(self.ract_mat(T, T2, j, U).scale(a))
-        return out
-
-    def validate(self):
-        u, t = self.u, self.t
-        for U in u.objects:
-            for T in t.objects:
-                d = self.dims[(U, T)]
-                one_u = sparse_row(self.field, u.id_coords(U))
-                if self.lact_row(U, U, one_u, T) != Mat.identity(self.field, d):
-                    raise InvalidBimodule(f"U-identity does not act as identity at ({U},{T})")
-                one_t = sparse_row(self.field, t.id_coords(T))
-                if self.ract_row(T, T, one_t, U) != Mat.identity(self.field, d):
-                    raise InvalidBimodule(f"T-identity does not act as identity at ({U},{T})")
-        # functoriality of the left action
-        for U1 in u.objects:
-            for U2 in u.objects:
-                for i in range(u.dim(U1, U2)):
-                    for U3 in u.objects:
-                        for j in range(u.dim(U2, U3)):
-                            comp = u.basis_row(U1, U2, U3, i, j)
-                            for T in t.objects:
-                                lhs = self.lact_row(U1, U3, comp, T)
-                                rhs = self.lact_mat(U2, U3, j, T).mul(self.lact_mat(U1, U2, i, T))
-                                if lhs != rhs:
-                                    raise InvalidBimodule(
-                                        f"left action not functorial at ({U1},{U2},{U3}) x {T}")
-        # contravariant functoriality of the right action
-        for T1 in t.objects:
-            for T2 in t.objects:
-                for i in range(t.dim(T1, T2)):
-                    for T3 in t.objects:
-                        for j in range(t.dim(T2, T3)):
-                            comp = t.basis_row(T1, T2, T3, i, j)
-                            for U in u.objects:
-                                lhs = self.ract_row(T1, T3, comp, U)
-                                rhs = self.ract_mat(T1, T2, i, U).mul(self.ract_mat(T2, T3, j, U))
-                                if lhs != rhs:
-                                    raise InvalidBimodule(
-                                        f"right action not functorial at ({T1},{T2},{T3}) x {U}")
-        # the two actions commute
-        for U1 in u.objects:
-            for U2 in u.objects:
-                for i in range(u.dim(U1, U2)):
-                    for T1 in t.objects:
-                        for T2 in t.objects:
-                            for j in range(t.dim(T1, T2)):
-                                a = self.lact_mat(U1, U2, i, T1).mul(self.ract_mat(T1, T2, j, U1))
-                                b = self.ract_mat(T1, T2, j, U2).mul(self.lact_mat(U1, U2, i, T2))
-                                if a != b:
-                                    raise InvalidBimodule(
-                                        f"actions do not commute at ({U1},{U2}) x ({T1},{T2})")
-        return True
-
-    @classmethod
-    def zero(cls, u, t):
-        return cls(u, t, {}, {}, {}, check=False)
-
-    @classmethod
-    def from_left_module(cls, u, module, t=None):
-        """Reinterpret a left U-module as a (U, unit)-bimodule."""
-        if t is None:
-            t = unit_category(u.field)
-        star = t.objects[0]
-        dims = {(U, star): module.dims[U] for U in u.objects}
-        lact = {}
-        for (x, y, i), mat in module.act.items():
-            lact[(x, y, i, star)] = mat
-        ract = {}
-        for U in u.objects:
-            ract[(star, star, 0, U)] = Mat.identity(u.field, module.dims[U]).scale(
-                t.id_coords(star)[0])
-        # the unit category may present its identity as any single basis
-        # vector; scale accordingly (coords length is 1)
-        return cls(u, t, dims, lact, ract)
-
-    @classmethod
-    def from_right_module(cls, t, module, u=None):
-        """Reinterpret a right T-module as a (unit, T)-bimodule."""
-        if u is None:
-            u = unit_category(t.field)
-        star = u.objects[0]
-        dims = {(star, T): module.dims[T] for T in t.objects}
-        ract = {}
-        for (x, y, i), mat in module.act.items():
-            # right module act: M(y) -> M(x) for f in Hom(x,y)
-            ract[(x, y, i, star)] = mat
-        lact = {}
-        for T in t.objects:
-            lact[(star, star, 0, T)] = Mat.identity(t.field, module.dims[T]).scale(
-                u.id_coords(star)[0])
-        return cls(u, t, dims, lact, ract)
-
+# the triangular matrix category
 
 def triangular_object(T, U):
     return f"[{T};{U}]"
 
 
 def triangular_matrix(t, u, m):
-    """The triangular matrix category with underlying bimodule M.
+    """The triangular matrix category with underlying (U,T)-bimodule M, a
+    left module over T^op tensor U (`modcat.bimodule`).
 
     Objects are pairs [T;U]; Hom([T;U],[T';U']) is the direct sum of
     Hom_T(T,T'), M(U',T) and Hom_U(U,U'), composed block-triangularly
     (the corner receives m2 after t1 plus u2 acting on m1).
     """
+    from .modcat import slot_action
     if t.field != u.field:
         raise FieldMismatch("triangular factors over different fields")
-    if m.u is not u and m.u != u:
+    t_op, m_u = m.base.product_of or (None, None)
+    if m_u is not u and m_u != u:
         raise InvalidBimodule("bimodule U-factor mismatch")
-    if m.t is not t and m.t != t:
+    if t_op != opposite(t):
         raise InvalidBimodule("bimodule T-factor mismatch")
     field = t.field
     objects = []
@@ -833,7 +695,7 @@ def triangular_matrix(t, u, m):
     def blocks(o1, o2):
         T, U = src[o1]
         T2, U2 = src[o2]
-        return t.dim(T, T2), m.dim(U2, T), u.dim(U, U2)
+        return t.dim(T, T2), m.dims[pair_object(T, U2)], u.dim(U, U2)
 
     hom = {}
     for o1 in objects:
@@ -841,7 +703,7 @@ def triangular_matrix(t, u, m):
             T, U = src[o1]
             T2, U2 = src[o2]
             labels = (tuple(f"t:{l}" for l in t.hom_basis[(T, T2)])
-                      + tuple(f"m{k}" for k in range(m.dim(U2, T)))
+                      + tuple(f"m{k}" for k in range(m.dims[pair_object(T, U2)]))
                       + tuple(f"u:{l}" for l in u.hom_basis[(U, U2)]))
             hom[(o1, o2)] = labels
 
@@ -868,12 +730,12 @@ def triangular_matrix(t, u, m):
                     for j in range(d2t):
                         table[i][j] = t.basis_row(T, T2, T3, i, j)
                     # f = t-basis i, g = m-basis k: corner = m2 after t1
-                    rcols = m.ract_mat(T, T2, i, U3).transpose().nz
+                    rcols = slot_action(m, True, T2, T, i, U3).transpose().nz
                     for k in range(d2m):
                         table[i][d2t + k] = _shifted(rcols[k], dct)
                 # f = m-basis k, g = u-basis j: corner = u2 acting on m1
                 for j in range(d2u):
-                    lcols = m.lact_mat(U2, U3, j, T).transpose().nz
+                    lcols = slot_action(m, False, U2, U3, j, T).transpose().nz
                     for k in range(d1m):
                         table[d1t + k][d2t + d2m + j] = _shifted(lcols[k], dct)
                 # f = u-basis i, g = u-basis j
@@ -905,10 +767,11 @@ def _shifted(row, offset):
 
 def one_point_extension(u, module):
     """Triangular matrix category over the unit category, with the left
-    module reinterpreted as a bimodule."""
+    module lifted to a (U, unit)-bimodule."""
+    from .modcat import over_unit
     if module.base is not u and module.base != u:
         raise InvalidModule("module is not over the given category")
     if module.side != "left":
         raise InvalidModule("one-point extension takes a left module")
-    bim = Bimodule.from_left_module(u, module)
-    return triangular_matrix(bim.t, u, bim)
+    bim = over_unit(module)
+    return triangular_matrix(bim.base.product_of[0], u, bim)

@@ -4,7 +4,10 @@ A CatModule assigns a dimension to every object and a matrix to every
 basis morphism (covariant for left modules, contravariant for right
 ones).  Bimodules over C are uniformly left modules over enveloping(C),
 so the regular bimodule, ideal bimodules and their quotients all live in
-one module category and share the resolution machinery.
+one module category and share the resolution machinery.  A (U,T)-bimodule
+such as the M of a triangular matrix category is likewise a left module
+over T^op tensor U (`bimodule`), and a left module lifted over the unit
+category (`over_unit`) is the bimodule of a one-point extension.
 
 Hom and the tensor over C share one intertwining system: Hom(M, N) is
 its kernel, and over a field N tensor_C M is the complement of the
@@ -28,12 +31,14 @@ cochain spaces small, the covers minimal, and all bases canonical.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .exactla import (
     ComplementData, EchelonSpace, Mat, add_to_row, block_diag, column_space_basis,
     complex_cohomology_dims, dense_row, kernel_basis, kron, rank, solve,
     unit_vector, vkron,
 )
-from .kcat import (InvalidModule, UnknownObject, enveloping, opposite,
+from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
 
 
@@ -50,6 +55,7 @@ class CatModule:
         self.side = side
         self.dims = {x: int(dims.get(x, 0)) for x in base.objects}
         self.act = dict(act)
+        self._out_arrows = None      # nothing changes a module once built
         if check:
             self.validate()
 
@@ -73,6 +79,17 @@ class CatModule:
             r, c = self._shape(x, y)
             m = Mat.zeros(self.base.field, r, c)
         return m
+
+    def out_arrows(self):
+        """Per object x, a (y, matrix) pair for every basis morphism acting
+        on M(x) and landing in M(y): x -> y for a left module, y -> x for
+        a right one."""
+        if self._out_arrows is None:
+            self._out_arrows = {x: [] for x in self.base.objects}
+            for x, y, i, _ in self.base.basis_morphisms():
+                src, tgt = (x, y) if self.side == "left" else (y, x)
+                self._out_arrows[src].append((tgt, self.act_mat(x, y, i)))
+        return self._out_arrows
 
     def act_vec(self, x, y, coords):
         return self.act_row(x, y, {i: a for i, a in enumerate(coords) if a})
@@ -341,14 +358,7 @@ def _orbit_closure(m, seeds, spaces=None):
     c = m.base
     if spaces is None:
         spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
-    out_arrows = {x: [] for x in c.objects}
-    for x in c.objects:
-        for y in c.objects:
-            for i in range(c.dim(x, y)):
-                if m.side == "left":
-                    out_arrows[x].append((y, m.act_mat(x, y, i)))
-                else:
-                    out_arrows[y].append((x, m.act_mat(x, y, i)))
+    out_arrows = m.out_arrows()
     work = list(seeds)
     while work:
         x, vec = work.pop()
@@ -535,6 +545,62 @@ def _product_module(base, dims, action):
     return CatModule(base, "left", values, act, check=False)
 
 
+def bimodule(u, t, dims, lact, ract):
+    """A (U,T)-bimodule M, a K-functor on U tensor T^op, as the left module
+    over T^op tensor U with value M(U,T) at (T,U), where f^op tensor g
+    acts by m -> g m f.
+
+    dims[(U,T)] is dim M(U,T); lact[(U,U',i,T)] is the matrix of basis
+    morphism i of U(U,U') from M(U,T) to M(U',T), and ract[(T,T',j,U)]
+    that of basis morphism j of T(T,T') from M(U,T') to M(U,T); a missing
+    matrix is zero.  These are the module's slot actions.  Raises
+    InvalidBimodule unless each identity acts as the identity on its own
+    side and the actions are functorial and commute."""
+    base = tensor_category(opposite(t), u)
+    field = u.field
+
+    def dim(U, T):
+        return int(dims.get((U, T), 0))
+
+    def left(U, U2, i, T):
+        m = lact.get((U, U2, i, T))
+        return Mat.zeros(field, dim(U2, T), dim(U, T)) if m is None else m
+
+    def right(T, T2, j, U):
+        m = ract.get((T, T2, j, U))
+        return Mat.zeros(field, dim(U, T), dim(U, T2)) if m is None else m
+
+    # the module sees only products left * right, which a left identity
+    # acting as c and a right one acting as 1/c would pass
+    for U in u.objects:
+        for T in t.objects:
+            d = dim(U, T)
+            for side, c, x, act in (("U", u, U, lambda k: left(U, U, k, T)),
+                                    ("T", t, T, lambda k: right(T, T, k, U))):
+                terms = (act(k).scale(a) for k, a in enumerate(c.id_coords(x)) if a)
+                if reduce(Mat.add, terms, Mat.zeros(field, d, d)) != Mat.identity(field, d):
+                    raise InvalidBimodule(
+                        f"{side}-identity does not act as identity at ({U},{T})")
+    m = _product_module(
+        base, lambda T, U: dim(U, T),
+        lambda T1, U1, T2, U2, j, i: left(U1, U2, i, T2).mul(right(T2, T1, j, U1)))
+    try:
+        m.validate()
+    except InvalidModule as exc:
+        raise InvalidBimodule(str(exc)) from exc
+    return m
+
+
+def over_unit(m):
+    """A left C-module as the left module over unit tensor C with the same
+    values and actions: the (C, unit)-bimodule it is, the unit category
+    being its own opposite."""
+    c = m.base
+    return _product_module(tensor_category(unit_category(c.field), c),
+                           lambda _, x: m.dims[x],
+                           lambda _u, x, _u2, y, _k, i: m.act_mat(x, y, i))
+
+
 def slot_action(m, first, x, y, i, far):
     """Action on a left module over A tensor B of basis morphism i of
     A(x,y) tensor 1_far (first) or of 1_far tensor basis morphism i of
@@ -631,11 +697,8 @@ def boxtimes(f, g, out_base=None):
         raise BaseMismatch("first factor is not a module over the contracted category")
     if f.side != "left" or g.side != "left":
         raise BaseMismatch("boxtimes takes left modules")
-    unit = unit_category(c.field)
-    lifted = _product_module(tensor_category(unit, c), lambda _, x: f.dims[x],
-                             lambda u, x, u2, y, k, i: f.act_mat(x, y, i))
-    out = _contract(lifted, g, c, d, None)
-    back = {pair_object(unit.objects[0], dd): dd for dd in d.objects}
+    out = _contract(over_unit(f), g, c, d, None)
+    back = {pair_object("*", dd): dd for dd in d.objects}
     return CatModule(d, "left", {back[p]: k for p, k in out.dims.items()},
                      {(back[p], back[q], j): mat for (p, q, j), mat in out.act.items()},
                      check=False)

@@ -12,7 +12,7 @@ import pytest
 
 from homcat.exactla import Field, Mat, complex_cohomology_dims
 from homcat.kcat import (
-    Bimodule, enveloping, one_point_extension, opposite, tensor_category,
+    enveloping, one_point_extension, opposite, tensor_category,
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
@@ -20,7 +20,7 @@ from homcat.ideals import (
     triangular_ideal,
 )
 from homcat.modcat import (
-    CatModule, as_left_over_op, as_right_over_op, boxtimes, direct_sum,
+    CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes, direct_sum,
     dualize, ext, ext_data, ideal_bimodule, is_projective, module_hom,
     hom_module, random_module, regular_bimodule,
     representable, simple, swap_product_module, tensor_over_cat, tor,
@@ -52,8 +52,17 @@ def battery(field):
 
 def one_dim_bimodule(u, t):
     one = Mat.identity(u.field, 1)
-    return Bimodule(u, t, {("*", "*"): 1}, {("*", "*", 0, "*"): one},
+    return bimodule(u, t, {("*", "*"): 1}, {("*", "*", 0, "*"): one},
                     {("*", "*", 0, "*"): one})
+
+
+def right_module_bimodule(module):
+    """A right T-module as a (unit, T)-bimodule."""
+    t = module.base
+    dims = {("*", T): k for T, k in module.dims.items()}
+    lact = {("*", "*", 0, T): Mat.identity(t.field, k) for T, k in module.dims.items()}
+    ract = {(x, y, i, "*"): mat for (x, y, i), mat in module.act.items()}
+    return bimodule(unit_category(t.field), t, dims, lact, ract)
 
 
 def classic_lambda(field):
@@ -154,8 +163,8 @@ def test_criterion_06_structural_theorems():
         ("unit/unit/K", triangular_matrix(u, u, one_dim_bimodule(u, u))),
         ("ope(A2,P1)", one_point_extension(a2, representable(a2, "1", "left"))),
         ("A2/unit/right-rep", triangular_matrix(
-            a2, u, Bimodule.from_right_module(a2, representable(a2, "2", "right"), u))),
-        ("A2/A2/zero", triangular_matrix(a2, a2, Bimodule.zero(a2, a2))),
+            a2, u, right_module_bimodule(representable(a2, "2", "right")))),
+        ("A2/A2/zero", triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {}))),
         ("ope(dual,regular)", one_point_extension(d, representable(d, "*", "left"))),
     ]
     assert len(family) == 5

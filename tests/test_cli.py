@@ -324,6 +324,9 @@ BAD_INPUTS = {
                    "act a = [[1,0],[0]]\n", "line 9, column 18: "),
     "lact-shape": (BIMODULE_SRC + "lact x 1 = [[0,1]]\n",
                    "bimodule M: lact x 1 has shape (1, 2), expected (2, 2)"),
+    # x * x = 0 but x acts as the identity
+    "lact-not-functorial": (BIMODULE_SRC + "lact x 1 = [[1,0],[0,1]]\n",
+                            "bimodule M is not functorial: "),
 }
 
 

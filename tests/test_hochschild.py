@@ -263,11 +263,12 @@ def test_classical_algebra_oracle_triangular():
     ]
     mult = [[tuple(map(field.of, v)) for v in row] for row in mult]
     classical = classical_algebra_hh(field, mult, (1, 1, 0), 3)
-    from homcat.kcat import Bimodule, triangular_matrix, unit_category
+    from homcat.kcat import triangular_matrix, unit_category
+    from homcat.modcat import bimodule
     from homcat.exactla import Mat
     u = unit_category(field)
     one = Mat.identity(field, 1)
-    lam = triangular_matrix(u, u, Bimodule(
+    lam = triangular_matrix(u, u, bimodule(
         u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): one}, {("*", "*", 0, "*"): one}))
     assert classical == hochschild_cohomology(lam, 3) == [1, 0, 0, 0]
 

@@ -1,14 +1,14 @@
 import pytest
 
 from homcat.exactla import Field, Mat
-from homcat.kcat import Bimodule, triangular_matrix, unit_category, one_point_extension
+from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
     CoordinateMismatch, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
     ideal_product, is_idempotent, opposite_ideal, representable_ideal_module,
     triangular_ideal, whole_ideal, zero_ideal,
 )
 from homcat.kcat import opposite
-from homcat.modcat import CatModule, is_projective
+from homcat.modcat import CatModule, bimodule, is_projective
 from homcat import zoo
 
 Q = Field.rationals()
@@ -79,7 +79,7 @@ def test_product_parent_mismatch():
 
 
 def one_dim_bimodule(u, t):
-    return Bimodule(u, t, {("*", "*"): 1},
+    return bimodule(u, t, {("*", "*"): 1},
                     {("*", "*", 0, "*"): Mat.identity(u.field, 1)},
                     {("*", "*", 0, "*"): Mat.identity(u.field, 1)})
 
@@ -94,7 +94,7 @@ def test_triangular_ideal_classic():
 
 def test_triangular_ideal_zero_bimodule():
     a2 = zoo.a2(Q)
-    lam = triangular_matrix(a2, a2, Bimodule.zero(a2, a2))
+    lam = triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {}))
     ideal = triangular_ideal(lam)
     # only the T block contributes: A2's total Hom dim once per U-pair
     assert ideal.total_dim() == 12

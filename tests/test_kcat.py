@@ -9,14 +9,15 @@ from homcat.exactla import (
     vzero,
 )
 from homcat.kcat import (
-    EMPTY_ROW, Bimodule, FiniteKCategory, InvalidCategory, InvalidFunctor, KFunctor, enveloping,
+    EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, InvalidFunctor, KFunctor,
+    enveloping,
     one_point_extension, opposite, opposite_functor, quotient_category,
     tensor_category, tensor_functor, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
 )
 from homcat import zoo
 from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
-from homcat.modcat import CatModule, representable
+from homcat.modcat import CatModule, bimodule, over_unit, representable, slot_action
 
 Q = Field.rationals()
 FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
@@ -72,7 +73,18 @@ def test_tensor_field_mismatch():
         tensor_category(zoo.a2(Q), zoo.a2(Field.gf(5)))
     with pytest.raises(FieldMismatch):
         triangular_matrix(unit_category(Field.gf(5)), unit_category(Q),
-                          Bimodule.zero(unit_category(Q), unit_category(Q)))
+                          bimodule(unit_category(Q), unit_category(Q), {}, {}, {}))
+
+
+def test_triangular_rejects_bimodule_over_other_factors():
+    u, a2 = unit_category(Q), zoo.a2(Q)
+    k = one_dim_bimodule(u, u)
+    with pytest.raises(InvalidBimodule, match="U-factor"):
+        triangular_matrix(u, a2, k)
+    with pytest.raises(InvalidBimodule, match="T-factor"):
+        triangular_matrix(a2, u, k)
+    with pytest.raises(InvalidBimodule, match="U-factor"):
+        triangular_matrix(u, u, representable(u, "*", "left"))
 
 
 def test_one_point_extension_rejects_wrong_module():
@@ -117,10 +129,23 @@ def test_enveloping_dims():
     assert enveloping(zoo.dual_numbers(Q)).total_dim() == 4
 
 
+def one_dim_data(field):
+    """dims, lact and ract of K as a (unit, unit)-bimodule."""
+    one = Mat.identity(field, 1)
+    return {("*", "*"): 1}, {("*", "*", 0, "*"): one}, {("*", "*", 0, "*"): one}
+
+
 def one_dim_bimodule(u, t):
-    return Bimodule(u, t, {("*", "*"): 1},
-                    {("*", "*", 0, "*"): Mat.identity(u.field, 1)},
-                    {("*", "*", 0, "*"): Mat.identity(u.field, 1)})
+    return bimodule(u, t, *one_dim_data(u.field))
+
+
+def left_module_data(module):
+    """dims, lact and ract of a left U-module as a (U, unit)-bimodule."""
+    field = module.base.field
+    dims = {(U, "*"): k for U, k in module.dims.items()}
+    lact = {(x, y, i, "*"): mat for (x, y, i), mat in module.act.items()}
+    ract = {("*", "*", 0, U): Mat.identity(field, k) for U, k in module.dims.items()}
+    return dims, lact, ract
 
 
 def test_triangular_classic():
@@ -135,7 +160,7 @@ def test_triangular_classic():
 def test_triangular_zero_bimodule():
     # M = 0: no Hom between the blocks beyond the two factors
     a2 = zoo.a2(Q)
-    lam = triangular_matrix(a2, a2, Bimodule.zero(a2, a2))
+    lam = triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {}))
     # objects are pairs; Hom((T,U),(T',U')) = T(T,T') + U(U,U')
     for o1 in lam.objects:
         for o2 in lam.objects:
@@ -150,7 +175,7 @@ def test_triangular_hom_formula():
     t = unit_category(Q)
     m_mod = CatModule(u, "left", {"1": 1, "2": 0},
                       {("1", "1", 0): Mat.identity(Q, 1)})
-    m = Bimodule.from_left_module(u, m_mod, t)
+    m = over_unit(m_mod)
     lam = triangular_matrix(t, u, m)
     assert len(lam.objects) == 2
     src = lam.triangular["source"]
@@ -159,7 +184,7 @@ def test_triangular_hom_formula():
         for o2 in lam.objects:
             T, U = src[o1]
             T2, U2 = src[o2]
-            expect = t.dim(T, T2) + m.dim(U2, T) + u.dim(U, U2)
+            expect = t.dim(T, T2) + m.dims[pair_object(T, U2)] + u.dim(U, U2)
             assert lam.dim(o1, o2) == expect
             total += expect
     # sum over the four object pairs of (1 + m(U') + A2(U,U'))
@@ -181,7 +206,7 @@ def test_one_point_extension_kronecker_type():
     # Hom between the extension corner and * has dimension 2
     o = lam.objects[0]
     assert lam.total_dim() == 4
-    assert lam.triangular["m"].dim("*", "*") == 2
+    assert lam.triangular["m"].dims[pair_object("*", "*")] == 2
 
 
 def test_one_point_extension_representable():
@@ -191,7 +216,7 @@ def test_one_point_extension_representable():
     # Hom((*,U),(*,U')) = K + m(U') + A2(U,U'), summed: 4 + 2*(1+1)... by formula
     src = lam.triangular["source"]
     m = lam.triangular["m"]
-    total = sum(1 + m.dim(src[o2][1], "*") + u.dim(src[o1][1], src[o2][1])
+    total = sum(1 + m.dims[pair_object("*", src[o2][1])] + u.dim(src[o1][1], src[o2][1])
                 for o1 in lam.objects for o2 in lam.objects)
     # per pair (U,U'): 1 + dim A2(1,U') + dim A2(U,U')
     assert lam.total_dim() == total == 11
@@ -308,11 +333,34 @@ def test_identity_summands_triangular():
 
 
 def test_bimodule_validation_rejects_bad_action():
-    u = unit_category(Q)
-    with pytest.raises(Exception):
-        Bimodule(u, u, {("*", "*"): 1},
-                 {("*", "*", 0, "*"): Mat.from_rows(Q, [[2]])},   # identity must act as 1
-                 {("*", "*", 0, "*"): Mat.identity(Q, 1)})
+    for field in FIELDS:
+        u, d = unit_category(field), zoo.dual_numbers(field)
+        one, two = Mat.identity(field, 1), Mat.identity(field, 2)
+        shear = Mat.from_rows(field, [[1, 1], [0, 1]])
+        low, high = (Mat.from_rows(field, rows) for rows in ([[0, 0], [1, 0]], [[0, 1], [0, 0]]))
+        bad = [
+            # identity must act as 1: shear times its inverse is 1, but
+            # each side alone is not
+            (u, u, {("*", "*"): 2}, {("*", "*", 0, "*"): shear},
+             {("*", "*", 0, "*"): Mat.from_rows(field, [[1, -1], [0, 1]])}),
+            (u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): Mat.zeros(field, 1, 1)},
+             {("*", "*", 0, "*"): one}),
+            # x acts as low on the left and as high on the right: each side
+            # is functorial but they do not commute
+            (d, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): low},
+             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): high}),
+            # x * x = 0 but x acts as the identity, on either side
+            (d, u, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): two},
+             {("*", "*", 0, "*"): two}),
+            (u, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two},
+             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): two}),
+        ]
+        for uu, t, dims, lact, ract in bad:
+            with pytest.raises(InvalidBimodule):
+                bimodule(uu, t, dims, lact, ract)
+        # the same actions with x acting as low on both sides commute
+        bimodule(d, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): low},
+                 {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): low})
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +815,10 @@ def _dense_quotient_table(c, ideal):
     return table
 
 
-def _dense_triangular(t, u, m):
+def _dense_triangular(t, u, dims, lact, ract):
     """The table, identities and identity summands triangular_matrix used
-    to build, every composite embedded densely into its three blocks."""
+    to build from the bimodule with these one-sided actions, every
+    composite embedded densely into its three blocks."""
     field = t.field
     src = {}
     for T in t.objects:
@@ -778,7 +827,11 @@ def _dense_triangular(t, u, m):
 
     def blocks(o1, o2):
         (T, U), (T2, U2) = src[o1], src[o2]
-        return t.dim(T, T2), m.dim(U2, T), u.dim(U, U2)
+        return t.dim(T, T2), dims.get((U2, T), 0), u.dim(U, U2)
+
+    def action(table, key, rows, cols):
+        mat = table.get(key)
+        return Mat.zeros(field, rows, cols) if mat is None else mat
 
     def embed(dt, dm, du, tpart=None, mpart=None, upart=None):
         vec = [field.zero()] * (dt + dm + du)
@@ -804,11 +857,11 @@ def _dense_triangular(t, u, m):
                 for i in range(d1t):
                     for j in range(d2t):
                         rows[i][j] = embed(*dc, tpart=t.compose_basis(T, T2, T3, i, j))
-                    rmat = m.ract_row(T, T2, {i: field.one()}, U3)
+                    rmat = action(ract, (T, T2, i, U3), dc[1], d2m)
                     for k in range(d2m):
                         rows[i][d2t + k] = embed(*dc, mpart=rmat.col(k))
                 for j in range(d2u):
-                    lmat = m.lact_row(U2, U3, {j: field.one()}, T)
+                    lmat = action(lact, (U2, U3, j, T), dc[1], d1m)
                     for k in range(d1m):
                         rows[d1t + k][d2t + d2m + j] = embed(*dc, mpart=lmat.col(k))
                 for i in range(d1u):
@@ -818,10 +871,10 @@ def _dense_triangular(t, u, m):
                 table[(o1, o2, o3)] = tuple(tuple(row) for row in rows)
     identity, summands = {}, {}
     for o, (T, U) in src.items():
-        dims = blocks(o, o)
-        identity[o] = embed(*dims, tpart=t.id_coords(T), upart=u.id_coords(U))
-        summands[o] = tuple([embed(*dims, tpart=e) for e in t.identity_summands[T]]
-                            + [embed(*dims, upart=e) for e in u.identity_summands[U]])
+        dc = blocks(o, o)
+        identity[o] = embed(*dc, tpart=t.id_coords(T), upart=u.id_coords(U))
+        summands[o] = tuple([embed(*dc, tpart=e) for e in t.identity_summands[T]]
+                            + [embed(*dc, upart=e) for e in u.identity_summands[U]])
     return table, identity, summands
 
 
@@ -843,7 +896,7 @@ def _twisted_corner(field):
             ("*", "*", 1, "2"): Mat.from_rows(field, [[0, 0], [1, 0]])}
     ract = {("2", "2", 0, "*"): Mat.identity(field, 2),
             ("1", "2", 0, "*"): Mat.zeros(field, 0, 2)}
-    return a2, d, Bimodule(d, a2, dims, lact, ract)
+    return a2, d, dims, lact, ract
 
 
 def _assert_working_form(field, row):
@@ -878,14 +931,13 @@ def _check_rows(cat, table, rng):
 def test_constructors_match_the_dense_tables_they_wrote(field):
     rng = random.Random(11 + field.p)
     u = unit_category(field)
-    triangles = [(u, u, one_dim_bimodule(u, u)), _twisted_corner(field)]
     a2 = zoo.a2(field)
-    point = Bimodule.from_left_module(a2, representable(a2, "1", "left"))
-    triangles.append((point.t, a2, point))
+    triangles = [(u, u, *one_dim_data(field)), _twisted_corner(field),
+                 (u, a2, *left_module_data(representable(a2, "1", "left")))]
     lams = []
-    for t, uu, m in triangles:
-        lam = triangular_matrix(t, uu, m)
-        table, identity, summands = _dense_triangular(t, uu, m)
+    for t, uu, dims, lact, ract in triangles:
+        lam = triangular_matrix(t, uu, bimodule(uu, t, dims, lact, ract))
+        table, identity, summands = _dense_triangular(t, uu, dims, lact, ract)
         _check_rows(lam, table, rng)
         assert repr(lam.identity) == repr({o: report_form(field, v) for o, v in identity.items()})
         assert repr(lam.identity_summands) == repr(summands)
@@ -907,3 +959,27 @@ def test_constructors_match_the_dense_tables_they_wrote(field):
     for c, ideal in cases:
         quot, _ = quotient_category(c, ideal)
         _check_rows(quot, _dense_quotient_table(c, ideal), rng)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_bimodule_slot_actions_are_the_given_actions(field):
+    u, a2 = unit_category(field), zoo.a2(field)
+    point = representable(a2, "1", "left")
+    fixtures = [(u, u, *one_dim_data(field)), _twisted_corner(field),
+                (u, a2, *left_module_data(point)), (a2, a2, {}, {}, {})]
+    for t, uu, dims, lact, ract in fixtures:
+        m = bimodule(uu, t, dims, lact, ract)
+        assert m.dims == {pair_object(T, U): dims.get((U, T), 0)
+                          for T in t.objects for U in uu.objects}
+        for U, U2, i, _ in uu.basis_morphisms():
+            for T in t.objects:
+                shape = dims.get((U2, T), 0), dims.get((U, T), 0)
+                given = lact.get((U, U2, i, T), Mat.zeros(field, *shape))
+                assert slot_action(m, False, U, U2, i, T) == given
+        for T, T2, j, _ in t.basis_morphisms():
+            for U in uu.objects:
+                shape = dims.get((U, T), 0), dims.get((U, T2), 0)
+                given = ract.get((T, T2, j, U), Mat.zeros(field, *shape))
+                assert slot_action(m, True, T2, T, j, U) == given
+    # the lift of a left module is the bimodule of its one-sided actions
+    assert over_unit(point) == bimodule(a2, u, *left_module_data(point))

@@ -9,11 +9,11 @@ import pytest
 from homcat import modcat
 from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import (
-    Bimodule, InvalidModule, category_from_tables, enveloping, one_point_extension,
+    InvalidModule, category_from_tables, enveloping, one_point_extension,
     opposite, pair_object, tensor_category, triangular_matrix, unit_category,
 )
 from homcat.modcat import (
-    BaseMismatch, CatModule, as_left_over_op, as_right_over_op, boxtimes,
+    BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
     direct_sum, dualize, ext, hom_module, is_projective, module_hom,
     minimal_split_generators, outer_tensor,
     projective_resolution, quotient_representable, random_module,
@@ -265,17 +265,25 @@ def test_dualize_involution_and_dims():
     assert inj.dims == {"1": 1, "2": 1}
 
 
+def right_module_bimodule(module):
+    """A right T-module as a (unit, T)-bimodule."""
+    t = module.base
+    dims = {("*", T): k for T, k in module.dims.items()}
+    lact = {("*", "*", 0, T): Mat.identity(t.field, k) for T, k in module.dims.items()}
+    ract = {(x, y, i, "*"): mat for (x, y, i), mat in module.act.items()}
+    return bimodule(unit_category(t.field), t, dims, lact, ract)
+
+
 def _triangular_family(field):
     u = unit_category(field)
     a2, d = zoo.a2(field), zoo.dual_numbers(field)
     one = Mat.identity(field, 1)
-    k = Bimodule(u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): one}, {("*", "*", 0, "*"): one})
+    k = bimodule(u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): one}, {("*", "*", 0, "*"): one})
     return [
         triangular_matrix(u, u, k),
         one_point_extension(a2, representable(a2, "1", "left")),
-        triangular_matrix(a2, u, Bimodule.from_right_module(
-            a2, representable(a2, "2", "right"), u)),
-        triangular_matrix(a2, a2, Bimodule.zero(a2, a2)),
+        triangular_matrix(a2, u, right_module_bimodule(representable(a2, "2", "right"))),
+        triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {})),
         one_point_extension(d, representable(d, "*", "left")),
         one_point_extension(d, simple(d, "*")),
     ]

@@ -9,7 +9,7 @@ import pytest
 import homcat
 from homcat.exactla import Field, Mat
 from homcat.kcat import (
-    Bimodule, enveloping, one_point_extension, opposite, quotient_category,
+    enveloping, one_point_extension, opposite, quotient_category,
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
@@ -18,8 +18,8 @@ from homcat.ideals import (
 )
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, as_left_over_op, ext, projective_resolution, quotient_representable,
-    regular_bimodule, representable, restrict_module, simple, tor,
+    CatModule, ModuleMap, as_left_over_op, bimodule, ext, over_unit, projective_resolution,
+    quotient_representable, regular_bimodule, representable, restrict_module, simple, tor,
 )
 from homcat.theorems import (
     CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule,
@@ -33,9 +33,18 @@ F = Field.gf(32003)
 
 
 def one_dim_bimodule(u, t):
-    return Bimodule(u, t, {("*", "*"): 1},
+    return bimodule(u, t, {("*", "*"): 1},
                     {("*", "*", 0, "*"): Mat.identity(u.field, 1)},
                     {("*", "*", 0, "*"): Mat.identity(u.field, 1)})
+
+
+def right_module_bimodule(module):
+    """A right T-module as a (unit, T)-bimodule."""
+    t = module.base
+    dims = {("*", T): k for T, k in module.dims.items()}
+    lact = {("*", "*", 0, T): Mat.identity(t.field, k) for T, k in module.dims.items()}
+    ract = {(x, y, i, "*"): mat for (x, y, i), mat in module.act.items()}
+    return bimodule(unit_category(t.field), t, dims, lact, ract)
 
 
 def classic_lambda(field):
@@ -174,7 +183,7 @@ def test_cmp_pipeline_classic():
 
 def test_cmp_pipeline_zero_bimodule():
     a2 = zoo.a2(F)
-    report = cmp_pipeline(a2, a2, Bimodule.zero(a2, a2), 2)
+    report = cmp_pipeline(a2, a2, bimodule(a2, a2, {}, {}, {}), 2)
     assert report.all_exact()
     # H(A2 disjoint A2) has a two-dimensional degree-0 part
     assert report.dims["HC"][0] == 2
@@ -185,7 +194,7 @@ def test_cmp_pipeline_zero_bimodule():
 def test_cmp_pipeline_dual_coefficients():
     u = unit_category(F)
     d = zoo.dual_numbers(F)
-    m = Bimodule.from_left_module(d, representable(d, "*", "left"), u)
+    m = over_unit(representable(d, "*", "left"))
     report = cmp_pipeline(u, d, m, 3)
     assert report.all_exact()
     assert report.identifications["HU"] == [2, 1, 1, 1]
@@ -283,9 +292,8 @@ def test_structural_audits_on_triangular_family():
     family = [
         triangular_matrix(u, u, one_dim_bimodule(u, u)),
         one_point_extension(a2, representable(a2, "1", "left")),
-        triangular_matrix(a2, u, Bimodule.from_right_module(
-            a2, representable(a2, "2", "right"), u)),
-        triangular_matrix(a2, a2, Bimodule.zero(a2, a2)),
+        triangular_matrix(a2, u, right_module_bimodule(representable(a2, "2", "right"))),
+        triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {})),
         one_point_extension(d, representable(d, "*", "left")),
     ]
     from homcat.ideals import is_idempotent, representable_ideal_module
@@ -308,7 +316,7 @@ def test_cmp_two_object_twisted_corner():
             ("*", "*", 1, "2"): Mat.from_rows(F, [[0, 0], [1, 0]])}
     ract = {("2", "2", 0, "*"): Mat.identity(F, 2),
             ("1", "2", 0, "*"): Mat.zeros(F, 0, 2)}
-    m = Bimodule(d, a2, dims, lact, ract)
+    m = bimodule(d, a2, dims, lact, ract)
     report = cmp_pipeline(a2, d, m, 3)
     assert report.all_exact()
     assert report.dims["HB"] == [2, 1, 1, 1]
