@@ -775,6 +775,12 @@ class EchelonSpace:
     def contains(self, vec):
         return not self._reduce(vec)
 
+    def copy(self):
+        """An independent copy: `add` updates rows in place."""
+        out = EchelonSpace(self.field, self.n)
+        out.rows = {pc: dict(row) for pc, row in self.rows.items()}
+        return out
+
     def add(self, vec):
         """Insert vec (dense, or a sparse row); returns True when the space grew."""
         f = self.field

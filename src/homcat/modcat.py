@@ -19,24 +19,25 @@ factor with an identity in the other.
 
 Resolutions are presentations by projective summands: a term is a finite
 coproduct of summands C(x,-) o e cut out of representables by the
-orthogonal identity decompositions the category carries, and a
-differential is the list of generator images in the previous term.  One
-generator search, a minimal generating set split along the identity
-summands, gives every cover: the terms of a resolution and the cover that
-the projectivity test splits.  Ext complexes then come out of the Yoneda
-identification Hom(C(x,-) o e, N) = e-invariants of N(x), and Tor
-complexes are the Ext complexes into the linear dual, which keeps the
-cochain spaces small, the covers minimal, and all bases canonical.
+orthogonal identity decompositions the category carries (cut out by 1_x,
+the summand is C(x,-) itself), and a differential is the list of generator
+images in the previous term.  One generator search, a minimal generating
+set split along the identity summands, gives every cover: the cover that
+the projectivity test splits, and each term of a resolution, searched for
+inside the previous term among the vectors of its kernel.  Ext complexes
+come out of the Yoneda identification Hom(C(x,-) o e, N) = e-invariants
+of N(x); the invariants, the blocks a differential weighs and the dual
+D(N) are kept on N, which serves every resolution it meets.  Tor
+complexes are the Ext complexes into D(N), which keeps the cochain spaces
+small, the covers minimal, and all bases canonical.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .exactla import (
-    ComplementData, EchelonSpace, Mat, add_to_row, block_diag, column_space_basis,
-    complex_cohomology_dims, dense_row, kernel_basis, kron, rank, solve,
-    unit_vector, vkron,
+    ComplementData, EchelonSpace, Mat, VerificationFailed, add_to_row, block_diag,
+    column_space_basis, complex_cohomology_dims, dense_row, kernel_basis, kron, rank,
+    solve, unit_vector, vkron,
 )
 from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
@@ -55,7 +56,10 @@ class CatModule:
         self.side = side
         self.dims = {x: int(dims.get(x, 0)) for x in base.objects}
         self.act = dict(act)
-        self._out_arrows = None      # nothing changes a module once built
+        # nothing changes a module once built, so what is read off it is kept
+        self._out_arrows = self._dual = None
+        self._invariants = {}        # (x, e) -> basis and projection of e.M(x)
+        self._blocks = {}            # (xs, es, xt, et) -> Yoneda blocks
         if check:
             self.validate()
 
@@ -90,6 +94,27 @@ class CatModule:
                 src, tgt = (x, y) if self.side == "left" else (y, x)
                 self._out_arrows[src].append((tgt, self.act_mat(x, y, i)))
         return self._out_arrows
+
+    def invariants(self, x, e):
+        """Basis and projection of the e-invariants e.M(x), which Yoneda
+        identifies with Hom(C(x,-) o e, M)."""
+        key = (x, e)
+        if key not in self._invariants:
+            a = self.act_vec(x, x, e)    # the identity when e is 1_x
+            self._invariants[key] = (a, a) if e == self.base.id_coords(x) else _image(a)
+        return self._invariants[key]
+
+    def yoneda_blocks(self, s, xt, et):
+        """One block p_t . act(f) . b_s per basis vector f of the summand
+        s = C(xs,-) o es at xt: the map Hom(s, M) -> Hom(C(xt,-) o et, M)
+        that sends the target's generator to f, in invariant bases."""
+        key = (s.x, s.e, xt, et)
+        if key not in self._blocks:
+            bs, pt = self.invariants(s.x, s.e)[0], self.invariants(xt, et)[1]
+            fb = s.basis[xt]
+            self._blocks[key] = [pt.mul(self.act_vec(s.x, xt, fb.col(b))).mul(bs)
+                                 for b in range(fb.cols)]
+        return self._blocks[key]
 
     def act_vec(self, x, y, coords):
         return self.act_row(x, y, {i: a for i, a in enumerate(coords) if a})
@@ -136,8 +161,9 @@ class CatModule:
                             else:
                                 rhs = self.act_mat(x, y, i).mul(self.act_mat(y, z, j))
                             if lhs != rhs:
+                                g, f = c.hom_basis[(y, z)][j], c.hom_basis[(x, y)][i]
                                 raise InvalidModule(
-                                    f"action not functorial at ({x},{y},{z}) basis ({i},{j})")
+                                    f"action not functorial at ({x},{y},{z}) on {g}*{f}")
         return True
 
     def __eq__(self, other):
@@ -306,10 +332,13 @@ def direct_sum(modules):
 
 
 def dualize(m):
-    """Value-wise linear dual with transposed actions (opposite side)."""
-    side = "right" if m.side == "left" else "left"
-    act = {k: mat.transpose() for k, mat in m.act.items()}
-    return CatModule(m.base, side, dict(m.dims), act, check=False)
+    """Value-wise linear dual with transposed actions (opposite side),
+    built once and kept on m with the Yoneda blocks it caches."""
+    if m._dual is None:
+        side = "right" if m.side == "left" else "left"
+        act = {k: mat.transpose() for k, mat in m.act.items()}
+        m._dual = CatModule(m.base, side, dict(m.dims), act, check=False)
+    return m._dual
 
 
 def as_left_over_op(m, base_op=None):
@@ -554,8 +583,8 @@ def bimodule(u, t, dims, lact, ract):
     morphism i of U(U,U') from M(U,T) to M(U',T), and ract[(T,T',j,U)]
     that of basis morphism j of T(T,T') from M(U,T') to M(U,T); a missing
     matrix is zero.  These are the module's slot actions.  Raises
-    InvalidBimodule unless each identity acts as the identity on its own
-    side and the actions are functorial and commute."""
+    InvalidBimodule, in the terms of U and T, unless each side is a module
+    (shapes, identity, functoriality) and the two sides commute."""
     base = tensor_category(opposite(t), u)
     field = u.field
 
@@ -570,25 +599,27 @@ def bimodule(u, t, dims, lact, ract):
         m = ract.get((T, T2, j, U))
         return Mat.zeros(field, dim(U, T), dim(U, T2)) if m is None else m
 
-    # the module sees only products left * right, which a left identity
-    # acting as c and a right one acting as 1/c would pass
-    for U in u.objects:
-        for T in t.objects:
-            d = dim(U, T)
-            for side, c, x, act in (("U", u, U, lambda k: left(U, U, k, T)),
-                                    ("T", t, T, lambda k: right(T, T, k, U))):
-                terms = (act(k).scale(a) for k, a in enumerate(c.id_coords(x)) if a)
-                if reduce(Mat.add, terms, Mat.zeros(field, d, d)) != Mat.identity(field, d):
-                    raise InvalidBimodule(
-                        f"{side}-identity does not act as identity at ({U},{T})")
-    m = _product_module(
+    # the product module is functorial exactly when each side is and the
+    # sides commute; checked apart, a failure is named in the factors
+    sides = [(f"U-action on M(-,{T})", u, "left", {U: dim(U, T) for U in u.objects},
+              lambda x, y, k, T=T: left(x, y, k, T)) for T in t.objects]
+    sides += [(f"T-action on M({U},-)", t, "right", {T: dim(U, T) for T in t.objects},
+               lambda x, y, k, U=U: right(x, y, k, U)) for U in u.objects]
+    for where, c, side, values, act in sides:
+        try:
+            CatModule(c, side, values,
+                      {(x, y, k): act(x, y, k) for x, y, k, _ in c.basis_morphisms()})
+        except InvalidModule as exc:
+            raise InvalidBimodule(f"{where}: {exc}") from exc
+    for U1, U2, i, g in u.basis_morphisms():
+        for T1, T2, j, f in t.basis_morphisms():
+            if (left(U1, U2, i, T1).mul(right(T1, T2, j, U1))
+                    != right(T1, T2, j, U2).mul(left(U1, U2, i, T2))):
+                raise InvalidBimodule(f"U-arrow {g}: {U1} -> {U2} and T-arrow {f}: "
+                                      f"{T1} -> {T2} do not commute")
+    return _product_module(
         base, lambda T, U: dim(U, T),
         lambda T1, U1, T2, U2, j, i: left(U1, U2, i, T2).mul(right(T2, T1, j, U1)))
-    try:
-        m.validate()
-    except InvalidModule as exc:
-        raise InvalidBimodule(str(exc)) from exc
-    return m
 
 
 def over_unit(m):
@@ -745,25 +776,35 @@ def _contract(f, g, c, d, out_base):
 # ---------------------------------------------------------------------------
 # free resolutions by split projective summands
 
+def _image(a):
+    """The canonical basis b of the column space of an idempotent a and
+    the projection p onto it, a = b p."""
+    b = column_space_basis(a)
+    p = solve(b, a)
+    if p is None:
+        # b spans the columns of a: only a bug gets here, never bad input
+        raise VerificationFailed("idempotent has inconsistent image")
+    return b, p
+
+
 class _Summand:
     """The projective summand C(x,-) o e cut out by an idempotent e in
     End(x): values are images of the precomposition idempotent, with a
-    canonical image basis and the projection onto it."""
+    canonical image basis and the projection onto it.  Cut out by 1_x
+    (`full`), the summand is C(x,-) and both are identities."""
 
     def __init__(self, c, x, e_coords):
         self.c = c
         self.x = x
         self.e = e_coords
+        self.full = e_coords == c.id_coords(x)
         self.basis = {}
         self.proj = {}
         for y in c.objects:
-            rho = c.pre_matrix(x, x, y, e_coords)
-            b = column_space_basis(rho)
-            self.basis[y] = b
-            p = solve(b, rho)
-            if p is None:
-                raise InvalidModule("precomposition idempotent has inconsistent image")
-            self.proj[y] = p
+            if self.full:
+                self.basis[y] = self.proj[y] = Mat.identity(c.field, c.dim(x, y))
+            else:
+                self.basis[y], self.proj[y] = _image(c.pre_matrix(x, x, y, e_coords))
 
     def dim(self, y):
         return self.basis[y].cols
@@ -858,39 +899,48 @@ def _split_module(c, summands):
     for y in c.objects:
         for z in c.objects:
             for i in range(c.dim(y, z)):
-                blocks = [s.proj[z].mul(c.post_matrix_basis(s.x, y, z, i)).mul(s.basis[y])
+                blocks = [c.post_matrix_basis(s.x, y, z, i) if s.full else
+                          s.proj[z].mul(c.post_matrix_basis(s.x, y, z, i)).mul(s.basis[y])
                           for s in summands]
                 act[(y, z, i)] = block_diag(c.field, blocks, dims[z], dims[y])
     return CatModule(c, "left", dims, act, check=False)
 
 
-def minimal_split_generators(m):
-    """A minimal generating set split along the identity summands,
-    [(object, idempotent coords, component vector)], deterministic in the
-    object, basis and summand orders.
+def minimal_split_generators(m, spans=None):
+    """A minimal generating set split along the identity summands of m, or
+    of its submodule K spanned by the columns of spans[x] at each x,
+    [(object, idempotent coords, component vector in m)], deterministic in
+    the object, basis and summand orders.
 
-    A greedy pass keeps each component e.b of a basis vector b that is not
-    yet in the span of those kept, growing that span in place; one
-    backward pass then drops each component in the closure of the others.
-    A component kept at step i is outside the closure of a superset of the
-    final others, so the set is irredundant, hence minimal over a
-    finite-dimensional category (Nakayama)."""
+    A greedy pass over the basis vectors b of m, or the columns b of
+    spans, keeps each component e.b not yet in the span of those kept,
+    growing that span in place; one backward pass then drops each
+    component in the closure of the others, the span saved before it was
+    kept grown by the later ones still kept.  A component kept at step i
+    is outside the closure of a superset of the final others, so the set
+    is irredundant, hence minimal over a finite-dimensional category
+    (Nakayama)."""
     c = m.base
     spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     comps = []
+    before = []      # before[i]: the greedy span just before comps[i] was kept
     for x in c.objects:
-        cuts = [(e, m.act_vec(x, x, e)) for e in c.identity_summands[x]]
-        for b in range(m.dims[x]):
+        starts = Mat.identity(c.field, m.dims[x]) if spans is None else spans[x]
+        cuts = [(e, m.act_vec(x, x, e).mul(starts)) for e in c.identity_summands[x]]
+        for b in range(starts.cols):
             for e, cut in cuts:
                 comp = cut.col(b)
                 if not spaces[x].contains(comp):
+                    before.append({y: space.copy() for y, space in spaces.items()})
                     comps.append((x, e, comp))
                     _orbit_closure(m, [(x, comp)], spaces)
+    kept = []
     for i in range(len(comps) - 1, -1, -1):
-        others = [(y, v) for k, (y, _, v) in enumerate(comps) if k != i]
         x, _, vec = comps[i]
-        if _orbit_closure(m, others)[x].contains(vec):
+        if kept and _orbit_closure(m, kept, before[i])[x].contains(vec):
             comps.pop(i)
+        else:
+            kept.append((x, vec))
     return comps
 
 
@@ -924,36 +974,15 @@ def projective_resolution(m, length):
             gens.append([])
             images.append([])
             continue
-        prev = res.term(k - 1)
-        ker_mod = submodule_module(prev, spans)
-        kcomps = minimal_split_generators(ker_mod)
+        # searched inside the term, the kept kernel vectors are the images
+        kcomps = minimal_split_generators(res.term(k - 1), spans)
         gens.append([(x, e) for x, e, _ in kcomps])
-        images.append([spans[x].mul_vec(v) for x, e, v in kcomps])
+        images.append([v for *_, v in kcomps])
     return res
 
 
 # ---------------------------------------------------------------------------
 # Ext and Tor
-
-class _InvariantData:
-    """Per-summand invariant subspaces of a coefficient module: the image
-    of the idempotent action, with basis and projection."""
-
-    def __init__(self, coeff):
-        self.coeff = coeff
-        self._cache = {}
-
-    def get(self, x, e):
-        key = (x, e)
-        if key not in self._cache:
-            a = self.coeff.act_vec(x, x, e)
-            b = column_space_basis(a)
-            p = solve(b, a)
-            if p is None:
-                raise InvalidModule("idempotent action has inconsistent image")
-            self._cache[key] = (b, p)
-        return self._cache[key]
-
 
 class ExtComplexData:
     """Cochain spaces, differentials and per-summand invariant bases for
@@ -970,52 +999,44 @@ def _level_gens(res, k):
 
 
 def ext_data(res, coeff, upto):
-    c = res.base
-    f = c.field
-    invariants = _InvariantData(coeff)
+    """The cochain complex Hom(P_., coeff) in coeff's invariant bases, up to
+    degree upto + 1.  A generator of P_{k+1} goes to a vector of P_k, whose
+    coordinates weigh the Yoneda blocks coeff keeps for each pair of
+    summands; they add straight into the sparse rows of the differential."""
+    f = res.base.field
     inv = []
     dims = []
     for k in range(upto + 2):
-        level = []
-        for x, e in _level_gens(res, k):
-            b, p = invariants.get(x, e)
-            level.append((x, b, p))
+        level = [(x, *coeff.invariants(x, e)) for x, e in _level_gens(res, k)]
         inv.append(level)
         dims.append(sum(b.cols for _, b, _ in level))
     diffs = []
     for k in range(upto + 1):
-        tgt = _level_gens(res, k + 1)
-        src = _level_gens(res, k)
-        rows, cols = dims[k + 1], dims[k]
-        grid = [{} for _ in range(rows)]
+        src = [(res.summand(k, i), b.cols) for i, (_, b, _) in enumerate(inv[k])]
+        grid = [{} for _ in range(dims[k + 1])]
         roff = 0
-        for j, (xt, _) in enumerate(tgt):
-            _, bt, pt = inv[k + 1][j]
+        for j, (xt, et) in enumerate(_level_gens(res, k + 1)):
             img = res.images[k + 1][j]
-            pos = 0
-            coff = 0
-            for i, (xs, _) in enumerate(src):
-                _, bs, _ = inv[k][i]
-                fb = res.summand(k, i).basis[xt]
-                acc = Mat.zeros(f, coeff.dims[xt], coeff.dims[xs])
-                for b in range(fb.cols):
+            pos = coff = 0
+            for s, width in src:
+                for blk in coeff.yoneda_blocks(s, xt, et):
                     a = img[pos]
                     pos += 1
                     if a:
-                        acc = acc.add(coeff.act_vec(xs, xt, fb.col(b)).scale(a))
-                blk = pt.mul(acc).mul(bs)
-                # each block fills its own columns coff.. of rows roff..
-                for r, brow in enumerate(blk.nz):
-                    grid[roff + r].update((coff + s, a) for s, a in brow.items())
-                coff += bs.cols
-            roff += bt.cols
-        diffs.append(Mat.from_sparse(f, rows, cols, tuple(grid)))
+                        # each block fills its own columns coff.. of rows roff..
+                        for r, brow in enumerate(blk.nz):
+                            row = grid[roff + r]
+                            for t, v in brow.items():
+                                add_to_row(f, row, coff + t, f.mul(a, v))
+                coff += width
+            roff += inv[k + 1][j][1].cols
+        diffs.append(Mat.from_sparse(f, dims[k + 1], dims[k], tuple(grid)))
     return ExtComplexData(dims, diffs, inv)
 
 
 def tor_data(res, coeff, upto):
     """The Tor complex of a right module coeff against the resolved
-    module, given as the Ext complex into the dual D(coeff).
+    module, given as the Ext complex into the dual D(coeff) kept on coeff.
 
     Over a field coeff tensor P is the linear dual of Hom(P, D(coeff))
     (Cartan-Eilenberg, Homological Algebra, VI), so the chain complex

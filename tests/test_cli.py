@@ -326,7 +326,8 @@ BAD_INPUTS = {
                    "bimodule M: lact x 1 has shape (1, 2), expected (2, 2)"),
     # x * x = 0 but x acts as the identity
     "lact-not-functorial": (BIMODULE_SRC + "lact x 1 = [[1,0],[0,1]]\n",
-                            "bimodule M is not functorial: "),
+                            "bimodule M is not functorial: U-action on M(-,1): "
+                            "action not functorial at (1,1,1) on x*x\n"),
 }
 
 
@@ -527,8 +528,32 @@ task les S I
 task cmp T U M
 """
 
+# strong idempotency of <e2> in A_4, and Happel's sequence for the
+# Kronecker quiver with a module on which a acts as 1 and b as 0
+IDEAL_CHECK_SRC = """\
+category A over GF(32003)
+quiver
+object 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 3 -> 4
+ideal I in A gens: e2
+category K over GF(32003)
+quiver
+object 1 2
+arrow a: 1 -> 2
+arrow b: 1 -> 2
+module S over K left
+dim 1 = 1
+dim 2 = 1
+act a = [[1]]
+act b = [[0]]
+task ideal-check A I
+task happel K S
+"""
+
 FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
-                  "q-fractions": Q_FRACTIONS_SRC}
+                  "q-fractions": Q_FRACTIONS_SRC, "ideal-check": IDEAL_CHECK_SRC}
 
 # SHA-256 of `homcat <file> --json --max-degree 3 <flags>` stdout, frozen so
 # that a change to the elimination kernels cannot move a report byte
@@ -538,6 +563,8 @@ FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
 # characteristic away from 2.  `les-a4-cmp` covers the `les` and `cmp`
 # pipelines over GF(32003) and Q.  `q-fractions` was pinned while every Q
 # entry was still a Fraction, before integral entries became ints.
+# `ideal-check` pins the strong-idempotency check and a `happel` run whose
+# resolutions cut representables by split identities.
 FROZEN_REPORTS = {
     "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "demo-gf2": (["--field", "gf:2"],
@@ -547,6 +574,7 @@ FROZEN_REPORTS = {
     "q-les": ([], "4137fa42248f4c255a4f153ab45524ba211287289f40ed370f423e3d5099726a"),
     "les-a4-cmp": ([], "32d8093d7050d2ed243f96d5174a4854deb7682dccb8deaf3caa78828f87e38d"),
     "q-fractions": ([], "c65c58099155b44b5328144689ad817df0589b756070c3e9b79662aa5aec1414"),
+    "ideal-check": ([], "528c597040e3b030599797d8d318a4ec574a36e53dba166083b359bd822810db"),
 }
 
 
@@ -575,6 +603,20 @@ def test_verification_failure_in_task_gives_exit_3(monkeypatch):
     assert reports[0].status == "verification"
     assert reports[0].doc["notes"] == ["verification failed: boundaries are not cocycles"]
     assert code == 3
+
+
+def test_inconsistent_image_is_a_verification_failure(monkeypatch, tmp_path, capsys):
+    import homcat.modcat as modcat_mod
+
+    # solve(b, a) cannot fail when b is a column-space basis of a: None
+    # there is a bug, reported as a failed verification, not bad input
+    monkeypatch.setattr(modcat_mod, "solve", lambda a, b: None)
+    path = tmp_path / "ws.kcat"
+    path.write_text(DUAL_SRC + "module S over D left\ndim s = 1\nact x = [[0]]\n"
+                    "task happel D S\n")
+    assert main([str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "happel D S: verification failed: idempotent has inconsistent image" in out
 
 
 def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -342,21 +343,27 @@ def test_bimodule_validation_rejects_bad_action():
             # identity must act as 1: shear times its inverse is 1, but
             # each side alone is not
             (u, u, {("*", "*"): 2}, {("*", "*", 0, "*"): shear},
-             {("*", "*", 0, "*"): Mat.from_rows(field, [[1, -1], [0, 1]])}),
+             {("*", "*", 0, "*"): Mat.from_rows(field, [[1, -1], [0, 1]])},
+             "U-action on M(-,*): identity at * does not act as the identity"),
             (u, u, {("*", "*"): 1}, {("*", "*", 0, "*"): Mat.zeros(field, 1, 1)},
-             {("*", "*", 0, "*"): one}),
+             {("*", "*", 0, "*"): one},
+             "U-action on M(-,*): identity at * does not act as the identity"),
             # x acts as low on the left and as high on the right: each side
             # is functorial but they do not commute
             (d, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): low},
-             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): high}),
+             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): high},
+             "U-arrow x: * -> * and T-arrow x: * -> * do not commute"),
             # x * x = 0 but x acts as the identity, on either side
             (d, u, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): two},
-             {("*", "*", 0, "*"): two}),
+             {("*", "*", 0, "*"): two},
+             "U-action on M(-,*): action not functorial at (*,*,*) on x*x"),
             (u, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two},
-             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): two}),
+             {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): two},
+             "T-action on M(*,-): action not functorial at (*,*,*) on x*x"),
         ]
-        for uu, t, dims, lact, ract in bad:
-            with pytest.raises(InvalidBimodule):
+        # each failure is named by its side, objects and arrows
+        for uu, t, dims, lact, ract, message in bad:
+            with pytest.raises(InvalidBimodule, match=re.escape(message)):
                 bimodule(uu, t, dims, lact, ract)
         # the same actions with x acting as low on both sides commute
         bimodule(d, d, {("*", "*"): 2}, {("*", "*", 0, "*"): two, ("*", "*", 1, "*"): low},

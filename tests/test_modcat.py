@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from homcat import modcat
-from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
+from homcat.exactla import EchelonSpace, Field, Mat, VerificationFailed, unit_vector
 from homcat.kcat import (
     InvalidModule, category_from_tables, enveloping, one_point_extension,
     opposite, pair_object, tensor_category, triangular_matrix, unit_category,
@@ -761,25 +761,151 @@ def test_generator_search_matches_the_two_stage_search(field, monkeypatch):
     rng = random.Random(71 + field.p)
     searched = []
 
-    def recording(m):
-        searched.append(m)
-        return minimal_split_generators(m)
+    def recording(m, spans=None):
+        searched.append((m, spans))
+        return minimal_split_generators(m, spans)
 
-    # every module a resolution searches, the kernels included
+    # every search a resolution makes: the cover of the module, and each
+    # kernel, searched inside the term it lies in
     monkeypatch.setattr(modcat, "minimal_split_generators", recording)
     for m in _generator_cases(field, rng):
         projective_resolution(m, 2)
     monkeypatch.undo()
     assert len(searched) > 100
     split = 0
-    for m in searched:
-        got = minimal_split_generators(m)
-        assert got == _two_stage_generators(m)
-        c = m.base
+    for term, spans in searched:
+        c = term.base
+        got = minimal_split_generators(term, spans)
+        if spans is None:
+            assert got == _two_stage_generators(term)
+            dims = term.dims
+        else:
+            # the kernel as a module of its own, mapped back into the term
+            kernel = modcat.submodule_module(term, spans)
+            assert got == [(x, e, spans[x].mul_vec(v))
+                           for x, e, v in _two_stage_generators(kernel)]
+            dims = kernel.dims
         split += any(len(c.identity_summands[x]) > 1 for x, _, _ in got)
-        spans = _closure(m, [(x, v) for x, _, v in got])
-        assert all(spans[x].dim == m.dims[x] for x in c.objects)
+        closure = _closure(term, [(x, v) for x, _, v in got])
+        assert all(closure[x].dim == dims[x] for x in c.objects)
         for i, (x, _, vec) in enumerate(got):
             others = [(y, v) for k, (y, _, v) in enumerate(got) if k != i]
-            assert not _closure(m, others)[x].contains(vec)
+            assert not _closure(term, others)[x].contains(vec)
     assert split > 35
+
+
+# -- ext_data against the per-call assembly ----------------------------------
+
+def _reference_ext_data(res, coeff, upto):
+    """The earlier assembly, with nothing cached: invariant bases and the
+    summand bases computed afresh, and per pair of summands a dense
+    accumulator of image-weighted actions, projected once."""
+    from homcat.exactla import column_space_basis, solve
+    c = res.base
+    f = c.field
+
+    def image(a):
+        b = column_space_basis(a)
+        return b, solve(b, a)
+
+    def gens(k):
+        return res.gens[k] if k <= res.length else []
+
+    inv = [[(x, *image(coeff.act_vec(x, x, e))) for x, e in gens(k)] for k in range(upto + 2)]
+    dims = [sum(b.cols for _, b, _ in level) for level in inv]
+    diffs = []
+    for k in range(upto + 1):
+        grid = [{} for _ in range(dims[k + 1])]
+        roff = 0
+        for j, (xt, _) in enumerate(gens(k + 1)):
+            _, bt, pt = inv[k + 1][j]
+            img = res.images[k + 1][j]
+            pos = coff = 0
+            for i, (xs, es) in enumerate(gens(k)):
+                _, bs, _ = inv[k][i]
+                fb = column_space_basis(c.pre_matrix(xs, xs, xt, es))
+                acc = Mat.zeros(f, coeff.dims[xt], coeff.dims[xs])
+                for b in range(fb.cols):
+                    if img[pos]:
+                        acc = acc.add(coeff.act_vec(xs, xt, fb.col(b)).scale(img[pos]))
+                    pos += 1
+                for r, brow in enumerate(pt.mul(acc).mul(bs).nz):
+                    grid[roff + r].update((coff + s, a) for s, a in brow.items())
+                coff += bs.cols
+            roff += bt.cols
+        diffs.append(Mat.from_sparse(f, dims[k + 1], dims[k], tuple(grid)))
+    return dims, diffs, inv
+
+
+def _fresh_dual(m):
+    """The linear dual built anew, sharing no cache with dualize(m)."""
+    act = {k: mat.transpose() for k, mat in m.act.items()}
+    return CatModule(m.base, "right" if m.side == "left" else "left", m.dims, act,
+                     check=False)
+
+
+def _ext_cases(field, rng):
+    """(resolutions, coefficients) over one category: every coefficient is
+    read against every resolution, so their cached blocks are reused."""
+    cats = [zoo.a3(field)] + [cat for name, cat in zoo.standard_categories(field).items()
+                              if name != "unit"]
+    cats += [zoo.random_two_object(field, seed) for seed in (1, 2)]
+    cats += _triangular_family(field)
+    for cat in cats:
+        x = cat.objects[-1]
+        modules = [representable(cat, x)] + [_nonzero(cat, rng, "left") for _ in range(3)]
+        modules += [m for m in (_maybe_simple(cat, y) for y in cat.objects) if m is not None]
+        # injectives: over the triangular categories their resolutions meet
+        # several summands of one object
+        modules += [dualize(representable(cat, y, "right")) for y in cat.objects]
+        yield [projective_resolution(m, 3) for m in modules[1:]], modules
+    # the regular bimodules of the one-point extensions of the dual numbers
+    # have resolutions with several summands of one object in one term
+    for cat in cats[:5] + cats[-2:]:
+        env = enveloping(cat)
+        reg = regular_bimodule(cat, env)
+        ideal = ideal_from_generators(cat, [(x, y, unit_vector(field, cat.dim(x, y), i))
+                                            for x, y, i, _ in cat.basis_morphisms()
+                                            if x != y or i > 0][:1])
+        sub, _ = modcat.ideal_bimodule(cat, ideal, env=env, regular=reg)
+        yield [projective_resolution(reg, 3), projective_resolution(sub, 3)], [reg, sub]
+
+
+def _maybe_simple(cat, x):
+    try:
+        return simple(cat, x)
+    except InvalidModule:
+        return None
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_ext_data_matches_the_per_call_assembly(field):
+    rng = random.Random(53 + field.p)
+    pairs = 0
+    for resolutions, coefficients in _ext_cases(field, rng):
+        rights = [dualize(m) for m in coefficients]
+        # every coefficient against every resolution, in both orders
+        for res in resolutions + resolutions[::-1]:
+            for coeff, right in zip(coefficients, rights):
+                data = modcat.ext_data(res, coeff, 2)
+                assert (data.dims, data.diffs, data.inv) == _reference_ext_data(res, coeff, 2)
+                # the Tor complex reads the dual kept on its right module
+                data = modcat.tor_data(res, right, 2)
+                want = _reference_ext_data(res, _fresh_dual(right), 2)
+                assert (data.dims, data.diffs, data.inv) == want
+                pairs += 1
+    assert pairs > 150
+
+
+def test_inconsistent_image_is_a_verification_failure(monkeypatch):
+    # both images are read off idempotents by a column-space basis, which
+    # solve cannot miss: a None there is a bug, never bad input
+    lam = _triangular_family(Q)[1]
+    x = lam.objects[0]
+    e = lam.identity_summands[x][0]
+    rep = representable(lam, x)
+    monkeypatch.setattr(modcat, "solve", lambda a, b: None)
+    with pytest.raises(VerificationFailed, match="inconsistent image"):
+        rep.invariants(x, e)
+    with pytest.raises(VerificationFailed, match="inconsistent image"):
+        modcat._Summand(lam, x, e)
