@@ -2,14 +2,15 @@
 
 An ideal stores, for every Hom pair, a matrix whose columns are a
 canonical (reduced-echelon) basis of the chosen subspace.  Equality of
-ideals is then literal matrix equality.  Generation saturates by pre-
-and post-composition until the ranks stop growing; the iteration cap is
-the total Hom dimension, which bounds the number of strict rank jumps.
+ideals is then literal matrix equality.  The ideal a morphism v generates
+is C.v.C, so generation closes each generator in one pass: its
+precomposites with every basis morphism, reduced to an echelon basis,
+each postcomposed with every basis morphism.
 """
 
 from __future__ import annotations
 
-from .exactla import EchelonSpace, Mat, VerificationFailed, rank, solve, unit_vector
+from .exactla import EchelonSpace, Mat, rank, solve, unit_vector
 from .kcat import NotTriangular, UnknownObject, pair_object
 
 
@@ -95,31 +96,27 @@ class TwoSidedIdeal:
 
 
 def _saturate(c, seeds):
-    """Smallest two-sided-closed family of subspaces containing the seeds.
+    """Canonical bases of the smallest two-sided ideal containing the seeds.
 
-    Ranks strictly increase on every insertion, so the loop terminates in
-    at most total-hom-dim steps.
+    The ideal generated by v in C(x,y) is C.v.C: per w, the products v o h
+    over basis morphisms h: w -> x are reduced to an echelon basis, and
+    only that basis is postcomposed with the basis morphisms g: y -> z.
+    A seed already inside the spans, which form an ideal, adds nothing.
     """
-    spaces = {(x, y): EchelonSpace(c.field, c.dim(x, y))
+    f = c.field
+    spaces = {(x, y): EchelonSpace(f, c.dim(x, y))
               for x in c.objects for y in c.objects}
-    cap = c.total_dim() + 1
-    work = list(seeds)
-    inserted = 0
-    while work:
-        x, y, vec = work.pop()
-        if not spaces[(x, y)].add(vec):
+    for x, y, vec in seeds:
+        if spaces[(x, y)].contains(vec):
             continue
-        inserted += 1
-        if inserted > cap:
-            raise VerificationFailed("ideal saturation exceeded the rank cap")
-        for z in c.objects:
-            for j in range(c.dim(y, z)):
-                g = unit_vector(c.field, c.dim(y, z), j)
-                work.append((x, z, c.compose(x, y, z, vec, g)))
         for w in c.objects:
-            for j in range(c.dim(w, x)):
-                h = unit_vector(c.field, c.dim(w, x), j)
-                work.append((w, y, c.compose(w, x, y, h, vec)))
+            left = EchelonSpace(f, c.dim(w, y))
+            for i in range(c.dim(w, x)):
+                left.add(c.pre_matrix_basis(w, x, y, i).mul_vec(vec))
+            for u in left.basis_matrix().columns():
+                for z in c.objects:
+                    for j in range(c.dim(y, z)):
+                        spaces[(w, z)].add(c.post_matrix_basis(w, y, z, j).mul_vec(u))
     return {key: sp.basis_matrix() for key, sp in spaces.items()}
 
 

@@ -24,7 +24,10 @@ the summand is C(x,-) itself), and a differential is the list of generator
 images in the previous term.  One generator search, a minimal generating
 set split along the identity summands, gives every cover: the cover that
 the projectivity test splits, and each term of a resolution, searched for
-inside the previous term among the vectors of its kernel.  Ext complexes
+inside the previous term among the vectors of its kernel.  By Yoneda the
+submodule v generates is spanned by its images under the basis morphisms:
+every closure is one pass, redundancy is tested at one object, and a
+module keeps its cover.  Ext complexes
 come out of the Yoneda identification Hom(C(x,-) o e, N) = e-invariants
 of N(x); the invariants, the blocks a differential weighs and the dual
 D(N) are kept on N, which serves every resolution it meets.  Tor
@@ -57,7 +60,7 @@ class CatModule:
         self.dims = {x: int(dims.get(x, 0)) for x in base.objects}
         self.act = dict(act)
         # nothing changes a module once built, so what is read off it is kept
-        self._out_arrows = self._dual = None
+        self._out_arrows = self._dual = self._generators = None
         self._invariants = {}        # (x, e) -> basis and projection of e.M(x)
         self._blocks = {}            # (xs, es, xt, et) -> Yoneda blocks
         if check:
@@ -112,8 +115,13 @@ class CatModule:
         if key not in self._blocks:
             bs, pt = self.invariants(s.x, s.e)[0], self.invariants(xt, et)[1]
             fb = s.basis[xt]
-            self._blocks[key] = [pt.mul(self.act_vec(s.x, xt, fb.col(b))).mul(bs)
-                                 for b in range(fb.cols)]
+            blocks = [self.act_vec(s.x, xt, fb.col(b)) for b in range(fb.cols)]
+            # b_s and p_t are identities when their summand is cut out by 1
+            if not s.full:
+                blocks = [blk.mul(bs) for blk in blocks]
+            if et != self.base.id_coords(xt):
+                blocks = [pt.mul(blk) for blk in blocks]
+            self._blocks[key] = blocks
         return self._blocks[key]
 
     def act_vec(self, x, y, coords):
@@ -201,17 +209,12 @@ class ModuleMap:
         for x, m in self.comp.items():
             if m.shape != (self.target.dims[x], self.source.dims[x]):
                 raise InvalidModule(f"component at {x} has wrong shape")
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.dim(x, y)):
-                    if self.source.side == "left":
-                        lhs = self.target.act_mat(x, y, i).mul(self.comp[x])
-                        rhs = self.comp[y].mul(self.source.act_mat(x, y, i))
-                    else:
-                        lhs = self.target.act_mat(x, y, i).mul(self.comp[y])
-                        rhs = self.comp[x].mul(self.source.act_mat(x, y, i))
-                    if lhs != rhs:
-                        raise InvalidModule(f"not natural at morphism ({x},{y},{i})")
+        for x, y, i, _ in c.basis_morphisms():
+            src, tgt = (x, y) if self.source.side == "left" else (y, x)
+            lhs = self.target.act_mat(x, y, i).mul(self.comp[src])
+            rhs = self.comp[tgt].mul(self.source.act_mat(x, y, i))
+            if lhs != rhs:
+                raise InvalidModule(f"not natural at morphism ({x},{y},{i})")
         return True
 
     def then(self, other):
@@ -319,15 +322,10 @@ def direct_sum(modules):
             raise BaseMismatch("direct sum of incompatible modules")
     dims = {x: sum(m.dims[x] for m in modules) for x in base.objects}
     act = {}
-    for x in base.objects:
-        for y in base.objects:
-            for i in range(base.dim(x, y)):
-                blocks = [m.act_mat(x, y, i) for m in modules]
-                key = (x, y, i)
-                if side == "left":
-                    act[key] = block_diag(base.field, blocks, dims[y], dims[x])
-                else:
-                    act[key] = block_diag(base.field, blocks, dims[x], dims[y])
+    for x, y, i, _ in base.basis_morphisms():
+        rows, cols = (y, x) if side == "left" else (x, y)
+        act[(x, y, i)] = block_diag(base.field, [m.act_mat(x, y, i) for m in modules],
+                                    dims[rows], dims[cols])
     return CatModule(base, side, dims, act, check=False)
 
 
@@ -383,18 +381,17 @@ def restrict_module(m, fun):
 def _orbit_closure(m, seeds, spaces=None):
     """Echelon spans of the submodule generated by (object, vector) seeds,
     grown in place from `spaces` when given (they must already span a
-    submodule)."""
+    submodule).  The submodule generated by v in M(x) is the image of
+    f -> f.v on C(x,-) (Yoneda), so one pass over the basis morphisms out
+    of x closes it; a seed already inside the spans adds nothing."""
     c = m.base
     if spaces is None:
         spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     out_arrows = m.out_arrows()
-    work = list(seeds)
-    while work:
-        x, vec = work.pop()
-        if not spaces[x].add(vec):
-            continue
-        for y, mat in out_arrows[x]:
-            work.append((y, mat.mul_vec(vec)))
+    for x, vec in seeds:
+        if not spaces[x].contains(vec):
+            for y, mat in out_arrows[x]:
+                spaces[y].add(mat.mul_vec(vec))
     return spaces
 
 
@@ -403,17 +400,12 @@ def submodule_module(m, spans):
     c = m.base
     dims = {x: spans[x].cols for x in c.objects}
     act = {}
-    for (x, y) in [(x, y) for x in c.objects for y in c.objects]:
-        for i in range(c.dim(x, y)):
-            if m.side == "left":
-                big = m.act_mat(x, y, i).mul(spans[x])
-                restricted = solve(spans[y], big)
-            else:
-                big = m.act_mat(x, y, i).mul(spans[y])
-                restricted = solve(spans[x], big)
-            if restricted is None:
-                raise InvalidModule(f"spans are not a submodule at ({x},{y},{i})")
-            act[(x, y, i)] = restricted
+    for x, y, i, _ in c.basis_morphisms():
+        src, tgt = (x, y) if m.side == "left" else (y, x)
+        restricted = solve(spans[tgt], m.act_mat(x, y, i).mul(spans[src]))
+        if restricted is None:
+            raise InvalidModule(f"spans are not a submodule at ({x},{y},{i})")
+        act[(x, y, i)] = restricted
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
@@ -424,17 +416,13 @@ def quotient_module(m, spans):
     comps = {x: ComplementData(spans[x]) for x in c.objects}
     dims = {x: comps[x].dim for x in c.objects}
     act = {}
-    for x in c.objects:
-        for y in c.objects:
-            for i in range(c.dim(x, y)):
-                if m.side == "left":
-                    if solve(spans[y], m.act_mat(x, y, i).mul(spans[x])) is None:
-                        raise InvalidModule(f"spans not stable at ({x},{y},{i})")
-                    act[(x, y, i)] = comps[y].proj.mul(m.act_mat(x, y, i)).mul(comps[x].section)
-                else:
-                    if solve(spans[x], m.act_mat(x, y, i).mul(spans[y])) is None:
-                        raise InvalidModule(f"spans not stable at ({x},{y},{i})")
-                    act[(x, y, i)] = comps[x].proj.mul(m.act_mat(x, y, i)).mul(comps[y].section)
+    for x, y, i, _ in c.basis_morphisms():
+        src, tgt = (x, y) if m.side == "left" else (y, x)
+        # proj has kernel exactly the span: stable iff proj . act kills it
+        pa = comps[tgt].proj.mul(m.act_mat(x, y, i))
+        if not pa.mul(spans[src]).is_zero():
+            raise InvalidModule(f"spans not stable at ({x},{y},{i})")
+        act[(x, y, i)] = pa.mul(comps[src].section)
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
@@ -914,42 +902,55 @@ def minimal_split_generators(m, spans=None):
 
     A greedy pass over the basis vectors b of m, or the columns b of
     spans, keeps each component e.b not yet in the span of those kept,
-    growing that span in place; one backward pass then drops each
-    component in the closure of the others, the span saved before it was
-    kept grown by the later ones still kept.  A component kept at step i
-    is outside the closure of a superset of the final others, so the set
-    is irredundant, hence minimal over a finite-dimensional category
+    adding its images under the basis morphisms; one backward pass then
+    drops each component in the closure of the others, tested at its own
+    object: the span there before it was kept, grown by the images there
+    of the later ones still kept.  A component kept at step i is outside
+    the closure of a superset of the final others, so the set is
+    irredundant, hence minimal over a finite-dimensional category
     (Nakayama)."""
     c = m.base
+    out_arrows = m.out_arrows()
     spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     comps = []
-    before = []      # before[i]: the greedy span just before comps[i] was kept
+    before = []      # before[i]: the greedy span at comps[i]'s object just before it was kept
+    images = []      # images[i][y]: the images in m(y) of comps[i] under the basis morphisms
     for x in c.objects:
         starts = Mat.identity(c.field, m.dims[x]) if spans is None else spans[x]
-        cuts = [(e, m.act_vec(x, x, e).mul(starts)) for e in c.identity_summands[x]]
+        cuts = [(e, starts if e == c.id_coords(x) else m.act_vec(x, x, e).mul(starts))
+                for e in c.identity_summands[x]]
         for b in range(starts.cols):
             for e, cut in cuts:
                 comp = cut.col(b)
                 if not spaces[x].contains(comp):
-                    before.append({y: space.copy() for y, space in spaces.items()})
+                    before.append(spaces[x].copy())
                     comps.append((x, e, comp))
-                    _orbit_closure(m, [(x, comp)], spaces)
+                    images.append({})
+                    for y, mat in out_arrows[x]:
+                        image = mat.mul_vec(comp)
+                        images[-1].setdefault(y, []).append(image)
+                        spaces[y].add(image)
     kept = []
     for i in range(len(comps) - 1, -1, -1):
         x, _, vec = comps[i]
-        if kept and _orbit_closure(m, kept, before[i])[x].contains(vec):
+        space = before[i]
+        for k in kept:
+            for image in images[k].get(x, ()):
+                space.add(image)
+        if kept and space.contains(vec):
             comps.pop(i)
         else:
-            kept.append((x, vec))
+            kept.append(i)
     return comps
 
 
 def _cover(m):
     """P_0 -> m on the split summands of a minimal generating set of m, as
-    a resolution of length 0."""
-    comps = minimal_split_generators(m)
-    return FreeResolution(m.base, m, [[(x, e) for x, e, _ in comps]],
-                          [[v for *_, v in comps]])
+    a resolution of length 0; the set is searched once and kept on m."""
+    if m._generators is None:
+        m._generators = tuple(minimal_split_generators(m))
+    return FreeResolution(m.base, m, [[(x, e) for x, e, _ in m._generators]],
+                          [[v for *_, v in m._generators]])
 
 
 def projective_resolution(m, length):

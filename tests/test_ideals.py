@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from homcat.exactla import Field, Mat
+from homcat import ideals
+from homcat.certify import build_quiver_category
+from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
     CoordinateMismatch, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
@@ -146,3 +150,84 @@ def test_closure_validation_catches_bad_span():
     bad = {("1", "1"): Mat.identity(Q, 1)}
     with pytest.raises(Exception):
         TwoSidedIdeal(a2, bad)
+
+
+# -- one-pass generation against the work-list saturation ----------------------
+
+def _work_list_saturation(c, seeds):
+    """The earlier generation: every vector that grows its space sends all
+    its pre- and postcomposites with basis morphisms back to the work list,
+    until nothing grows."""
+    f = c.field
+    spaces = {(x, y): EchelonSpace(f, c.dim(x, y)) for x in c.objects for y in c.objects}
+    work = list(seeds)
+    while work:
+        x, y, vec = work.pop()
+        if not spaces[(x, y)].add(vec):
+            continue
+        for z in c.objects:
+            for j in range(c.dim(y, z)):
+                work.append((x, z, c.compose(x, y, z, vec, unit_vector(f, c.dim(y, z), j))))
+        for w in c.objects:
+            for j in range(c.dim(w, x)):
+                work.append((w, y, c.compose(w, x, y, unit_vector(f, c.dim(w, x), j), vec)))
+    return {key: sp.basis_matrix() for key, sp in spaces.items()}
+
+
+def _quiver(field, objects, arrows, zero_paths):
+    """A path category with every path in zero_paths (arrow names in
+    application order) set to zero."""
+    relations = [[("1", list(reversed(path)))] for path in zero_paths]
+    return build_quiver_category(field, objects, arrows, relations, 6)
+
+
+def _saturation_categories(field):
+    loops = [("x", "s", "s"), ("y", "s", "s")]
+    return [
+        _quiver(field, ["1", "2", "3", "4"],
+                [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")], []),
+        zoo.kronecker(field),
+        _quiver(field, ["s"], loops[:1], [("x", "x", "x")]),                # k[x]/(x^3)
+        _quiver(field, ["s"], loops, [(u, v) for u in "xy" for v in "xy"]),  # two loops
+    ] + [zoo.random_two_object(field, seed) for seed in (1, 2, 3)]
+
+
+def _radical_seeds(c, rng):
+    """Generator lists of non-identity morphisms: each basis morphism off
+    the identities alone (the arrows and longer paths), a seeded sum of
+    them in each Hom space, and pairs of such sums."""
+    f = c.field
+    radical = {}
+    for x, y, i, _ in c.basis_morphisms():
+        vec = unit_vector(f, c.dim(x, y), i)
+        if x != y or vec != c.id_coords(x):
+            radical.setdefault((x, y), []).append(vec)
+    sums = []
+    for (x, y), vecs in radical.items():
+        yield from [[(x, y, v)] for v in vecs]
+        total = tuple(0 for _ in range(c.dim(x, y)))
+        while not any(total):
+            for v in vecs:
+                a = f.of(rng.choice((-2, -1, 1, 2, 3)))
+                total = tuple(f.add(t, f.mul(a, b)) for t, b in zip(total, v))
+        sums.append((x, y, total))
+        yield [sums[-1]]
+    for k in range(len(sums)):
+        yield [sums[k], sums[k - 1]]
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), Field.gf(32003)], ids=repr)
+def test_generation_matches_the_work_list_saturation(field):
+    rng = random.Random(61 + field.p)
+    cases = precomposed = 0
+    for c in _saturation_categories(field):
+        for seeds in _radical_seeds(c, rng):
+            got = ideals._saturate(c, seeds)
+            assert got == _work_list_saturation(c, seeds)
+            # generated by radical morphisms, the ideal is nilpotent
+            assert not is_idempotent(TwoSidedIdeal(c, got))
+            # postcomposition keeps the source: another one needs precomposition
+            sources = {x for x, _, _ in seeds}
+            precomposed += any(m.cols and w not in sources for (w, _), m in got.items())
+            cases += 1
+    assert cases == 39 and precomposed > 5

@@ -909,3 +909,97 @@ def test_inconsistent_image_is_a_verification_failure(monkeypatch):
         rep.invariants(x, e)
     with pytest.raises(VerificationFailed, match="inconsistent image"):
         modcat._Summand(lam, x, e)
+
+
+# -- one-pass closures against the work-list closure ---------------------------
+
+def _closure_cases(field, rng):
+    """Left and right modules over the zoo, A_3, two random radical-square-
+    zero categories and the triangular family: representables and nonzero
+    seeded draws."""
+    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in (1, 2)]
+    cats += _triangular_family(field)
+    for cat in cats:
+        for side in ("left", "right"):
+            for x in cat.objects:
+                yield representable(cat, x, side)
+            for _ in range(3):
+                yield _nonzero(cat, rng, side)
+
+
+def _random_seeds(m, rng, count):
+    """Seeded (object, vector) pairs at objects where m is nonzero."""
+    objects = [x for x in m.base.objects if m.dims[x]]
+    return [(x, tuple(m.base.field.of(rng.randrange(-2, 3)) for _ in range(m.dims[x])))
+            for x in (rng.choice(objects) for _ in range(count))]
+
+
+def _bases(spaces):
+    return {x: space.basis_matrix() for x, space in spaces.items()}
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_orbit_closure_matches_the_work_list_closure(field):
+    rng = random.Random(97 + field.p)
+    modules = grown = 0
+    for m in _closure_cases(field, rng):
+        seeds = _random_seeds(m, rng, rng.randrange(1, 4))
+        assert _bases(modcat._orbit_closure(m, seeds)) == _bases(_closure(m, seeds))
+        # grown in place from the spans of a submodule
+        first, more = seeds[:1], _random_seeds(m, rng, 2)
+        spaces = _closure(m, first)
+        got = modcat._orbit_closure(m, more, spaces)
+        assert got is spaces
+        assert _bases(got) == _bases(_closure(m, first + more))
+        grown += _bases(got) != _bases(_closure(m, first))
+        modules += 1
+    assert modules == 136 and grown > 50
+
+
+def test_a_module_is_covered_once(monkeypatch):
+    searched = []
+
+    def counting(m, spans=None):
+        if spans is None:
+            searched.append(m)
+        return minimal_split_generators(m, spans)
+
+    monkeypatch.setattr(modcat, "minimal_split_generators", counting)
+    rng = random.Random(5)
+    cases = 0
+    for field in (Q, Field.gf(2)):
+        for lam in _triangular_family(field) + [zoo.a3(field)]:
+            ideal = triangular_ideal(lam) if lam.triangular else zero_ideal(lam)
+            modules = [representable_ideal_module(ideal, x) for x in lam.objects]
+            modules += [_nonzero(lam, rng, "left"), _maybe_simple(lam, lam.objects[0])]
+            for m in modules:
+                if m is None or m.is_zero():
+                    continue
+                searched.clear()
+                is_projective(m)
+                res = projective_resolution(m, 2)
+                assert searched == [m]
+                # the kept generators are read, never mutated
+                again = projective_resolution(m, 2)
+                fresh = projective_resolution(CatModule(m.base, m.side, m.dims, m.act), 2)
+                for other in (again, fresh):
+                    assert (other.gens, other.images) == (res.gens, res.images)
+                cases += 1
+    assert cases > 30
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2)], ids=repr)
+def test_quotient_by_unstable_spans_is_rejected(field):
+    # over A_2 the line at one object alone is not stable: a moves it to
+    # the other object, where the span is zero
+    a2 = zoo.a2(field)
+    line, nothing = Mat.identity(field, 1), Mat.zeros(field, 1, 0)
+    left = representable(a2, "1", "left")        # e1 at 1, a at 2
+    right = representable(a2, "2", "right")      # a at 1, e2 at 2
+    for m, spans in ((left, {"1": line, "2": nothing}), (right, {"1": nothing, "2": line})):
+        with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,0\)"):
+            modcat.quotient_module(m, spans)
+    # the stable complements give the simples at the other objects
+    assert modcat.quotient_module(left, {"1": nothing, "2": line}).dims == {"1": 1, "2": 0}
+    assert modcat.quotient_module(right, {"1": line, "2": nothing}).dims == {"1": 0, "2": 1}
