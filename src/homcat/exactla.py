@@ -478,6 +478,8 @@ def kron(a, b):
     if a.field != b.field:
         raise FieldMismatch("mixed fields")
     f = a.field
+    if not (a.rows and a.cols and b.rows and b.cols):
+        return Mat.zeros(f, a.rows * b.rows, a.cols * b.cols)
     p = f.p
     w = b.cols
     out = []

@@ -201,21 +201,23 @@ def triangular_ideal(lam):
 
 
 def representable_ideal_module(i, x):
-    """The left module y -> I(x,y) with postcomposition action."""
-    from .modcat import CatModule
+    """The left module y -> I(x,y) with postcomposition action.
+
+    The action is C's postcomposition restricted to the spans, solved
+    wherever the span at the source is nonzero, even into an empty span:
+    a failed solve means the spans are not closed, and a submodule of the
+    functorial C(x,-) needs no functoriality check of its own."""
+    from .modcat import CatModule, live_morphisms
     c = i.parent
     if x not in c.objects:
         raise UnknownObject(x)
     dims = {y: i.span[(x, y)].cols for y in c.objects}
     act = {}
-    for y in c.objects:
-        sy = i.span[(x, y)]
-        for z in c.objects:
-            sz = i.span[(x, z)]
-            for g_idx in range(c.dim(y, z)):
-                post = c.post_matrix_basis(x, y, z, g_idx)
-                restricted = solve(sz, post.mul(sy)) if sy.cols else Mat.zeros(c.field, sz.cols, 0)
-                if restricted is None:
-                    raise InvalidIdeal("ideal spans are not closed under postcomposition")
-                act[(y, z, g_idx)] = restricted
-    return CatModule(c, "left", dims, act)
+    for y, z, g_idx in live_morphisms(c, dims):
+        post = c.post_matrix_basis(x, y, z, g_idx)
+        restricted = solve(i.span[(x, z)], post.mul(i.span[(x, y)]))
+        if restricted is None:
+            raise InvalidIdeal("ideal spans are not closed under postcomposition")
+        if dims[z]:
+            act[(y, z, g_idx)] = restricted
+    return CatModule(c, "left", dims, act, check=False)

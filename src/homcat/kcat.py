@@ -225,12 +225,16 @@ class FiniteKCategory:
         return Mat.from_sparse(self.field, len(nz), len(cells), tuple(nz))
 
     def post_matrix_basis(self, x, y, z, j):
-        """Matrix of (g_j o -): Hom(x,y) -> Hom(x,z)."""
+        """Matrix of (g_j o -): Hom(x,y) -> Hom(x,z); the zero matrix,
+        with the factors untouched, when either Hom space is 0."""
         key = (x, y, z, j)
         m = self._post_cache.get(key)
         if m is None:
-            if self.product_of is None:
-                m = self._table_matrix(x, y, z, [(i, j) for i in range(self.dim(x, y))])
+            rows, cols = self.dim(x, z), self.dim(x, y)
+            if not (rows and cols):
+                m = Mat.zeros(self.field, rows, cols)
+            elif self.product_of is None:
+                m = self._table_matrix(x, y, z, [(i, j) for i in range(cols)])
             else:
                 c, d = self.product_of
                 ct, dt = self._factor_triples(x, y, z)
@@ -240,12 +244,17 @@ class FiniteKCategory:
         return m
 
     def pre_matrix_basis(self, x, y, z, i):
-        """Matrix of (- o f_i): Hom(y,z) -> Hom(x,z) for f_i in Hom(x,y)."""
+        """Matrix of (- o f_i): Hom(y,z) -> Hom(x,z) for f_i in Hom(x,y);
+        the zero matrix, with the factors untouched, when either Hom space
+        is 0."""
         key = (x, y, z, i)
         m = self._pre_cache.get(key)
         if m is None:
-            if self.product_of is None:
-                m = self._table_matrix(x, y, z, [(i, j) for j in range(self.dim(y, z))])
+            rows, cols = self.dim(x, z), self.dim(y, z)
+            if not (rows and cols):
+                m = Mat.zeros(self.field, rows, cols)
+            elif self.product_of is None:
+                m = self._table_matrix(x, y, z, [(i, j) for j in range(cols)])
             else:
                 c, d = self.product_of
                 ct, dt = self._factor_triples(x, y, z)

@@ -2,7 +2,14 @@
 
 A CatModule assigns a dimension to every object and a matrix to every
 basis morphism (covariant for left modules, contravariant for right
-ones).  Bimodules over C are uniformly left modules over enveloping(C),
+ones).  A module is determined by its actions between nonzero values
+(Mitchell, "Rings with several objects", 1972), and only those live
+actions are stored: every builder iterates the live basis morphisms of
+the values it builds (`live_morphisms`), a read of any other action
+answers the zero matrix of its shape, and readers skip the blocks that
+are vacuous, those with no rows or no columns.
+
+Bimodules over C are uniformly left modules over enveloping(C),
 so the regular bimodule, ideal bimodules and their quotients all live in
 one module category and share the resolution machinery.  A (U,T)-bimodule
 such as the M of a triangular matrix category is likewise a left module
@@ -50,7 +57,33 @@ class BaseMismatch(ValueError):
     pass
 
 
+def live_morphisms(c, at_source, at_target=None, side="left"):
+    """The basis morphisms (x, y, i) of c, in basis order, whose action on
+    a module of the given side reads a nonzero value of at_source and
+    lands in a nonzero value of at_target (any value when None).  A left
+    module's action of x -> y reads the value at x, a right one's the
+    value at y."""
+    if side == "right":
+        at_source, at_target = at_target, at_source
+    for x in c.objects:
+        if at_source is None or at_source[x]:
+            for y in c.objects:
+                if at_target is None or at_target[y]:
+                    for i in range(c.dim(x, y)):
+                        yield x, y, i
+
+
 class CatModule:
+    """A left or right module over the finite K-linear category base: the
+    value dims[x] at each object and, in `act`, the action matrix of a
+    basis morphism (x, y, i), keyed as in the base.
+
+    Only live actions are stored: `act` holds a matrix for a basis
+    morphism only when its source and target values are both nonzero.
+    The builders (check=False) store no other; from a checked module an
+    action with no rows or no columns is dropped once validation has read
+    it.  `act_mat` answers any other basis morphism with the zero matrix
+    of its shape, built once and kept on the module."""
 
     def __init__(self, base, side, dims, act, check=True):
         if side not in ("left", "right"):
@@ -61,10 +94,13 @@ class CatModule:
         self.act = dict(act)
         # nothing changes a module once built, so what is read off it is kept
         self._out_arrows = self._dual = self._generators = None
+        self._zeros = {}             # (x, y) -> the zero action of a vacuous block
         self._invariants = {}        # (x, e) -> basis and projection of e.M(x)
         self._blocks = {}            # (xs, es, xt, et) -> Yoneda blocks
         if check:
             self.validate()
+            # validation has read every given action: keep the live ones
+            self.act = {k: m for k, m in self.act.items() if m.rows and m.cols}
 
     def dim(self, x):
         return self.dims[x]
@@ -83,17 +119,18 @@ class CatModule:
     def act_mat(self, x, y, i):
         m = self.act.get((x, y, i))
         if m is None:
-            r, c = self._shape(x, y)
-            m = Mat.zeros(self.base.field, r, c)
+            m = self._zeros.get((x, y))
+            if m is None:
+                m = self._zeros[(x, y)] = Mat.zeros(self.base.field, *self._shape(x, y))
         return m
 
     def out_arrows(self):
         """Per object x, a (y, matrix) pair for every basis morphism acting
         on M(x) and landing in M(y): x -> y for a left module, y -> x for
-        a right one."""
+        a right one; only live ones, since the others carry nothing."""
         if self._out_arrows is None:
             self._out_arrows = {x: [] for x in self.base.objects}
-            for x, y, i, _ in self.base.basis_morphisms():
+            for x, y, i in live_morphisms(self.base, self.dims, self.dims):
                 src, tgt = (x, y) if self.side == "left" else (y, x)
                 self._out_arrows[src].append((tgt, self.act_mat(x, y, i)))
         return self._out_arrows
@@ -136,8 +173,9 @@ class CatModule:
                 return self.act_mat(x, y, i)
         r, c = self._shape(x, y)
         out = Mat.zeros(self.base.field, r, c)
-        for i, a in row.items():
-            out = out.add(self.act_mat(x, y, i).scale(a))
+        if r and c:
+            for i, a in row.items():
+                out = out.add(self.act_mat(x, y, i).scale(a))
         return out
 
     def validate(self):
@@ -151,14 +189,18 @@ class CatModule:
         for x in c.objects:
             if self.act_vec(x, x, c.id_coords(x)) != Mat.identity(c.field, self.dims[x]):
                 raise InvalidModule(f"identity at {x} does not act as the identity")
+        # g o f from x to z acts between the values at x and z: vacuous
+        # when one is 0, whatever the value at y
         for x in c.objects:
+            if not self.dims[x]:
+                continue
             for y in c.objects:
                 dxy = c.dim(x, y)
                 if not dxy:
                     continue
                 for z in c.objects:
                     dyz = c.dim(y, z)
-                    if not dyz:
+                    if not dyz or not self.dims[z]:
                         continue
                     for i in range(dxy):
                         for j in range(dyz):
@@ -209,7 +251,8 @@ class ModuleMap:
         for x, m in self.comp.items():
             if m.shape != (self.target.dims[x], self.source.dims[x]):
                 raise InvalidModule(f"component at {x} has wrong shape")
-        for x, y, i, _ in c.basis_morphisms():
+        for x, y, i in live_morphisms(c, self.source.dims, self.target.dims,
+                                      self.source.side):
             src, tgt = (x, y) if self.source.side == "left" else (y, x)
             lhs = self.target.act_mat(x, y, i).mul(self.comp[src])
             rhs = self.comp[tgt].mul(self.source.act_mat(x, y, i))
@@ -247,19 +290,13 @@ def representable(c, x, side="left"):
         raise UnknownObject(x)
     if side == "left":
         dims = {y: c.dim(x, y) for y in c.objects}
-        act = {}
-        for y in c.objects:
-            for z in c.objects:
-                for j in range(c.dim(y, z)):
-                    act[(y, z, j)] = c.post_matrix_basis(x, y, z, j)
-        return CatModule(c, "left", dims, act, check=False)
-    dims = {y: c.dim(y, x) for y in c.objects}
-    act = {}
-    for y in c.objects:
-        for z in c.objects:
-            for i in range(c.dim(y, z)):
-                act[(y, z, i)] = c.pre_matrix_basis(y, z, x, i)
-    return CatModule(c, "right", dims, act, check=False)
+        act = {(y, z, j): c.post_matrix_basis(x, y, z, j)
+               for y, z, j in live_morphisms(c, dims, dims)}
+    else:
+        dims = {y: c.dim(y, x) for y in c.objects}
+        act = {(y, z, i): c.pre_matrix_basis(y, z, x, i)
+               for y, z, i in live_morphisms(c, dims, dims)}
+    return CatModule(c, side, dims, act, check=False)
 
 
 def simple(c, x, side="left"):
@@ -321,11 +358,8 @@ def direct_sum(modules):
         if m.base != base or m.side != side:
             raise BaseMismatch("direct sum of incompatible modules")
     dims = {x: sum(m.dims[x] for m in modules) for x in base.objects}
-    act = {}
-    for x, y, i, _ in base.basis_morphisms():
-        rows, cols = (y, x) if side == "left" else (x, y)
-        act[(x, y, i)] = block_diag(base.field, [m.act_mat(x, y, i) for m in modules],
-                                    dims[rows], dims[cols])
+    act = {(x, y, i): block_diag(base.field, [m.act_mat(x, y, i) for m in modules])
+           for x, y, i in live_morphisms(base, dims, dims)}
     return CatModule(base, side, dims, act, check=False)
 
 
@@ -367,11 +401,9 @@ def restrict_module(m, fun):
     src = fun.source
     dims = {x: m.dims[fun.on_object(x)] for x in src.objects}
     act = {}
-    for x in src.objects:
-        for y in src.objects:
-            for i in range(src.dim(x, y)):
-                image = fun.on_coords(x, y, unit_vector(src.field, src.dim(x, y), i))
-                act[(x, y, i)] = m.act_vec(fun.on_object(x), fun.on_object(y), image)
+    for x, y, i in live_morphisms(src, dims, dims):
+        image = fun.on_coords(x, y, unit_vector(src.field, src.dim(x, y), i))
+        act[(x, y, i)] = m.act_vec(fun.on_object(x), fun.on_object(y), image)
     return CatModule(src, m.side, dims, act, check=False)
 
 
@@ -396,33 +428,38 @@ def _orbit_closure(m, seeds, spaces=None):
 
 
 def submodule_module(m, spans):
-    """The submodule with the given (canonical) column spans."""
+    """The submodule with the given (canonical) column spans.  The spans
+    are tested wherever the span at the source is nonzero, even into an
+    empty span."""
     c = m.base
     dims = {x: spans[x].cols for x in c.objects}
     act = {}
-    for x, y, i, _ in c.basis_morphisms():
+    for x, y, i in live_morphisms(c, dims, None, m.side):
         src, tgt = (x, y) if m.side == "left" else (y, x)
         restricted = solve(spans[tgt], m.act_mat(x, y, i).mul(spans[src]))
         if restricted is None:
             raise InvalidModule(f"spans are not a submodule at ({x},{y},{i})")
-        act[(x, y, i)] = restricted
+        if dims[tgt]:
+            act[(x, y, i)] = restricted
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
 def quotient_module(m, spans):
     """Quotient by the submodule with the given spans, with the canonical
-    complement bases."""
+    complement bases.  Stability is tested wherever the quotient at the
+    target is nonzero, even from a quotient that is 0 at the source."""
     c = m.base
     comps = {x: ComplementData(spans[x]) for x in c.objects}
     dims = {x: comps[x].dim for x in c.objects}
     act = {}
-    for x, y, i, _ in c.basis_morphisms():
+    for x, y, i in live_morphisms(c, m.dims, dims, m.side):
         src, tgt = (x, y) if m.side == "left" else (y, x)
         # proj has kernel exactly the span: stable iff proj . act kills it
         pa = comps[tgt].proj.mul(m.act_mat(x, y, i))
-        if not pa.mul(spans[src]).is_zero():
+        if spans[src].cols and not pa.mul(spans[src]).is_zero():
             raise InvalidModule(f"spans not stable at ({x},{y},{i})")
-        act[(x, y, i)] = pa.mul(comps[src].section)
+        if dims[src]:
+            act[(x, y, i)] = pa.mul(comps[src].section)
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
@@ -452,23 +489,21 @@ def _intertwining_system(source, target):
         offsets[x] = total
         total += target.dims[x] * source.dims[x]
     rows = []
-    for x in c.objects:
-        for y in c.objects:
-            for i in range(c.dim(x, y)):
-                a = target.act_mat(x, y, i)
-                b = source.act_mat(x, y, i)
-                src_obj, tgt_obj = (x, y) if source.side == "left" else (y, x)
-                ms = source.dims[src_obj]
-                nt = target.dims[tgt_obj]
-                mt = source.dims[tgt_obj]
-                bt = b.transpose().nz
-                for r in range(nt):
-                    for cc in range(ms):
-                        row = {offsets[src_obj] + s * ms + cc: v
-                               for s, v in a.nz[r].items()}
-                        for t, v in bt[cc].items():
-                            add_to_row(f, row, offsets[tgt_obj] + r * mt + t, f.neg(v))
-                        rows.append(row)
+    # a block has target(tgt) x source(src) rows: none when either is 0
+    for x, y, i in live_morphisms(c, source.dims, target.dims, source.side):
+        a = target.act_mat(x, y, i)
+        b = source.act_mat(x, y, i)
+        src_obj, tgt_obj = (x, y) if source.side == "left" else (y, x)
+        ms = source.dims[src_obj]
+        nt = target.dims[tgt_obj]
+        mt = source.dims[tgt_obj]
+        bt = b.transpose().nz
+        for r in range(nt):
+            for cc in range(ms):
+                row = {offsets[src_obj] + s * ms + cc: v for s, v in a.nz[r].items()}
+                for t, v in bt[cc].items():
+                    add_to_row(f, row, offsets[tgt_obj] + r * mt + t, f.neg(v))
+                rows.append(row)
     return offsets, Mat.from_sparse(f, len(rows), total, tuple(rows))
 
 
@@ -546,19 +581,13 @@ def _product_module(base, dims, action):
     morphism i of A(a1,a2) tensor basis morphism j of B(b1,b2), which is
     basis morphism i * dim B(b1,b2) + j of the product."""
     a, b = base.product_of
+    factors = {pair_object(x, y): (x, y) for x in a.objects for y in b.objects}
+    values = {p: dims(x, y) for p, (x, y) in factors.items()}
     act = {}
-    for a1 in a.objects:
-        for b1 in b.objects:
-            src = pair_object(a1, b1)
-            for a2 in a.objects:
-                da = a.dim(a1, a2)
-                for b2 in b.objects:
-                    db = b.dim(b1, b2)
-                    tgt = pair_object(a2, b2)
-                    for i in range(da):
-                        for j in range(db):
-                            act[(src, tgt, i * db + j)] = action(a1, b1, a2, b2, i, j)
-    values = {pair_object(x, y): dims(x, y) for x in a.objects for y in b.objects}
+    for src, tgt, k in live_morphisms(base, values, values):
+        (a1, b1), (a2, b2) = factors[src], factors[tgt]
+        i, j = divmod(k, b.dim(b1, b2))
+        act[(src, tgt, k)] = action(a1, b1, a2, b2, i, j)
     return CatModule(base, "left", values, act, check=False)
 
 
@@ -631,6 +660,19 @@ def slot_action(m, first, x, y, i, far):
                          vkron(f, unit_vector(f, a.dim(x, y), i), b.id_coords(far)))
     return m.act_vec(pair_object(far, x), pair_object(far, y),
                      vkron(f, a.id_coords(far), unit_vector(f, b.dim(x, y), i)))
+
+
+def _factor_slice(m, first, far):
+    """The left module over the factor A (first) or B of m's base
+    A tensor B that a left module m restricts to at the object far of the
+    other factor, acted on through `slot_action`."""
+    a, b = m.base.product_of
+    factor = a if first else b
+    values = {x: m.dims[pair_object(x, far) if first else pair_object(far, x)]
+              for x in factor.objects}
+    act = {(x, y, i): slot_action(m, first, x, y, i, far)
+           for x, y, i in live_morphisms(factor, values, values)}
+    return CatModule(factor, "left", values, act, check=False)
 
 
 def swap_product_module(m, swapped_base=None):
@@ -730,22 +772,9 @@ def _contract(f, g, c, d, out_base):
     e_op = f.base.product_of[0]
     if out_base is None:
         out_base = tensor_category(e_op, d)
-
-    def f_left_slice(eps):
-        dims = {x: f.dims[pair_object(eps, x)] for x in c.objects}
-        act = {(x, y, i): slot_action(f, False, x, y, i, eps)
-               for x in c.objects for y in c.objects for i in range(c.dim(x, y))}
-        return CatModule(c, "left", dims, act, check=False)
-
-    def g_right_slice(dd):
-        # f: x -> y acting on the right is C^op basis i at (y,x)
-        dims = {x: g.dims[pair_object(x, dd)] for x in c.objects}
-        act = {(x, y, i): slot_action(g, True, y, x, i, dd)
-               for x in c.objects for y in c.objects for i in range(c.dim(x, y))}
-        return CatModule(c, "right", dims, act, check=False)
-
-    f_slices = {eps: f_left_slice(eps) for eps in e_op.objects}
-    g_slices = {dd: g_right_slice(dd) for dd in d.objects}
+    f_slices = {eps: _factor_slice(f, False, eps) for eps in e_op.objects}
+    # a left C^op-module is a right C-module
+    g_slices = {dd: as_right_over_op(_factor_slice(g, True, dd), c) for dd in d.objects}
     spaces = {(eps, dd): tensor_over_cat(g_slices[dd], f_slices[eps])
               for eps in e_op.objects for dd in d.objects}
 
@@ -884,13 +913,16 @@ class FreeResolution:
 def _split_module(c, summands):
     dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
     act = {}
-    for y in c.objects:
-        for z in c.objects:
-            for i in range(c.dim(y, z)):
-                blocks = [c.post_matrix_basis(s.x, y, z, i) if s.full else
-                          s.proj[z].mul(c.post_matrix_basis(s.x, y, z, i)).mul(s.basis[y])
-                          for s in summands]
-                act[(y, z, i)] = block_diag(c.field, blocks, dims[z], dims[y])
+    for y, z, i in live_morphisms(c, dims, dims):
+        blocks = []
+        for s in summands:
+            block = c.post_matrix_basis(s.x, y, z, i)
+            if not s.full:
+                # a summand empty at y or at z gives an empty block
+                block = (s.proj[z].mul(block).mul(s.basis[y]) if s.dim(y) and s.dim(z)
+                         else Mat.zeros(c.field, s.dim(z), s.dim(y)))
+            blocks.append(block)
+        act[(y, z, i)] = block_diag(c.field, blocks)
     return CatModule(c, "left", dims, act, check=False)
 
 

@@ -623,7 +623,7 @@ def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path,
     import homcat.cli as cli_mod
 
     def broken(cat, gens):
-        raise VerificationFailed("ideal saturation exceeded the rank cap")
+        raise VerificationFailed("internal consistency check failed")
 
     monkeypatch.setattr(cli_mod, "ideal_from_generators", broken)
     path = tmp_path / "ws.kcat"
@@ -631,7 +631,7 @@ def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path,
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"{path}: verification failed: ideal saturation exceeded the rank cap\n"
+    assert captured.err == f"{path}: verification failed: internal consistency check failed\n"
 
 
 def test_internal_error_while_building_gives_exit_4(monkeypatch, tmp_path, capsys):

@@ -7,12 +7,12 @@ from homcat.certify import build_quiver_category
 from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
-    CoordinateMismatch, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
+    CoordinateMismatch, InvalidIdeal, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
     ideal_product, is_idempotent, opposite_ideal, representable_ideal_module,
     triangular_ideal, whole_ideal, zero_ideal,
 )
 from homcat.kcat import opposite
-from homcat.modcat import CatModule, bimodule, is_projective
+from homcat.modcat import CatModule, bimodule, is_projective, representable
 from homcat import zoo
 
 Q = Field.rationals()
@@ -231,3 +231,56 @@ def test_generation_matches_the_work_list_saturation(field):
             precomposed += any(m.cols and w not in sources for (w, _), m in got.items())
             cases += 1
     assert cases == 39 and precomposed > 5
+
+
+# -- I(x,-) is built without a functoriality check ----------------------------
+
+FOUR_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_ideal_module_rejects_spans_not_closed_under_postcomposition(field):
+    # e1 without a in A_2: the target span at 2 is empty
+    a2 = zoo.a2(field)
+    bad = TwoSidedIdeal(a2, {("1", "1"): Mat.identity(field, 1)}, check=False)
+    with pytest.raises(InvalidIdeal, match="not closed under postcomposition"):
+        representable_ideal_module(bad, "1")
+    # e1 and a without b in the Kronecker quiver: the target span is a line
+    kr = zoo.kronecker(field)
+    bad = TwoSidedIdeal(kr, {("1", "1"): Mat.identity(field, 1),
+                             ("1", "2"): Mat.from_cols(field, [(1, 0)])}, check=False)
+    with pytest.raises(InvalidIdeal, match="not closed under postcomposition"):
+        representable_ideal_module(bad, "1")
+    assert representable_ideal_module(bad, "2").is_zero()
+
+
+def _ideal_module_cases(field, rng):
+    """(category, ideal) over the zoo, A_4 and the triangular categories:
+    the ideals of the identities and of radical morphisms, and the
+    triangular ideals."""
+    a4 = _quiver(field, ["1", "2", "3", "4"],
+                 [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")], [])
+    for c in list(zoo.standard_categories(field).values()) + [a4]:
+        for v in c.objects:
+            yield c, ideal_from_generators(c, [(v, v, c.id_coords(v))])
+        for seeds in list(_radical_seeds(c, rng))[:4]:
+            yield c, ideal_from_generators(c, seeds)
+    u, a2, d = unit_category(field), zoo.a2(field), zoo.dual_numbers(field)
+    for lam in (triangular_matrix(u, u, one_dim_bimodule(u, u)),
+                triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {})),
+                one_point_extension(a2, representable(a2, "1")),
+                one_point_extension(d, representable(d, "*"))):
+        yield lam, triangular_ideal(lam)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_ideal_module_equals_the_validated_build(field):
+    rng = random.Random(67 + field.p)
+    nonzero = 0
+    for c, ideal in _ideal_module_cases(field, rng):
+        for x in c.objects:
+            m = representable_ideal_module(ideal, x)
+            # the same values and actions, put through the functoriality check
+            assert CatModule(c, "left", m.dims, m.act) == m
+            nonzero += not m.is_zero()
+    assert nonzero > 40

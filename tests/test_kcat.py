@@ -761,6 +761,34 @@ def test_product_categories_match_the_dense_product_table(field):
         assert opposite(op) == prod
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_composition_matrices_with_an_empty_end_skip_the_factors(field, monkeypatch):
+    env = enveloping(_certified(field, "A3"))
+
+    def untouched(*args):
+        raise AssertionError("a factor was read for an empty block")
+
+    for factor in env.product_of:
+        monkeypatch.setattr(factor, "post_matrix_basis", untouched)
+        monkeypatch.setattr(factor, "pre_matrix_basis", untouched)
+    empty = 0
+    for x in env.objects:
+        for y in env.objects:
+            for z in env.objects:
+                dxy, dyz, dxz = env.dim(x, y), env.dim(y, z), env.dim(x, z)
+                if not (dxy and dxz):
+                    for j in range(dyz):
+                        m = env.post_matrix_basis(x, y, z, j)
+                        assert m.shape == (dxz, dxy) and m.is_zero()
+                        empty += 1
+                if not (dyz and dxz):
+                    for i in range(dxy):
+                        m = env.pre_matrix_basis(x, y, z, i)
+                        assert m.shape == (dxz, dyz) and m.is_zero()
+                        empty += 1
+    assert empty > 100
+
+
 def test_certified_q_composites_are_fractions():
     # a composite past the bound is zero without lying in the ideal; over
     # Q it is still Fraction(0), not the int 0

@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from homcat import modcat
-from homcat.exactla import EchelonSpace, Field, Mat, VerificationFailed, unit_vector
+from homcat.exactla import (
+    ComplementData, EchelonSpace, Field, Mat, VerificationFailed, block_diag, kron, solve,
+    unit_vector,
+)
 from homcat.kcat import (
     InvalidModule, category_from_tables, enveloping, one_point_extension,
-    opposite, pair_object, tensor_category, triangular_matrix, unit_category,
+    opposite, pair_object, quotient_category, tensor_category, triangular_matrix,
+    unit_category,
 )
 from homcat.modcat import (
     BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
@@ -1003,3 +1007,262 @@ def test_quotient_by_unstable_spans_is_rejected(field):
     # the stable complements give the simples at the other objects
     assert modcat.quotient_module(left, {"1": nothing, "2": line}).dims == {"1": 1, "2": 0}
     assert modcat.quotient_module(right, {"1": line, "2": nothing}).dims == {"1": 0, "2": 1}
+
+
+# -- live actions: every builder against a dense build --------------------------
+
+def _dense(base, side, dims, action):
+    """The module with the given values that stores action(x, y, i) for
+    every basis morphism of base, empty blocks included."""
+    m = CatModule(base, side, dims, {}, check=False)
+    m.act = {(x, y, i): action(x, y, i) for x, y, i, _ in base.basis_morphisms()}
+    return m
+
+
+def _shape(side, dims, x, y):
+    return (dims[y], dims[x]) if side == "left" else (dims[x], dims[y])
+
+
+def _post(c, x, y, z, j):
+    """(g_j o -): Hom(x,y) -> Hom(x,z), read off the composition."""
+    return Mat.from_cols(c.field, [c.compose_basis(x, y, z, i, j) for i in range(c.dim(x, y))],
+                         rows=c.dim(x, z))
+
+
+def _pre(c, x, y, z, i):
+    """(- o f_i): Hom(y,z) -> Hom(x,z), read off the composition."""
+    return Mat.from_cols(c.field, [c.compose_basis(x, y, z, i, j) for j in range(c.dim(y, z))],
+                         rows=c.dim(x, z))
+
+
+def _dense_representable(c, x, side):
+    if side == "left":
+        return _dense(c, side, {y: c.dim(x, y) for y in c.objects},
+                      lambda y, z, j: _post(c, x, y, z, j))
+    return _dense(c, side, {y: c.dim(y, x) for y in c.objects},
+                  lambda y, z, i: _pre(c, y, z, x, i))
+
+
+def _dense_product(base, dims, action):
+    """The module over base = A tensor B with value dims(a, b) at (a,b)
+    and action(a1, b1, a2, b2, i, j) at basis morphism i * dim B(b1,b2) + j."""
+    a, b = base.product_of
+    factors = {pair_object(u, v): (u, v) for u in a.objects for v in b.objects}
+
+    def act(p, q, k):
+        (a1, b1), (a2, b2) = factors[p], factors[q]
+        return action(a1, b1, a2, b2, *divmod(k, b.dim(b1, b2)))
+    return _dense(base, "left", {p: dims(u, v) for p, (u, v) in factors.items()}, act)
+
+
+def _dense_bimodule(u, t, dims, lact, ract):
+    f = u.field
+
+    def dim(U, T):
+        return dims.get((U, T), 0)
+
+    def left(U, U2, i, T):
+        m = lact.get((U, U2, i, T))
+        return Mat.zeros(f, dim(U2, T), dim(U, T)) if m is None else m
+
+    def right(T, T2, j, U):
+        m = ract.get((T, T2, j, U))
+        return Mat.zeros(f, dim(U, T), dim(U, T2)) if m is None else m
+    return _dense_product(tensor_category(opposite(t), u), lambda T, U: dim(U, T),
+                          lambda T1, U1, T2, U2, j, i: left(U1, U2, i, T2).mul(
+                              right(T2, T1, j, U1)))
+
+
+def _regular_as_bimodule(c):
+    """C as a (C,C)-bimodule: value C(T,U) at (U,T), composition on both sides."""
+    dims = {(U, T): c.dim(T, U) for U in c.objects for T in c.objects}
+    lact = {(U, U2, i, T): _post(c, T, U, U2, i)
+            for U, U2, i, _ in c.basis_morphisms() for T in c.objects}
+    ract = {(T, T2, j, U): _pre(c, T, T2, U, j)
+            for T, T2, j, _ in c.basis_morphisms() for U in c.objects}
+    return dims, lact, ract
+
+
+def _dense_sum(mods):
+    base, side = mods[0].base, mods[0].side
+    dims = {x: sum(m.dims[x] for m in mods) for x in base.objects}
+    return _dense(base, side, dims, lambda x, y, i: block_diag(
+        base.field, [m.act_mat(x, y, i) for m in mods], *_shape(side, dims, x, y)))
+
+
+def _dense_sub(m, spans):
+    def act(x, y, i):
+        src, tgt = (x, y) if m.side == "left" else (y, x)
+        return solve(spans[tgt], m.act_mat(x, y, i).mul(spans[src]))
+    return _dense(m.base, m.side, {x: s.cols for x, s in spans.items()}, act)
+
+
+def _dense_quotient(m, spans):
+    comps = {x: ComplementData(s) for x, s in spans.items()}
+
+    def act(x, y, i):
+        src, tgt = (x, y) if m.side == "left" else (y, x)
+        return comps[tgt].proj.mul(m.act_mat(x, y, i)).mul(comps[src].section)
+    return _dense(m.base, m.side, {x: comp.dim for x, comp in comps.items()}, act)
+
+
+def _dense_restrict(m, fun):
+    src = fun.source
+
+    def act(x, y, i):
+        image = fun.on_coords(x, y, unit_vector(src.field, src.dim(x, y), i))
+        return m.act_vec(fun.on_object(x), fun.on_object(y), image)
+    return _dense(src, m.side, {x: m.dims[fun.on_object(x)] for x in src.objects}, act)
+
+
+def _dense_term(c, summands):
+    dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
+    return _dense(c, "left", dims, lambda y, z, i: block_diag(
+        c.field, [s.proj[z].mul(_post(c, s.x, y, z, i)).mul(s.basis[y]) for s in summands],
+        dims[z], dims[y]))
+
+
+def _dense_slice(m, first, far):
+    a, b = m.base.product_of
+    factor = a if first else b
+    values = {x: m.dims[pair_object(x, far) if first else pair_object(far, x)]
+              for x in factor.objects}
+    return _dense(factor, "left", values,
+                  lambda x, y, i: modcat.slot_action(m, first, x, y, i, far))
+
+
+def _dense_ideal_module(ideal, x):
+    c = ideal.parent
+    return _dense(c, "left", {y: ideal.span[(x, y)].cols for y in c.objects},
+                  lambda y, z, j: solve(ideal.span[(x, z)],
+                                        _post(c, x, y, z, j).mul(ideal.span[(x, y)])))
+
+
+def _module_cases(cat, field, rng):
+    """(builder, built, dense) for the builders of modules over cat."""
+    ideal = (triangular_ideal(cat) if cat.triangular
+             else ideal_from_generators(cat, [(v, v, cat.id_coords(v)) for v in cat.objects[:1]]))
+    for x in cat.objects:
+        for side in ("left", "right"):
+            yield "representable", representable(cat, x, side), _dense_representable(cat, x, side)
+            rep = representable(cat, x, side)
+            spans = ({y: ideal.span[(x, y)] for y in cat.objects} if side == "left"
+                     else {y: ideal.span[(y, x)] for y in cat.objects})
+            yield "quotient_module", quotient_representable(cat, ideal, x, side), \
+                _dense_quotient(rep, spans)
+        yield ("representable_ideal_module", representable_ideal_module(ideal, x),
+               _dense_ideal_module(ideal, x))
+    quot, phi = quotient_category(cat, ideal)
+    for y in quot.objects:
+        pulled = representable(quot, y)
+        yield "restrict_module", restrict_module(pulled, phi), _dense_restrict(pulled, phi)
+    for side in ("left", "right"):
+        mods = [_nonzero(cat, rng, side) for _ in range(2)]
+        total = direct_sum(mods)
+        yield "direct_sum", total, _dense_sum(mods)
+        spans = _bases(modcat._orbit_closure(total, _random_seeds(total, rng, 2)))
+        yield "submodule_module", modcat.submodule_module(total, spans), _dense_sub(total, spans)
+        yield "quotient_module", modcat.quotient_module(total, spans), \
+            _dense_quotient(total, spans)
+    for m in (_nonzero(cat, rng, "left"), representable(cat, cat.objects[0])):
+        unit = tensor_category(unit_category(field), cat)
+        yield "over_unit", modcat.over_unit(m), _dense_product(
+            unit, lambda _, x: m.dims[x], lambda _u, x, _u2, y, _k, i: m.act_mat(x, y, i))
+        res = projective_resolution(m, 2)
+        for k in range(res.length + 1):
+            summands = [res.summand(k, j) for j in range(len(res.gens[k]))]
+            yield "_split_module", res.term(k), _dense_term(cat, summands)
+    yield "bimodule", bimodule(cat, cat, *_regular_as_bimodule(cat)), \
+        _dense_bimodule(cat, cat, *_regular_as_bimodule(cat))
+
+
+def _bimodule_cases(cat, field, rng):
+    """(builder, built, dense) for the builders of modules over C^e."""
+    env = enveloping(cat)
+    reg = regular_bimodule(cat, env)
+    yield "regular_bimodule", reg, _dense_product(
+        env, cat.dim, lambda x1, x2, y1, y2, i, j: _post(cat, y1, x2, y2, j).mul(
+            _pre(cat, y1, x1, x2, i)))
+    ideal = ideal_from_generators(cat, [(v, v, cat.id_coords(v)) for v in cat.objects[-1:]])
+    sub, _ = modcat.ideal_bimodule(cat, ideal, env=env, regular=reg)
+    spans = {pair_object(x, y): ideal.span[(x, y)] for x in cat.objects for y in cat.objects}
+    yield "submodule_module", sub, _dense_sub(reg, spans)
+    yield "quotient_module", modcat.quotient_module(reg, spans), _dense_quotient(reg, spans)
+    for x in cat.objects:
+        p = pair_object(x, cat.objects[0])
+        yield "representable", representable(env, p), _dense_representable(env, p, "left")
+        for first in (True, False):
+            yield "factor_slice", modcat._factor_slice(sub, first, x), _dense_slice(sub, first, x)
+    n, m = _nonzero(cat, rng, "right"), _nonzero(cat, rng, "left")
+    yield "outer_tensor", outer_tensor(n, m, env), _dense_product(
+        env, lambda x, d: n.dims[x] * m.dims[d],
+        lambda x1, d1, x2, d2, i, j: kron(n.act_mat(x2, x1, i), m.act_mat(d1, d2, j)))
+    swapped = tensor_category(cat, opposite(cat))
+    yield "swap_product_module", swap_product_module(sub, swapped), _dense_product(
+        swapped, lambda b1, a1: sub.dims[pair_object(a1, b1)],
+        lambda b1, a1, b2, a2, j, i: sub.act_mat(pair_object(a1, b1), pair_object(a2, b2),
+                                                 i * cat.dim(b1, b2) + j))
+    res = projective_resolution(reg, 1)
+    for k in range(res.length + 1):
+        summands = [res.summand(k, j) for j in range(len(res.gens[k]))]
+        yield "_split_module", res.term(k), _dense_term(env, summands)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_builders_store_only_live_actions_and_match_the_dense_build(field):
+    rng = random.Random(107 + field.p)
+    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in (1, 2)]
+    cases = [case for cat in cats + _triangular_family(field)
+             for case in _module_cases(cat, field, rng)]
+    cases += [case for cat in cats[1:] for case in _bimodule_cases(cat, field, rng)]
+    builders = set()
+    empty = 0
+    for builder, built, dense in cases:
+        assert built == dense, builder
+        for (x, y, i), mat in built.act.items():
+            assert mat.rows and mat.cols, builder
+            assert built.dims[x] and built.dims[y], builder
+        # a dense build stores empty blocks that the built module answers on read
+        empty += sum(not (mat.rows and mat.cols) for mat in dense.act.values())
+        builders.add(builder)
+    assert builders == {
+        "representable", "quotient_module", "representable_ideal_module", "restrict_module",
+        "direct_sum", "submodule_module", "over_unit", "_split_module", "bimodule",
+        "regular_bimodule", "factor_slice", "outer_tensor", "swap_product_module"}
+    assert len(cases) > 400 and empty > 1000
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_quotient_stability_is_tested_where_the_source_quotient_is_zero(field):
+    # C(1,-) over the Kronecker quiver modulo e1 at 1 and the line of a at 2:
+    # only b moves the span out, from 1, where the quotient is 0
+    kr = zoo.kronecker(field)
+    rep = representable(kr, "1")                 # e1 at 1; a, b at 2
+    spans = {"1": Mat.identity(field, 1), "2": Mat.from_cols(field, [(1, 0)])}
+    assert ComplementData(spans["1"]).dim == 0
+    with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,1\)"):
+        modcat.quotient_module(rep, spans)
+    # over the opposite side: C(-,2) modulo e2 at 2 and the line of a at 1
+    right = representable(kr, "2", "right")      # a, b at 1; e2 at 2
+    spans = {"1": Mat.from_cols(field, [(1, 0)]), "2": Mat.identity(field, 1)}
+    with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,1\)"):
+        modcat.quotient_module(right, spans)
+    # with the whole of C(1,2) in the span, the quotient is 0 and stable
+    spans = {"1": Mat.identity(field, 1), "2": Mat.identity(field, 2)}
+    assert modcat.quotient_module(rep, spans).is_zero()
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_submodule_spans_are_tested_into_an_empty_target_span(field):
+    a2 = zoo.a2(field)
+    line, nothing = Mat.identity(field, 1), Mat.zeros(field, 1, 0)
+    # e1 at 1 alone is not a submodule of C(1,-): a sends it to 2, where the
+    # span is empty but the value is not
+    for m, spans in ((representable(a2, "1"), {"1": line, "2": nothing}),
+                     (representable(a2, "2", "right"), {"1": nothing, "2": line})):
+        with pytest.raises(InvalidModule, match=r"spans are not a submodule at \(1,2,0\)"):
+            modcat.submodule_module(m, spans)
+    # the stable line at the other object is the simple there
+    sub = modcat.submodule_module(representable(a2, "1"), {"1": nothing, "2": line})
+    assert sub == simple(a2, "2")
