@@ -39,7 +39,8 @@ come out of the Yoneda identification Hom(C(x,-) o e, N) = e-invariants
 of N(x); the invariants, the blocks a differential weighs and the dual
 D(N) are kept on N, which serves every resolution it meets.  Tor
 complexes are the Ext complexes into D(N), which keeps the cochain spaces
-small, the covers minimal, and all bases canonical.
+small, the covers minimal, and all bases canonical.  Both stop at the top
+nonempty level of the resolution, above which they vanish.
 """
 
 from __future__ import annotations
@@ -375,22 +376,20 @@ def dualize(m):
 
 def as_left_over_op(m, base_op=None):
     """A right C-module is the same thing as a left module over C^op."""
-    if m.side != "right":
-        raise BaseMismatch("expected a right module")
-    if base_op is None:
-        base_op = opposite(m.base)
-    act = {(y, x, i): mat for (x, y, i), mat in m.act.items()}
-    return CatModule(base_op, "left", dict(m.dims), act, check=False)
+    return _over_op(m, "right", "left", base_op)
 
 
 def as_right_over_op(m, base_op=None):
     """A left C-module is the same thing as a right module over C^op."""
-    if m.side != "left":
-        raise BaseMismatch("expected a left module")
-    if base_op is None:
-        base_op = opposite(m.base)
+    return _over_op(m, "left", "right", base_op)
+
+
+def _over_op(m, side, op_side, base_op):
+    if m.side != side:
+        raise BaseMismatch(f"expected a {side} module")
     act = {(y, x, i): mat for (x, y, i), mat in m.act.items()}
-    return CatModule(base_op, "right", dict(m.dims), act, check=False)
+    return CatModule(opposite(m.base) if base_op is None else base_op, op_side,
+                     dict(m.dims), act, check=False)
 
 
 def restrict_module(m, fun):
@@ -465,12 +464,8 @@ def quotient_module(m, spans):
 
 def quotient_representable(c, ideal, x, side="left"):
     """C(x,-)/I(x,-) (left) or C(-,x)/I(-,x) (right)."""
-    rep = representable(c, x, side)
-    if side == "left":
-        spans = {y: ideal.span[(x, y)] for y in c.objects}
-    else:
-        spans = {y: ideal.span[(y, x)] for y in c.objects}
-    return quotient_module(rep, spans)
+    spans = {y: ideal.span[(x, y) if side == "left" else (y, x)] for y in c.objects}
+    return quotient_module(representable(c, x, side), spans)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +516,7 @@ class HomBasis:
         self.dim = self.basis_matrix.cols
 
     def map_at(self, k):
-        vec = self.basis_matrix.col(k)
-        return self._unflatten(vec)
+        return self._unflatten(self.basis_matrix.col(k))
 
     def maps(self):
         return [self.map_at(k) for k in range(self.dim)]
@@ -817,6 +811,7 @@ class _Summand:
         self.full = e_coords == c.id_coords(x)
         self.basis = {}
         self.proj = {}
+        self._blocks = {}
         for y in c.objects:
             if self.full:
                 self.basis[y] = self.proj[y] = Mat.identity(c.field, c.dim(x, y))
@@ -825,6 +820,19 @@ class _Summand:
 
     def dim(self, y):
         return self.basis[y].cols
+
+    def block(self, y, z, i):
+        """The action proj[z] . post . basis[y] of i: y -> z, kept for every
+        term that holds the summand."""
+        c = self.c
+        if self.full:
+            return c.post_matrix_basis(self.x, y, z, i)
+        if (y, z, i) not in self._blocks:
+            # a summand empty at y or at z gives an empty block
+            self._blocks[y, z, i] = (
+                self.proj[z].mul(c.post_matrix_basis(self.x, y, z, i)).mul(self.basis[y])
+                if self.dim(y) and self.dim(z) else Mat.zeros(c.field, self.dim(z), self.dim(y)))
+        return self._blocks[y, z, i]
 
 
 def _summand(c, x, e_coords):
@@ -912,17 +920,8 @@ class FreeResolution:
 
 def _split_module(c, summands):
     dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
-    act = {}
-    for y, z, i in live_morphisms(c, dims, dims):
-        blocks = []
-        for s in summands:
-            block = c.post_matrix_basis(s.x, y, z, i)
-            if not s.full:
-                # a summand empty at y or at z gives an empty block
-                block = (s.proj[z].mul(block).mul(s.basis[y]) if s.dim(y) and s.dim(z)
-                         else Mat.zeros(c.field, s.dim(z), s.dim(y)))
-            blocks.append(block)
-        act[(y, z, i)] = block_diag(c.field, blocks)
+    act = {(y, z, i): block_diag(c.field, [s.block(y, z, i) for s in summands])
+           for y, z, i in live_morphisms(c, dims, dims)}
     return CatModule(c, "left", dims, act, check=False)
 
 
@@ -1088,8 +1087,7 @@ def ext(m, n, max_deg=4, res=None):
         n = as_left_over_op(n, base_op)
     if res is None:
         res = projective_resolution(m, max_deg + 1)
-    data = ext_data(res, n, max_deg)
-    return complex_cohomology_dims(data.dims, data.diffs, max_deg)
+    return _dims_up_to_top(ext_data, res, n, max_deg)
 
 
 def tor(n, m, max_deg=4, res=None):
@@ -1100,8 +1098,18 @@ def tor(n, m, max_deg=4, res=None):
         raise BaseMismatch("tor takes (right, left)")
     if res is None:
         res = projective_resolution(m, max_deg + 1)
-    data = tor_data(res, n, max_deg)
-    return complex_cohomology_dims(data.dims, data.diffs, max_deg)
+    return _dims_up_to_top(tor_data, res, n, max_deg)
+
+
+def _dims_up_to_top(complex_data, res, coeff, max_deg):
+    """Cohomology dimensions 0..max_deg of the complex complex_data builds,
+    built only up to level min(top, max_deg + 1), top being the top
+    nonempty level of res (-1 for the zero module): the levels above top
+    are zero, and so is the cohomology there."""
+    top = max((k for k, level in enumerate(res.gens) if level), default=-1)
+    data = complex_data(res, coeff, min(top - 1, max_deg))
+    upper = min(top, max_deg)
+    return complex_cohomology_dims(data.dims, data.diffs, upper) + [0] * (max_deg - upper)
 
 
 def is_projective(m):

@@ -19,10 +19,9 @@ from .kcat import enveloping, opposite, opposite_functor, pair_object, quotient_
     tensor_functor, triangular_matrix, one_point_extension
 from .ideals import is_idempotent, opposite_ideal, representable_ideal_module, triangular_ideal
 from .modcat import (
-    ModuleMap, as_right_over_op, dualize, ext, ext_data,
-    ideal_bimodule, is_projective, module_hom, projective_resolution,
-    quotient_representable, regular_bimodule, representable, restrict_module,
-    simple, tor, InvalidModule,
+    ModuleMap, dualize, ext, ext_data, ideal_bimodule, is_projective, module_hom,
+    projective_resolution, quotient_representable, regular_bimodule, representable,
+    restrict_module, simple, InvalidModule,
 )
 from .hochschild import hochschild_cohomology
 
@@ -112,7 +111,8 @@ class LESReport:
 class _CohomologyData:
     """Cocycle bases and class coordinates of one cochain complex."""
 
-    def __init__(self, field, dims, diffs, upto):
+    def __init__(self, field, data, upto):
+        dims, diffs = data.dims, data.diffs
         self.field = field
         self.cocycles = []
         self.class_proj = []
@@ -157,12 +157,8 @@ def les_from_ses(res, ses, max_deg):
             f"resolution of length {res.length} cannot certify degree {max_deg}"
             f" (needs {n_internal + 1})")
     field = env.field
-    data_i = ext_data(res, ses.sub, n_internal)
-    data_c = ext_data(res, ses.mid, n_internal)
-    data_h = ext_data(res, ses.quot, n_internal)
-    dims_i, diffs_i = data_i.dims, data_i.diffs
-    dims_c, diffs_c = data_c.dims, data_c.diffs
-    dims_h, diffs_h = data_h.dims, data_h.diffs
+    data_i, data_c, data_h = (ext_data(res, m, n_internal) for m in (ses.sub, ses.mid, ses.quot))
+    diffs_i, diffs_c, diffs_h = data_i.diffs, data_c.diffs, data_h.diffs
 
     def chain_map(src_data, tgt_data, mod_map):
         out = []
@@ -170,8 +166,7 @@ def les_from_ses(res, ses, max_deg):
             blocks = []
             for (x, b_src, _), (_, _, p_tgt) in zip(src_data.inv[k], tgt_data.inv[k]):
                 blocks.append(p_tgt.mul(mod_map.mat_at(x)).mul(b_src))
-            out.append(block_diag(field, blocks, 0, 0) if blocks
-                       else Mat.zeros(field, 0, 0))
+            out.append(block_diag(field, blocks))
         return out
 
     incl_chain = chain_map(data_i, data_c, ses.inclusion)
@@ -184,9 +179,8 @@ def les_from_ses(res, ses, max_deg):
             raise VerificationFailed(
                 f"projection cochain map does not commute with the differentials at degree {k}")
 
-    coh_i = _CohomologyData(field, dims_i, diffs_i, n_internal)
-    coh_c = _CohomologyData(field, dims_c, diffs_c, n_internal)
-    coh_h = _CohomologyData(field, dims_h, diffs_h, n_internal)
+    coh_i, coh_c, coh_h = (_CohomologyData(field, data, n_internal)
+                           for data in (data_i, data_c, data_h))
 
     def induced(coh_src, coh_tgt, chain, n):
         reps = [coh_src.representative(n, k) for k in range(coh_src.dims[n])]
@@ -208,9 +202,7 @@ def les_from_ses(res, ses, max_deg):
             if v is None:
                 raise VerificationFailed("differential of a lift missed the subcomplex")
             cols.append(v.col(0))
-        delta_mat = coh_i.classes_of(n + 1, cols) if cols else Mat.zeros(
-            field, coh_i.dims[n + 1], 0)
-        deltas.append(delta_mat)
+        deltas.append(coh_i.classes_of(n + 1, cols))
 
     # exactness at each node of
     # 0 -> A_0 -> B_0 -> C_0 -> A_1 -> ...
@@ -220,11 +212,8 @@ def les_from_ses(res, ses, max_deg):
         exact_at.append(_exact_at_node(incoming_a, incl_maps[n]))
         exact_at.append(_exact_at_node(incl_maps[n], proj_maps[n]))
         exact_at.append(_exact_at_node(proj_maps[n], deltas[n]))
-    dims = {
-        "ExtCI": [coh_i.dims[n] for n in range(max_deg + 1)],
-        "HC": [coh_c.dims[n] for n in range(max_deg + 1)],
-        "HB": [coh_h.dims[n] for n in range(max_deg + 1)],
-    }
+    dims = {name: coh.dims[:max_deg + 1]
+            for name, coh in (("ExtCI", coh_i), ("HC", coh_c), ("HB", coh_h))}
     maps = {"incl": incl_maps, "proj": proj_maps, "delta": deltas}
     notes = [f"exactness verified up to degree {max_deg}",
              f"internal cochain degree {n_internal + 1}"]
@@ -263,19 +252,22 @@ class CheckReport:
         return all(ok for *_, ok in self.rows)
 
 
+DUAL_KIND = {"rep": "dual-rep", "simple": "simple", "dual-rep": "rep"}
+
+
 def default_quotient_samples(b):
-    """Sample modules over the quotient: representables, simples (where
-    they exist) and duals of right representables (injectives)."""
-    samples = []
-    for x in b.objects:
-        samples.append((f"rep({x})", representable(b, x, "left"), True))
-    for x in b.objects:
+    """Sample modules over the quotient B as (kind, object y, module):
+    B(y,-), the simple at y where End(y) is local, and D B(-,y).  The
+    linear dual D carries them onto the samples over B^op of kind
+    DUAL_KIND[kind] at y; End(y) is local over B exactly when it is over
+    B^op, so the simples exist on both sides or on neither."""
+    samples = [("rep", y, representable(b, y, "left")) for y in b.objects]
+    for y in b.objects:
         try:
-            samples.append((f"simple({x})", simple(b, x, "left"), False))
+            samples.append(("simple", y, simple(b, y, "left")))
         except InvalidModule:
             pass
-    for x in b.objects:
-        samples.append((f"dual-rep({x})", dualize(representable(b, x, "right")), False))
+    samples += [("dual-rep", y, dualize(representable(b, y, "right"))) for y in b.objects]
     return samples
 
 
@@ -284,30 +276,33 @@ def strongly_idempotent_check(c, ideal, max_deg=4):
     up to max_deg on sample modules over the quotient, on C and mirrored
     on C^op ("op:" rows).
 
-    Only the quotient representables C/I(x,-) over C and over C^op are
-    resolved, once each.  Ext(C/I(x,-), M) reads the resolution on the
-    sample's side.  Tor(C/I(-,x), M) reads the other side's, since
-    C/I(-,x) over C is C^op/I^op(x,-) over C^op and Tor is balanced:
-    Tor^C_n(N, M) = Tor^{C^op}_n(M, N) (Weibel, An Introduction to
-    Homological Algebra, Thm 2.7.2)."""
+    Each side resolves its quotient representables C/I(x,-) once and
+    keeps one table of rows Ext^{1..max_deg}(C/I(x,-), M), per pulled-back
+    sample M and object x.  Tor^C_n(C/I(-,x), M) is Tor over C^op of M
+    against C^op/I^op(x,-), and over a field D Tor_n(N, M) = Ext^n(M, DN)
+    (Cartan-Eilenberg, Homological Algebra, VI.5), so the Tor row of M at
+    x is the other side's Ext row at x for the dual sample D(M)."""
     c_op = opposite(c)
     sides = [(c, ideal, ""), (c_op, opposite_ideal(ideal, c_op), "op:")]
-    resolved = [{x: projective_resolution(quotient_representable(cat, i, x), max_deg + 1)
-                 for x in c.objects} for cat, i, _ in sides]
-    report = CheckReport(max_deg)
-    for s, (cat, i, prefix) in enumerate(sides):
-        other = sides[1 - s][0]
+    tables = [{}, {}]
+    for (cat, i, _), table in zip(sides, tables):
+        resolved = [projective_resolution(quotient_representable(cat, i, x), max_deg + 1)
+                    for x in c.objects]
         b, phi = quotient_category(cat, i)
-        for name, sample, projective in default_quotient_samples(b):
+        for kind, y, sample in default_quotient_samples(b):
             module = restrict_module(sample, phi)
-            as_right = as_right_over_op(module, other)
-            for x in c.objects:
-                q_res, q_other = resolved[s][x], resolved[1 - s][x]
-                report.record(prefix + "ext-vanishing", x, name,
-                              ext(q_res.module, module, max_deg, res=q_res)[1:])
-                condition = "tor-vanishing-projective" if projective else "tor-vanishing"
-                report.record(prefix + condition, x, name,
-                              tor(as_right, q_other.module, max_deg, res=q_other)[1:])
+            table[kind, y] = [ext(res.module, module, max_deg, res=res)[1:] for res in resolved]
+    report = CheckReport(max_deg)
+    for s, (_, _, prefix) in enumerate(sides):
+        for (kind, y), ext_rows in tables[s].items():
+            tor_rows = tables[1 - s].get((DUAL_KIND[kind], y))
+            if tor_rows is None:
+                # D carries every sample on one side onto one on the other
+                raise VerificationFailed(f"sample {kind}({y}) has no dual on the mirror side")
+            condition = "tor-vanishing-projective" if kind == "rep" else "tor-vanishing"
+            for x, ext_row, tor_row in zip(c.objects, ext_rows, tor_rows):
+                report.record(prefix + "ext-vanishing", x, f"{kind}({y})", ext_row)
+                report.record(prefix + condition, x, f"{kind}({y})", tor_row)
     return report
 
 
@@ -369,12 +364,8 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     # Hom(H,H) into Hom(C,H) and the ranks agree
     hom_hh = module_hom(ses.quot, ses.quot)
     hom_ch = module_hom(ses.mid, ses.quot)
-    composed = [ses.projection.then(hom_hh.map_at(k)) for k in range(hom_hh.dim)]
-    if composed:
-        cols = [m.flatten() for m in composed]
-        emb_rank = rank(Mat.from_cols(env.field, cols, rows=len(cols[0])))
-    else:
-        emb_rank = 0
+    composed = [ses.projection.then(hom_hh.map_at(k)).flatten() for k in range(hom_hh.dim)]
+    emb_rank = rank(Mat.from_cols(env.field, composed))
     identifications["H0_embedding"] = (
         emb_rank == hom_hh.dim and hom_hh.dim == hom_ch.dim)
 

@@ -8,8 +8,8 @@ import pytest
 
 from homcat import modcat
 from homcat.exactla import (
-    ComplementData, EchelonSpace, Field, Mat, VerificationFailed, block_diag, kron, solve,
-    unit_vector,
+    ComplementData, EchelonSpace, Field, Mat, VerificationFailed, block_diag,
+    complex_cohomology_dims, kron, solve, unit_vector,
 )
 from homcat.kcat import (
     InvalidModule, category_from_tables, enveloping, one_point_extension,
@@ -232,6 +232,52 @@ def test_tor_zero_equals_tensor():
         m = random_module(a2, rng, "left")
         n = random_module(a2, rng, "right")
         assert tor(n, m, 2)[0] == tensor_over_cat(n, m).dim
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_ext_and_tor_stop_at_the_top_level_of_the_resolution(p, monkeypatch):
+    field = Field.gf(p) if p else Q
+    built = []
+    for name in ("ext_data", "tor_data"):
+        real = getattr(modcat, name)
+
+        def recorded(res, coeff, upto, real=real):
+            built.append(upto)
+            return real(res, coeff, upto)
+
+        monkeypatch.setattr(modcat, name, recorded)
+    a4 = build_quiver_category(field, ["1", "2", "3", "4"],
+                               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")], [], 5)
+    d = zoo.dual_numbers(field)
+    s = simple(d, "*")
+    cases = [(s, s)]
+    for c in (zoo.a3(field), a4):
+        modules = [zero_module(c)] + [representable(c, x) for x in c.objects]
+        modules += [simple(c, x) for x in c.objects]
+        modules += [dualize(representable(c, x, "right")) for x in c.objects]
+        cases += [(m, n) for m in modules for n in modules]
+    for m, n in cases:
+        for max_deg in (2, 4):
+            res = projective_resolution(m, max_deg + 1)
+            top = max((k for k, level in enumerate(res.gens) if level), default=-1)
+            # the resolution of the simple never ends; A_n is hereditary
+            if m is s:
+                assert top == max_deg + 1
+            else:
+                assert top == -1 if m.is_zero() else top <= 1
+            full_ext = modcat.ext_data(res, n, max_deg)
+            full_tor = modcat.tor_data(res, dualize(n), max_deg)
+            want_ext = complex_cohomology_dims(full_ext.dims, full_ext.diffs, max_deg)
+            want_tor = complex_cohomology_dims(full_tor.dims, full_tor.diffs, max_deg)
+            built.clear()
+            assert ext(m, n, max_deg, res=res) == want_ext
+            assert tor(dualize(n), m, max_deg, res=res) == want_tor
+            # each complex is built up to level min(top, max_deg + 1)
+            assert built and set(built) == {min(top - 1, max_deg)}
+            if m.is_zero():
+                assert want_ext == want_tor == [0] * (max_deg + 1)
+            if m is s:
+                assert want_ext == want_tor == [1] * (max_deg + 1)
 
 
 def test_duality_bridge():
@@ -899,6 +945,32 @@ def test_ext_data_matches_the_per_call_assembly(field):
                 assert (data.dims, data.diffs, data.inv) == want
                 pairs += 1
     assert pairs > 150
+
+
+@pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), F], ids=str)
+def test_summand_blocks_are_built_once_and_equal_the_products(field):
+    # a term's block of a cut summand is proj[z] . post . basis[y], kept on
+    # the summand so that every term holding it reads the same matrix
+    blocks = 0
+    for lam in _triangular_family(field):
+        for x in lam.objects:
+            for e in lam.identity_summands[x]:
+                s = modcat._summand(lam, x, e)
+                assert not s.full
+                for y in lam.objects:
+                    for z in lam.objects:
+                        for i in range(lam.dim(y, z)):
+                            want = (s.proj[z].mul(lam.post_matrix_basis(x, y, z, i))
+                                    .mul(s.basis[y]))
+                            assert s.block(y, z, i) == want
+                            assert s.block(y, z, i) is s.block(y, z, i)
+                            blocks += 1
+        res = projective_resolution(dualize(representable(lam, lam.objects[0], "right")), 2)
+        term = res.term(0)
+        for (y, z, i), mat in term.act.items():
+            assert mat == block_diag(field, [res.summand(0, j).block(y, z, i)
+                                             for j in range(len(res.gens[0]))])
+    assert blocks > 100
 
 
 def test_inconsistent_image_is_a_verification_failure(monkeypatch):

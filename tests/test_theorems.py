@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import homcat
-from homcat.exactla import Field, Mat
+from homcat.exactla import Field, Mat, VerificationFailed
 from homcat.kcat import (
     enveloping, one_point_extension, opposite, quotient_category,
     triangular_matrix, unit_category,
@@ -18,8 +18,9 @@ from homcat.ideals import (
 )
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, as_left_over_op, bimodule, ext, over_unit, projective_resolution,
-    quotient_representable, regular_bimodule, representable, restrict_module, simple, tor,
+    CatModule, ModuleMap, as_left_over_op, as_right_over_op, bimodule, ext, over_unit,
+    projective_resolution, quotient_representable, regular_bimodule, representable,
+    restrict_module, simple, tor,
 )
 from homcat.theorems import (
     CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule,
@@ -443,20 +444,21 @@ def test_one_sided_ext_table_matches_fresh_ext(p, monkeypatch):
 
 
 def _reference_check(c, ideal, max_deg, mirror=True):
-    """The strong-idempotency check without the balance route: every
+    """The strong-idempotency check without the shared resolutions: every
     pulled-back sample is resolved for its Tor rows against C/I(-,x), and
     the whole check reruns on C^op for the "op:" rows."""
     b, phi = quotient_category(c, ideal)
     report = CheckReport(max_deg)
     quotients = [(x, projective_resolution(quotient_representable(c, ideal, x), max_deg + 1),
                   quotient_representable(c, ideal, x, "right")) for x in c.objects]
-    for name, sample, projective in default_quotient_samples(b):
+    for kind, y, sample in default_quotient_samples(b):
+        name = f"{kind}({y})"
         module = restrict_module(sample, phi)
         res = projective_resolution(module, max_deg + 1)
         for x, q_res, q_right in quotients:
             report.record("ext-vanishing", x, name,
                           ext(q_res.module, module, max_deg, res=q_res)[1:])
-            condition = "tor-vanishing-projective" if projective else "tor-vanishing"
+            condition = "tor-vanishing-projective" if kind == "rep" else "tor-vanishing"
             report.record(condition, x, name, tor(q_right, module, max_deg, res=res)[1:])
     if mirror:
         c_op = opposite(c)
@@ -491,6 +493,84 @@ def test_check_matches_the_per_sample_reference(p):
             assert got.witness == want.witness
             failing += not got.passed
     assert failing
+
+
+def _tor_route_check(c, ideal, max_deg):
+    """The check with its Tor rows computed as Tor: the sample, moved to a
+    right module over the other side, against the other side's quotient
+    representable C/I(-,x), resolved there."""
+    c_op = opposite(c)
+    sides = [(c, ideal, ""), (c_op, opposite_ideal(ideal, c_op), "op:")]
+    resolved = [{x: projective_resolution(quotient_representable(cat, i, x), max_deg + 1)
+                 for x in c.objects} for cat, i, _ in sides]
+    report = CheckReport(max_deg)
+    for s, (cat, i, prefix) in enumerate(sides):
+        other = sides[1 - s][0]
+        b, phi = quotient_category(cat, i)
+        for kind, y, sample in default_quotient_samples(b):
+            name = f"{kind}({y})"
+            module = restrict_module(sample, phi)
+            as_right = as_right_over_op(module, other)
+            for x in c.objects:
+                q_res, q_other = resolved[s][x], resolved[1 - s][x]
+                report.record(prefix + "ext-vanishing", x, name,
+                              ext(q_res.module, module, max_deg, res=q_res)[1:])
+                condition = "tor-vanishing-projective" if kind == "rep" else "tor-vanishing"
+                report.record(prefix + condition, x, name,
+                              tor(as_right, q_other.module, max_deg, res=q_other)[1:])
+    return report
+
+
+def _check_cases(field):
+    """(category, ideal): the zero ideal, each <e_x>, the ideal of the first
+    arrow and, on a triangular category, its triangular ideal."""
+    u = zoo.a2(field)
+    cats = [zoo.a2(field), zoo.a3(field), zoo.kronecker(field), zoo.dual_numbers(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in range(6)]
+    cats.append(one_point_extension(u, representable(u, "1")))
+    for c in cats:
+        yield c, zero_ideal(c)
+        for x in c.objects:
+            yield c, ideal_from_generators(c, [(x, x, c.id_coords(x))])
+        arrow = next((x, y, coords) for x in c.objects for y in c.objects
+                     for coords in (tuple(int(j == i) for j in range(c.dim(x, y)))
+                                    for i in range(c.dim(x, y)))
+                     if x != y or coords != c.id_coords(x))
+        yield c, ideal_from_generators(c, [arrow])
+        if c.triangular is not None:
+            yield c, triangular_ideal(c)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_tor_rows_read_by_duality_match_the_tor_route(p):
+    field = Field.gf(p) if p else Q
+    cases = failing = 0
+    for c, ideal in _check_cases(field):
+        for max_deg in (2, 4):
+            got = strongly_idempotent_check(c, ideal, max_deg)
+            want = _tor_route_check(c, ideal, max_deg)
+            assert got.rows == want.rows
+            assert got.witness == want.witness
+            cases += 1
+            failing += not got.passed
+    assert cases == 90
+    assert 0 < failing < cases
+
+
+def test_a_sample_without_a_dual_is_an_internal_error(monkeypatch):
+    import homcat.theorems as theorems_mod
+    real = theorems_mod.default_quotient_samples
+    calls = []
+
+    def drop_on_the_mirror_side(b):
+        calls.append(b)
+        samples = real(b)
+        return samples[:-1] if len(calls) == 2 else samples
+
+    monkeypatch.setattr(theorems_mod, "default_quotient_samples", drop_on_the_mirror_side)
+    a3 = zoo.a3(Q)
+    with pytest.raises(VerificationFailed, match="no dual on the mirror side"):
+        strongly_idempotent_check(a3, zero_ideal(a3), 2)
 
 
 @pytest.mark.parametrize("p", [0, 2])
