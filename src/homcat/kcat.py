@@ -579,41 +579,6 @@ def identity_functor(c):
     return KFunctor(c, c, {x: x for x in c.objects}, mm, check=False)
 
 
-def opposite_functor(fun):
-    """F^op: source^op -> target^op, same data on transposed Hom keys.
-    Not validated: F^op is a functor exactly when F is."""
-    s_op = opposite(fun.source)
-    t_op = opposite(fun.target)
-    mm = {(x, y): fun.morphism_map[(y, x)] for x in s_op.objects for y in s_op.objects}
-    return KFunctor(s_op, t_op, dict(fun.object_map), mm, check=False)
-
-
-def tensor_functor(f, g, source, target):
-    """F tensor G from source = F.source tensor G.source to target =
-    F.target tensor G.target, both already built.  It sends f tensor g to
-    F(f) tensor G(g), and pure tensors span, so it preserves identities
-    and composition when F and G do: the factors are validated, not the
-    product."""
-    f.validate()
-    g.validate()
-    if source.product_of != (f.source, g.source):
-        raise InvalidFunctor("source is not the tensor product of the factor sources")
-    if target.product_of != (f.target, g.target):
-        raise InvalidFunctor("target is not the tensor product of the factor targets")
-    om = {}
-    mm = {}
-    for a in f.source.objects:
-        for b in g.source.objects:
-            om[pair_object(a, b)] = pair_object(f.on_object(a), g.on_object(b))
-    for a in f.source.objects:
-        for b in g.source.objects:
-            for a2 in f.source.objects:
-                for b2 in g.source.objects:
-                    mm[(pair_object(a, b), pair_object(a2, b2))] = kron(
-                        f.morphism_map[(a, a2)], g.morphism_map[(b, b2)])
-    return KFunctor(source, target, om, mm, check=False)
-
-
 # ---------------------------------------------------------------------------
 # quotient by a two-sided ideal
 

@@ -805,7 +805,6 @@ class _Summand:
     (`full`), the summand is C(x,-) and both are identities."""
 
     def __init__(self, c, x, e_coords):
-        self.c = c
         self.x = x
         self.e = e_coords
         self.full = e_coords == c.id_coords(x)
@@ -821,10 +820,10 @@ class _Summand:
     def dim(self, y):
         return self.basis[y].cols
 
-    def block(self, y, z, i):
-        """The action proj[z] . post . basis[y] of i: y -> z, kept for every
-        term that holds the summand."""
-        c = self.c
+    def block(self, c, y, z, i):
+        """The action proj[z] . post . basis[y] of i: y -> z in c, kept for
+        every term that holds the summand.  The summand keeps no reference
+        to c, whose cache holds it."""
         if self.full:
             return c.post_matrix_basis(self.x, y, z, i)
         if (y, z, i) not in self._blocks:
@@ -920,7 +919,7 @@ class FreeResolution:
 
 def _split_module(c, summands):
     dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
-    act = {(y, z, i): block_diag(c.field, [s.block(y, z, i) for s in summands])
+    act = {(y, z, i): block_diag(c.field, [s.block(c, y, z, i) for s in summands])
            for y, z, i in live_morphisms(c, dims, dims)}
     return CatModule(c, "left", dims, act, check=False)
 

@@ -2,7 +2,7 @@
 
 The central construction: an idempotent ideal with projective I(x,-)
 gives a short exact sequence of bimodules 0 -> I -> C -> H -> 0 (H is
-the quotient category's regular bimodule pulled back).  Applying
+the quotient of the regular bimodule by I).  Applying
 Hom(P_., -) of a projective bimodule resolution of C to the three
 coefficients yields a degreewise-exact short exact sequence of cochain
 complexes; connecting maps are then computed literally (lift a cocycle
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, rank,
                       solve)
-from .kcat import enveloping, opposite, opposite_functor, pair_object, quotient_category, \
-    tensor_functor, triangular_matrix, one_point_extension
+from .kcat import enveloping, opposite, quotient_category, triangular_matrix, \
+    one_point_extension
 from .ideals import is_idempotent, opposite_ideal, representable_ideal_module, triangular_ideal
 from .modcat import (
     ModuleMap, dualize, ext, ext_data, ideal_bimodule, is_projective, module_hom,
-    projective_resolution, quotient_representable, regular_bimodule, representable,
-    restrict_module, simple, InvalidModule,
+    projective_resolution, quotient_module, quotient_representable, regular_bimodule,
+    representable, restrict_module, simple, InvalidModule,
 )
 from .hochschild import hochschild_cohomology
 
@@ -68,27 +68,17 @@ class SESOfBimodules:
         return True
 
 
-def canonical_ses(c, ideal, env=None, regular=None, quotient=None, quotient_regular=None):
-    """The sequence 0 -> I -> C -> H -> 0 in bimodules, with H built by
-    pulling the quotient's regular bimodule back along the squared
-    projection functor, which runs between the two enveloping categories
-    the regular bimodules live over."""
+def canonical_ses(c, ideal, env=None, regular=None):
+    """The sequence 0 -> I -> C -> H -> 0 in bimodules, with H = C/I the
+    quotient of the regular bimodule by the ideal.  Its basis at (x1,x2)
+    is the canonical complement of I(x1,x2), the Hom basis of the
+    quotient category, so the projection there is the quotient functor's
+    matrix on Hom(x1,x2)."""
     if regular is None:
         regular = regular_bimodule(c, env)
-    env = regular.base
-    sub, incl = ideal_bimodule(c, ideal, env=env, regular=regular)
-    if quotient is None:
-        quotient = quotient_category(c, ideal)
-    b, phi = quotient
-    if quotient_regular is None:
-        quotient_regular = regular_bimodule(b)
-    phi_e = tensor_functor(opposite_functor(phi), phi, env, quotient_regular.base)
-    h = restrict_module(quotient_regular, phi_e)
-    proj_comp = {}
-    for x1 in c.objects:
-        for x2 in c.objects:
-            proj_comp[pair_object(x1, x2)] = phi.morphism_map[(x1, x2)]
-    proj = ModuleMap(regular, h, proj_comp)
+    sub, incl = ideal_bimodule(c, ideal, regular=regular)
+    h = quotient_module(regular, incl.comp)
+    proj = ModuleMap(regular, h, {p: ComplementData(span).proj for p, span in incl.comp.items()})
     return SESOfBimodules(sub, regular, h, incl, proj)
 
 
@@ -341,15 +331,12 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
         raise HypothesisFailed(audit["reasons"])
     env = enveloping(c)
     regular = regular_bimodule(c, env)
-    b, phi = quotient_category(c, ideal)
-    b_regular = regular_bimodule(b)
-    ses = canonical_ses(c, ideal, env=env, regular=regular, quotient=(b, phi),
-                        quotient_regular=b_regular)
+    ses = canonical_ses(c, ideal, env=env, regular=regular)
     res = projective_resolution(regular, max_deg + 2)
     report = les_from_ses(res, ses, max_deg)
     report.hypotheses = audit
 
-    hb_independent = hochschild_cohomology(b, max_deg, coeff=b_regular)
+    hb_independent = hochschild_cohomology(quotient_category(c, ideal)[0], max_deg)
     identifications = {
         "HB_independent": hb_independent,
         "hom_CH_equals_H0B": report.dims["HB"][0] == hb_independent[0],

@@ -12,8 +12,8 @@ from homcat.exactla import (
 from homcat.kcat import (
     EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, InvalidFunctor, KFunctor,
     enveloping,
-    one_point_extension, opposite, opposite_functor, quotient_category,
-    tensor_category, tensor_functor, triangular_matrix, unit_category,
+    one_point_extension, opposite, quotient_category,
+    tensor_category, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
 )
 from homcat import zoo
@@ -261,23 +261,12 @@ def test_quotient_dims_subtract():
             assert b.dim(x, y) == a2.dim(x, y) - ideal.span[(x, y)].cols
 
 
-def test_functor_validation_and_tensor_functor():
-    a2 = zoo.a2(Q)
-    ident = identity_functor(a2)
-    assert ident.validate()
-    op = opposite_functor(ident)
-    assert op.source == opposite(a2)
-    square = tensor_category(a2, a2)
-    sq = tensor_functor(ident, ident, square, square)
-    assert sq.validate()
-
-
-def a3_functor(arrow_matrix, check=True):
-    """The identity of A_3 except on Hom(1,2), which gets arrow_matrix."""
+def a3_functor(matrix, pair=("1", "2")):
+    """The identity of A_3 except on Hom(pair), which gets matrix."""
     a3 = zoo.a3(Q)
     mm = dict(identity_functor(a3).morphism_map)
-    mm[("1", "2")] = arrow_matrix
-    return KFunctor(a3, a3, {x: x for x in a3.objects}, mm, check=check)
+    mm[pair] = matrix
+    return KFunctor(a3, a3, {x: x for x in a3.objects}, mm)
 
 
 def test_functor_validation_names_missing_and_misshapen_pairs():
@@ -290,29 +279,14 @@ def test_functor_validation_names_missing_and_misshapen_pairs():
         a3_functor(Mat.zeros(Q, 2, 1))
 
 
-def test_tensor_functor_rejects_invalid_factors():
-    ident = a3_functor(Mat.identity(Q, 1))
-    square = tensor_category(ident.source, ident.source)
+def test_functor_validation_checks_identities_and_composition():
+    assert identity_functor(zoo.a2(Q)).validate()
+    assert a3_functor(Mat.identity(Q, 1)).validate()
     # a -> 2a keeps identities but sends b o a to half of F(b) o F(a)
-    broken = a3_functor(Mat.identity(Q, 1).scale(2), check=False)
-    misshapen = a3_functor(Mat.zeros(Q, 2, 1), check=False)
-    for bad, message in ((broken, "composition not preserved"), (misshapen, "shape")):
-        for f, g in ((bad, ident), (ident, bad)):
-            with pytest.raises(InvalidFunctor, match=message):
-                tensor_functor(f, g, square, square)
-
-
-def test_tensor_functor_checks_its_product_categories():
-    a2 = zoo.a2(Q)
-    ident = identity_functor(a2)
-    env = enveloping(a2)
-    square = tensor_category(a2, a2)
-    built = tensor_functor(opposite_functor(ident), ident, env, env)
-    assert built.source is env and built.target is env
-    assert built.validate()
-    for source, target in ((env, square), (square, env), (a2, square), (square, a2)):
-        with pytest.raises(InvalidFunctor, match="not the tensor product"):
-            tensor_functor(ident, ident, source, target)
+    with pytest.raises(InvalidFunctor, match=r"composition not preserved at \(1,2,3\)"):
+        a3_functor(Mat.identity(Q, 1).scale(2))
+    with pytest.raises(InvalidFunctor, match="identity at 1 not preserved"):
+        a3_functor(Mat.identity(Q, 1).scale(2), ("1", "1"))
 
 
 def test_constructions_all_validate():

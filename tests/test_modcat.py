@@ -25,6 +25,7 @@ from homcat.modcat import (
     swap_product_module, tensor_over_cat, tor, zero_module,
 )
 from homcat.certify import build_quiver_category
+from homcat.theorems import strongly_idempotent_check, theorem_les_pipeline
 from homcat.ideals import (ideal_from_generators, representable_ideal_module,
                            triangular_ideal, zero_ideal)
 from homcat import zoo
@@ -302,6 +303,30 @@ def test_resolution_cache_does_not_outlive_category():
     del a2, res
     gc.collect()
     assert alive() is None
+
+
+def _run_on_a3(run):
+    """A weak reference to an A_3 after run(a3, <e_1>) has used it."""
+    a3 = zoo.a3(Q)
+    run(a3, ideal_from_generators(a3, [("1", "1", a3.id_coords("1"))]))
+    return weakref.ref(a3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda c, ideal: projective_resolution(simple(c, "1"), 3),
+    lambda c, ideal: theorem_les_pipeline(c, ideal, 3),
+    lambda c, ideal: strongly_idempotent_check(c, ideal, 3),
+], ids=["resolution", "les", "strong-idempotency"])
+def test_a_category_is_freed_without_the_cycle_collector(run):
+    # the caches a category keeps (summands, resolutions, enveloping
+    # category) must not point back at it, or only gc.collect frees it
+    gc.collect()
+    gc.disable()
+    try:
+        alive = _run_on_a3(run)
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_dualize_involution_and_dims():
@@ -962,13 +987,13 @@ def test_summand_blocks_are_built_once_and_equal_the_products(field):
                         for i in range(lam.dim(y, z)):
                             want = (s.proj[z].mul(lam.post_matrix_basis(x, y, z, i))
                                     .mul(s.basis[y]))
-                            assert s.block(y, z, i) == want
-                            assert s.block(y, z, i) is s.block(y, z, i)
+                            assert s.block(lam, y, z, i) == want
+                            assert s.block(lam, y, z, i) is s.block(lam, y, z, i)
                             blocks += 1
         res = projective_resolution(dualize(representable(lam, lam.objects[0], "right")), 2)
         term = res.term(0)
         for (y, z, i), mat in term.act.items():
-            assert mat == block_diag(field, [res.summand(0, j).block(y, z, i)
+            assert mat == block_diag(field, [res.summand(0, j).block(lam, y, z, i)
                                              for j in range(len(res.gens[0]))])
     assert blocks > 100
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import homcat
-from homcat.exactla import Field, Mat, VerificationFailed
+from homcat.exactla import Field, Mat, VerificationFailed, kron
 from homcat.kcat import (
-    enveloping, one_point_extension, opposite, quotient_category,
+    enveloping, one_point_extension, opposite, pair_object, quotient_category,
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
@@ -67,9 +67,60 @@ def test_canonical_ses_triangular_quot_dims():
     lam = classic_lambda(Q)
     ses = canonical_ses(lam, triangular_ideal(lam))
     o = lam.objects[0]
-    from homcat.kcat import pair_object
     assert ses.quot.dims[pair_object(o, o)] == 1     # the U corner only
     assert ses.sub.dims[pair_object(o, o)] == 2
+
+
+def _pulled_back_quotient(c, ideal):
+    """The oracle for H: the quotient's regular bimodule pulled back along
+    phi^op tensor phi, the env morphism f tensor g acting as phi(f) tensor
+    phi(g), with projection phi at every pair object."""
+    b, phi = quotient_category(c, ideal)
+    reg = regular_bimodule(b)
+    env = enveloping(c)
+    pairs = [(x, y) for x in c.objects for y in c.objects]
+    act = {}
+    for a, b1 in pairs:
+        for a2, b2 in pairs:
+            p, q = pair_object(a, b1), pair_object(a2, b2)
+            image = kron(phi.morphism_map[(a2, a)], phi.morphism_map[(b1, b2)])
+            for i in range(env.dim(p, q)):
+                act[(p, q, i)] = reg.act_vec(p, q, image.col(i))
+    dims = {pair_object(x, y): reg.dims[pair_object(x, y)] for x, y in pairs}
+    proj = {pair_object(x, y): phi.morphism_map[(x, y)] for x, y in pairs}
+    # a pullback along a functor is a module, so the oracle skips validation
+    return CatModule(env, "left", dims, act, check=False), proj
+
+
+def _ses_cases(field):
+    """(category, ideal): the zero ideal, the whole ideal and each <e_x> on
+    the zoo and seeded two-object categories; the triangular ideal on
+    one-point extensions by representables and simples."""
+    cats = [zoo.a2(field), zoo.a3(field), zoo.kronecker(field), zoo.dual_numbers(field)]
+    for c in cats + [zoo.random_two_object(field, seed) for seed in range(6)]:
+        yield c, zero_ideal(c)
+        yield c, whole_ideal(c)
+        for x in c.objects:
+            yield c, ideal_from_generators(c, [(x, x, c.id_coords(x))])
+    for u in cats:
+        modules = [representable(u, y) for y in u.objects]
+        modules += [simple(u, y) for y in u.objects]
+        for module in modules:
+            lam = one_point_extension(u, module)
+            yield lam, triangular_ideal(lam)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_quotient_bimodule_equals_the_pulled_back_regular_bimodule(p):
+    field = Field.gf(p) if p else Q
+    cases = 0
+    for c, ideal in _ses_cases(field):
+        ses = canonical_ses(c, ideal)
+        want, proj = _pulled_back_quotient(c, ideal)
+        assert ses.quot == want
+        assert ses.projection.comp == proj
+        cases += 1
+    assert cases == 56
 
 
 def test_les_with_zero_sub():
