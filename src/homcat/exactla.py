@@ -687,16 +687,17 @@ def solve(a, b):
 
 
 class ComplementData:
-    """Canonical complement of a column span S inside K^n.
+    """Canonical complement of a column span S (`span`) inside K^n.
 
     `proj` maps K^n onto coordinates of the complement (kernel = S), and
     `section` embeds those coordinates back as representing vectors,
     supported off the pivot coordinates.
     """
 
-    __slots__ = ("dim", "ambient", "pivots", "free", "proj", "section")
+    __slots__ = ("span", "dim", "ambient", "pivots", "free", "proj", "section")
 
     def __init__(self, span):
+        self.span = span
         f = span.field
         n = span.rows
         r, pivots = rref(span.transpose())

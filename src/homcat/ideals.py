@@ -10,8 +10,9 @@ each postcomposed with every basis morphism.
 
 from __future__ import annotations
 
-from .exactla import EchelonSpace, Mat, rank, solve, unit_vector
-from .kcat import NotTriangular, UnknownObject, pair_object
+from .exactla import ComplementData, EchelonSpace, Mat, column_space_basis, unit_vector
+from .kcat import NotTriangular, pair_object
+from .modcat import InvalidModule, ideal_representable
 
 
 class CoordinateMismatch(ValueError):
@@ -37,6 +38,8 @@ class TwoSidedIdeal:
                 if m is None:
                     m = Mat.zeros(parent.field, parent.dim(x, y), 0)
                 self.span[(x, y)] = m
+        self._complements = {}       # (x, y), or (y, x) on an opposite, -> ComplementData
+        self._flipped = False
         if check:
             self.validate()
 
@@ -46,42 +49,32 @@ class TwoSidedIdeal:
     def total_dim(self):
         return sum(m.cols for m in self.span.values())
 
+    def complement(self, x, y):
+        """The canonical complement of I(x,y), built on first use: its
+        basis is the Hom basis of C/I(x,y) and its projection the quotient
+        functor's matrix there, so every construction on C/I reads the
+        same one.  The opposite ideal shares the store."""
+        key = (y, x) if self._flipped else (x, y)
+        if key not in self._complements:
+            self._complements[key] = ComplementData(self.span[(x, y)])
+        return self._complements[key]
+
     def validate(self):
+        """Shapes and canonical bases, then closure: I(x,-) is a submodule of
+        C(x,-) (postcomposition), I(-,x) one of C(-,x) (precomposition)."""
         c = self.parent
         for (x, y), m in self.span.items():
             if m.rows != c.dim(x, y):
                 raise InvalidIdeal(f"span at ({x},{y}) has wrong ambient dimension")
-            if m.cols and rank(m) != m.cols:
+            if m.cols and m != column_space_basis(m):
                 raise InvalidIdeal(f"span at ({x},{y}) is not a reduced basis")
-        # closure under both-sided composition with basis morphisms
-        for (x, y), m in self.span.items():
-            if not m.cols:
-                continue
-            for col in m.columns():
-                for z in c.objects:
-                    for j in range(c.dim(y, z)):
-                        g = unit_vector(c.field, c.dim(y, z), j)
-                        gf = c.compose(x, y, z, col, g)
-                        if not self._contains(x, z, gf):
-                            raise InvalidIdeal(
-                                f"not closed under postcomposition at ({x},{y})->({x},{z})")
-                for w in c.objects:
-                    for j in range(c.dim(w, x)):
-                        h = unit_vector(c.field, c.dim(w, x), j)
-                        fh = c.compose(w, x, y, h, col)
-                        if not self._contains(w, y, fh):
-                            raise InvalidIdeal(
-                                f"not closed under precomposition at ({x},{y})->({w},{y})")
+        for side, composition in (("left", "postcomposition"), ("right", "precomposition")):
+            for x in c.objects:
+                try:
+                    ideal_representable(c, self, x, side)
+                except InvalidModule as exc:
+                    raise InvalidIdeal(f"not closed under {composition}: {exc}") from None
         return True
-
-    def _contains(self, x, y, vec):
-        if all(v == self.parent.field.zero() for v in vec):
-            return True
-        m = self.span[(x, y)]
-        if not m.cols:
-            return False
-        target = Mat.from_cols(self.parent.field, [vec], rows=m.rows)
-        return solve(m, target) is not None
 
     def __eq__(self, other):
         return (isinstance(other, TwoSidedIdeal)
@@ -132,7 +125,8 @@ def ideal_from_generators(c, gens):
             raise CoordinateMismatch(
                 f"generator at ({x},{y}) has length {len(coords)}, expected {c.dim(x, y)}")
         seeds.append((x, y, tuple(c.field.of(v) for v in coords)))
-    return TwoSidedIdeal(c, _saturate(c, seeds))
+    # a two-sided ideal by construction: the saturation is closed on both sides
+    return TwoSidedIdeal(c, _saturate(c, seeds), check=False)
 
 
 def zero_ideal(c):
@@ -177,7 +171,10 @@ def opposite_ideal(i, parent_op):
     """Transport spans through opposite(): I^op(x,y) = I(y,x), same
     coordinates since opposite() keeps labels and orderings."""
     span = {(x, y): i.span[(y, x)] for x in parent_op.objects for y in parent_op.objects}
-    return TwoSidedIdeal(parent_op, span, check=False)
+    op = TwoSidedIdeal(parent_op, span, check=False)
+    # the same spans, so the same complements
+    op._complements, op._flipped = i._complements, not i._flipped
+    return op
 
 
 def triangular_ideal(lam):
@@ -197,27 +194,6 @@ def triangular_ideal(lam):
             total = lam.dim(o1, o2)
             cols = [unit_vector(lam.field, total, k) for k in range(dt + dm)]
             span[(o1, o2)] = Mat.from_cols(lam.field, cols, rows=total)
-    return TwoSidedIdeal(lam, span)
+    # a two-sided ideal by construction: the kernel of the functor onto U
+    return TwoSidedIdeal(lam, span, check=False)
 
-
-def representable_ideal_module(i, x):
-    """The left module y -> I(x,y) with postcomposition action.
-
-    The action is C's postcomposition restricted to the spans, solved
-    wherever the span at the source is nonzero, even into an empty span:
-    a failed solve means the spans are not closed, and a submodule of the
-    functorial C(x,-) needs no functoriality check of its own."""
-    from .modcat import CatModule, live_morphisms
-    c = i.parent
-    if x not in c.objects:
-        raise UnknownObject(x)
-    dims = {y: i.span[(x, y)].cols for y in c.objects}
-    act = {}
-    for y, z, g_idx in live_morphisms(c, dims):
-        post = c.post_matrix_basis(x, y, z, g_idx)
-        restricted = solve(i.span[(x, z)], post.mul(i.span[(x, y)]))
-        if restricted is None:
-            raise InvalidIdeal("ideal spans are not closed under postcomposition")
-        if dims[z]:
-            act[(y, z, g_idx)] = restricted
-    return CatModule(c, "left", dims, act, check=False)

@@ -39,7 +39,7 @@ T^op tensor U (`modcat.bimodule`); the corner reads its slot actions.
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, kron, sparse_row, vadd, vkron, vzero, ComplementData,
+    FieldMismatch, Mat, kron, sparse_row, vadd, vkron, vzero,
     dense_row, report_form, q_row,
 )
 
@@ -585,22 +585,15 @@ def identity_functor(c):
 def quotient_category(c, ideal):
     """C/I together with the projection functor.
 
-    Hom bases of the quotient are canonical complements of the ideal spans
-    inside the standard bases of C, so quotient basis labels are the
-    surviving labels of C.
+    Hom bases of the quotient are the ideal's canonical complements of its
+    spans inside the standard bases of C (`TwoSidedIdeal.complement`), so
+    quotient basis labels are the surviving labels of C.
     """
     if ideal.parent is not c and ideal.parent != c:
         raise ValueError("ideal does not live in this category")
     field = c.field
-    comps = {}
-    for x in c.objects:
-        for y in c.objects:
-            span = ideal.span[(x, y)]
-            comps[(x, y)] = ComplementData(span)
-    hom = {}
-    for (x, y), comp_data in comps.items():
-        labels = c.hom_basis[(x, y)]
-        hom[(x, y)] = tuple(labels[i] for i in comp_data.free)
+    comps = {(x, y): ideal.complement(x, y) for x in c.objects for y in c.objects}
+    hom = {pair: tuple(c.hom_basis[pair][i] for i in cd.free) for pair, cd in comps.items()}
     # the section sends quotient basis vector i to basis vector free[i] of
     # C, so a composite is a row of C, projected column by column
     proj_cols = {pair: cd.proj.transpose().nz for pair, cd in comps.items()}

@@ -426,46 +426,71 @@ def _orbit_closure(m, seeds, spaces=None):
     return spaces
 
 
+def _unit_rows(span):
+    """For each column t of a reduced basis, a row of it that is the unit
+    row e_t: a reduced echelon basis has one at each leading entry, a
+    kernel basis at each free variable.  A vector of the span has its
+    coordinates there, so no elimination is needed to read them."""
+    at = {}
+    for j, row in enumerate(span.nz):
+        if len(row) == 1 and 1 in row.values():
+            at.setdefault(next(iter(row)), j)
+    if len(at) != span.cols:
+        raise ValueError("span basis is not reduced: no identity among its rows")
+    return [at[t] for t in range(span.cols)]
+
+
 def submodule_module(m, spans):
-    """The submodule with the given (canonical) column spans.  The spans
-    are tested wherever the span at the source is nonzero, even into an
-    empty span."""
+    """The submodule with the given reduced column spans (`_unit_rows`).
+    The spans are tested wherever the span at the source and the value
+    of m at the target are nonzero, even into an empty span."""
     c = m.base
     dims = {x: spans[x].cols for x in c.objects}
+    units = {x: _unit_rows(spans[x]) for x in c.objects}
     act = {}
-    for x, y, i in live_morphisms(c, dims, None, m.side):
+    for x, y, i in live_morphisms(c, dims, m.dims, m.side):
         src, tgt = (x, y) if m.side == "left" else (y, x)
-        restricted = solve(spans[tgt], m.act_mat(x, y, i).mul(spans[src]))
-        if restricted is None:
+        image = m.act_mat(x, y, i).mul(spans[src])
+        # a vector of the span is the span applied to its entries at the unit rows
+        restricted = Mat.from_sparse(c.field, dims[tgt], dims[src],
+                                     tuple(image.nz[j] for j in units[tgt]))
+        if not (spans[tgt].mul(restricted) == image if dims[tgt] else image.is_zero()):
             raise InvalidModule(f"spans are not a submodule at ({x},{y},{i})")
         if dims[tgt]:
             act[(x, y, i)] = restricted
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
-def quotient_module(m, spans):
-    """Quotient by the submodule with the given spans, with the canonical
-    complement bases.  Stability is tested wherever the quotient at the
-    target is nonzero, even from a quotient that is 0 at the source."""
+def quotient_module(m, comps):
+    """Quotient by the spans of the given complements (`ComplementData`
+    per object), in the complement bases.  Stability is tested wherever
+    the quotient at the target is nonzero, even from a quotient that is 0
+    at the source."""
     c = m.base
-    comps = {x: ComplementData(spans[x]) for x in c.objects}
     dims = {x: comps[x].dim for x in c.objects}
     act = {}
     for x, y, i in live_morphisms(c, m.dims, dims, m.side):
         src, tgt = (x, y) if m.side == "left" else (y, x)
         # proj has kernel exactly the span: stable iff proj . act kills it
         pa = comps[tgt].proj.mul(m.act_mat(x, y, i))
-        if spans[src].cols and not pa.mul(spans[src]).is_zero():
+        span = comps[src].span
+        if span.cols and not pa.mul(span).is_zero():
             raise InvalidModule(f"spans not stable at ({x},{y},{i})")
         if dims[src]:
             act[(x, y, i)] = pa.mul(comps[src].section)
     return CatModule(m.base, m.side, dims, act, check=False)
 
 
+def ideal_representable(c, ideal, x, side="left"):
+    """I(x,-) inside C(x,-) (left) or I(-,x) inside C(-,x) (right)."""
+    spans = {y: ideal.span[(x, y) if side == "left" else (y, x)] for y in c.objects}
+    return submodule_module(representable(c, x, side), spans)
+
+
 def quotient_representable(c, ideal, x, side="left"):
     """C(x,-)/I(x,-) (left) or C(-,x)/I(-,x) (right)."""
-    spans = {y: ideal.span[(x, y) if side == "left" else (y, x)] for y in c.objects}
-    return quotient_module(representable(c, x, side), spans)
+    comps = {y: ideal.complement(*((x, y) if side == "left" else (y, x))) for y in c.objects}
+    return quotient_module(representable(c, x, side), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,4 +1174,4 @@ def random_module(c, rng, side="left", max_summands=2, max_killed=2):
     if not seeds:
         return p
     spans = _orbit_closure(p, seeds)
-    return quotient_module(p, {x: spans[x].basis_matrix() for x in c.objects})
+    return quotient_module(p, {x: ComplementData(spans[x].basis_matrix()) for x in c.objects})

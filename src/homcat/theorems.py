@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, rank,
                       solve)
-from .kcat import enveloping, opposite, quotient_category, triangular_matrix, \
+from .kcat import enveloping, opposite, pair_object, quotient_category, triangular_matrix, \
     one_point_extension
-from .ideals import is_idempotent, opposite_ideal, representable_ideal_module, triangular_ideal
+from .ideals import is_idempotent, opposite_ideal, triangular_ideal
 from .modcat import (
-    ModuleMap, dualize, ext, ext_data, ideal_bimodule, is_projective, module_hom,
-    projective_resolution, quotient_module, quotient_representable, regular_bimodule,
-    representable, restrict_module, simple, InvalidModule,
+    ModuleMap, dualize, ext, ext_data, ideal_bimodule, ideal_representable, is_projective,
+    module_hom, projective_resolution, quotient_module, quotient_representable,
+    regular_bimodule, representable, restrict_module, simple, InvalidModule,
 )
 from .hochschild import hochschild_cohomology
 
@@ -57,13 +57,14 @@ class SESOfBimodules:
         for x in self.mid.base.objects:
             inc = self.inclusion.mat_at(x)
             prj = self.projection.mat_at(x)
-            if rank(inc) != self.sub.dims[x]:
+            rank_inc, rank_prj = rank(inc), rank(prj)
+            if rank_inc != self.sub.dims[x]:
                 raise InvalidModule(f"inclusion not injective at {x}")
-            if rank(prj) != self.quot.dims[x]:
+            if rank_prj != self.quot.dims[x]:
                 raise InvalidModule(f"projection not surjective at {x}")
             if not prj.mul(inc).is_zero():
                 raise InvalidModule(f"projection o inclusion nonzero at {x}")
-            if self.mid.dims[x] - rank(prj) != rank(inc):
+            if self.mid.dims[x] - rank_prj != rank_inc:
                 raise InvalidModule(f"image != kernel at {x}")
         return True
 
@@ -71,14 +72,16 @@ class SESOfBimodules:
 def canonical_ses(c, ideal, env=None, regular=None):
     """The sequence 0 -> I -> C -> H -> 0 in bimodules, with H = C/I the
     quotient of the regular bimodule by the ideal.  Its basis at (x1,x2)
-    is the canonical complement of I(x1,x2), the Hom basis of the
-    quotient category, so the projection there is the quotient functor's
-    matrix on Hom(x1,x2)."""
+    is the ideal's complement of I(x1,x2), the Hom basis of the quotient
+    category, so the projection there is the quotient functor's matrix on
+    Hom(x1,x2)."""
     if regular is None:
         regular = regular_bimodule(c, env)
     sub, incl = ideal_bimodule(c, ideal, regular=regular)
-    h = quotient_module(regular, incl.comp)
-    proj = ModuleMap(regular, h, {p: ComplementData(span).proj for p, span in incl.comp.items()})
+    comps = {pair_object(x1, x2): ideal.complement(x1, x2)
+             for x1 in c.objects for x2 in c.objects}
+    h = quotient_module(regular, comps)
+    proj = ModuleMap(regular, h, {p: comp.proj for p, comp in comps.items()})
     return SESOfBimodules(sub, regular, h, incl, proj)
 
 
@@ -307,7 +310,7 @@ def audit_hypotheses(c, ideal, ideal_modules=None):
     if not idem:
         reasons.append("ideal is not idempotent")
     if ideal_modules is None:
-        ideal_modules = {x: representable_ideal_module(ideal, x) for x in c.objects}
+        ideal_modules = {x: ideal_representable(c, ideal, x) for x in c.objects}
     projective = {}
     for x in c.objects:
         projective[x] = is_projective(ideal_modules[x])
@@ -325,7 +328,7 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     """Audit the hypotheses, build the SES and assemble the long exact
     sequence, then verify the identification lemmas as dimension
     equalities (the degree-0 one also by an explicit embedding)."""
-    ideal_modules = {x: representable_ideal_module(ideal, x) for x in c.objects}
+    ideal_modules = {x: ideal_representable(c, ideal, x) for x in c.objects}
     audit = audit_hypotheses(c, ideal, ideal_modules)
     if not audit["ok"]:
         raise HypothesisFailed(audit["reasons"])

@@ -16,12 +16,11 @@ from homcat.kcat import (
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
-    ideal_from_generators, is_idempotent, representable_ideal_module,
-    triangular_ideal,
+    ideal_from_generators, is_idempotent, triangular_ideal,
 )
 from homcat.modcat import (
     CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes, direct_sum,
-    dualize, ext, ext_data, ideal_bimodule, is_projective, module_hom,
+    dualize, ext, ext_data, ideal_bimodule, ideal_representable, is_projective, module_hom,
     hom_module, random_module, regular_bimodule,
     representable, simple, swap_product_module, tensor_over_cat, tor,
 )
@@ -172,7 +171,7 @@ def test_criterion_06_structural_theorems():
         ideal = triangular_ideal(lam)
         assert is_idempotent(ideal), f"{name}: triangular ideal not idempotent"
         for x in lam.objects:
-            assert is_projective(representable_ideal_module(ideal, x)), \
+            assert is_projective(ideal_representable(lam, ideal, x)), \
                 f"{name}: I({x},-) not projective"
     _ok(6, "idempotency and projectivity hold on 5 triangular inputs")
 

@@ -800,3 +800,32 @@ def test_ideal_check_with_dim_end_divisible_by_the_characteristic(tmp_path, caps
     assert doc["hypotheses"]["witness"] == {
         "condition": "tor-vanishing-projective", "object": "2", "sample": "rep(1)",
         "degree": 1, "dim": 1}
+
+
+# K x K as a table: u the identity, e an idempotent.  The ideal of u - e is
+# a line that is not a coordinate subspace, so the quotient basis is a
+# genuine complement and not a subset of the table's basis
+PRODUCT_IDEAL_SRC = """category P over Q
+table
+hom s s: u e
+comp u*u = u
+comp e*u = e
+comp u*e = e
+comp e*e = e
+id s = u
+ideal I in P gens: u - e
+task ideal-check P I
+task les P I
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--field", "gf:2"], ["--field", "gf:32003"]])
+def test_ideal_of_a_non_coordinate_span(tmp_path, capsys, flags):
+    path = tmp_path / "product.kcat"
+    path.write_text(PRODUCT_IDEAL_SRC)
+    assert main([str(path), "--json", "--max-degree", "3"] + flags) == 0
+    check, les = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert check["hypotheses"]["strongly_idempotent_samples_pass"] is True
+    assert les["dims"] == {"ExtCI": [1, 0, 0, 0], "HC": [2, 0, 0, 0], "HB": [1, 0, 0, 0]}
+    assert all(les["exact_at"])
+    assert les["identifications"]["HB_independent"] == [1, 0, 0, 0]

@@ -8,11 +8,11 @@ from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
     CoordinateMismatch, InvalidIdeal, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
-    ideal_product, is_idempotent, opposite_ideal, representable_ideal_module,
-    triangular_ideal, whole_ideal, zero_ideal,
+    ideal_product, is_idempotent, opposite_ideal, triangular_ideal, whole_ideal, zero_ideal,
 )
 from homcat.kcat import opposite
-from homcat.modcat import CatModule, bimodule, is_projective, representable
+from homcat.modcat import (CatModule, InvalidModule, bimodule, ideal_representable,
+                           is_projective, representable)
 from homcat import zoo
 
 Q = Field.rationals()
@@ -122,9 +122,10 @@ def test_triangular_ideal_one_point_extension_k2():
 def test_representable_ideal_module():
     a2 = zoo.a2(Q)
     ideal = ideal_from_generators(a2, [("1", "2", (1,))])
-    mod = representable_ideal_module(ideal, "1")
+    mod = ideal_representable(a2, ideal, "1")
     assert mod.dims == {"1": 0, "2": 1}
-    assert representable_ideal_module(zero_ideal(a2), "1").is_zero()
+    assert ideal_representable(a2, zero_ideal(a2), "1").is_zero()
+    assert ideal_representable(a2, ideal, "2", "right").dims == {"1": 1, "2": 0}
 
 
 def test_triangular_ideal_modules_projective():
@@ -132,7 +133,7 @@ def test_triangular_ideal_modules_projective():
     lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
     ideal = triangular_ideal(lam)
     for x in lam.objects:
-        assert is_projective(representable_ideal_module(ideal, x))
+        assert is_projective(ideal_representable(lam, ideal, x))
 
 
 def test_opposite_ideal_transport():
@@ -146,10 +147,16 @@ def test_opposite_ideal_transport():
 
 def test_closure_validation_catches_bad_span():
     a2 = zoo.a2(Q)
-    # span containing e1 but not a is not closed under postcomposition
-    bad = {("1", "1"): Mat.identity(Q, 1)}
-    with pytest.raises(Exception):
-        TwoSidedIdeal(a2, bad)
+    # e1 without a = a o e1 is not closed under postcomposition, e2 without
+    # a = e2 o a not under precomposition; each failure names its side
+    for at, side in (("1", "postcomposition"), ("2", "precomposition")):
+        bad = {(at, at): Mat.identity(Q, 1)}
+        with pytest.raises(InvalidIdeal, match=f"not closed under {side}: spans are not a "
+                                               r"submodule at \(1,2,0\)"):
+            TwoSidedIdeal(a2, bad)
+    # 2a spans the ideal of a, but not by its canonical basis
+    with pytest.raises(InvalidIdeal, match=r"span at \(1,2\) is not a reduced basis"):
+        TwoSidedIdeal(a2, {("1", "2"): Mat.from_cols(Q, [(2,)])})
 
 
 # -- one-pass generation against the work-list saturation ----------------------
@@ -233,7 +240,7 @@ def test_generation_matches_the_work_list_saturation(field):
     assert cases == 39 and precomposed > 5
 
 
-# -- I(x,-) is built without a functoriality check ----------------------------
+# -- I(x,-) is the submodule of C(x,-) on the ideal's spans -------------------
 
 FOUR_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
 
@@ -243,15 +250,15 @@ def test_ideal_module_rejects_spans_not_closed_under_postcomposition(field):
     # e1 without a in A_2: the target span at 2 is empty
     a2 = zoo.a2(field)
     bad = TwoSidedIdeal(a2, {("1", "1"): Mat.identity(field, 1)}, check=False)
-    with pytest.raises(InvalidIdeal, match="not closed under postcomposition"):
-        representable_ideal_module(bad, "1")
+    with pytest.raises(InvalidModule, match=r"spans are not a submodule at \(1,2,0\)"):
+        ideal_representable(a2, bad, "1")
     # e1 and a without b in the Kronecker quiver: the target span is a line
     kr = zoo.kronecker(field)
     bad = TwoSidedIdeal(kr, {("1", "1"): Mat.identity(field, 1),
                              ("1", "2"): Mat.from_cols(field, [(1, 0)])}, check=False)
-    with pytest.raises(InvalidIdeal, match="not closed under postcomposition"):
-        representable_ideal_module(bad, "1")
-    assert representable_ideal_module(bad, "2").is_zero()
+    with pytest.raises(InvalidModule, match=r"spans are not a submodule at \(1,2,1\)"):
+        ideal_representable(kr, bad, "1")
+    assert ideal_representable(kr, bad, "2").is_zero()
 
 
 def _ideal_module_cases(field, rng):
@@ -279,8 +286,20 @@ def test_ideal_module_equals_the_validated_build(field):
     nonzero = 0
     for c, ideal in _ideal_module_cases(field, rng):
         for x in c.objects:
-            m = representable_ideal_module(ideal, x)
+            m = ideal_representable(c, ideal, x)
             # the same values and actions, put through the functoriality check
             assert CatModule(c, "left", m.dims, m.act) == m
             nonzero += not m.is_zero()
     assert nonzero > 40
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_generated_and_triangular_ideals_pass_validation(field):
+    # both are built unchecked, as ideals by construction: the closure
+    # test on both sides confirms it
+    rng = random.Random(71 + field.p)
+    cases = 0
+    for c, ideal in _ideal_module_cases(field, rng):
+        assert ideal.validate()
+        cases += 1
+    assert cases == 30

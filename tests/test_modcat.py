@@ -18,7 +18,7 @@ from homcat.kcat import (
 )
 from homcat.modcat import (
     BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
-    direct_sum, dualize, ext, hom_module, is_projective, module_hom,
+    direct_sum, dualize, ext, hom_module, ideal_representable, is_projective, module_hom,
     minimal_split_generators, outer_tensor,
     projective_resolution, quotient_representable, random_module,
     regular_bimodule, representable, restrict_module, simple,
@@ -26,8 +26,7 @@ from homcat.modcat import (
 )
 from homcat.certify import build_quiver_category
 from homcat.theorems import strongly_idempotent_check, theorem_les_pipeline
-from homcat.ideals import (ideal_from_generators, representable_ideal_module,
-                           triangular_ideal, zero_ideal)
+from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
 from homcat import zoo
 
 Q = Field.rationals()
@@ -384,7 +383,7 @@ def test_is_projective():
             ideal = triangular_ideal(lam)
             got = []
             for x in lam.objects:
-                modules = [representable_ideal_module(ideal, x),
+                modules = [ideal_representable(lam, ideal, x),
                            quotient_representable(lam, ideal, x),
                            representable(lam, x), representable(lam, x, "right"),
                            dualize(representable(lam, x, "right"))]
@@ -395,7 +394,7 @@ def test_is_projective():
         for c in (zoo.a3(field), a4):
             for v in c.objects:
                 ideal = ideal_from_generators(c, [(v, v, c.id_coords(v))])
-                assert all(is_projective(representable_ideal_module(ideal, x))
+                assert all(is_projective(ideal_representable(c, ideal, x))
                            for x in c.objects)
 
 
@@ -1072,7 +1071,7 @@ def test_a_module_is_covered_once(monkeypatch):
     for field in (Q, Field.gf(2)):
         for lam in _triangular_family(field) + [zoo.a3(field)]:
             ideal = triangular_ideal(lam) if lam.triangular else zero_ideal(lam)
-            modules = [representable_ideal_module(ideal, x) for x in lam.objects]
+            modules = [ideal_representable(lam, ideal, x) for x in lam.objects]
             modules += [_nonzero(lam, rng, "left"), _maybe_simple(lam, lam.objects[0])]
             for m in modules:
                 if m is None or m.is_zero():
@@ -1100,10 +1099,11 @@ def test_quotient_by_unstable_spans_is_rejected(field):
     right = representable(a2, "2", "right")      # a at 1, e2 at 2
     for m, spans in ((left, {"1": line, "2": nothing}), (right, {"1": nothing, "2": line})):
         with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,0\)"):
-            modcat.quotient_module(m, spans)
+            modcat.quotient_module(m, _comps(spans))
     # the stable complements give the simples at the other objects
-    assert modcat.quotient_module(left, {"1": nothing, "2": line}).dims == {"1": 1, "2": 0}
-    assert modcat.quotient_module(right, {"1": line, "2": nothing}).dims == {"1": 0, "2": 1}
+    stable_left, stable_right = {"1": nothing, "2": line}, {"1": line, "2": nothing}
+    assert modcat.quotient_module(left, _comps(stable_left)).dims == {"1": 1, "2": 0}
+    assert modcat.quotient_module(right, _comps(stable_right)).dims == {"1": 0, "2": 1}
 
 
 # -- live actions: every builder against a dense build --------------------------
@@ -1194,8 +1194,12 @@ def _dense_sub(m, spans):
     return _dense(m.base, m.side, {x: s.cols for x, s in spans.items()}, act)
 
 
+def _comps(spans):
+    return {x: ComplementData(s) for x, s in spans.items()}
+
+
 def _dense_quotient(m, spans):
-    comps = {x: ComplementData(s) for x, s in spans.items()}
+    comps = _comps(spans)
 
     def act(x, y, i):
         src, tgt = (x, y) if m.side == "left" else (y, x)
@@ -1247,7 +1251,7 @@ def _module_cases(cat, field, rng):
                      else {y: ideal.span[(y, x)] for y in cat.objects})
             yield "quotient_module", quotient_representable(cat, ideal, x, side), \
                 _dense_quotient(rep, spans)
-        yield ("representable_ideal_module", representable_ideal_module(ideal, x),
+        yield ("ideal_representable", ideal_representable(cat, ideal, x),
                _dense_ideal_module(ideal, x))
     quot, phi = quotient_category(cat, ideal)
     for y in quot.objects:
@@ -1259,7 +1263,7 @@ def _module_cases(cat, field, rng):
         yield "direct_sum", total, _dense_sum(mods)
         spans = _bases(modcat._orbit_closure(total, _random_seeds(total, rng, 2)))
         yield "submodule_module", modcat.submodule_module(total, spans), _dense_sub(total, spans)
-        yield "quotient_module", modcat.quotient_module(total, spans), \
+        yield "quotient_module", modcat.quotient_module(total, _comps(spans)), \
             _dense_quotient(total, spans)
     for m in (_nonzero(cat, rng, "left"), representable(cat, cat.objects[0])):
         unit = tensor_category(unit_category(field), cat)
@@ -1284,7 +1288,8 @@ def _bimodule_cases(cat, field, rng):
     sub, _ = modcat.ideal_bimodule(cat, ideal, env=env, regular=reg)
     spans = {pair_object(x, y): ideal.span[(x, y)] for x in cat.objects for y in cat.objects}
     yield "submodule_module", sub, _dense_sub(reg, spans)
-    yield "quotient_module", modcat.quotient_module(reg, spans), _dense_quotient(reg, spans)
+    yield "quotient_module", modcat.quotient_module(reg, _comps(spans)), \
+        _dense_quotient(reg, spans)
     for x in cat.objects:
         p = pair_object(x, cat.objects[0])
         yield "representable", representable(env, p), _dense_representable(env, p, "left")
@@ -1324,7 +1329,7 @@ def test_builders_store_only_live_actions_and_match_the_dense_build(field):
         empty += sum(not (mat.rows and mat.cols) for mat in dense.act.values())
         builders.add(builder)
     assert builders == {
-        "representable", "quotient_module", "representable_ideal_module", "restrict_module",
+        "representable", "quotient_module", "ideal_representable", "restrict_module",
         "direct_sum", "submodule_module", "over_unit", "_split_module", "bimodule",
         "regular_bimodule", "factor_slice", "outer_tensor", "swap_product_module"}
     assert len(cases) > 400 and empty > 1000
@@ -1339,15 +1344,15 @@ def test_quotient_stability_is_tested_where_the_source_quotient_is_zero(field):
     spans = {"1": Mat.identity(field, 1), "2": Mat.from_cols(field, [(1, 0)])}
     assert ComplementData(spans["1"]).dim == 0
     with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,1\)"):
-        modcat.quotient_module(rep, spans)
+        modcat.quotient_module(rep, _comps(spans))
     # over the opposite side: C(-,2) modulo e2 at 2 and the line of a at 1
     right = representable(kr, "2", "right")      # a, b at 1; e2 at 2
     spans = {"1": Mat.from_cols(field, [(1, 0)]), "2": Mat.identity(field, 1)}
     with pytest.raises(InvalidModule, match=r"spans not stable at \(1,2,1\)"):
-        modcat.quotient_module(right, spans)
+        modcat.quotient_module(right, _comps(spans))
     # with the whole of C(1,2) in the span, the quotient is 0 and stable
     spans = {"1": Mat.identity(field, 1), "2": Mat.identity(field, 2)}
-    assert modcat.quotient_module(rep, spans).is_zero()
+    assert modcat.quotient_module(rep, _comps(spans)).is_zero()
 
 
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
@@ -1363,3 +1368,9 @@ def test_submodule_spans_are_tested_into_an_empty_target_span(field):
     # the stable line at the other object is the simple there
     sub = modcat.submodule_module(representable(a2, "1"), {"1": nothing, "2": line})
     assert sub == simple(a2, "2")
+    # coordinates are read at the unit rows, which a basis of all of C(1,2)
+    # in the Kronecker quiver by a + b and b does not have
+    both = Mat.from_cols(field, [(1, 1), (0, 1)])
+    with pytest.raises(ValueError, match="span basis is not reduced"):
+        modcat.submodule_module(representable(zoo.kronecker(field), "1"),
+                                {"1": nothing, "2": both})

@@ -7,18 +7,19 @@ from pathlib import Path
 import pytest
 
 import homcat
-from homcat.exactla import Field, Mat, VerificationFailed, kron
+from homcat.exactla import ComplementData, Field, Mat, VerificationFailed, kron
 from homcat.kcat import (
     enveloping, one_point_extension, opposite, pair_object, quotient_category,
     triangular_matrix, unit_category,
 )
 from homcat.ideals import (
-    ideal_from_generators, opposite_ideal, representable_ideal_module, triangular_ideal,
-    whole_ideal, zero_ideal,
+    TwoSidedIdeal, ideal_from_generators, opposite_ideal, triangular_ideal, whole_ideal,
+    zero_ideal,
 )
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, as_left_over_op, as_right_over_op, bimodule, ext, over_unit,
+    CatModule, ModuleMap, as_left_over_op, as_right_over_op, bimodule, ext,
+    ideal_representable, over_unit,
     projective_resolution, quotient_representable, regular_bimodule, representable,
     restrict_module, simple, tor,
 )
@@ -74,8 +75,9 @@ def test_canonical_ses_triangular_quot_dims():
 def _pulled_back_quotient(c, ideal):
     """The oracle for H: the quotient's regular bimodule pulled back along
     phi^op tensor phi, the env morphism f tensor g acting as phi(f) tensor
-    phi(g), with projection phi at every pair object."""
-    b, phi = quotient_category(c, ideal)
+    phi(g), with projection phi at every pair object.  A copy of the ideal
+    computes the complements afresh."""
+    b, phi = quotient_category(c, TwoSidedIdeal(c, ideal.span, check=False))
     reg = regular_bimodule(b)
     env = enveloping(c)
     pairs = [(x, y) for x in c.objects for y in c.objects]
@@ -119,8 +121,32 @@ def test_quotient_bimodule_equals_the_pulled_back_regular_bimodule(p):
         want, proj = _pulled_back_quotient(c, ideal)
         assert ses.quot == want
         assert ses.projection.comp == proj
+        # the ideal's own quotient functor holds the very same matrices
+        shared = quotient_category(c, ideal)[1].morphism_map
+        assert all(ses.projection.comp[pair_object(*pair)] is m for pair, m in shared.items())
         cases += 1
     assert cases == 56
+
+
+
+def test_each_span_complement_is_built_once(monkeypatch):
+    # H, the projection, B = C/I and every C/I(x,-) read the ideal's
+    # complements, and the opposite ideal shares them
+    built = []
+    init = ComplementData.__init__
+
+    def recording(self, span):
+        built.append(span)
+        init(self, span)
+
+    monkeypatch.setattr(ComplementData, "__init__", recording)
+    a3 = zoo.a3(Q)
+    for run in (theorem_les_pipeline, strongly_idempotent_check):
+        ideal = ideal_from_generators(a3, [("1", "1", (1,))])
+        built.clear()
+        run(a3, ideal, 2)
+        counts = [sum(span is s for s in built) for span in ideal.span.values()]
+        assert counts == [1] * 9, run.__name__
 
 
 def test_les_with_zero_sub():
@@ -348,13 +374,13 @@ def test_structural_audits_on_triangular_family():
         triangular_matrix(a2, a2, bimodule(a2, a2, {}, {}, {})),
         one_point_extension(d, representable(d, "*", "left")),
     ]
-    from homcat.ideals import is_idempotent, representable_ideal_module
+    from homcat.ideals import is_idempotent
     from homcat.modcat import is_projective
     for lam in family:
         ideal = triangular_ideal(lam)
         assert is_idempotent(ideal)
         for x in lam.objects:
-            assert is_projective(representable_ideal_module(ideal, x))
+            assert is_projective(ideal_representable(lam, ideal, x))
 
 
 def test_cmp_two_object_twisted_corner():
@@ -472,7 +498,7 @@ def test_pipeline_resolves_each_module_once(monkeypatch):
     assert report.all_exact()
     assert len(calls) == len(a3.objects) + 2 == 5
     over_c = [m for m in calls if m.base is a3]
-    assert over_c == [representable_ideal_module(ideal, x) for x in a3.objects]
+    assert over_c == [ideal_representable(a3, ideal, x) for x in a3.objects]
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 32003])
@@ -486,7 +512,7 @@ def test_one_sided_ext_table_matches_fresh_ext(p, monkeypatch):
             report = theorem_les_pipeline(c, ideal, 2)
             assert report.all_exact()
             assert len(calls) == len(c.objects) + 2
-            fresh = {f"{(x, x2)}": ext(representable_ideal_module(ideal, x),
+            fresh = {f"{(x, x2)}": ext(ideal_representable(c, ideal, x),
                                        quotient_representable(c, ideal, x2), 2)
                      for x in c.objects for x2 in c.objects}
             table = report.identifications["one_sided_ext_table"]
