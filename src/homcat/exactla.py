@@ -473,6 +473,16 @@ def block_diag(field, mats, rows=0, cols=0):
     return Mat.from_sparse(field, len(nz), c0, tuple(nz))
 
 
+def product(a, b):
+    """a * b, or the zero matrix of its shape, with no product taken, when
+    a factor is empty: no rows, no columns or no inner dimension."""
+    if a.rows and a.cols and b.cols:
+        return a.mul(b)
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} * {b.shape}")
+    return Mat.zeros(a.field, a.rows, b.cols)
+
+
 def kron(a, b):
     """Kronecker product, a-major: index (i,k) -> i*b.rows + k."""
     if a.field != b.field:
@@ -720,6 +730,20 @@ def column_space_basis(m):
     for col in m.transpose().nz:
         sp.add(col)
     return sp.basis_matrix()
+
+
+def unit_rows(span):
+    """For each column t of a reduced basis, a row of it that is the unit
+    row e_t: a reduced echelon basis has one at each leading entry, a
+    kernel basis at each free variable.  A vector of the span has its
+    coordinates there, so no elimination is needed to read them."""
+    at = {}
+    for j, row in enumerate(span.nz):
+        if len(row) == 1 and 1 in row.values():
+            at.setdefault(next(iter(row)), j)
+    if len(at) != span.cols:
+        raise ValueError("span basis is not reduced: no identity among its rows")
+    return [at[t] for t in range(span.cols)]
 
 
 def complex_cohomology_dims(space_dims, diffs, upto):

@@ -116,9 +116,7 @@ def bar_resolution(c, length, env=None, regular=None):
             for w in _inner_basis(c, tup):
                 layout.append((tup, w))
         layouts.append(layout)
-        gens.append([(pair_object(tup[0], tup[-1]),
-                      env.id_coords(pair_object(tup[0], tup[-1])))
-                     for tup, _ in layout])
+        gens.append([pair_object(tup[0], tup[-1]) for tup, _ in layout])
     # augmentation: generator (p,) at object (p,p) maps to 1_p in C(p,p)
     images.append([c.id_coords(tup[0]) for tup, _ in layouts[0]])
     res = FreeResolution(env, regular, gens, images)
@@ -138,11 +136,11 @@ def _bar_differential_image(c, env, res, n, tup, w, index_of):
     # P_{n-1}(y) basis: for each previous generator j at object x_j, the
     # basis of env(x_j, y)
     gen_objs = res.gens[n - 1]
-    dim_total = sum(env.dim(x, y) for x, _ in gen_objs)
+    dim_total = sum(env.dim(x, y) for x in gen_objs)
     vec = [field.zero()] * dim_total
     offsets = []
     off = 0
-    for x, _ in gen_objs:
+    for x in gen_objs:
         offsets.append(off)
         off += env.dim(x, y)
 

@@ -10,7 +10,8 @@ each postcomposed with every basis morphism.
 
 from __future__ import annotations
 
-from .exactla import ComplementData, EchelonSpace, Mat, column_space_basis, unit_vector
+from .exactla import (ComplementData, EchelonSpace, Mat, column_space_basis, product,
+                      unit_vector)
 from .kcat import NotTriangular, pair_object
 from .modcat import InvalidModule, ideal_representable
 
@@ -197,3 +198,15 @@ def triangular_ideal(lam):
     # a two-sided ideal by construction: the kernel of the functor onto U
     return TwoSidedIdeal(lam, span, check=False)
 
+
+def split_ideal(ideal, split):
+    """The ideal carried to the split model of its parent
+    (`kcat.split_category`): I(x.k, y.l) = e_l o I(x,y) o e_k, in the
+    split coordinates.  It lies in I, and it is an ideal of the split
+    model: e_m C e_l I e_k C e_j lies in e_m I e_j."""
+    parent, under, cuts = split.split_of
+    if ideal.parent is not parent and ideal.parent != parent:
+        raise ParentMismatch("ideal does not live in the split category's parent")
+    span = {(o1, o2): column_space_basis(product(cut, ideal.span[(under[o1], under[o2])]))
+            for (o1, o2), cut in cuts.items()}
+    return TwoSidedIdeal(split, span, check=False)

@@ -30,16 +30,21 @@ rows, its pre/post-composition matrices are `kron`s of theirs, and its
 opposite is A^op tensor B^op.
 
 Tensor products, opposites, enveloping categories, quotients by ideals,
-triangular matrix categories and one-point extensions are all built here.
-The M of a triangular matrix category [T 0; M U] is a (U,T)-bimodule, held
-like every other bimodule as a left module over a product category, here
-T^op tensor U (`modcat.bimodule`); the corner reads its slot actions.
+triangular matrix categories, one-point extensions and split models are
+all built here.  The M of a triangular matrix category [T 0; M U] is a
+(U,T)-bimodule, held like every other bimodule as a left module over a
+product category, here T^op tensor U (`modcat.bimodule`); the corner
+reads its slot actions.  A triangular matrix category keeps its splitting
+1 = e_T + e_U as `identity_summands`, the data of its split model
+(`split_category`), which has one object per summand; no other
+construction carries summands along, and no pipeline resolves over a
+category whose identities split.
 """
 
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, kron, sparse_row, vadd, vkron, vzero,
+    FieldMismatch, Mat, column_space_basis, kron, sparse_row, unit_rows, vadd, vkron, vzero,
     dense_row, report_form, q_row,
 )
 
@@ -98,7 +103,7 @@ class FiniteKCategory:
 
     def __init__(self, field, objects, hom_basis, rows, identity,
                  check=True, product_of=None, triangular=None, paths=None,
-                 identity_summands=None):
+                 identity_summands=None, split_of=None):
         self.field = field
         self.objects = tuple(objects)
         self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
@@ -109,10 +114,10 @@ class FiniteKCategory:
         self.product_of = product_of
         self.triangular = triangular
         self.paths = paths
+        self.split_of = split_of     # (parent, parent object, cuts) of a split model
         self._report = None          # validate()'s report, once computed
         self._post_cache = {}
         self._pre_cache = {}
-        self._summand_cache = {}     # (x, idempotent coords) -> modcat._Summand
         if product_of is not None:
             a, b = product_of
             self._factors = {pair_object(u, v): (u, v) for u in a.objects for v in b.objects}
@@ -125,10 +130,10 @@ class FiniteKCategory:
             report = self.validate()
             if not report.ok:
                 raise InvalidCategory(report)
-        # orthogonal idempotents summing to the identity, used to split
-        # representables into smaller projective summands during
-        # resolutions; the trivial decomposition is always legal.  The
-        # default reads identity[x], which only validation vouches for.
+        # orthogonal idempotents summing to the identity, the objects of
+        # the split model (`split_category`); the trivial decomposition is
+        # always legal.  The default reads identity[x], which only
+        # validation vouches for.
         if identity_summands is None:
             identity_summands = {x: (identity[x],) for x in self.objects}
         self.identity_summands = identity_summands
@@ -261,13 +266,6 @@ class FiniteKCategory:
                 ic, id_ = divmod(i, d.dim(*dt[:2]))
                 m = kron(c.pre_matrix_basis(*ct, ic), d.pre_matrix_basis(*dt, id_))
             self._pre_cache[key] = m
-        return m
-
-    def pre_matrix(self, x, y, z, f_coords):
-        m = Mat.zeros(self.field, self.dim(x, z), self.dim(y, z))
-        for i, a in enumerate(f_coords):
-            if a:
-                m = m.add(self.pre_matrix_basis(x, y, z, i).scale(a))
         return m
 
     # -- validation --------------------------------------------------------
@@ -465,9 +463,7 @@ def opposite(c):
     hom = {(x, y): c.hom_basis[(y, x)] for x in c.objects for y in c.objects}
     # op-composition of f in op(x,y)=C(y,x), g in op(y,z)=C(z,y) is f o g
     rows = {(x, y, z): tuple(zip(*table)) for (z, y, x), table in c.rows.items()}
-    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c._identity),
-                           check=False,
-                           identity_summands=dict(c.identity_summands))
+    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c._identity), check=False)
 
 
 def pair_object(a, b):
@@ -495,13 +491,8 @@ def tensor_category(c, d):
                                   for g in d.hom_basis[(b, b2)])
     identity = {pair_object(a, b): vkron(field, c.id_coords(a), d.id_coords(b))
                 for a in c.objects for b in d.objects}
-    summands = {pair_object(a, b): tuple(vkron(field, e, f)
-                                         for e in c.identity_summands[a]
-                                         for f in d.identity_summands[b])
-                for a in c.objects for b in d.objects}
     return FiniteKCategory(field, objects, hom, None, identity,
-                           check=False, product_of=(c, d),
-                           identity_summands=summands)
+                           check=False, product_of=(c, d))
 
 
 def enveloping(c):
@@ -615,13 +606,7 @@ def quotient_category(c, ideal):
                           for gj in fyz)
                     for fi in fxy)
     identity = {x: comps[(x, x)].proj.mul_vec(c.id_coords(x)) for x in c.objects}
-    zero_of = {x: vzero(field, comps[(x, x)].dim) for x in c.objects}
-    summands = {}
-    for x in c.objects:
-        projected = [comps[(x, x)].proj.mul_vec(e) for e in c.identity_summands[x]]
-        summands[x] = tuple(e for e in projected if e != zero_of[x]) or (identity[x],)
-    quot = FiniteKCategory(field, c.objects, hom, rows, identity,
-                           identity_summands=summands)
+    quot = FiniteKCategory(field, c.objects, hom, rows, identity)
     proj = KFunctor(c, quot, {x: x for x in c.objects},
                     {pair: comps[pair].proj for pair in comps})
     return quot, proj
@@ -730,6 +715,68 @@ def triangular_matrix(t, u, m):
 def _shifted(row, offset):
     """A sparse row with every key moved up by offset."""
     return {k + offset: v for k, v in row.items()} if row else EMPTY_ROW
+
+
+def split_object(x, k):
+    return f"{x}.{k}"
+
+
+def split_category(c):
+    """The split model of c: the full subcategory of its idempotent
+    completion on the identity summands, with one object x.k per summand
+    e_k of 1_x and Hom(x.k, y.l) = e_l o C(x,y) o e_k.  It is Morita
+    equivalent to c, so Hochschild-Mitchell cohomology and Ext over the
+    enveloping category are the same on both (Loday, Cyclic Homology,
+    1.2.7; Mitchell, "Rings with several objects", 1972), and a summand
+    that was cut out of a representable is a representable here.
+
+    Hom(x.k, y.l) keeps the canonical reduced basis of the image of
+    f -> e_l o f o e_k in C(x,y), labelled by C's labels at its unit rows
+    (`unit_rows`).  A composite is the composite in C read at those rows,
+    with no elimination.  `split_of` keeps c, the object x under each x.k
+    and each pair's cut, the matrix from C(x,y) to the coordinates of
+    e_l o f o e_k, which carries ideals over (`ideals.split_ideal`).
+    """
+    field = c.field
+    one = field.one()
+    under = {}
+    for x in c.objects:
+        for k, e in enumerate(c.identity_summands[x]):
+            under[split_object(x, k)] = (x, {i: a for i, a in enumerate(e) if a})
+    bases, units, cuts, hom = {}, {}, {}, {}
+    for o1, (x, e) in under.items():
+        for o2, (y, f) in under.items():
+            # column i is e_l o g_i o e_k for the basis morphism g_i of C(x,y)
+            cols = tuple(_sorted_row(c._compose_rows(x, y, y, c._compose_rows(
+                x, x, y, e, {i: one}), f)) for i in range(c.dim(x, y)))
+            cut = Mat.from_sparse(field, len(cols), c.dim(x, y), cols).transpose()
+            basis = column_space_basis(cut)
+            at = unit_rows(basis)
+            bases[o1, o2] = basis.transpose().nz
+            units[o1, o2] = at
+            cuts[o1, o2] = Mat.from_sparse(field, len(at), cut.cols, tuple(cut.nz[r] for r in at))
+            hom[o1, o2] = tuple(c.hom_basis[(x, y)][r] for r in at)
+    rows = {}
+    for o1, (x, _) in under.items():
+        for o2, (y, _) in under.items():
+            if not bases[o1, o2]:
+                continue
+            for o3, (z, _) in under.items():
+                if not bases[o2, o3]:
+                    continue
+                at = units[o1, o3]
+                rows[(o1, o2, o3)] = tuple(
+                    tuple(_read_at(at, c._compose_rows(x, y, z, f, g)) for g in bases[o2, o3])
+                    for f in bases[o1, o2])
+    zero = field.zero()
+    identity = {o: tuple(e.get(r, zero) for r in units[o, o]) for o, (_, e) in under.items()}
+    return FiniteKCategory(field, tuple(under), hom, rows, identity, check=False,
+                           split_of=(c, {o: x for o, (x, _) in under.items()}, cuts))
+
+
+def _read_at(at, row):
+    """The coordinates of a vector of a reduced span, read at its unit rows."""
+    return {t: row[r] for t, r in enumerate(at) if r in row} or EMPTY_ROW
 
 
 def one_point_extension(u, module):

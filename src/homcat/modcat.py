@@ -24,31 +24,30 @@ tensors, swapped products, box tensors) are assembled by one loop over
 pair objects, and one slot action gives a basis morphism acting in one
 factor with an identity in the other.
 
-Resolutions are presentations by projective summands: a term is a finite
-coproduct of summands C(x,-) o e cut out of representables by the
-orthogonal identity decompositions the category carries (cut out by 1_x,
-the summand is C(x,-) itself), and a differential is the list of generator
-images in the previous term.  One generator search, a minimal generating
-set split along the identity summands, gives every cover: the cover that
-the projectivity test splits, and each term of a resolution, searched for
-inside the previous term among the vectors of its kernel.  By Yoneda the
-submodule v generates is spanned by its images under the basis morphisms:
-every closure is one pass, redundancy is tested at one object, and a
-module keeps its cover.  Ext complexes
-come out of the Yoneda identification Hom(C(x,-) o e, N) = e-invariants
-of N(x); the invariants, the blocks a differential weighs and the dual
-D(N) are kept on N, which serves every resolution it meets.  Tor
-complexes are the Ext complexes into D(N), which keeps the cochain spaces
-small, the covers minimal, and all bases canonical.  Both stop at the top
-nonempty level of the resolution, above which they vanish.
+Resolutions are presentations by representables: a term is a finite
+coproduct of representables C(x,-), and a differential is the list of
+generator images in the previous term.  No summand is cut out of a
+representable by an idempotent: the pipelines resolve a category whose
+identities split on its split model (`kcat.split_category`), where each
+summand is a representable of its own.  One generator search, a minimal
+generating set, gives every cover: the cover that the projectivity test
+splits, and each term of a resolution, searched for inside the previous
+term among the vectors of its kernel.  By Yoneda the submodule v
+generates is spanned by its images under the basis morphisms: every
+closure is one pass, redundancy is tested at one object, and a module
+keeps its cover.  Ext complexes come out of the Yoneda identification
+Hom(C(x,-), N) = N(x), so a differential weighs N's own action matrices,
+and the dual D(N) is kept on N, which serves every resolution it meets.
+Tor complexes are the Ext complexes into D(N), which keeps the cochain
+spaces small, the covers minimal, and all bases canonical.  Both stop at
+the top nonempty level of the resolution, above which they vanish.
 """
 
 from __future__ import annotations
 
 from .exactla import (
-    ComplementData, EchelonSpace, Mat, VerificationFailed, add_to_row, block_diag,
-    column_space_basis, complex_cohomology_dims, dense_row, kernel_basis, kron, rank,
-    solve, unit_vector, vkron,
+    ComplementData, EchelonSpace, Mat, add_to_row, block_diag, complex_cohomology_dims,
+    dense_row, kernel_basis, kron, product, rank, solve, unit_rows, unit_vector, vkron,
 )
 from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
@@ -96,8 +95,6 @@ class CatModule:
         # nothing changes a module once built, so what is read off it is kept
         self._out_arrows = self._dual = self._generators = None
         self._zeros = {}             # (x, y) -> the zero action of a vacuous block
-        self._invariants = {}        # (x, e) -> basis and projection of e.M(x)
-        self._blocks = {}            # (xs, es, xt, et) -> Yoneda blocks
         if check:
             self.validate()
             # validation has read every given action: keep the live ones
@@ -135,32 +132,6 @@ class CatModule:
                 src, tgt = (x, y) if self.side == "left" else (y, x)
                 self._out_arrows[src].append((tgt, self.act_mat(x, y, i)))
         return self._out_arrows
-
-    def invariants(self, x, e):
-        """Basis and projection of the e-invariants e.M(x), which Yoneda
-        identifies with Hom(C(x,-) o e, M)."""
-        key = (x, e)
-        if key not in self._invariants:
-            a = self.act_vec(x, x, e)    # the identity when e is 1_x
-            self._invariants[key] = (a, a) if e == self.base.id_coords(x) else _image(a)
-        return self._invariants[key]
-
-    def yoneda_blocks(self, s, xt, et):
-        """One block p_t . act(f) . b_s per basis vector f of the summand
-        s = C(xs,-) o es at xt: the map Hom(s, M) -> Hom(C(xt,-) o et, M)
-        that sends the target's generator to f, in invariant bases."""
-        key = (s.x, s.e, xt, et)
-        if key not in self._blocks:
-            bs, pt = self.invariants(s.x, s.e)[0], self.invariants(xt, et)[1]
-            fb = s.basis[xt]
-            blocks = [self.act_vec(s.x, xt, fb.col(b)) for b in range(fb.cols)]
-            # b_s and p_t are identities when their summand is cut out by 1
-            if not s.full:
-                blocks = [blk.mul(bs) for blk in blocks]
-            if et != self.base.id_coords(xt):
-                blocks = [pt.mul(blk) for blk in blocks]
-            self._blocks[key] = blocks
-        return self._blocks[key]
 
     def act_vec(self, x, y, coords):
         return self.act_row(x, y, {i: a for i, a in enumerate(coords) if a})
@@ -263,7 +234,7 @@ class ModuleMap:
 
     def then(self, other):
         """self followed by other."""
-        comp = {x: other.comp[x].mul(self.comp[x]) for x in self.comp}
+        comp = {x: product(other.comp[x], self.comp[x]) for x in self.comp}
         return ModuleMap(self.source, other.target, comp, check=False)
 
     def is_zero(self):
@@ -366,7 +337,7 @@ def direct_sum(modules):
 
 def dualize(m):
     """Value-wise linear dual with transposed actions (opposite side),
-    built once and kept on m with the Yoneda blocks it caches."""
+    built once and kept on m."""
     if m._dual is None:
         side = "right" if m.side == "left" else "left"
         act = {k: mat.transpose() for k, mat in m.act.items()}
@@ -426,27 +397,13 @@ def _orbit_closure(m, seeds, spaces=None):
     return spaces
 
 
-def _unit_rows(span):
-    """For each column t of a reduced basis, a row of it that is the unit
-    row e_t: a reduced echelon basis has one at each leading entry, a
-    kernel basis at each free variable.  A vector of the span has its
-    coordinates there, so no elimination is needed to read them."""
-    at = {}
-    for j, row in enumerate(span.nz):
-        if len(row) == 1 and 1 in row.values():
-            at.setdefault(next(iter(row)), j)
-    if len(at) != span.cols:
-        raise ValueError("span basis is not reduced: no identity among its rows")
-    return [at[t] for t in range(span.cols)]
-
-
 def submodule_module(m, spans):
-    """The submodule with the given reduced column spans (`_unit_rows`).
+    """The submodule with the given reduced column spans (`unit_rows`).
     The spans are tested wherever the span at the source and the value
     of m at the target are nonzero, even into an empty span."""
     c = m.base
     dims = {x: spans[x].cols for x in c.objects}
-    units = {x: _unit_rows(spans[x]) for x in c.objects}
+    units = {x: unit_rows(spans[x]) for x in c.objects}
     act = {}
     for x, y, i in live_morphisms(c, dims, m.dims, m.side):
         src, tgt = (x, y) if m.side == "left" else (y, x)
@@ -655,7 +612,7 @@ def bimodule(u, t, dims, lact, ract):
                                       f"{T1} -> {T2} do not commute")
     return _product_module(
         base, lambda T, U: dim(U, T),
-        lambda T1, U1, T2, U2, j, i: left(U1, U2, i, T2).mul(right(T2, T1, j, U1)))
+        lambda T1, U1, T2, U2, j, i: product(left(U1, U2, i, T2), right(T2, T1, j, U1)))
 
 
 def over_unit(m):
@@ -716,8 +673,8 @@ def regular_bimodule(c, env=None):
         env = enveloping(c)
     return _product_module(
         env, c.dim,
-        lambda x1, x2, y1, y2, i, j: c.post_matrix_basis(y1, x2, y2, j).mul(
-            c.pre_matrix_basis(y1, x1, x2, i)))
+        lambda x1, x2, y1, y2, i, j: product(c.post_matrix_basis(y1, x2, y2, j),
+                                             c.pre_matrix_basis(y1, x1, x2, i)))
 
 
 def ideal_bimodule(c, ideal, env=None, regular=None):
@@ -810,70 +767,15 @@ def _contract(f, g, c, d, out_base):
 
 
 # ---------------------------------------------------------------------------
-# free resolutions by split projective summands
-
-def _image(a):
-    """The canonical basis b of the column space of an idempotent a and
-    the projection p onto it, a = b p."""
-    b = column_space_basis(a)
-    p = solve(b, a)
-    if p is None:
-        # b spans the columns of a: only a bug gets here, never bad input
-        raise VerificationFailed("idempotent has inconsistent image")
-    return b, p
-
-
-class _Summand:
-    """The projective summand C(x,-) o e cut out by an idempotent e in
-    End(x): values are images of the precomposition idempotent, with a
-    canonical image basis and the projection onto it.  Cut out by 1_x
-    (`full`), the summand is C(x,-) and both are identities."""
-
-    def __init__(self, c, x, e_coords):
-        self.x = x
-        self.e = e_coords
-        self.full = e_coords == c.id_coords(x)
-        self.basis = {}
-        self.proj = {}
-        self._blocks = {}
-        for y in c.objects:
-            if self.full:
-                self.basis[y] = self.proj[y] = Mat.identity(c.field, c.dim(x, y))
-            else:
-                self.basis[y], self.proj[y] = _image(c.pre_matrix(x, x, y, e_coords))
-
-    def dim(self, y):
-        return self.basis[y].cols
-
-    def block(self, c, y, z, i):
-        """The action proj[z] . post . basis[y] of i: y -> z in c, kept for
-        every term that holds the summand.  The summand keeps no reference
-        to c, whose cache holds it."""
-        if self.full:
-            return c.post_matrix_basis(self.x, y, z, i)
-        if (y, z, i) not in self._blocks:
-            # a summand empty at y or at z gives an empty block
-            self._blocks[y, z, i] = (
-                self.proj[z].mul(c.post_matrix_basis(self.x, y, z, i)).mul(self.basis[y])
-                if self.dim(y) and self.dim(z) else Mat.zeros(c.field, self.dim(z), self.dim(y)))
-        return self._blocks[y, z, i]
-
-
-def _summand(c, x, e_coords):
-    key = (x, e_coords)
-    s = c._summand_cache.get(key)
-    if s is None:
-        s = c._summand_cache[key] = _Summand(c, x, e_coords)
-    return s
-
+# free resolutions by representables
 
 class FreeResolution:
     """A chain of projective presentations P_len -> ... -> P_0 -> M -> 0.
 
-    gens[k] lists the summands of P_k as (object, idempotent coords)
-    pairs; images[0] holds the augmentation images inside M, images[k]
-    (k >= 1) the generator images inside P_{k-1}, as coordinate vectors in
-    the split bases at the generator's object.
+    gens[k] lists the objects x of the representables C(x,-) whose sum is
+    P_k; images[0] holds the augmentation images inside M, images[k]
+    (k >= 1) the generator images inside P_{k-1}, as coordinate vectors
+    at the generator's object.
     """
 
     def __init__(self, base, module, gens, images):
@@ -887,38 +789,27 @@ class FreeResolution:
     def length(self):
         return len(self.gens) - 1
 
-    def summand(self, k, j):
-        x, e = self.gens[k][j]
-        return _summand(self.base, x, e)
-
     def term(self, k):
         if k not in self._terms:
-            self._terms[k] = _split_module(self.base,
-                                           [self.summand(k, j)
-                                            for j in range(len(self.gens[k]))])
+            self._terms[k] = _free_module(self.base, self.gens[k])
         return self._terms[k]
 
     def aug_matrix(self, y):
-        c = self.base
-        cols = []
-        for j, (xj, _) in enumerate(self.gens[0]):
-            img = self.images[0][j]
-            fb = self.summand(0, j).basis[y]
-            for b in range(fb.cols):
-                cols.append(self.module.act_vec(xj, y, fb.col(b)).mul_vec(img))
-        return Mat.from_cols(c.field, cols, rows=self.module.dims[y])
+        return self._weighed(self.module, 0, y)
 
     def map_matrix(self, k, y):
         """Matrix of d_k: P_k(y) -> P_{k-1}(y)."""
-        c = self.base
-        prev = self.term(k - 1)
+        return self._weighed(self.term(k - 1), k, y)
+
+    def _weighed(self, target, k, y):
+        """The matrix from P_k(y) to target(y) whose column at basis
+        morphism b of C(x,y), for a generator x of P_k, is the action of b
+        on that generator's image."""
         cols = []
-        for j, (xj, _) in enumerate(self.gens[k]):
-            img = self.images[k][j]
-            fb = self.summand(k, j).basis[y]
-            for b in range(fb.cols):
-                cols.append(prev.act_vec(xj, y, fb.col(b)).mul_vec(img))
-        return Mat.from_cols(c.field, cols, rows=prev.dims[y])
+        for x, img in zip(self.gens[k], self.images[k]):
+            for b in range(self.base.dim(x, y)):
+                cols.append(target.act_mat(x, y, b).mul_vec(img))
+        return Mat.from_cols(self.base.field, cols, rows=target.dims[y])
 
     def verify(self, up_to=None):
         """Composite-zero, surjectivity and rank-exactness checks; returns
@@ -942,75 +833,71 @@ class FreeResolution:
         return failures
 
 
-def _split_module(c, summands):
-    dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
-    act = {(y, z, i): block_diag(c.field, [s.block(c, y, z, i) for s in summands])
+def _free_module(c, objects):
+    """The sum of the representables C(x,-) over the given objects."""
+    dims = {y: sum(c.dim(x, y) for x in objects) for y in c.objects}
+    act = {(y, z, i): block_diag(c.field, [c.post_matrix_basis(x, y, z, i) for x in objects])
            for y, z, i in live_morphisms(c, dims, dims)}
     return CatModule(c, "left", dims, act, check=False)
 
 
-def minimal_split_generators(m, spans=None):
-    """A minimal generating set split along the identity summands of m, or
-    of its submodule K spanned by the columns of spans[x] at each x,
-    [(object, idempotent coords, component vector in m)], deterministic in
-    the object, basis and summand orders.
+def minimal_generators(m, spans=None):
+    """A minimal generating set of m, or of its submodule K spanned by
+    the columns of spans[x] at each x, [(object, vector in m)],
+    deterministic in the object and basis orders.
 
     A greedy pass over the basis vectors b of m, or the columns b of
-    spans, keeps each component e.b not yet in the span of those kept,
-    adding its images under the basis morphisms; one backward pass then
-    drops each component in the closure of the others, tested at its own
-    object: the span there before it was kept, grown by the images there
-    of the later ones still kept.  A component kept at step i is outside
-    the closure of a superset of the final others, so the set is
-    irredundant, hence minimal over a finite-dimensional category
-    (Nakayama)."""
+    spans, keeps each b not yet in the span of those kept, adding its
+    images under the basis morphisms; one backward pass then drops each
+    vector in the closure of the others, tested at its own object: the
+    span there before it was kept, grown by the images there of the later
+    ones still kept.  A vector kept at step i is outside the closure of a
+    superset of the final others, so the set is irredundant, hence
+    minimal over a finite-dimensional category (Nakayama)."""
     c = m.base
     out_arrows = m.out_arrows()
     spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
-    comps = []
-    before = []      # before[i]: the greedy span at comps[i]'s object just before it was kept
-    images = []      # images[i][y]: the images in m(y) of comps[i] under the basis morphisms
+    gens = []
+    before = []      # before[i]: the greedy span at gens[i]'s object just before it was kept
+    images = []      # images[i][y]: the images in m(y) of gens[i] under the basis morphisms
     for x in c.objects:
         starts = Mat.identity(c.field, m.dims[x]) if spans is None else spans[x]
-        cuts = [(e, starts if e == c.id_coords(x) else m.act_vec(x, x, e).mul(starts))
-                for e in c.identity_summands[x]]
         for b in range(starts.cols):
-            for e, cut in cuts:
-                comp = cut.col(b)
-                if not spaces[x].contains(comp):
-                    before.append(spaces[x].copy())
-                    comps.append((x, e, comp))
-                    images.append({})
-                    for y, mat in out_arrows[x]:
-                        image = mat.mul_vec(comp)
-                        images[-1].setdefault(y, []).append(image)
-                        spaces[y].add(image)
+            vec = starts.col(b)
+            if not spaces[x].contains(vec):
+                before.append(spaces[x].copy())
+                gens.append((x, vec))
+                images.append({})
+                for y, mat in out_arrows[x]:
+                    image = mat.mul_vec(vec)
+                    images[-1].setdefault(y, []).append(image)
+                    spaces[y].add(image)
     kept = []
-    for i in range(len(comps) - 1, -1, -1):
-        x, _, vec = comps[i]
+    for i in range(len(gens) - 1, -1, -1):
+        x, vec = gens[i]
         space = before[i]
         for k in kept:
             for image in images[k].get(x, ()):
                 space.add(image)
         if kept and space.contains(vec):
-            comps.pop(i)
+            gens.pop(i)
         else:
             kept.append(i)
-    return comps
+    return gens
 
 
 def _cover(m):
-    """P_0 -> m on the split summands of a minimal generating set of m, as
+    """P_0 -> m on the representables of a minimal generating set of m, as
     a resolution of length 0; the set is searched once and kept on m."""
     if m._generators is None:
-        m._generators = tuple(minimal_split_generators(m))
-    return FreeResolution(m.base, m, [[(x, e) for x, e, _ in m._generators]],
-                          [[v for *_, v in m._generators]])
+        m._generators = tuple(minimal_generators(m))
+    return FreeResolution(m.base, m, [[x for x, _ in m._generators]],
+                          [[v for _, v in m._generators]])
 
 
 def projective_resolution(m, length):
-    """Resolution by idempotent-cut summands of representables, built on
-    minimal generating sets of successive kernels."""
+    """Resolution by sums of representables, built on minimal generating
+    sets of successive kernels."""
     if m.side != "left":
         raise BaseMismatch("resolutions are computed for left modules; transport first")
     c = m.base
@@ -1031,9 +918,9 @@ def projective_resolution(m, length):
             images.append([])
             continue
         # searched inside the term, the kept kernel vectors are the images
-        kcomps = minimal_split_generators(res.term(k - 1), spans)
-        gens.append([(x, e) for x, e, _ in kcomps])
-        images.append([v for *_, v in kcomps])
+        kgens = minimal_generators(res.term(k - 1), spans)
+        gens.append([x for x, _ in kgens])
+        images.append([v for _, v in kgens])
     return res
 
 
@@ -1041,53 +928,52 @@ def projective_resolution(m, length):
 # Ext and Tor
 
 class ExtComplexData:
-    """Cochain spaces, differentials and per-summand invariant bases for
-    Hom(P_., coeff) through Hom(C(x,-) o e, N) = e-invariants of N(x)."""
+    """Cochain spaces and differentials of Hom(P_., coeff), where
+    Hom(C(x,-), N) = N(x)."""
 
-    def __init__(self, dims, diffs, inv):
+    def __init__(self, dims, diffs):
         self.dims = dims
         self.diffs = diffs
-        self.inv = inv       # inv[k] = list of (x, basis, proj) per summand
 
 
-def _level_gens(res, k):
+def level_gens(res, k):
+    """The generator objects of P_k; none above the resolution's length."""
     return res.gens[k] if k <= res.length else []
 
 
 def ext_data(res, coeff, upto):
-    """The cochain complex Hom(P_., coeff) in coeff's invariant bases, up to
-    degree upto + 1.  A generator of P_{k+1} goes to a vector of P_k, whose
-    coordinates weigh the Yoneda blocks coeff keeps for each pair of
-    summands; they add straight into the sparse rows of the differential."""
-    f = res.base.field
-    inv = []
-    dims = []
-    for k in range(upto + 2):
-        level = [(x, *coeff.invariants(x, e)) for x, e in _level_gens(res, k)]
-        inv.append(level)
-        dims.append(sum(b.cols for _, b, _ in level))
+    """The cochain complex Hom(P_., coeff) up to degree upto + 1: level k
+    is the sum of coeff's values at the generators of P_k.  A generator of
+    P_{k+1} at xt goes to a vector of P_k(xt), whose coordinate at basis
+    morphism b of C(xs,xt), for a generator xs of P_k, weighs coeff's
+    action of b; the weighed actions add straight into the sparse rows of
+    the differential."""
+    c = res.base
+    f = c.field
+    levels = [level_gens(res, k) for k in range(upto + 2)]
+    dims = [sum(coeff.dims[x] for x in level) for level in levels]
     diffs = []
     for k in range(upto + 1):
-        src = [(res.summand(k, i), b.cols) for i, (_, b, _) in enumerate(inv[k])]
         grid = [{} for _ in range(dims[k + 1])]
         roff = 0
-        for j, (xt, et) in enumerate(_level_gens(res, k + 1)):
-            img = res.images[k + 1][j]
+        for xt, img in zip(levels[k + 1], res.images[k + 1]):
             pos = coff = 0
-            for s, width in src:
-                for blk in coeff.yoneda_blocks(s, xt, et):
-                    a = img[pos]
-                    pos += 1
-                    if a:
-                        # each block fills its own columns coff.. of rows roff..
-                        for r, brow in enumerate(blk.nz):
-                            row = grid[roff + r]
-                            for t, v in brow.items():
-                                add_to_row(f, row, coff + t, f.mul(a, v))
-                coff += width
-            roff += inv[k + 1][j][1].cols
+            for xs in levels[k]:
+                width = c.dim(xs, xt)
+                if coeff.dims[xs] and coeff.dims[xt]:
+                    for b in range(width):
+                        a = img[pos + b]
+                        if a:
+                            # each action fills its own columns coff.. of rows roff..
+                            for r, brow in enumerate(coeff.act_mat(xs, xt, b).nz):
+                                row = grid[roff + r]
+                                for t, v in brow.items():
+                                    add_to_row(f, row, coff + t, f.mul(a, v))
+                pos += width
+                coff += coeff.dims[xs]
+            roff += coeff.dims[xt]
         diffs.append(Mat.from_sparse(f, dims[k + 1], dims[k], tuple(grid)))
-    return ExtComplexData(dims, diffs, inv)
+    return ExtComplexData(dims, diffs)
 
 
 def tor_data(res, coeff, upto):
@@ -1137,7 +1023,7 @@ def _dims_up_to_top(complex_data, res, coeff, max_deg):
 
 
 def is_projective(m):
-    """Splitting test: cover m by the split summands of its minimal
+    """Splitting test: cover m by the representables of its minimal
     generating set and look for a natural section of the cover among
     Hom(m, cover) (an epimorphism from a projective splits exactly when
     the target is projective)."""

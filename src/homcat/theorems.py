@@ -9,18 +9,26 @@ complexes; connecting maps are then computed literally (lift a cocycle
 through the surjection, apply the differential, pull back through the
 injection) and every exactness flag is a genuine kernel/image rank
 comparison, never bookkeeping.
+
+The triangular pipelines (`cmp`, `happel`) name the objects of the
+triangular matrix category Lambda = [T 0; M U] but compute on its split
+model (`kcat.split_category`), one object per summand of 1 = e_T + e_U,
+with the ideal carried over (`ideals.split_ideal`).  Both sides of the
+sequence are Morita invariant, so every table is Lambda's; the audit
+reports each object of Lambda, since I(x,-) is the sum of its split
+pieces and projective exactly when each piece is.
 """
 
 from __future__ import annotations
 
-from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, rank,
-                      solve)
-from .kcat import enveloping, opposite, pair_object, quotient_category, triangular_matrix, \
-    one_point_extension
-from .ideals import is_idempotent, opposite_ideal, triangular_ideal
+from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, product,
+                      rank, solve)
+from .kcat import (enveloping, opposite, pair_object, quotient_category, split_category,
+                   triangular_matrix, one_point_extension)
+from .ideals import is_idempotent, opposite_ideal, split_ideal, triangular_ideal
 from .modcat import (
     ModuleMap, dualize, ext, ext_data, ideal_bimodule, ideal_representable, is_projective,
-    module_hom, projective_resolution, quotient_module, quotient_representable,
+    level_gens, module_hom, projective_resolution, quotient_module, quotient_representable,
     regular_bimodule, representable, restrict_module, simple, InvalidModule,
 )
 from .hochschild import hochschild_cohomology
@@ -62,7 +70,7 @@ class SESOfBimodules:
                 raise InvalidModule(f"inclusion not injective at {x}")
             if rank_prj != self.quot.dims[x]:
                 raise InvalidModule(f"projection not surjective at {x}")
-            if not prj.mul(inc).is_zero():
+            if not product(prj, inc).is_zero():
                 raise InvalidModule(f"projection o inclusion nonzero at {x}")
             if self.mid.dims[x] - rank_prj != rank_inc:
                 raise InvalidModule(f"image != kernel at {x}")
@@ -153,22 +161,18 @@ def les_from_ses(res, ses, max_deg):
     data_i, data_c, data_h = (ext_data(res, m, n_internal) for m in (ses.sub, ses.mid, ses.quot))
     diffs_i, diffs_c, diffs_h = data_i.diffs, data_c.diffs, data_h.diffs
 
-    def chain_map(src_data, tgt_data, mod_map):
-        out = []
-        for k in range(n_internal + 2):
-            blocks = []
-            for (x, b_src, _), (_, _, p_tgt) in zip(src_data.inv[k], tgt_data.inv[k]):
-                blocks.append(p_tgt.mul(mod_map.mat_at(x)).mul(b_src))
-            out.append(block_diag(field, blocks))
-        return out
+    def chain_map(mod_map):
+        # Hom(C(x,-), N) = N(x): the map acts at each generator by its component
+        return [block_diag(field, [mod_map.mat_at(x) for x in level_gens(res, k)])
+                for k in range(n_internal + 2)]
 
-    incl_chain = chain_map(data_i, data_c, ses.inclusion)
-    proj_chain = chain_map(data_c, data_h, ses.projection)
+    incl_chain = chain_map(ses.inclusion)
+    proj_chain = chain_map(ses.projection)
     for k in range(n_internal + 1):
-        if diffs_c[k].mul(incl_chain[k]) != incl_chain[k + 1].mul(diffs_i[k]):
+        if product(diffs_c[k], incl_chain[k]) != product(incl_chain[k + 1], diffs_i[k]):
             raise VerificationFailed(
                 f"inclusion cochain map does not commute with the differentials at degree {k}")
-        if diffs_h[k].mul(proj_chain[k]) != proj_chain[k + 1].mul(diffs_c[k]):
+        if product(diffs_h[k], proj_chain[k]) != product(proj_chain[k + 1], diffs_c[k]):
             raise VerificationFailed(
                 f"projection cochain map does not commute with the differentials at degree {k}")
 
@@ -190,7 +194,7 @@ def les_from_ses(res, ses, max_deg):
             y = solve(proj_chain[n], Mat.from_cols(field, [z], rows=len(z)))
             if y is None:
                 raise VerificationFailed("cochain surjection failed to lift a cocycle")
-            w = diffs_c[n].mul(y)
+            w = product(diffs_c[n], y)
             v = solve(incl_chain[n + 1], w)
             if v is None:
                 raise VerificationFailed("differential of a lift missed the subcomplex")
@@ -215,7 +219,7 @@ def les_from_ses(res, ses, max_deg):
 
 def _exact_at_node(incoming, outgoing):
     """im(incoming) == ker(outgoing), decided by ranks."""
-    if not outgoing.mul(incoming).is_zero():
+    if not product(outgoing, incoming).is_zero():
         return False
     return rank(incoming) == outgoing.cols - rank(outgoing)
 
@@ -311,10 +315,15 @@ def audit_hypotheses(c, ideal, ideal_modules=None):
         reasons.append("ideal is not idempotent")
     if ideal_modules is None:
         ideal_modules = {x: ideal_representable(c, ideal, x) for x in c.objects}
-    projective = {}
-    for x in c.objects:
-        projective[x] = is_projective(ideal_modules[x])
-        if not projective[x]:
+    projective = {x: is_projective(ideal_modules[x]) for x in c.objects}
+    if c.split_of is not None:
+        # a split model reports its parent's objects: I(x,-) is the sum
+        # of the I(x.k,-), projective exactly when each of them is
+        parent, under, _ = c.split_of
+        projective = {x: all(ok for o, ok in projective.items() if under[o] == x)
+                      for x in parent.objects}
+    for x, ok in projective.items():
+        if not ok:
             reasons.append(f"I({x},-) is not projective")
     return {
         "idempotent": idem,
@@ -377,12 +386,17 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     return report
 
 
+def triangular_les_pipeline(lam, max_deg=4):
+    """`theorem_les_pipeline` for a triangular matrix category Lambda and
+    its triangular ideal, computed on the split model of Lambda."""
+    split = split_category(lam)
+    return theorem_les_pipeline(split, split_ideal(triangular_ideal(lam), split), max_deg)
+
+
 def cmp_pipeline(t, u, m, max_deg=4):
     """Long exact sequence of a triangular matrix category against its U
     factor; the hypothesis audit must pass structurally."""
-    lam = triangular_matrix(t, u, m)
-    ideal = triangular_ideal(lam)
-    report = theorem_les_pipeline(lam, ideal, max_deg)
+    report = triangular_les_pipeline(triangular_matrix(t, u, m), max_deg)
     hu = hochschild_cohomology(u, max_deg)
     report.identifications["HU"] = hu
     report.identifications["HB_equals_HU"] = [
@@ -409,9 +423,7 @@ def happel_pipeline(u, module, max_deg=4):
     End(M)/K and Ext^i(M,M)."""
     if module.is_zero():
         raise ZeroModule("one-point extension of the zero module has no scalar line")
-    lam = one_point_extension(u, module)
-    ideal = triangular_ideal(lam)
-    les = theorem_les_pipeline(lam, ideal, max_deg)
+    les = triangular_les_pipeline(one_point_extension(u, module), max_deg)
     h = module_hom(module, module).dim - 1
     e = ext(module, module, max_deg)
     identities = [("Hom(Lambda,I) = 0", les.dims["ExtCI"][0], 0,

@@ -552,8 +552,26 @@ task ideal-check A I
 task happel K S
 """
 
+# Happel's sequence for A_3 and its projective P_1, whose one-point
+# extension has three objects and so six on its split model
+HAPPEL_A3_SRC = """\
+category A over GF(32003)
+quiver
+object 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+module P over A left
+dim 1 = 1
+dim 2 = 1
+dim 3 = 1
+act a = [[1]]
+act b = [[1]]
+task happel A P
+"""
+
 FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
-                  "q-fractions": Q_FRACTIONS_SRC, "ideal-check": IDEAL_CHECK_SRC}
+                  "q-fractions": Q_FRACTIONS_SRC, "ideal-check": IDEAL_CHECK_SRC,
+                  "happel-a3": HAPPEL_A3_SRC}
 
 # SHA-256 of `homcat <file> --json --max-degree 3 <flags>` stdout, frozen so
 # that a change to the elimination kernels cannot move a report byte
@@ -563,8 +581,11 @@ FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
 # characteristic away from 2.  `les-a4-cmp` covers the `les` and `cmp`
 # pipelines over GF(32003) and Q.  `q-fractions` was pinned while every Q
 # entry was still a Fraction, before integral entries became ints.
-# `ideal-check` pins the strong-idempotency check and a `happel` run whose
-# resolutions cut representables by split identities.
+# `ideal-check` pins the strong-idempotency check and a `happel` run, and
+# `happel-a3` (at degree 4: the later --max-degree wins) a `happel` run with
+# several objects; both were pinned while the triangular category was
+# still resolved by summands cut out of its representables, before
+# `cmp` and `happel` moved to its split model.
 FROZEN_REPORTS = {
     "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "demo-gf2": (["--field", "gf:2"],
@@ -575,6 +596,8 @@ FROZEN_REPORTS = {
     "les-a4-cmp": ([], "32d8093d7050d2ed243f96d5174a4854deb7682dccb8deaf3caa78828f87e38d"),
     "q-fractions": ([], "c65c58099155b44b5328144689ad817df0589b756070c3e9b79662aa5aec1414"),
     "ideal-check": ([], "528c597040e3b030599797d8d318a4ec574a36e53dba166083b359bd822810db"),
+    "happel-a3": (["--max-degree", "4"],
+                  "3e6f6a1b963242dcd141732250e7a2875953c6dc7def5f912e5e8b76256d74a3"),
 }
 
 
@@ -605,18 +628,20 @@ def test_verification_failure_in_task_gives_exit_3(monkeypatch):
     assert code == 3
 
 
-def test_inconsistent_image_is_a_verification_failure(monkeypatch, tmp_path, capsys):
-    import homcat.modcat as modcat_mod
+def test_failed_les_consistency_check_is_a_verification_failure(monkeypatch, tmp_path, capsys):
+    import homcat.theorems as theorems_mod
 
-    # solve(b, a) cannot fail when b is a column-space basis of a: None
-    # there is a bug, reported as a failed verification, not bad input
-    monkeypatch.setattr(modcat_mod, "solve", lambda a, b: None)
+    # the LES assembly reads every boundary inside the cocycles by solve,
+    # which cannot fail on a genuine complex: None there is a bug, reported
+    # as a failed verification, not as bad input or a failed hypothesis.
+    # happel runs that check on the split model of the one-point extension
+    monkeypatch.setattr(theorems_mod, "solve", lambda a, b: None)
     path = tmp_path / "ws.kcat"
     path.write_text(DUAL_SRC + "module S over D left\ndim s = 1\nact x = [[0]]\n"
                     "task happel D S\n")
     assert main([str(path)]) == 3
     out = capsys.readouterr().out
-    assert "happel D S: verification failed: idempotent has inconsistent image" in out
+    assert "happel D S: verification failed: boundaries are not cocycles" in out
 
 
 def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ from homcat.exactla import (
 from homcat.kcat import (
     EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, InvalidFunctor, KFunctor,
     enveloping,
-    one_point_extension, opposite, quotient_category,
+    one_point_extension, opposite, quotient_category, split_category,
     tensor_category, triangular_matrix, unit_category,
     category_from_tables, identity_functor, pair_object,
 )
@@ -299,12 +299,51 @@ def test_constructions_all_validate():
 
 
 def test_identity_summands_triangular():
+    # 1 = e_T + e_U is data for the split model, which has one object per
+    # summand; no other construction carries the summands along
     u = unit_category(Q)
     lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
     o = lam.objects[0]
     assert len(lam.identity_summands[o]) == 2
-    e = enveloping(lam)
-    assert len(e.identity_summands[e.objects[0]]) == 4
+    split = split_category(lam)
+    assert split.objects == (f"{o}.0", f"{o}.1")
+    assert all(len(split.identity_summands[x]) == 1 for x in split.objects)
+    for c in (enveloping(lam), opposite(lam), quotient_category(lam, triangular_ideal(lam))[0]):
+        assert all(len(c.identity_summands[x]) == 1 for x in c.objects)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_split_model_of_the_classic_triangle_is_a2(field):
+    # [K 0; K K] splits into e_T and e_U with the corner from the first to
+    # the second: the path category of 1 -> 2, labelled by Lambda's labels
+    u = unit_category(field)
+    lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
+    split = split_category(lam)
+    assert split.validate().ok
+    t, v = split.objects
+    assert (split.hom_basis[(t, t)], split.hom_basis[(t, v)], split.hom_basis[(v, t)],
+            split.hom_basis[(v, v)]) == (("t:e",), ("m0",), (), ("u:e",))
+    a2 = zoo.a2(field)
+    assert [split.dim(x, y) for x in split.objects for y in split.objects] == \
+        [a2.dim(x, y) for x in a2.objects for y in a2.objects]
+    assert split.split_of[0] is lam and split.split_of[1] == {t: lam.objects[0],
+                                                              v: lam.objects[0]}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_split_model_of_trivial_summands_keeps_the_category(field):
+    # with 1_x its only summand, x.0 is x: the same labels and composites
+    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
+    cats += [zoo.random_two_object(field, seed) for seed in range(3)]
+    for c in cats:
+        split = split_category(c)
+        rename = {x: f"{x}.0" for x in c.objects}
+        assert split.objects == tuple(rename.values())
+        assert split.hom_basis == {(rename[x], rename[y]): labels
+                                   for (x, y), labels in c.hom_basis.items()}
+        assert split.rows == {(rename[x], rename[y], rename[z]): table
+                              for (x, y, z), table in c.rows.items()}
+        assert split.identity == {rename[x]: v for x, v in c.identity.items()}
 
 
 def test_bimodule_validation_rejects_bad_action():

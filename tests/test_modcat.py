@@ -8,18 +8,18 @@ import pytest
 
 from homcat import modcat
 from homcat.exactla import (
-    ComplementData, EchelonSpace, Field, Mat, VerificationFailed, block_diag,
+    ComplementData, EchelonSpace, Field, Mat, block_diag, column_space_basis,
     complex_cohomology_dims, kron, solve, unit_vector,
 )
 from homcat.kcat import (
     InvalidModule, category_from_tables, enveloping, one_point_extension,
-    opposite, pair_object, quotient_category, tensor_category, triangular_matrix,
-    unit_category,
+    opposite, pair_object, quotient_category, split_category, tensor_category,
+    triangular_matrix, unit_category,
 )
 from homcat.modcat import (
     BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
     direct_sum, dualize, ext, hom_module, ideal_representable, is_projective, module_hom,
-    minimal_split_generators, outer_tensor,
+    minimal_generators, outer_tensor,
     projective_resolution, quotient_representable, random_module,
     regular_bimodule, representable, restrict_module, simple,
     swap_product_module, tensor_over_cat, tor, zero_module,
@@ -167,7 +167,7 @@ def test_resolution_of_simple():
     res = projective_resolution(simple(a2, "1"), 4)
     # 0 -> A2(2,-) -> A2(1,-) -> S1 -> 0
     assert [len(g) for g in res.gens] == [1, 1, 0, 0, 0]
-    assert res.gens[0][0][0] == "1" and res.gens[1][0][0] == "2"
+    assert res.gens[0] == ["1"] and res.gens[1] == ["2"]
     assert res.verify() == []
 
 
@@ -317,7 +317,7 @@ def _run_on_a3(run):
     lambda c, ideal: strongly_idempotent_check(c, ideal, 3),
 ], ids=["resolution", "les", "strong-idempotency"])
 def test_a_category_is_freed_without_the_cycle_collector(run):
-    # the caches a category keeps (summands, resolutions, enveloping
+    # the caches a category keeps (composition matrices, resolutions, enveloping
     # category) must not point back at it, or only gc.collect frees it
     gc.collect()
     gc.disable()
@@ -538,7 +538,7 @@ def test_minimal_generators_of_free_module():
     d = zoo.dual_numbers(Q)
     reg = representable(d, "*", "left")
     two = direct_sum([reg, reg])
-    gens = minimal_split_generators(two)
+    gens = minimal_generators(two)
     assert len(gens) == 2
 
 
@@ -788,8 +788,8 @@ def _prune_until_stable(m, items):
 
 
 def _two_stage_generators(m):
-    """The earlier generator search: greedy unit vectors, pruning, then a
-    split along the identity summands and pruning again."""
+    """The earlier generator search: greedy unit vectors, pruned until no
+    vector lies in the closure of the others."""
     c = m.base
     spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     gens = []
@@ -802,20 +802,14 @@ def _two_stage_generators(m):
             for y, space in _closure(m, [(x, e)]).items():
                 for row in space.rows.values():
                     spaces[y].add(row)
-    comps = []
-    for x, vec in _prune_until_stable(m, gens):
-        for e in c.identity_summands[x]:
-            comp = m.act_vec(x, x, e).mul_vec(vec)
-            if any(comp):
-                comps.append((x, e, comp))
-    return _prune_until_stable(m, comps)
+    return _prune_until_stable(m, gens)
 
 
 def _generator_cases(field, rng):
-    """Left modules over the zoo, A_3, triangular categories (whose
-    identities split), and C^e, plus nonzero seeded random draws."""
+    """Left modules over the zoo, A_3, the split models of triangular
+    categories and C^e, plus nonzero seeded random draws."""
     cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
-    triangular = _triangular_family(field)
+    triangular = [split_category(lam) for lam in _triangular_family(field)]
     for cat in cats + triangular:
         for x in cat.objects:
             yield representable(cat, x, "left")
@@ -837,78 +831,65 @@ def test_generator_search_matches_the_two_stage_search(field, monkeypatch):
 
     def recording(m, spans=None):
         searched.append((m, spans))
-        return minimal_split_generators(m, spans)
+        return minimal_generators(m, spans)
 
     # every search a resolution makes: the cover of the module, and each
     # kernel, searched inside the term it lies in
-    monkeypatch.setattr(modcat, "minimal_split_generators", recording)
+    monkeypatch.setattr(modcat, "minimal_generators", recording)
     for m in _generator_cases(field, rng):
         projective_resolution(m, 2)
     monkeypatch.undo()
     assert len(searched) > 100
-    split = 0
     for term, spans in searched:
         c = term.base
-        got = minimal_split_generators(term, spans)
+        got = minimal_generators(term, spans)
         if spans is None:
             assert got == _two_stage_generators(term)
             dims = term.dims
         else:
             # the kernel as a module of its own, mapped back into the term
             kernel = modcat.submodule_module(term, spans)
-            assert got == [(x, e, spans[x].mul_vec(v))
-                           for x, e, v in _two_stage_generators(kernel)]
+            assert got == [(x, spans[x].mul_vec(v)) for x, v in _two_stage_generators(kernel)]
             dims = kernel.dims
-        split += any(len(c.identity_summands[x]) > 1 for x, _, _ in got)
-        closure = _closure(term, [(x, v) for x, _, v in got])
+        closure = _closure(term, got)
         assert all(closure[x].dim == dims[x] for x in c.objects)
-        for i, (x, _, vec) in enumerate(got):
-            others = [(y, v) for k, (y, _, v) in enumerate(got) if k != i]
+        for i, (x, vec) in enumerate(got):
+            others = [g for k, g in enumerate(got) if k != i]
             assert not _closure(term, others)[x].contains(vec)
-    assert split > 35
 
 
 # -- ext_data against the per-call assembly ----------------------------------
 
 def _reference_ext_data(res, coeff, upto):
-    """The earlier assembly, with nothing cached: invariant bases and the
-    summand bases computed afresh, and per pair of summands a dense
-    accumulator of image-weighted actions, projected once."""
-    from homcat.exactla import column_space_basis, solve
+    """The earlier assembly, with nothing cached: per pair of generators a
+    dense accumulator of image-weighted actions of the unit vectors."""
     c = res.base
     f = c.field
-
-    def image(a):
-        b = column_space_basis(a)
-        return b, solve(b, a)
 
     def gens(k):
         return res.gens[k] if k <= res.length else []
 
-    inv = [[(x, *image(coeff.act_vec(x, x, e))) for x, e in gens(k)] for k in range(upto + 2)]
-    dims = [sum(b.cols for _, b, _ in level) for level in inv]
+    dims = [sum(coeff.dims[x] for x in gens(k)) for k in range(upto + 2)]
     diffs = []
     for k in range(upto + 1):
         grid = [{} for _ in range(dims[k + 1])]
         roff = 0
-        for j, (xt, _) in enumerate(gens(k + 1)):
-            _, bt, pt = inv[k + 1][j]
+        for j, xt in enumerate(gens(k + 1)):
             img = res.images[k + 1][j]
             pos = coff = 0
-            for i, (xs, es) in enumerate(gens(k)):
-                _, bs, _ = inv[k][i]
-                fb = column_space_basis(c.pre_matrix(xs, xs, xt, es))
+            for xs in gens(k):
                 acc = Mat.zeros(f, coeff.dims[xt], coeff.dims[xs])
-                for b in range(fb.cols):
+                for b in range(c.dim(xs, xt)):
                     if img[pos]:
-                        acc = acc.add(coeff.act_vec(xs, xt, fb.col(b)).scale(img[pos]))
+                        unit = unit_vector(f, c.dim(xs, xt), b)
+                        acc = acc.add(coeff.act_vec(xs, xt, unit).scale(img[pos]))
                     pos += 1
-                for r, brow in enumerate(pt.mul(acc).mul(bs).nz):
+                for r, brow in enumerate(acc.nz):
                     grid[roff + r].update((coff + s, a) for s, a in brow.items())
-                coff += bs.cols
-            roff += bt.cols
+                coff += coeff.dims[xs]
+            roff += coeff.dims[xt]
         diffs.append(Mat.from_sparse(f, dims[k + 1], dims[k], tuple(grid)))
-    return dims, diffs, inv
+    return dims, diffs
 
 
 def _fresh_dual(m):
@@ -924,17 +905,18 @@ def _ext_cases(field, rng):
     cats = [zoo.a3(field)] + [cat for name, cat in zoo.standard_categories(field).items()
                               if name != "unit"]
     cats += [zoo.random_two_object(field, seed) for seed in (1, 2)]
-    cats += _triangular_family(field)
+    cats += [split_category(lam) for lam in _triangular_family(field)]
     for cat in cats:
         x = cat.objects[-1]
         modules = [representable(cat, x)] + [_nonzero(cat, rng, "left") for _ in range(3)]
         modules += [m for m in (_maybe_simple(cat, y) for y in cat.objects) if m is not None]
-        # injectives: over the triangular categories their resolutions meet
-        # several summands of one object
+        # injectives: over the split triangular categories their
+        # resolutions meet several generators at one object
         modules += [dualize(representable(cat, y, "right")) for y in cat.objects]
         yield [projective_resolution(m, 3) for m in modules[1:]], modules
-    # the regular bimodules of the one-point extensions of the dual numbers
-    # have resolutions with several summands of one object in one term
+    # the regular bimodules of the split one-point extensions of the dual
+    # numbers have resolutions with several generators at one object in
+    # one term
     for cat in cats[:5] + cats[-2:]:
         env = enveloping(cat)
         reg = regular_bimodule(cat, env)
@@ -962,53 +944,64 @@ def test_ext_data_matches_the_per_call_assembly(field):
         for res in resolutions + resolutions[::-1]:
             for coeff, right in zip(coefficients, rights):
                 data = modcat.ext_data(res, coeff, 2)
-                assert (data.dims, data.diffs, data.inv) == _reference_ext_data(res, coeff, 2)
+                assert (data.dims, data.diffs) == _reference_ext_data(res, coeff, 2)
                 # the Tor complex reads the dual kept on its right module
                 data = modcat.tor_data(res, right, 2)
                 want = _reference_ext_data(res, _fresh_dual(right), 2)
-                assert (data.dims, data.diffs, data.inv) == want
+                assert (data.dims, data.diffs) == want
                 pairs += 1
     assert pairs > 150
 
 
+def _combination(mats, coords):
+    """The sum of coords[j] * mats[j]."""
+    out = Mat.zeros(mats[0].field, *mats[0].shape)
+    for j, a in enumerate(coords):
+        if a:
+            out = out.add(mats[j].scale(a))
+    return out
+
+
 @pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), F], ids=str)
 def test_summand_blocks_are_built_once_and_equal_the_products(field):
-    # a term's block of a cut summand is proj[z] . post . basis[y], kept on
-    # the summand so that every term holding it reads the same matrix
+    # the summand C(x,-) o e_k of a triangular category is the
+    # representable of x.k on its split model: the action there of the
+    # basis morphism g: y.l -> z.m is proj . (g o -) . basis, the cut of
+    # C(x,-)'s action, kept on the split model for every term holding it
     blocks = 0
     for lam in _triangular_family(field):
-        for x in lam.objects:
-            for e in lam.identity_summands[x]:
-                s = modcat._summand(lam, x, e)
-                assert not s.full
-                for y in lam.objects:
-                    for z in lam.objects:
-                        for i in range(lam.dim(y, z)):
-                            want = (s.proj[z].mul(lam.post_matrix_basis(x, y, z, i))
-                                    .mul(s.basis[y]))
-                            assert s.block(lam, y, z, i) == want
-                            assert s.block(lam, y, z, i) is s.block(lam, y, z, i)
-                            blocks += 1
-        res = projective_resolution(dualize(representable(lam, lam.objects[0], "right")), 2)
+        split = split_category(lam)
+        assert split.validate().ok
+        _, under, cuts = split.split_of
+        summand = {o: lam.identity_summands[x][int(o.rsplit(".", 1)[1])]
+                   for o, x in under.items()}
+        basis = {}
+        for o, x in under.items():
+            for p, y in under.items():
+                posts = [lam.post_matrix_basis(x, y, y, j) for j in range(lam.dim(y, y))]
+                pres = [lam.pre_matrix_basis(x, x, y, j) for j in range(lam.dim(x, x))]
+                cut = _combination(posts, summand[p]).mul(_combination(pres, summand[o]))
+                basis[o, p] = column_space_basis(cut)
+                assert cuts[o, p].mul(basis[o, p]) == Mat.identity(field, split.dim(o, p))
+        for o, x in under.items():
+            for p, y in under.items():
+                for q, z in under.items():
+                    if not (split.dim(o, p) and split.dim(o, q)):
+                        continue
+                    posts = [lam.post_matrix_basis(x, y, z, j) for j in range(lam.dim(y, z))]
+                    for i in range(split.dim(p, q)):
+                        g = _combination(posts, basis[p, q].col(i))
+                        want = cuts[o, q].mul(g).mul(basis[o, p])
+                        assert split.post_matrix_basis(o, p, q, i) == want
+                        assert (split.post_matrix_basis(o, p, q, i)
+                                is split.post_matrix_basis(o, p, q, i))
+                        blocks += 1
+        res = projective_resolution(dualize(representable(split, split.objects[0], "right")), 2)
         term = res.term(0)
         for (y, z, i), mat in term.act.items():
-            assert mat == block_diag(field, [res.summand(0, j).block(lam, y, z, i)
-                                             for j in range(len(res.gens[0]))])
+            assert mat == block_diag(field, [split.post_matrix_basis(x, y, z, i)
+                                             for x in res.gens[0]])
     assert blocks > 100
-
-
-def test_inconsistent_image_is_a_verification_failure(monkeypatch):
-    # both images are read off idempotents by a column-space basis, which
-    # solve cannot miss: a None there is a bug, never bad input
-    lam = _triangular_family(Q)[1]
-    x = lam.objects[0]
-    e = lam.identity_summands[x][0]
-    rep = representable(lam, x)
-    monkeypatch.setattr(modcat, "solve", lambda a, b: None)
-    with pytest.raises(VerificationFailed, match="inconsistent image"):
-        rep.invariants(x, e)
-    with pytest.raises(VerificationFailed, match="inconsistent image"):
-        modcat._Summand(lam, x, e)
 
 
 # -- one-pass closures against the work-list closure ---------------------------
@@ -1063,9 +1056,9 @@ def test_a_module_is_covered_once(monkeypatch):
     def counting(m, spans=None):
         if spans is None:
             searched.append(m)
-        return minimal_split_generators(m, spans)
+        return minimal_generators(m, spans)
 
-    monkeypatch.setattr(modcat, "minimal_split_generators", counting)
+    monkeypatch.setattr(modcat, "minimal_generators", counting)
     rng = random.Random(5)
     cases = 0
     for field in (Q, Field.gf(2)):
@@ -1216,11 +1209,10 @@ def _dense_restrict(m, fun):
     return _dense(src, m.side, {x: m.dims[fun.on_object(x)] for x in src.objects}, act)
 
 
-def _dense_term(c, summands):
-    dims = {y: sum(s.dim(y) for s in summands) for y in c.objects}
+def _dense_term(c, objects):
+    dims = {y: sum(c.dim(x, y) for x in objects) for y in c.objects}
     return _dense(c, "left", dims, lambda y, z, i: block_diag(
-        c.field, [s.proj[z].mul(_post(c, s.x, y, z, i)).mul(s.basis[y]) for s in summands],
-        dims[z], dims[y]))
+        c.field, [_post(c, x, y, z, i) for x in objects], dims[z], dims[y]))
 
 
 def _dense_slice(m, first, far):
@@ -1271,8 +1263,7 @@ def _module_cases(cat, field, rng):
             unit, lambda _, x: m.dims[x], lambda _u, x, _u2, y, _k, i: m.act_mat(x, y, i))
         res = projective_resolution(m, 2)
         for k in range(res.length + 1):
-            summands = [res.summand(k, j) for j in range(len(res.gens[k]))]
-            yield "_split_module", res.term(k), _dense_term(cat, summands)
+            yield "_free_module", res.term(k), _dense_term(cat, res.gens[k])
     yield "bimodule", bimodule(cat, cat, *_regular_as_bimodule(cat)), \
         _dense_bimodule(cat, cat, *_regular_as_bimodule(cat))
 
@@ -1306,8 +1297,7 @@ def _bimodule_cases(cat, field, rng):
                                                  i * cat.dim(b1, b2) + j))
     res = projective_resolution(reg, 1)
     for k in range(res.length + 1):
-        summands = [res.summand(k, j) for j in range(len(res.gens[k]))]
-        yield "_split_module", res.term(k), _dense_term(env, summands)
+        yield "_free_module", res.term(k), _dense_term(env, res.gens[k])
 
 
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
@@ -1330,7 +1320,7 @@ def test_builders_store_only_live_actions_and_match_the_dense_build(field):
         builders.add(builder)
     assert builders == {
         "representable", "quotient_module", "ideal_representable", "restrict_module",
-        "direct_sum", "submodule_module", "over_unit", "_split_module", "bimodule",
+        "direct_sum", "submodule_module", "over_unit", "_free_module", "bimodule",
         "regular_bimodule", "factor_slice", "outer_tensor", "swap_product_module"}
     assert len(cases) > 400 and empty > 1000
 
