@@ -10,9 +10,8 @@ each postcomposed with every basis morphism.
 
 from __future__ import annotations
 
-from .exactla import (ComplementData, EchelonSpace, Mat, column_space_basis, product,
-                      unit_vector)
-from .kcat import NotTriangular, pair_object
+from .exactla import ComplementData, EchelonSpace, Mat, column_space_basis, unit_vector
+from .kcat import NotTriangular, triangular_blocks
 from .modcat import InvalidModule, ideal_representable
 
 
@@ -179,34 +178,19 @@ def opposite_ideal(i, parent_op):
 
 
 def triangular_ideal(lam):
-    """The kernel of the projection of a triangular matrix category onto
-    its U factor: the T-block plus the M-block in every Hom space."""
+    """The kernel of the projection of a triangular matrix category, or
+    of its model, onto its U factor: the T-block plus the M-block in
+    every Hom space."""
     info = lam.triangular
     if info is None:
         raise NotTriangular("category does not carry triangular block metadata")
-    t, u, m, src = info["t"], info["u"], info["m"], info["source"]
     span = {}
     for o1 in lam.objects:
-        T, U = src[o1]
         for o2 in lam.objects:
-            T2, U2 = src[o2]
-            dt = t.dim(T, T2)
-            dm = m.dims[pair_object(T, U2)]
+            dt, dm, _ = triangular_blocks(info, o1, o2)
             total = lam.dim(o1, o2)
             cols = [unit_vector(lam.field, total, k) for k in range(dt + dm)]
             span[(o1, o2)] = Mat.from_cols(lam.field, cols, rows=total)
     # a two-sided ideal by construction: the kernel of the functor onto U
     return TwoSidedIdeal(lam, span, check=False)
 
-
-def split_ideal(ideal, split):
-    """The ideal carried to the split model of its parent
-    (`kcat.split_category`): I(x.k, y.l) = e_l o I(x,y) o e_k, in the
-    split coordinates.  It lies in I, and it is an ideal of the split
-    model: e_m C e_l I e_k C e_j lies in e_m I e_j."""
-    parent, under, cuts = split.split_of
-    if ideal.parent is not parent and ideal.parent != parent:
-        raise ParentMismatch("ideal does not live in the split category's parent")
-    span = {(o1, o2): column_space_basis(product(cut, ideal.span[(under[o1], under[o2])]))
-            for (o1, o2), cut in cuts.items()}
-    return TwoSidedIdeal(split, span, check=False)

@@ -16,9 +16,8 @@ rows[(x,y,z)][i][j] is a row {k: coefficient} with keys ascending and no
 zero, the `Mat.nz` form, and the shared empty row for a zero composite.
 Every constructor here writes these rows directly; dense coordinate
 tables (the zoo, `.kcat` tables, tests) enter through
-`category_from_tables` alone.  Validation (unit laws, associativity,
-identity summands), `compose` and the pre/post-composition matrices read
-the rows, so they cost nonzero structure constants, not dense vectors.
+`category_from_tables` alone.  Validation (unit laws, associativity),
+`compose` and the pre/post-composition matrices read the rows, so they cost nonzero structure constants, not dense vectors.
 Entries are in the working form of `exactla` (ints where integral over
 Q); `compose_basis` renders one composite densely and `identity` the
 identity coordinates, both in report form (Fractions over Q).
@@ -30,22 +29,22 @@ rows, its pre/post-composition matrices are `kron`s of theirs, and its
 opposite is A^op tensor B^op.
 
 Tensor products, opposites, enveloping categories, quotients by ideals,
-triangular matrix categories, one-point extensions and split models are
-all built here.  The M of a triangular matrix category [T 0; M U] is a
-(U,T)-bimodule, held like every other bimodule as a left module over a
+triangular matrix categories and their models, and one-point extensions
+are all built here.  The M of a triangular matrix category [T 0; M U] is
+a (U,T)-bimodule, held like every other bimodule as a left module over a
 product category, here T^op tensor U (`modcat.bimodule`); the corner
-reads its slot actions.  A triangular matrix category keeps its splitting
-1 = e_T + e_U as `identity_summands`, the data of its split model
-(`split_category`), which has one object per summand; no other
-construction carries summands along, and no pipeline resolves over a
-category whose identities split.
+reads its slot actions.  The pipelines never build the triangular matrix
+category Lambda itself: its split model `triangular_model` has one object
+[T;] per object of T and one [;U] per object of U, the summands of
+1 = e_T + e_U, and is Morita equivalent to Lambda.  Lambda and its model share one block
+builder.
 """
 
 from __future__ import annotations
 
 from .exactla import (
-    FieldMismatch, Mat, column_space_basis, kron, sparse_row, unit_rows, vadd, vkron, vzero,
-    dense_row, report_form, q_row,
+    FieldMismatch, Mat, VerificationFailed, kron, sparse_row, vkron, vzero, dense_row,
+    report_form, q_row,
 )
 
 
@@ -102,8 +101,7 @@ class ValidationReport:
 class FiniteKCategory:
 
     def __init__(self, field, objects, hom_basis, rows, identity,
-                 check=True, product_of=None, triangular=None, paths=None,
-                 identity_summands=None, split_of=None):
+                 check=True, product_of=None, triangular=None, paths=None):
         self.field = field
         self.objects = tuple(objects)
         self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
@@ -114,7 +112,6 @@ class FiniteKCategory:
         self.product_of = product_of
         self.triangular = triangular
         self.paths = paths
-        self.split_of = split_of     # (parent, parent object, cuts) of a split model
         self._report = None          # validate()'s report, once computed
         self._post_cache = {}
         self._pre_cache = {}
@@ -130,29 +127,6 @@ class FiniteKCategory:
             report = self.validate()
             if not report.ok:
                 raise InvalidCategory(report)
-        # orthogonal idempotents summing to the identity, the objects of
-        # the split model (`split_category`); the trivial decomposition is
-        # always legal.  The default reads identity[x], which only
-        # validation vouches for.
-        if identity_summands is None:
-            identity_summands = {x: (identity[x],) for x in self.objects}
-        self.identity_summands = identity_summands
-        if check:
-            self._check_summands()
-
-    def _check_summands(self):
-        for x, summands in self.identity_summands.items():
-            total = vzero(self.field, self.dim(x, x))
-            for i, e in enumerate(summands):
-                total = vadd(self.field, total, e)
-                for j, f in enumerate(summands):
-                    prod = self.compose(x, x, x, e, f)
-                    expect = e if i == j else vzero(self.field, self.dim(x, x))
-                    if prod != expect:
-                        raise InvalidCategory(_quick_report(
-                            x, f"identity summands {i},{j} are not orthogonal idempotents"))
-            if total != self.id_coords(x):
-                raise InvalidCategory(_quick_report(x, "identity summands do not sum to 1"))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -616,7 +590,20 @@ def quotient_category(c, ideal):
 # the triangular matrix category
 
 def triangular_object(T, U):
-    return f"[{T};{U}]"
+    """[T;U], or [T;] and [;U] for the pieces of the model, whose other
+    component is None."""
+    return f"[{'' if T is None else T};{'' if U is None else U}]"
+
+
+def triangular_blocks(info, o1, o2):
+    """The dimensions (t, m, u) of the three blocks of Hom(o1, o2) in the
+    category whose `triangular` metadata is info, a triangular matrix
+    category or its model; a block with an absent component is
+    0-dimensional."""
+    (T, U), (T2, U2) = info["source"][o1], info["source"][o2]
+    return (0 if T is None or T2 is None else info["t"].dim(T, T2),
+            0 if T is None or U2 is None else info["m"].dims[pair_object(T, U2)],
+            0 if U is None or U2 is None else info["u"].dim(U, U2))
 
 
 def triangular_matrix(t, u, m):
@@ -626,7 +613,42 @@ def triangular_matrix(t, u, m):
     Objects are pairs [T;U]; Hom([T;U],[T';U']) is the direct sum of
     Hom_T(T,T'), M(U',T) and Hom_U(U,U'), composed block-triangularly
     (the corner receives m2 after t1 plus u2 acting on m1).
+
+    This is the reference construction that tests compare the model
+    against.  Its identities split, so resolving over it by whole
+    representables is not minimal and grows with the degree; the
+    pipelines take `triangular_model` instead.
     """
+    src = {triangular_object(T, U): (T, U) for T in t.objects for U in u.objects}
+    return _triangular(t, u, m, src, None)
+
+
+def triangular_model(t, u, m):
+    """The split model of [T 0; M U]: one object [T;] per object of T
+    and one [;U] per object of U, with Hom([T;],[T';]) = T(T,T'),
+    Hom([T;],[;U']) = M(U',T), Hom([;U],[;U']) = U(U,U') and
+    Hom([;U],[T';]) = 0, labelled as in the triangular matrix category.
+
+    It is the full subcategory of the idempotent completion of Lambda on
+    the summands of 1 = e_T + e_U, one per isomorphism class, so it is
+    Morita equivalent to Lambda: Hochschild-Mitchell cohomology and Ext
+    over the enveloping category are the same on both (Loday, Cyclic
+    Homology, 1.2.7; Mitchell, "Rings with several objects", 1972).
+    `triangular["pieces"]` maps each object [T;U] of Lambda to its pieces
+    ([T;], [;U]).
+    """
+    src = {triangular_object(T, None): (T, None) for T in t.objects}
+    src.update({triangular_object(None, U): (None, U) for U in u.objects})
+    pieces = {triangular_object(T, U): (triangular_object(T, None), triangular_object(None, U))
+              for T in t.objects for U in u.objects}
+    return _triangular(t, u, m, src, pieces)
+
+
+def _triangular(t, u, m, src, pieces):
+    """The block-triangular category on the objects src, each naming its
+    components (T, U) of which either may be None.  T, U and M are
+    validated already, so a category that fails validation here is an
+    internal fault."""
     from .modcat import slot_action
     if t.field != u.field:
         raise FieldMismatch("triangular factors over different fields")
@@ -636,80 +658,65 @@ def triangular_matrix(t, u, m):
     if t_op != opposite(t):
         raise InvalidBimodule("bimodule T-factor mismatch")
     field = t.field
-    objects = []
-    src = {}
-    for T in t.objects:
-        for U in u.objects:
-            o = triangular_object(T, U)
-            objects.append(o)
-            src[o] = (T, U)
-
-    def blocks(o1, o2):
-        T, U = src[o1]
-        T2, U2 = src[o2]
-        return t.dim(T, T2), m.dims[pair_object(T, U2)], u.dim(U, U2)
+    objects = tuple(src)
+    info = {"t": t, "u": u, "m": m, "source": src, "pieces": pieces}
+    blocks = {(o1, o2): triangular_blocks(info, o1, o2)
+              for o1 in objects for o2 in objects}
 
     hom = {}
-    for o1 in objects:
-        for o2 in objects:
-            T, U = src[o1]
-            T2, U2 = src[o2]
-            labels = (tuple(f"t:{l}" for l in t.hom_basis[(T, T2)])
-                      + tuple(f"m{k}" for k in range(m.dims[pair_object(T, U2)]))
-                      + tuple(f"u:{l}" for l in u.hom_basis[(U, U2)]))
-            hom[(o1, o2)] = labels
+    for (o1, o2), (dt, dm, du) in blocks.items():
+        (T, U), (T2, U2) = src[o1], src[o2]
+        hom[(o1, o2)] = (tuple(f"t:{l}" for l in (t.hom_basis[(T, T2)] if dt else ()))
+                         + tuple(f"m{k}" for k in range(dm))
+                         + tuple(f"u:{l}" for l in (u.hom_basis[(U, U2)] if du else ())))
 
     rows = {}
     for o1 in objects:
         T, U = src[o1]
         for o2 in objects:
             T2, U2 = src[o2]
-            d1t, d1m, d1u = blocks(o1, o2)
+            d1t, d1m, d1u = blocks[o1, o2]
             d1 = d1t + d1m + d1u
             if not d1:
                 continue
             for o3 in objects:
                 T3, U3 = src[o3]
-                d2t, d2m, d2u = blocks(o2, o3)
+                d2t, d2m, d2u = blocks[o2, o3]
                 d2 = d2t + d2m + d2u
                 if not d2:
                     continue
                 # the composite's blocks start at 0 (t), dct (m) and dct + dcm (u)
-                dct, dcm, _ = blocks(o1, o3)
+                dct, dcm, _ = blocks[o1, o3]
                 table = [[EMPTY_ROW] * d2 for _ in range(d1)]
                 for i in range(d1t):
                     # f = t-basis i, g = t-basis j
                     for j in range(d2t):
                         table[i][j] = t.basis_row(T, T2, T3, i, j)
                     # f = t-basis i, g = m-basis k: corner = m2 after t1
-                    rcols = slot_action(m, True, T2, T, i, U3).transpose().nz
-                    for k in range(d2m):
-                        table[i][d2t + k] = _shifted(rcols[k], dct)
+                    if d2m:
+                        rcols = slot_action(m, True, T2, T, i, U3).transpose().nz
+                        for k in range(d2m):
+                            table[i][d2t + k] = _shifted(rcols[k], dct)
                 # f = m-basis k, g = u-basis j: corner = u2 acting on m1
-                for j in range(d2u):
-                    lcols = slot_action(m, False, U2, U3, j, T).transpose().nz
-                    for k in range(d1m):
-                        table[d1t + k][d2t + d2m + j] = _shifted(lcols[k], dct)
+                if d1m:
+                    for j in range(d2u):
+                        lcols = slot_action(m, False, U2, U3, j, T).transpose().nz
+                        for k in range(d1m):
+                            table[d1t + k][d2t + d2m + j] = _shifted(lcols[k], dct)
                 # f = u-basis i, g = u-basis j
                 for i in range(d1u):
                     for j in range(d2u):
                         table[d1t + d1m + i][d2t + d2m + j] = _shifted(
                             u.basis_row(U, U2, U3, i, j), dct + dcm)
                 rows[(o1, o2, o3)] = tuple(tuple(row) for row in table)
-    identity = {}
-    summands = {}
-    for o in objects:
-        T, U = src[o]
-        dt, dm, du = blocks(o, o)
-        zt, zm, zu = (vzero(field, n) for n in (dt, dm, du))
-        identity[o] = t.id_coords(T) + zm + u.id_coords(U)
-        # the canonical splitting 1 = e_T + e_U, refined by the factors
-        summands[o] = tuple(
-            [e + zm + zu for e in t.identity_summands[T]]
-            + [zt + zm + e for e in u.identity_summands[U]])
-    return FiniteKCategory(field, objects, hom, rows, identity,
-                           triangular={"t": t, "u": u, "m": m, "source": src},
-                           identity_summands=summands)
+    identity = {o: ((() if T is None else t.id_coords(T)) + vzero(field, blocks[o, o][1])
+                    + (() if U is None else u.id_coords(U)))
+                for o, (T, U) in src.items()}
+    cat = FiniteKCategory(field, objects, hom, rows, identity, check=False, triangular=info)
+    report = cat.validate()
+    if not report.ok:
+        raise VerificationFailed(f"triangular construction is not a category: {report}")
+    return cat
 
 
 def _shifted(row, offset):
@@ -717,75 +724,19 @@ def _shifted(row, offset):
     return {k + offset: v for k, v in row.items()} if row else EMPTY_ROW
 
 
-def split_object(x, k):
-    return f"{x}.{k}"
-
-
-def split_category(c):
-    """The split model of c: the full subcategory of its idempotent
-    completion on the identity summands, with one object x.k per summand
-    e_k of 1_x and Hom(x.k, y.l) = e_l o C(x,y) o e_k.  It is Morita
-    equivalent to c, so Hochschild-Mitchell cohomology and Ext over the
-    enveloping category are the same on both (Loday, Cyclic Homology,
-    1.2.7; Mitchell, "Rings with several objects", 1972), and a summand
-    that was cut out of a representable is a representable here.
-
-    Hom(x.k, y.l) keeps the canonical reduced basis of the image of
-    f -> e_l o f o e_k in C(x,y), labelled by C's labels at its unit rows
-    (`unit_rows`).  A composite is the composite in C read at those rows,
-    with no elimination.  `split_of` keeps c, the object x under each x.k
-    and each pair's cut, the matrix from C(x,y) to the coordinates of
-    e_l o f o e_k, which carries ideals over (`ideals.split_ideal`).
-    """
-    field = c.field
-    one = field.one()
-    under = {}
-    for x in c.objects:
-        for k, e in enumerate(c.identity_summands[x]):
-            under[split_object(x, k)] = (x, {i: a for i, a in enumerate(e) if a})
-    bases, units, cuts, hom = {}, {}, {}, {}
-    for o1, (x, e) in under.items():
-        for o2, (y, f) in under.items():
-            # column i is e_l o g_i o e_k for the basis morphism g_i of C(x,y)
-            cols = tuple(_sorted_row(c._compose_rows(x, y, y, c._compose_rows(
-                x, x, y, e, {i: one}), f)) for i in range(c.dim(x, y)))
-            cut = Mat.from_sparse(field, len(cols), c.dim(x, y), cols).transpose()
-            basis = column_space_basis(cut)
-            at = unit_rows(basis)
-            bases[o1, o2] = basis.transpose().nz
-            units[o1, o2] = at
-            cuts[o1, o2] = Mat.from_sparse(field, len(at), cut.cols, tuple(cut.nz[r] for r in at))
-            hom[o1, o2] = tuple(c.hom_basis[(x, y)][r] for r in at)
-    rows = {}
-    for o1, (x, _) in under.items():
-        for o2, (y, _) in under.items():
-            if not bases[o1, o2]:
-                continue
-            for o3, (z, _) in under.items():
-                if not bases[o2, o3]:
-                    continue
-                at = units[o1, o3]
-                rows[(o1, o2, o3)] = tuple(
-                    tuple(_read_at(at, c._compose_rows(x, y, z, f, g)) for g in bases[o2, o3])
-                    for f in bases[o1, o2])
-    zero = field.zero()
-    identity = {o: tuple(e.get(r, zero) for r in units[o, o]) for o, (_, e) in under.items()}
-    return FiniteKCategory(field, tuple(under), hom, rows, identity, check=False,
-                           split_of=(c, {o: x for o, (x, _) in under.items()}, cuts))
-
-
-def _read_at(at, row):
-    """The coordinates of a vector of a reduced span, read at its unit rows."""
-    return {t: row[r] for t, r in enumerate(at) if r in row} or EMPTY_ROW
-
-
-def one_point_extension(u, module):
-    """Triangular matrix category over the unit category, with the left
-    module lifted to a (U, unit)-bimodule."""
+def one_point_data(u, module):
+    """The T, U and M of the one-point extension of u by a left module:
+    T is the unit category and M the module lifted to a (U, unit)-bimodule."""
     from .modcat import over_unit
     if module.base is not u and module.base != u:
         raise InvalidModule("module is not over the given category")
     if module.side != "left":
         raise InvalidModule("one-point extension takes a left module")
     bim = over_unit(module)
-    return triangular_matrix(bim.base.product_of[0], u, bim)
+    return bim.base.product_of[0], u, bim
+
+
+def one_point_extension(u, module):
+    """The triangular matrix category of `one_point_data`, the reference
+    construction; the `happel` pipeline takes its model."""
+    return triangular_matrix(*one_point_data(u, module))

@@ -27,15 +27,15 @@ factor with an identity in the other.
 Resolutions are presentations by representables: a term is a finite
 coproduct of representables C(x,-), and a differential is the list of
 generator images in the previous term.  No summand is cut out of a
-representable by an idempotent: the pipelines resolve a category whose
-identities split on its split model (`kcat.split_category`), where each
-summand is a representable of its own.  One generator search, a minimal
-generating set, gives every cover: the cover that the projectivity test
-splits, and each term of a resolution, searched for inside the previous
-term among the vectors of its kernel.  By Yoneda the submodule v
-generates is spanned by its images under the basis morphisms: every
-closure is one pass, redundancy is tested at one object, and a module
-keeps its cover.  Ext complexes come out of the Yoneda identification
+representable by an idempotent: the triangular pipelines resolve over
+the model of [T 0; M U] (`kcat.triangular_model`), on which each summand
+of 1 = e_T + e_U is an object with a representable of its own.  One
+generator search, a minimal generating set, gives every cover: the cover
+that the projectivity test splits, and each term of a resolution,
+searched for inside the previous term among the vectors of its kernel.
+By Yoneda the submodule v generates is spanned by its images under the
+basis morphisms: every closure is one pass, redundancy is tested at one
+object, and a module keeps its cover.  Ext complexes come out of the Yoneda identification
 Hom(C(x,-), N) = N(x), so a differential weighs N's own action matrices,
 and the dual D(N) is kept on N, which serves every resolution it meets.
 Tor complexes are the Ext complexes into D(N), which keeps the cochain

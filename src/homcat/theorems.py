@@ -11,21 +11,21 @@ injection) and every exactness flag is a genuine kernel/image rank
 comparison, never bookkeeping.
 
 The triangular pipelines (`cmp`, `happel`) name the objects of the
-triangular matrix category Lambda = [T 0; M U] but compute on its split
-model (`kcat.split_category`), one object per summand of 1 = e_T + e_U,
-with the ideal carried over (`ideals.split_ideal`).  Both sides of the
+triangular matrix category Lambda = [T 0; M U] but compute on its model
+(`kcat.triangular_model`), one object [T;] per object of T and one [;U]
+per object of U, with its own triangular ideal.  Both sides of the
 sequence are Morita invariant, so every table is Lambda's; the audit
-reports each object of Lambda, since I(x,-) is the sum of its split
-pieces and projective exactly when each piece is.
+reports each object [T;U] of Lambda, since I([T;U],-) is the sum of
+I([T;],-) and I([;U],-) and projective exactly when both are.
 """
 
 from __future__ import annotations
 
 from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, product,
                       rank, solve)
-from .kcat import (enveloping, opposite, pair_object, quotient_category, split_category,
-                   triangular_matrix, one_point_extension)
-from .ideals import is_idempotent, opposite_ideal, split_ideal, triangular_ideal
+from .kcat import (enveloping, one_point_data, opposite, pair_object, quotient_category,
+                   triangular_model)
+from .ideals import is_idempotent, opposite_ideal, triangular_ideal
 from .modcat import (
     ModuleMap, dualize, ext, ext_data, ideal_bimodule, ideal_representable, is_projective,
     level_gens, module_hom, projective_resolution, quotient_module, quotient_representable,
@@ -316,12 +316,11 @@ def audit_hypotheses(c, ideal, ideal_modules=None):
     if ideal_modules is None:
         ideal_modules = {x: ideal_representable(c, ideal, x) for x in c.objects}
     projective = {x: is_projective(ideal_modules[x]) for x in c.objects}
-    if c.split_of is not None:
-        # a split model reports its parent's objects: I(x,-) is the sum
-        # of the I(x.k,-), projective exactly when each of them is
-        parent, under, _ = c.split_of
-        projective = {x: all(ok for o, ok in projective.items() if under[o] == x)
-                      for x in parent.objects}
+    pieces = c.triangular and c.triangular["pieces"]
+    if pieces:
+        # a triangular model reports the objects of Lambda: I([T;U],-) is
+        # the sum of I([T;],-) and I([;U],-), projective exactly when both are
+        projective = {x: projective[a] and projective[b] for x, (a, b) in pieces.items()}
     for x, ok in projective.items():
         if not ok:
             reasons.append(f"I({x},-) is not projective")
@@ -386,17 +385,17 @@ def theorem_les_pipeline(c, ideal, max_deg=4):
     return report
 
 
-def triangular_les_pipeline(lam, max_deg=4):
-    """`theorem_les_pipeline` for a triangular matrix category Lambda and
-    its triangular ideal, computed on the split model of Lambda."""
-    split = split_category(lam)
-    return theorem_les_pipeline(split, split_ideal(triangular_ideal(lam), split), max_deg)
+def triangular_les_pipeline(t, u, m, max_deg=4):
+    """`theorem_les_pipeline` for the triangular matrix category
+    [T 0; M U] and its triangular ideal, computed on its model."""
+    model = triangular_model(t, u, m)
+    return theorem_les_pipeline(model, triangular_ideal(model), max_deg)
 
 
 def cmp_pipeline(t, u, m, max_deg=4):
     """Long exact sequence of a triangular matrix category against its U
     factor; the hypothesis audit must pass structurally."""
-    report = triangular_les_pipeline(triangular_matrix(t, u, m), max_deg)
+    report = triangular_les_pipeline(t, u, m, max_deg)
     hu = hochschild_cohomology(u, max_deg)
     report.identifications["HU"] = hu
     report.identifications["HB_equals_HU"] = [
@@ -423,7 +422,7 @@ def happel_pipeline(u, module, max_deg=4):
     End(M)/K and Ext^i(M,M)."""
     if module.is_zero():
         raise ZeroModule("one-point extension of the zero module has no scalar line")
-    les = triangular_les_pipeline(one_point_extension(u, module), max_deg)
+    les = triangular_les_pipeline(*one_point_data(u, module), max_deg)
     h = module_hom(module, module).dim - 1
     e = ext(module, module, max_deg)
     identities = [("Hom(Lambda,I) = 0", les.dims["ExtCI"][0], 0,

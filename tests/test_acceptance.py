@@ -12,11 +12,11 @@ import pytest
 
 from homcat.exactla import Field, Mat, complex_cohomology_dims
 from homcat.kcat import (
-    enveloping, one_point_extension, opposite, split_category, tensor_category,
-    triangular_matrix, unit_category,
+    enveloping, one_point_data, one_point_extension, opposite, tensor_category,
+    triangular_matrix, triangular_model, unit_category,
 )
 from homcat.ideals import (
-    ideal_from_generators, is_idempotent, split_ideal, triangular_ideal,
+    ideal_from_generators, is_idempotent, triangular_ideal,
 )
 from homcat.modcat import (
     CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes, direct_sum,
@@ -62,11 +62,6 @@ def right_module_bimodule(module):
     lact = {("*", "*", 0, T): Mat.identity(t.field, k) for T, k in module.dims.items()}
     ract = {(x, y, i, "*"): mat for (x, y, i), mat in module.act.items()}
     return bimodule(unit_category(t.field), t, dims, lact, ract)
-
-
-def classic_lambda(field):
-    u = unit_category(field)
-    return triangular_matrix(u, u, one_dim_bimodule(u, u))
 
 
 def test_criterion_01_bar_complex_soundness():
@@ -128,38 +123,38 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_theorem_les():
     # [K 0; K K] over Q
-    # both are computed on the split model, one object per identity
-    # summand, which is Morita equivalent to Lambda; the standalone Ext
-    # over Lambda itself, whose resolution is not minimal, is read through
-    # degree 1
-    lam1 = classic_lambda(Q)
-    i1 = triangular_ideal(lam1)
-    rep1 = triangular_les_pipeline(lam1, 3)
+    # both are computed on the model, one object per summand of
+    # 1 = e_T + e_U, which is Morita equivalent to Lambda; the standalone
+    # Ext over Lambda itself, whose resolution is not minimal, is read
+    # through degree 1
+    u = unit_category(Q)
+    pieces1 = (u, u, one_dim_bimodule(u, u))
+    lam1 = triangular_matrix(*pieces1)
+    rep1 = triangular_les_pipeline(*pieces1, 3)
     assert rep1.all_exact(), "LES of [K 0;K K] not exact at every node"
     hu1 = hochschild_cohomology(unit_category(Q), 3)
     assert rep1.dims["HB"] == hu1
     env1 = enveloping(lam1)
     reg1 = regular_bimodule(lam1, env1)
-    sub1, _ = ideal_bimodule(lam1, i1, env=env1, regular=reg1)
+    sub1, _ = ideal_bimodule(lam1, triangular_ideal(lam1), env=env1, regular=reg1)
     assert ext(reg1, sub1, 1) == rep1.dims["ExtCI"][:2]
-    split1 = split_category(lam1)
-    env1 = enveloping(split1)
-    reg1 = regular_bimodule(split1, env1)
-    sub1, _ = ideal_bimodule(split1, split_ideal(i1, split1), env=env1, regular=reg1)
+    model1 = triangular_model(*pieces1)
+    env1 = enveloping(model1)
+    reg1 = regular_bimodule(model1, env1)
+    sub1, _ = ideal_bimodule(model1, triangular_ideal(model1), env=env1, regular=reg1)
     assert ext(reg1, sub1, 3) == rep1.dims["ExtCI"]
 
     # one-point extension of the dual numbers by the simple, over GF
     d = zoo.dual_numbers(GF)
-    lam2 = one_point_extension(d, simple(d, "*"))
-    i2 = triangular_ideal(lam2)
-    rep2 = triangular_les_pipeline(lam2, 3)
+    pieces2 = one_point_data(d, simple(d, "*"))
+    rep2 = triangular_les_pipeline(*pieces2, 3)
     assert rep2.all_exact(), "LES of the one-point extension not exact"
     hu2 = hochschild_cohomology(d, 3)
     assert rep2.dims["HB"] == hu2, (rep2.dims["HB"], hu2)
-    split2 = split_category(lam2)
-    env2 = enveloping(split2)
-    reg2 = regular_bimodule(split2, env2)
-    sub2, _ = ideal_bimodule(split2, split_ideal(i2, split2), env=env2, regular=reg2)
+    model2 = triangular_model(*pieces2)
+    env2 = enveloping(model2)
+    reg2 = regular_bimodule(model2, env2)
+    sub2, _ = ideal_bimodule(model2, triangular_ideal(model2), env=env2, regular=reg2)
     assert ext(reg2, sub2, 3) == rep2.dims["ExtCI"]
     _ok(5, "both long exact sequences exact through degree 3 with matching tables")
 

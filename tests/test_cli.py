@@ -553,7 +553,7 @@ task happel K S
 """
 
 # Happel's sequence for A_3 and its projective P_1, whose one-point
-# extension has three objects and so six on its split model
+# extension has three objects and so four on its model
 HAPPEL_A3_SRC = """\
 category A over GF(32003)
 quiver
@@ -585,7 +585,7 @@ FROZEN_SOURCES = {"q-les": Q_LES_SRC, "les-a4-cmp": LES_A4_CMP_SRC,
 # `happel-a3` (at degree 4: the later --max-degree wins) a `happel` run with
 # several objects; both were pinned while the triangular category was
 # still resolved by summands cut out of its representables, before
-# `cmp` and `happel` moved to its split model.
+# `cmp` and `happel` moved to a model of it.
 FROZEN_REPORTS = {
     "demo": ([], "4c6b90884a8d3b70f8de326088411a0cb4c68cfd29902e3bcbd5dea9ddf8107f"),
     "demo-gf2": (["--field", "gf:2"],
@@ -634,7 +634,7 @@ def test_failed_les_consistency_check_is_a_verification_failure(monkeypatch, tmp
     # the LES assembly reads every boundary inside the cocycles by solve,
     # which cannot fail on a genuine complex: None there is a bug, reported
     # as a failed verification, not as bad input or a failed hypothesis.
-    # happel runs that check on the split model of the one-point extension
+    # happel runs that check on the model of the one-point extension
     monkeypatch.setattr(theorems_mod, "solve", lambda a, b: None)
     path = tmp_path / "ws.kcat"
     path.write_text(DUAL_SRC + "module S over D left\ndim s = 1\nact x = [[0]]\n"
@@ -657,6 +657,22 @@ def test_verification_failure_while_building_gives_exit_3(monkeypatch, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: verification failed: internal consistency check failed\n"
+
+
+def test_a_broken_triangular_corner_is_a_verification_failure(monkeypatch):
+    import homcat.modcat as modcat_mod
+
+    # T, U and M are validated when the workspace is built, so a corner
+    # that fails validation afterwards is a fault of the construction:
+    # exit 3, not invalid input
+    ws = Workspace(parse(CMP_SRC))
+    real = modcat_mod.slot_action
+    monkeypatch.setattr(modcat_mod, "slot_action", lambda *args: real(*args).scale(2))
+    reports, code = run_workspace(ws, {"max_degree": 2, "seed": 0, "verify_oracle": False})
+    assert reports[0].status == "verification"
+    assert reports[0].doc["notes"][0].startswith(
+        "verification failed: triangular construction is not a category")
+    assert code == 3
 
 
 def test_internal_error_while_building_gives_exit_4(monkeypatch, tmp_path, capsys):

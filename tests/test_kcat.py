@@ -12,8 +12,8 @@ from homcat.exactla import (
 from homcat.kcat import (
     EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, InvalidFunctor, KFunctor,
     enveloping,
-    one_point_extension, opposite, quotient_category, split_category,
-    tensor_category, triangular_matrix, unit_category,
+    one_point_extension, opposite, quotient_category,
+    tensor_category, triangular_matrix, triangular_model, unit_category,
     category_from_tables, identity_functor, pair_object,
 )
 from homcat import zoo
@@ -298,52 +298,77 @@ def test_constructions_all_validate():
         assert zoo.random_two_object(Q, seed).validate().ok
 
 
-def test_identity_summands_triangular():
-    # 1 = e_T + e_U is data for the split model, which has one object per
-    # summand; no other construction carries the summands along
-    u = unit_category(Q)
-    lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
-    o = lam.objects[0]
-    assert len(lam.identity_summands[o]) == 2
-    split = split_category(lam)
-    assert split.objects == (f"{o}.0", f"{o}.1")
-    assert all(len(split.identity_summands[x]) == 1 for x in split.objects)
-    for c in (enveloping(lam), opposite(lam), quotient_category(lam, triangular_ideal(lam))[0]):
-        assert all(len(c.identity_summands[x]) == 1 for x in c.objects)
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_split_model_of_the_classic_triangle_is_a2(field):
-    # [K 0; K K] splits into e_T and e_U with the corner from the first to
-    # the second: the path category of 1 -> 2, labelled by Lambda's labels
+    # [K 0; K K] has the pieces [*;] and [;*], with the corner from the
+    # first to the second: the path category of 1 -> 2, labelled by
+    # Lambda's labels
     u = unit_category(field)
-    lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
-    split = split_category(lam)
-    assert split.validate().ok
-    t, v = split.objects
-    assert (split.hom_basis[(t, t)], split.hom_basis[(t, v)], split.hom_basis[(v, t)],
-            split.hom_basis[(v, v)]) == (("t:e",), ("m0",), (), ("u:e",))
+    model = triangular_model(u, u, one_dim_bimodule(u, u))
+    assert model.validate().ok
+    assert model.objects == ("[*;]", "[;*]")
+    t, v = model.objects
+    assert (model.hom_basis[(t, t)], model.hom_basis[(t, v)], model.hom_basis[(v, t)],
+            model.hom_basis[(v, v)]) == (("t:e",), ("m0",), (), ("u:e",))
     a2 = zoo.a2(field)
-    assert [split.dim(x, y) for x in split.objects for y in split.objects] == \
+    assert [model.dim(x, y) for x in model.objects for y in model.objects] == \
         [a2.dim(x, y) for x in a2.objects for y in a2.objects]
-    assert split.split_of[0] is lam and split.split_of[1] == {t: lam.objects[0],
-                                                              v: lam.objects[0]}
+    assert model.triangular["pieces"] == {"[*;*]": (t, v)}
+
+
+def _block_offsets(lam, model):
+    """(x, y, p, q) -> where Hom(p, q) of the model starts inside
+    Hom(x, y) of Lambda, for the pieces p of x and q of y: the t-block
+    at 0, the m-block after it and the u-block last; Hom([;U],[T';]) is 0."""
+    offsets = {}
+    for x, (a, b) in model.triangular["pieces"].items():
+        for y, (a2, b2) in model.triangular["pieces"].items():
+            dt, dm = model.dim(a, a2), model.dim(a, b2)
+            offsets.update({(x, y, a, a2): 0, (x, y, a, b2): dt, (x, y, b, b2): dt + dm,
+                            (x, y, b, a2): 0})
+    return offsets
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_split_model_of_trivial_summands_keeps_the_category(field):
-    # with 1_x its only summand, x.0 is x: the same labels and composites
-    cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
-    cats += [zoo.random_two_object(field, seed) for seed in range(3)]
-    for c in cats:
-        split = split_category(c)
-        rename = {x: f"{x}.0" for x in c.objects}
-        assert split.objects == tuple(rename.values())
-        assert split.hom_basis == {(rename[x], rename[y]): labels
-                                   for (x, y), labels in c.hom_basis.items()}
-        assert split.rows == {(rename[x], rename[y], rename[z]): table
-                              for (x, y, z), table in c.rows.items()}
-        assert split.identity == {rename[x]: v for x, v in c.identity.items()}
+def test_model_is_lambda_on_its_pieces(field):
+    # the model is the full subcategory of the idempotent completion of
+    # Lambda on the pieces: its labels, composites and identities are
+    # Lambda's, read in the blocks of the pieces
+    u, a2, d = unit_category(field), zoo.a2(field), zoo.dual_numbers(field)
+    triangles = [(u, u, *one_dim_data(field)), _twisted_corner(field),
+                 (u, a2, *left_module_data(representable(a2, "1", "left"))),
+                 (a2, a2, {}, {}, {}), (u, d, *left_module_data(representable(d, "*", "left")))]
+    for t, uu, dims, lact, ract in triangles:
+        m = bimodule(uu, t, dims, lact, ract)
+        lam, model = triangular_matrix(t, uu, m), triangular_model(t, uu, m)
+        assert model.validate().ok
+        assert len(model.objects) == len(t.objects) + len(uu.objects)
+        pieces = model.triangular["pieces"]
+        assert list(pieces) == list(lam.objects)
+        at = _block_offsets(lam, model)
+        for x, y in [(x, y) for x in lam.objects for y in lam.objects]:
+            (a, b), (a2_, b2) = pieces[x], pieces[y]
+            assert model.dim(b, a2_) == 0
+            assert lam.hom_basis[(x, y)] == (model.hom_basis[(a, a2_)]
+                                             + model.hom_basis[(a, b2)]
+                                             + model.hom_basis[(b, b2)])
+            for z in lam.objects:
+                for p in pieces[x]:
+                    for q in pieces[y]:
+                        for r in pieces[z]:
+                            for i in range(model.dim(p, q)):
+                                for j in range(model.dim(q, r)):
+                                    got = lam.basis_row(x, y, z, at[x, y, p, q] + i,
+                                                        at[y, z, q, r] + j)
+                                    off = at[x, z, p, r]
+                                    assert got == {k + off: v for k, v in
+                                                   model.basis_row(p, q, r, i, j).items()}
+        for x, (a, b) in pieces.items():
+            assert lam.identity[x] == (model.identity[a]
+                                       + report_form(field, vzero(field, lam.dim(x, x)
+                                                                  - model.dim(a, a)
+                                                                  - model.dim(b, b)))
+                                       + model.identity[b])
 
 
 def test_bimodule_validation_rejects_bad_action():
@@ -864,9 +889,9 @@ def _dense_quotient_table(c, ideal):
 
 
 def _dense_triangular(t, u, dims, lact, ract):
-    """The table, identities and identity summands triangular_matrix used
-    to build from the bimodule with these one-sided actions, every
-    composite embedded densely into its three blocks."""
+    """The table and identities triangular_matrix used to build from the
+    bimodule with these one-sided actions, every composite embedded
+    densely into its three blocks."""
     field = t.field
     src = {}
     for T in t.objects:
@@ -917,13 +942,10 @@ def _dense_triangular(t, u, dims, lact, ract):
                         rows[d1t + d1m + i][d2t + d2m + j] = embed(
                             *dc, upart=u.compose_basis(U, U2, U3, i, j))
                 table[(o1, o2, o3)] = tuple(tuple(row) for row in rows)
-    identity, summands = {}, {}
+    identity = {}
     for o, (T, U) in src.items():
-        dc = blocks(o, o)
-        identity[o] = embed(*dc, tpart=t.id_coords(T), upart=u.id_coords(U))
-        summands[o] = tuple([embed(*dc, tpart=e) for e in t.identity_summands[T]]
-                            + [embed(*dc, upart=e) for e in u.identity_summands[U]])
-    return table, identity, summands
+        identity[o] = embed(*blocks(o, o), tpart=t.id_coords(T), upart=u.id_coords(U))
+    return table, identity
 
 
 def _seeded_ideal(rng, c):
@@ -985,10 +1007,10 @@ def test_constructors_match_the_dense_tables_they_wrote(field):
     lams = []
     for t, uu, dims, lact, ract in triangles:
         lam = triangular_matrix(t, uu, bimodule(uu, t, dims, lact, ract))
-        table, identity, summands = _dense_triangular(t, uu, dims, lact, ract)
+        table, identity = _dense_triangular(t, uu, dims, lact, ract)
         _check_rows(lam, table, rng)
         assert repr(lam.identity) == repr({o: report_form(field, v) for o, v in identity.items()})
-        assert repr(lam.identity_summands) == repr(summands)
+        _check_row_format(triangular_model(t, uu, bimodule(uu, t, dims, lact, ract)))
         lams.append(lam)
     assert one_point_extension(a2, representable(a2, "1", "left")) == lams[-1]
     cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]

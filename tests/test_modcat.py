@@ -8,13 +8,13 @@ import pytest
 
 from homcat import modcat
 from homcat.exactla import (
-    ComplementData, EchelonSpace, Field, Mat, block_diag, column_space_basis,
+    ComplementData, EchelonSpace, Field, Mat, block_diag,
     complex_cohomology_dims, kron, solve, unit_vector,
 )
 from homcat.kcat import (
     InvalidModule, category_from_tables, enveloping, one_point_extension,
-    opposite, pair_object, quotient_category, split_category, tensor_category,
-    triangular_matrix, unit_category,
+    opposite, pair_object, quotient_category, tensor_category,
+    triangular_matrix, triangular_model, unit_category,
 )
 from homcat.modcat import (
     BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
@@ -363,6 +363,12 @@ def _triangular_family(field):
     ]
 
 
+def _model(lam):
+    """The model of a triangular matrix category, from its T, U and M."""
+    info = lam.triangular
+    return triangular_model(info["t"], info["u"], info["m"])
+
+
 def test_is_projective():
     a2 = zoo.a2(Q)
     assert is_projective(representable(a2, "1", "left"))
@@ -372,14 +378,13 @@ def test_is_projective():
     assert is_projective(zero_module(a2))
     d = zoo.dual_numbers(Q)
     assert not is_projective(simple(d, "*"))
-    # identities that split: per object I(x,-), C/I(x,-), C(x,-), C(-,x)
-    # and D C(-,x) for the triangular ideal, as the cover by whole
-    # representables decided them
+    # categories whose identities split (1 = e_T + e_U): per object
+    # I(x,-), C/I(x,-), C(x,-), C(-,x) and D C(-,x) for the triangular
+    # ideal, as the cover by whole representables decided them
     want = ["TTTTF", "TTTTF TTTTF", "TTTTF TTTTF", "TTTTF TTTTF TTTTF TTTTT",
             "TTTTF", "TTTTF"]
     for field in (Q, Field.gf(7), F):
         for lam, verdicts in zip(_triangular_family(field), want):
-            assert all(len(lam.identity_summands[x]) > 1 for x in lam.objects)
             ideal = triangular_ideal(lam)
             got = []
             for x in lam.objects:
@@ -806,10 +811,10 @@ def _two_stage_generators(m):
 
 
 def _generator_cases(field, rng):
-    """Left modules over the zoo, A_3, the split models of triangular
-    categories and C^e, plus nonzero seeded random draws."""
+    """Left modules over the zoo, A_3, the models of triangular categories
+    and C^e, plus nonzero seeded random draws."""
     cats = list(zoo.standard_categories(field).values()) + [zoo.a3(field)]
-    triangular = [split_category(lam) for lam in _triangular_family(field)]
+    triangular = [_model(lam) for lam in _triangular_family(field)]
     for cat in cats + triangular:
         for x in cat.objects:
             yield representable(cat, x, "left")
@@ -905,16 +910,16 @@ def _ext_cases(field, rng):
     cats = [zoo.a3(field)] + [cat for name, cat in zoo.standard_categories(field).items()
                               if name != "unit"]
     cats += [zoo.random_two_object(field, seed) for seed in (1, 2)]
-    cats += [split_category(lam) for lam in _triangular_family(field)]
+    cats += [_model(lam) for lam in _triangular_family(field)]
     for cat in cats:
         x = cat.objects[-1]
         modules = [representable(cat, x)] + [_nonzero(cat, rng, "left") for _ in range(3)]
         modules += [m for m in (_maybe_simple(cat, y) for y in cat.objects) if m is not None]
-        # injectives: over the split triangular categories their
+        # injectives: over the triangular models their
         # resolutions meet several generators at one object
         modules += [dualize(representable(cat, y, "right")) for y in cat.objects]
         yield [projective_resolution(m, 3) for m in modules[1:]], modules
-    # the regular bimodules of the split one-point extensions of the dual
+    # the regular bimodules of the models of one-point extensions of the dual
     # numbers have resolutions with several generators at one object in
     # one term
     for cat in cats[:5] + cats[-2:]:
@@ -953,53 +958,43 @@ def test_ext_data_matches_the_per_call_assembly(field):
     assert pairs > 150
 
 
-def _combination(mats, coords):
-    """The sum of coords[j] * mats[j]."""
-    out = Mat.zeros(mats[0].field, *mats[0].shape)
-    for j, a in enumerate(coords):
-        if a:
-            out = out.add(mats[j].scale(a))
-    return out
+def _block(mat, r0, nr, c0, nc):
+    """The nr x nc block of mat whose top left entry is (r0, c0)."""
+    return Mat.from_sparse(mat.field, nr, nc, tuple(
+        {l - c0: v for l, v in mat.nz[r0 + k].items() if c0 <= l < c0 + nc} for k in range(nr)))
 
 
 @pytest.mark.parametrize("field", [Q, Field.gf(2), Field.gf(3), F], ids=str)
 def test_summand_blocks_are_built_once_and_equal_the_products(field):
-    # the summand C(x,-) o e_k of a triangular category is the
-    # representable of x.k on its split model: the action there of the
-    # basis morphism g: y.l -> z.m is proj . (g o -) . basis, the cut of
-    # C(x,-)'s action, kept on the split model for every term holding it
+    # the representable of the piece p of x on the model is the summand
+    # C(x,-) o e_p of Lambda's: the action there of the basis morphism
+    # g: q -> r is the block of Lambda's (g o -) from Hom(p,q) to
+    # Hom(p,r), kept on the model for every term holding it
     blocks = 0
     for lam in _triangular_family(field):
-        split = split_category(lam)
-        assert split.validate().ok
-        _, under, cuts = split.split_of
-        summand = {o: lam.identity_summands[x][int(o.rsplit(".", 1)[1])]
-                   for o, x in under.items()}
-        basis = {}
-        for o, x in under.items():
-            for p, y in under.items():
-                posts = [lam.post_matrix_basis(x, y, y, j) for j in range(lam.dim(y, y))]
-                pres = [lam.pre_matrix_basis(x, x, y, j) for j in range(lam.dim(x, x))]
-                cut = _combination(posts, summand[p]).mul(_combination(pres, summand[o]))
-                basis[o, p] = column_space_basis(cut)
-                assert cuts[o, p].mul(basis[o, p]) == Mat.identity(field, split.dim(o, p))
-        for o, x in under.items():
-            for p, y in under.items():
-                for q, z in under.items():
-                    if not (split.dim(o, p) and split.dim(o, q)):
-                        continue
-                    posts = [lam.post_matrix_basis(x, y, z, j) for j in range(lam.dim(y, z))]
-                    for i in range(split.dim(p, q)):
-                        g = _combination(posts, basis[p, q].col(i))
-                        want = cuts[o, q].mul(g).mul(basis[o, p])
-                        assert split.post_matrix_basis(o, p, q, i) == want
-                        assert (split.post_matrix_basis(o, p, q, i)
-                                is split.post_matrix_basis(o, p, q, i))
-                        blocks += 1
-        res = projective_resolution(dualize(representable(split, split.objects[0], "right")), 2)
+        model = _model(lam)
+        pieces = model.triangular["pieces"]
+
+        def start(x, y, p, q):
+            # where Hom(p, q) begins in Hom(x, y): t-block, m-block, u-block
+            (a, b), (a2, b2) = pieces[x], pieces[y]
+            dt, dm = model.dim(a, a2), model.dim(a, b2)
+            return {(a, a2): 0, (a, b2): dt, (b, b2): dt + dm}.get((p, q), 0)
+
+        for x, y, z in [(x, y, z) for x in lam.objects for y in lam.objects for z in lam.objects]:
+            for p, q, r in [(p, q, r) for p in pieces[x] for q in pieces[y] for r in pieces[z]]:
+                for i in range(model.dim(q, r)):
+                    whole = lam.post_matrix_basis(x, y, z, start(y, z, q, r) + i)
+                    want = _block(whole, start(x, z, p, r), model.dim(p, r),
+                                  start(x, y, p, q), model.dim(p, q))
+                    got = model.post_matrix_basis(p, q, r, i)
+                    assert got == want
+                    assert got is model.post_matrix_basis(p, q, r, i)
+                    blocks += 1
+        res = projective_resolution(dualize(representable(model, model.objects[0], "right")), 2)
         term = res.term(0)
         for (y, z, i), mat in term.act.items():
-            assert mat == block_diag(field, [split.post_matrix_basis(x, y, z, i)
+            assert mat == block_diag(field, [model.post_matrix_basis(x, y, z, i)
                                              for x in res.gens[0]])
     assert blocks > 100
 

@@ -7,15 +7,15 @@ from pathlib import Path
 import pytest
 
 import homcat
-from homcat.exactla import (ComplementData, Field, Mat, VerificationFailed,
+from homcat.exactla import (ComplementData, Field, Mat, VerificationFailed, block_diag,
                             complex_cohomology_dims, kron, rank, unit_vector)
 from homcat.hochschild import bar_resolution, hochschild_cohomology
 from homcat.kcat import (
-    enveloping, one_point_extension, opposite, pair_object, quotient_category, split_category,
-    triangular_matrix, unit_category,
+    enveloping, one_point_extension, opposite, pair_object, quotient_category,
+    triangular_matrix, triangular_model, unit_category,
 )
 from homcat.ideals import (
-    TwoSidedIdeal, ideal_from_generators, opposite_ideal, split_ideal, triangular_ideal,
+    TwoSidedIdeal, ideal_from_generators, opposite_ideal, triangular_ideal,
     whole_ideal, zero_ideal,
 )
 from homcat.certify import build_quiver_category
@@ -54,6 +54,12 @@ def right_module_bimodule(module):
 def classic_lambda(field):
     u = unit_category(field)
     return triangular_matrix(u, u, one_dim_bimodule(u, u))
+
+
+def _factors(lam):
+    """The T, U and M of a triangular matrix category."""
+    info = lam.triangular
+    return info["t"], info["u"], info["m"]
 
 
 def test_canonical_ses_zero_and_whole():
@@ -238,7 +244,7 @@ def test_pipeline_zero_ideal_trivial():
 
 def test_pipeline_classic_lambda():
     lam = classic_lambda(Q)
-    report = triangular_les_pipeline(lam, 3)
+    report = triangular_les_pipeline(*_factors(lam), 3)
     assert report.all_exact()
     assert report.dims["HC"] == [1, 0, 0, 0]
     assert report.dims["HB"] == [1, 0, 0, 0]
@@ -246,8 +252,8 @@ def test_pipeline_classic_lambda():
     assert report.identifications["ext_IH"] == [0, 0, 0, 0]
     assert report.identifications["H0_embedding"]
     assert report.identifications["one_sided_ext_vanishing"]
-    # independent standalone Ext of (regular, ideal bimodule) over the
-    # unsplit category agrees; its resolution is not minimal, so it is
+    # independent standalone Ext of (regular, ideal bimodule) over Lambda
+    # itself agrees; its resolution is not minimal, so it is
     # read only through degree 1
     env = enveloping(lam)
     reg = regular_bimodule(lam, env)
@@ -287,7 +293,7 @@ def test_euler_characteristic_on_terminating_les():
     # [K 0;K K]: all groups vanish beyond degree 0, so the alternating sum
     # over the truncation is zero
     lam = classic_lambda(Q)
-    report = triangular_les_pipeline(lam, 3)
+    report = triangular_les_pipeline(*_factors(lam), 3)
     total = 0
     for n in range(4):
         for col in ("ExtCI", "HC", "HB"):
@@ -411,7 +417,7 @@ def test_connecting_map_genuinely_nonzero():
     # dimension tables); check the literal matrix is nonzero
     d = zoo.dual_numbers(F)
     lam = one_point_extension(d, simple(d, "*"))
-    report = triangular_les_pipeline(lam, 3)
+    report = triangular_les_pipeline(*_factors(lam), 3)
     delta2 = report.maps["delta"][2]
     assert delta2.shape == (1, 1)
     assert not delta2.is_zero()
@@ -421,7 +427,7 @@ def test_connecting_map_genuinely_nonzero():
 
 def test_lemma_vanishing_recorded():
     lam = classic_lambda(Q)
-    report = triangular_les_pipeline(lam, 2)
+    report = triangular_les_pipeline(*_factors(lam), 2)
     table = report.identifications["one_sided_ext_table"]
     assert all(all(v == 0 for v in row) for row in table.values())
 
@@ -670,7 +676,7 @@ def test_check_resolves_each_quotient_representable_once_per_side(p, monkeypatch
                for x in a3.objects])
 
 
-# -- the split model against unsplit Lambda --------------------------------------
+# -- the split model of Lambda (`triangular_model`) against Lambda itself ---------
 
 FOUR_FIELDS = [Q, Field.gf(2), Field.gf(3), F]
 
@@ -714,35 +720,33 @@ def _lambda(kind, args):
     return triangular_matrix(*args) if kind == "cmp" else one_point_extension(*args)
 
 
-def _pieces(lam):
-    """The split objects over each object of Lambda, in order."""
-    under = split_category(lam).split_of[1]
-    return {x: [o for o in under if under[o] == x] for x in lam.objects}
+def _model(lam):
+    return triangular_model(*_factors(lam))
 
 
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
 def test_cmp_and_happel_on_the_split_model_match_unsplit_lambda(field):
-    # unsplit Lambda is resolved by whole representables, which is not
-    # minimal and grows with the degree, so the oracle runs at degree 0
-    # (its resolution reaches Ext^2) and, for [K 0; K K], at degree 1
+    # Lambda is resolved by whole representables, which is not minimal
+    # and grows with the degree, so the oracle runs at degree 0 (its
+    # resolution reaches Ext^2) and, for [K 0; K K], at degree 1
     cases = 0
     for kind, args in _triangular_inputs(field):
         lam = _lambda(kind, args)
         for n in ((0, 1) if cases == 0 else (0,)):
-            split = (cmp_pipeline(*args, n) if kind == "cmp" else happel_pipeline(*args, n).les)
+            model = (cmp_pipeline(*args, n) if kind == "cmp" else happel_pipeline(*args, n).les)
             whole = theorem_les_pipeline(lam, triangular_ideal(lam), n)
-            assert split.dims == whole.dims
-            assert split.exact_at == whole.exact_at
-            assert split.hypotheses == whole.hypotheses
-            assert list(split.hypotheses["ideal_module_projective"]) == list(lam.objects)
+            assert model.dims == whole.dims
+            assert model.exact_at == whole.exact_at
+            assert model.hypotheses == whole.hypotheses
+            assert list(model.hypotheses["ideal_module_projective"]) == list(lam.objects)
             for name in ("incl", "proj", "delta"):
-                assert [rank(m) for m in split.maps[name]] == [rank(m) for m in whole.maps[name]]
+                assert [rank(m) for m in model.maps[name]] == [rank(m) for m in whole.maps[name]]
             for key, value in whole.identifications.items():
                 if key != "one_sided_ext_table":
-                    assert split.identifications[key] == value, key
-            # Ext(I(x,-), H(x2,-)) is the sum over the split pieces of x and x2
-            table = split.identifications["one_sided_ext_table"]
-            pieces = _pieces(lam)
+                    assert model.identifications[key] == value, key
+            # Ext(I(x,-), H(x2,-)) is the sum over the pieces of x and x2
+            table = model.identifications["one_sided_ext_table"]
+            pieces = _model(lam).triangular["pieces"]
             for x in lam.objects:
                 for x2 in lam.objects:
                     rows = [table[f"{(o, o2)}"] for o in pieces[x] for o2 in pieces[x2]]
@@ -750,6 +754,49 @@ def test_cmp_and_happel_on_the_split_model_match_unsplit_lambda(field):
                         whole.identifications["one_sided_ext_table"][f"{(x, x2)}"]
         cases += 1
     assert cases == 10
+
+
+def _a2_regular_corner(field):
+    """The regular bimodule of A_2 as an (A_2, A_2)-bimodule,
+    M(U,T) = A_2(T,U): a acts by postcomposition on the left and by
+    precomposition on the right."""
+    a2 = zoo.a2(field)
+    one = Mat.identity(field, 1)
+    dims = {("1", "1"): 1, ("2", "2"): 1, ("2", "1"): 1}
+    lact = {(U, U, 0, T): one for U, T in dims}
+    lact[("1", "2", 0, "1")] = one
+    ract = {(T, T, 0, U): one for U, T in dims}
+    ract[("1", "2", 0, "2")] = one
+    return a2, bimodule(a2, a2, dims, lact, ract)
+
+
+def test_the_pipelines_run_on_one_object_per_piece(monkeypatch):
+    # one object [T;] per object of T and one [;U] per object of U, even
+    # where T and U share their object names; the report keeps the
+    # objects [T;U] of Lambda, in Lambda's order
+    import homcat.theorems as theorems_mod
+    seen = []
+    real = theorems_mod.theorem_les_pipeline
+
+    def recording(c, ideal, max_deg=4):
+        seen.append(c)
+        return real(c, ideal, max_deg)
+
+    monkeypatch.setattr(theorems_mod, "theorem_les_pipeline", recording)
+    a3 = zoo.a3(F)
+    report = happel_pipeline(a3, representable(a3, "1"), 2).les
+    assert seen[-1].objects == ("[*;]", "[;1]", "[;2]", "[;3]")
+    assert len(enveloping(seen[-1]).objects) == 16
+    assert list(report.hypotheses["ideal_module_projective"]) == ["[*;1]", "[*;2]", "[*;3]"]
+    a2, m = _a2_regular_corner(F)
+    report = cmp_pipeline(a2, a2, m, 0)
+    assert seen[-1].objects == ("[1;]", "[2;]", "[;1]", "[;2]")
+    lam = triangular_matrix(a2, a2, m)
+    assert lam.objects == ("[1;1]", "[1;2]", "[2;1]", "[2;2]")
+    assert list(report.hypotheses["ideal_module_projective"]) == list(lam.objects)
+    whole = real(lam, triangular_ideal(lam), 0)
+    assert (report.dims, report.exact_at, report.hypotheses) == \
+        (whole.dims, whole.exact_at, whole.hypotheses)
 
 
 def _hh_routes(c, n, bar_degree, minimal_degree):
@@ -768,33 +815,45 @@ def test_split_and_unsplit_hochschild_cohomology_agree_on_all_three_routes(field
     cases = 0
     for kind, args in _triangular_inputs(field):
         lam = _lambda(kind, args)
-        cochains, bar, minimal = _hh_routes(split_category(lam), 3, 3, 3)
+        cochains, bar, minimal = _hh_routes(_model(lam), 3, 3, 3)
         assert cochains == bar == minimal
-        # over unsplit Lambda the bar resolution is larger and the minimal
-        # route not minimal: both are read through degree 1
+        # over Lambda the bar resolution is larger and the minimal route
+        # not minimal: both are read through degree 1
         assert _hh_routes(lam, 3, 1, 1) == (cochains, bar[:2], minimal[:2])
         cases += 1
     assert cases == 10
 
 
+def _lambda_ideal(lam, model, ideal):
+    """The ideal of Lambda matching an ideal of its model: at
+    ([T;U],[T';U']) the block sum of its spans at ([T;],[T';]),
+    ([T;],[;U']) and ([;U],[;U']), the t-, m- and u-blocks of Lambda."""
+    pieces = model.triangular["pieces"]
+    span = {}
+    for x, (a, b) in pieces.items():
+        for y, (a2, b2) in pieces.items():
+            span[(x, y)] = block_diag(lam.field, [ideal.span[(a, a2)], ideal.span[(a, b2)],
+                                                  ideal.span[(b, b2)]])
+    return TwoSidedIdeal(lam, span)
+
+
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
 def test_split_audit_reports_each_object_of_lambda(field):
-    # on the ideal generated by any one basis morphism of Lambda the split
-    # audit equals the audit of Lambda: I(x,-) is projective exactly when
-    # every split piece I(x.k,-) is, also when the first piece is and a
-    # later one is not
-    later_fails = 0
+    # the ideal of the model generated by one basis morphism against the
+    # matching ideal of Lambda: the audits are equal, and I([T;U],-) is
+    # projective exactly when I([T;],-) and I([;U],-) both are, also when
+    # exactly one of them is not
+    one_fails = 0
     for kind, args in _triangular_inputs(field):
         lam = _lambda(kind, args)
-        split = split_category(lam)
-        pieces = _pieces(lam)
-        for x, y, i, _ in lam.basis_morphisms():
-            ideal = ideal_from_generators(lam, [(x, y, unit_vector(field, lam.dim(x, y), i))])
-            carried = split_ideal(ideal, split)
-            assert audit_hypotheses(split, carried) == audit_hypotheses(lam, ideal)
-            for z in lam.objects:
-                first, *rest = [is_projective(ideal_representable(split, carried, o))
-                                for o in pieces[z]]
-                later_fails += first and not all(rest)
-    assert later_fails > 0
+        model = _model(lam)
+        for x, y, i, _ in model.basis_morphisms():
+            ideal = ideal_from_generators(model, [(x, y, unit_vector(field, model.dim(x, y), i))])
+            audit = audit_hypotheses(model, ideal)
+            assert audit == audit_hypotheses(lam, _lambda_ideal(lam, model, ideal))
+            for z, pieces in model.triangular["pieces"].items():
+                ok = [is_projective(ideal_representable(model, ideal, o)) for o in pieces]
+                assert audit["ideal_module_projective"][z] == all(ok)
+                one_fails += ok.count(False) == 1
+    assert one_fails > 0
 
