@@ -11,15 +11,11 @@ each postcomposed with every basis morphism.
 from __future__ import annotations
 
 from .exactla import ComplementData, EchelonSpace, Mat, column_space_basis, unit_vector
-from .kcat import NotTriangular, triangular_blocks
+from .kcat import NotTriangular, ParentMismatch, triangular_blocks
 from .modcat import InvalidModule, ideal_representable
 
 
 class CoordinateMismatch(ValueError):
-    pass
-
-
-class ParentMismatch(ValueError):
     pass
 
 

@@ -70,7 +70,7 @@ class InvalidModule(ValueError):
     pass
 
 
-class InvalidFunctor(ValueError):
+class ParentMismatch(ValueError):
     pass
 
 
@@ -475,87 +475,20 @@ def enveloping(c):
 
 
 # ---------------------------------------------------------------------------
-# functors
-
-class KFunctor:
-    """A K-linear functor given by an object map and a matrix per Hom pair
-    (columns = images of the source basis in the target basis)."""
-
-    def __init__(self, source, target, object_map, morphism_map, check=True):
-        self.source = source
-        self.target = target
-        self.object_map = dict(object_map)
-        self.morphism_map = dict(morphism_map)
-        if check:
-            self.validate()
-
-    def on_object(self, x):
-        return self.object_map[x]
-
-    def on_coords(self, x, y, coords):
-        return self.morphism_map[(x, y)].mul_vec(coords)
-
-    def validate(self):
-        s, t = self.source, self.target
-        for x in s.objects:
-            if self.object_map.get(x) not in t.objects:
-                raise InvalidFunctor(f"object {x} not mapped into the target")
-        for x in s.objects:
-            for y in s.objects:
-                m = self.morphism_map.get((x, y))
-                if m is None:
-                    raise InvalidFunctor(f"no matrix for Hom({x},{y})")
-                shape = (t.dim(self.object_map[x], self.object_map[y]), s.dim(x, y))
-                if m.shape != shape:
-                    raise InvalidFunctor(
-                        f"matrix for Hom({x},{y}) has shape {m.shape}, expected {shape}")
-        for x in s.objects:
-            fx = self.object_map[x]
-            if self.on_coords(x, x, s.id_coords(x)) != t.id_coords(fx):
-                raise InvalidFunctor(f"identity at {x} not preserved")
-        # F of every basis morphism, column by column, as sparse rows
-        images = {pair: mat.transpose().nz for pair, mat in self.morphism_map.items()}
-        p = s.field.p
-        for x in s.objects:
-            for y in s.objects:
-                dxy = s.dim(x, y)
-                if not dxy:
-                    continue
-                for z in s.objects:
-                    dyz = s.dim(y, z)
-                    if not dyz:
-                        continue
-                    fx, fy, fz = self.object_map[x], self.object_map[y], self.object_map[z]
-                    for i in range(dxy):
-                        for j in range(dyz):
-                            gf = s.basis_row(x, y, z, i, j)
-                            lhs = _lincomb(p, ((a, images[(x, z)][k]) for k, a in gf.items()))
-                            rhs = t._compose_rows(fx, fy, fz, images[(x, y)][i],
-                                                  images[(y, z)][j])
-                            if lhs != rhs:
-                                raise InvalidFunctor(
-                                    f"composition not preserved at ({x},{y},{z}) basis ({i},{j})")
-        return True
-
-
-def identity_functor(c):
-    mm = {(x, y): Mat.identity(c.field, c.dim(x, y))
-          for x in c.objects for y in c.objects}
-    return KFunctor(c, c, {x: x for x in c.objects}, mm, check=False)
-
-
-# ---------------------------------------------------------------------------
 # quotient by a two-sided ideal
 
 def quotient_category(c, ideal):
-    """C/I together with the projection functor.
+    """C/I, the target of the quotient functor C -> C/I.
 
     Hom bases of the quotient are the ideal's canonical complements of its
     spans inside the standard bases of C (`TwoSidedIdeal.complement`), so
-    quotient basis labels are the surviving labels of C.
+    quotient basis labels are the surviving labels of C.  The functor is
+    the ideal's own: on Hom(x,y) it is `ideal.complement(x, y).proj`, a
+    functor because I is a two-sided ideal, and `modcat.restrict_module`
+    pulls C/I-modules back along it.
     """
     if ideal.parent is not c and ideal.parent != c:
-        raise ValueError("ideal does not live in this category")
+        raise ParentMismatch("ideal does not live in this category")
     field = c.field
     comps = {(x, y): ideal.complement(x, y) for x in c.objects for y in c.objects}
     hom = {pair: tuple(c.hom_basis[pair][i] for i in cd.free) for pair, cd in comps.items()}
@@ -580,10 +513,7 @@ def quotient_category(c, ideal):
                           for gj in fyz)
                     for fi in fxy)
     identity = {x: comps[(x, x)].proj.mul_vec(c.id_coords(x)) for x in c.objects}
-    quot = FiniteKCategory(field, c.objects, hom, rows, identity)
-    proj = KFunctor(c, quot, {x: x for x in c.objects},
-                    {pair: comps[pair].proj for pair in comps})
-    return quot, proj
+    return FiniteKCategory(field, c.objects, hom, rows, identity)
 
 
 # ---------------------------------------------------------------------------

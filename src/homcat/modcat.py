@@ -363,18 +363,22 @@ def _over_op(m, side, op_side, base_op):
                      dict(m.dims), act, check=False)
 
 
-def restrict_module(m, fun):
-    """Pull a module back along a K-functor (the functor's source acts
-    through its images)."""
-    if m.base != fun.target:
-        raise BaseMismatch("module does not live over the functor target")
-    src = fun.source
-    dims = {x: m.dims[fun.on_object(x)] for x in src.objects}
+def restrict_module(m, ideal):
+    """Pull a C/I-module back to C along the quotient functor: basis
+    morphism i of C(x,y) acts as m's action of column i of the ideal's
+    `complement(x, y).proj`."""
+    c = ideal.parent
+    if m.base.objects != c.objects or any(
+            m.base.dim(x, y) != ideal.complement(x, y).dim for x in c.objects for y in c.objects):
+        raise BaseMismatch("module does not live over the quotient by this ideal")
+    dims = dict(m.dims)
+    cols = {}
     act = {}
-    for x, y, i in live_morphisms(src, dims, dims):
-        image = fun.on_coords(x, y, unit_vector(src.field, src.dim(x, y), i))
-        act[(x, y, i)] = m.act_vec(fun.on_object(x), fun.on_object(y), image)
-    return CatModule(src, m.side, dims, act, check=False)
+    for x, y, i in live_morphisms(c, dims, dims):
+        if (x, y) not in cols:
+            cols[(x, y)] = ideal.complement(x, y).proj.transpose().nz
+        act[(x, y, i)] = m.act_row(x, y, cols[(x, y)][i])
+    return CatModule(c, m.side, dims, act, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from homcat.cli import (
     main, parse, run_workspace,
 )
 from homcat.exactla import Field, VerificationFailed
+from homcat.ideals import ideal_from_generators, zero_ideal
 
 A2_SRC = """\
 # the path category of 1 -> 2
@@ -187,6 +188,64 @@ def test_ideal_check_task():
     assert doc["hypotheses"]["witness"] is not None
 
 
+SQUARE_SRC = """\
+category S over Q
+quiver
+object 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 4
+arrow c: 1 -> 3
+arrow d: 3 -> 4
+rel b*a - 2 d*c = 0
+"""
+
+
+@pytest.mark.parametrize("gens, nonzero", [
+    ("b*a", True), ("1/2 b*a", True), ("b*a - d*c", True), ("b*a - 2 d*c", False)])
+def test_ideal_terms_are_composed_through_the_category(gens, nonzero):
+    # d*c is the basis path of Hom(1,4) and b*a = 2 d*c is not one
+    ws = Workspace(parse(SQUARE_SRC + f"ideal I in S gens: {gens}\n"))
+    s = ws.categories["S"]
+    assert s.hom_basis[("1", "4")] == ("d*c",)
+    assert ws.ideals["I"] == ideal_from_generators(s, [("1", "4", (1,))] if nonzero else [])
+
+
+def test_an_ideal_term_that_composes_to_zero_adds_nothing():
+    ws = Workspace(parse(DUAL_SRC + "ideal Z in D gens: x*x\nideal X in D gens: x*x + x\n"))
+    d = ws.categories["D"]
+    assert ws.ideals["Z"] == zero_ideal(d)
+    assert ws.ideals["X"] == ideal_from_generators(d, [("s", "s", (0, 1))])
+
+
+@pytest.mark.parametrize("gens", ["3", "a + 5", "5 + a"])
+def test_a_nonzero_scalar_ideal_term_is_rejected(gens, tmp_path, capsys):
+    path = tmp_path / "scalar.kcat"
+    path.write_text(A2_SRC + f"ideal I in A2 gens: {gens}\n")
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}: ideal I: scalar terms are only valid as 0\n"
+    # a zero scalar is the zero term
+    assert Workspace(parse(A2_SRC + "ideal I in A2 gens: a + 0\n")).ideals["I"].total_dim() == 1
+
+
+FOREIGN_IDEALS = {
+    # B shares A's object names, with its arrow the other way
+    "shared-objects": "category B over Q\nquiver\nobject 1 2\narrow a: 2 -> 1\n"
+                      "ideal I in B gens: a\n",
+    "other-objects": DUAL_SRC + "ideal I in D gens: x\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_IDEALS))
+def test_an_ideal_of_another_category_is_bad_input(name):
+    owner = "B" if name == "shared-objects" else "D"
+    src = A2_SRC + FOREIGN_IDEALS[name] + "task les A2 I\ntask ideal-check A2 I\n"
+    reports, code = run_source(src)
+    assert code == 1
+    assert [r.status for r in reports] == ["validation", "validation"]
+    for r in reports:
+        assert r.doc["notes"] == [f"task error: ideal I lives in category {owner}, not in A2"]
+
+
 CMP_SRC = """\
 category U over Q
 quiver
@@ -220,6 +279,29 @@ task happel D S
     doc = reports[0].doc
     assert doc["dims"]["ExtCI"] == [0, 0, 1, 1]
     assert all(i["ok"] for i in doc["happel"]["identities"])
+
+
+@pytest.mark.parametrize("key", ["hom_CH_equals_H0B", "ext_CH_equals_HB", "ext_IH_vanishes",
+                                 "H0_embedding", "one_sided_ext_vanishing"])
+def test_a_failed_identification_fails_happel_in_the_api_and_the_cli(key, monkeypatch):
+    import homcat.theorems as theorems_mod
+    real = theorems_mod.theorem_les_pipeline
+
+    def one_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        value = report.identifications[key]
+        report.identifications[key] = [False] + value[1:] if isinstance(value, list) else False
+        return report
+
+    src = DUAL_SRC + "module S over D left\ndim s = 1\nact x = [[0]]\ntask happel D S\n"
+    ws = Workspace(parse(src))
+    assert theorems_mod.happel_pipeline(ws.categories["D"], ws.modules["S"], 2).passed
+    monkeypatch.setattr(theorems_mod, "theorem_les_pipeline", one_fails)
+    hap = theorems_mod.happel_pipeline(ws.categories["D"], ws.modules["S"], 2)
+    assert hap.les.all_exact() and not hap.les.passed
+    assert not hap.passed
+    reports, code = run_source(src)
+    assert code == 3 and reports[0].status == "verification"
 
 
 def test_json_deterministic(tmp_path, capsys):

@@ -10,11 +10,10 @@ from homcat.exactla import (
     vzero,
 )
 from homcat.kcat import (
-    EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, InvalidFunctor, KFunctor,
-    enveloping,
+    EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, ParentMismatch, enveloping,
     one_point_extension, opposite, quotient_category,
     tensor_category, triangular_matrix, triangular_model, unit_category,
-    category_from_tables, identity_functor, pair_object,
+    category_from_tables, pair_object,
 )
 from homcat import zoo
 from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
@@ -227,66 +226,45 @@ def test_one_point_extension_representable():
 def test_quotient_kills_arrow():
     a2 = zoo.a2(Q)
     ideal = ideal_from_generators(a2, [("1", "2", (1,))])
-    b, phi = quotient_category(a2, ideal)
+    b = quotient_category(a2, ideal)
     assert b.total_dim() == 2
     assert b.dim("1", "2") == 0
     # projection kills a
-    assert phi.morphism_map[("1", "2")].shape == (0, 1)
+    assert ideal.complement("1", "2").proj.shape == (0, 1)
     assert b.validate().ok
 
 
 def test_quotient_by_zero_is_identity():
     a2 = zoo.a2(Q)
-    b, phi = quotient_category(a2, zero_ideal(a2))
-    assert b == a2
-    for pair, m in phi.morphism_map.items():
-        assert m == Mat.identity(Q, a2.dim(*pair))
+    ideal = zero_ideal(a2)
+    assert quotient_category(a2, ideal) == a2
+    for x in a2.objects:
+        for y in a2.objects:
+            assert ideal.complement(x, y).proj == Mat.identity(Q, a2.dim(x, y))
 
 
 def test_quotient_of_triangular_is_u_corner():
     u = unit_category(Q)
     lam = triangular_matrix(u, u, one_dim_bimodule(u, u))
-    b, phi = quotient_category(lam, triangular_ideal(lam))
+    b = quotient_category(lam, triangular_ideal(lam))
     assert len(b.objects) == 1
     assert b.total_dim() == 1
     assert b.validate().ok
 
 
+def test_quotient_by_an_ideal_of_another_category_is_rejected():
+    a2 = zoo.a2(Q)
+    with pytest.raises(ParentMismatch, match="ideal does not live in this category"):
+        quotient_category(zoo.kronecker(Q), zero_ideal(a2))
+
+
 def test_quotient_dims_subtract():
     a2 = zoo.a2(Q)
     ideal = ideal_from_generators(a2, [("1", "1", (1,))])
-    b, _ = quotient_category(a2, ideal)
+    b = quotient_category(a2, ideal)
     for x in a2.objects:
         for y in a2.objects:
             assert b.dim(x, y) == a2.dim(x, y) - ideal.span[(x, y)].cols
-
-
-def a3_functor(matrix, pair=("1", "2")):
-    """The identity of A_3 except on Hom(pair), which gets matrix."""
-    a3 = zoo.a3(Q)
-    mm = dict(identity_functor(a3).morphism_map)
-    mm[pair] = matrix
-    return KFunctor(a3, a3, {x: x for x in a3.objects}, mm)
-
-
-def test_functor_validation_names_missing_and_misshapen_pairs():
-    a2 = zoo.a2(Q)
-    mm = dict(identity_functor(a2).morphism_map)
-    del mm[("1", "2")]
-    with pytest.raises(InvalidFunctor, match=r"no matrix for Hom\(1,2\)"):
-        KFunctor(a2, a2, {"1": "1", "2": "2"}, mm)
-    with pytest.raises(InvalidFunctor, match=r"Hom\(1,2\) has shape \(2, 1\), expected \(1, 1\)"):
-        a3_functor(Mat.zeros(Q, 2, 1))
-
-
-def test_functor_validation_checks_identities_and_composition():
-    assert identity_functor(zoo.a2(Q)).validate()
-    assert a3_functor(Mat.identity(Q, 1)).validate()
-    # a -> 2a keeps identities but sends b o a to half of F(b) o F(a)
-    with pytest.raises(InvalidFunctor, match=r"composition not preserved at \(1,2,3\)"):
-        a3_functor(Mat.identity(Q, 1).scale(2))
-    with pytest.raises(InvalidFunctor, match="identity at 1 not preserved"):
-        a3_functor(Mat.identity(Q, 1).scale(2), ("1", "1"))
 
 
 def test_constructions_all_validate():
@@ -854,7 +832,7 @@ def test_q_constants_whose_products_are_integral_are_kept_as_ints():
     assert prod.basis_row(o, o, o, 0, 0) == {0: 1}
     assert prod.id_coords(o) == (1, 2, Fraction(1, 2), 1)
     assert half.compose("*", "*", "*", (2, 0), (1, 0)) == (1, 0)
-    quot, _ = quotient_category(prod, ideal_from_generators(prod, [(o, o, (0, 0, 0, 1))]))
+    quot = quotient_category(prod, ideal_from_generators(prod, [(o, o, (0, 0, 0, 1))]))
     for vec in [prod.id_coords(o), half.compose("*", "*", "*", (2, 0), (1, 0)),
                 quot.id_coords(o)]:
         _assert_working_form(Q, dict(enumerate(vec)))
@@ -1027,7 +1005,7 @@ def test_constructors_match_the_dense_tables_they_wrote(field):
     cases = [(c, _seeded_ideal(rng, c)) for c in cats + lams for _ in range(2)]
     cases += [(lam, triangular_ideal(lam)) for lam in lams] + [(product, sums)]
     for c, ideal in cases:
-        quot, _ = quotient_category(c, ideal)
+        quot = quotient_category(c, ideal)
         _check_rows(quot, _dense_quotient_table(c, ideal), rng)
 
 

@@ -533,8 +533,8 @@ def test_restrict_along_projection():
     from homcat.kcat import quotient_category
     a2 = zoo.a2(Q)
     ideal = ideal_from_generators(a2, [("1", "2", (1,))])
-    b, phi = quotient_category(a2, ideal)
-    pulled = restrict_module(representable(b, "1", "left"), phi)
+    b = quotient_category(a2, ideal)
+    pulled = restrict_module(representable(b, "1", "left"), ideal)
     assert pulled.dims == {"1": 1, "2": 0}
     pulled.validate()
 
@@ -1195,13 +1195,13 @@ def _dense_quotient(m, spans):
     return _dense(m.base, m.side, {x: comp.dim for x, comp in comps.items()}, act)
 
 
-def _dense_restrict(m, fun):
-    src = fun.source
+def _dense_restrict(m, ideal):
+    c = ideal.parent
 
     def act(x, y, i):
-        image = fun.on_coords(x, y, unit_vector(src.field, src.dim(x, y), i))
-        return m.act_vec(fun.on_object(x), fun.on_object(y), image)
-    return _dense(src, m.side, {x: m.dims[fun.on_object(x)] for x in src.objects}, act)
+        image = ideal.complement(x, y).proj.mul_vec(unit_vector(c.field, c.dim(x, y), i))
+        return m.act_vec(x, y, image)
+    return _dense(c, m.side, dict(m.dims), act)
 
 
 def _dense_term(c, objects):
@@ -1240,10 +1240,10 @@ def _module_cases(cat, field, rng):
                 _dense_quotient(rep, spans)
         yield ("ideal_representable", ideal_representable(cat, ideal, x),
                _dense_ideal_module(ideal, x))
-    quot, phi = quotient_category(cat, ideal)
+    quot = quotient_category(cat, ideal)
     for y in quot.objects:
         pulled = representable(quot, y)
-        yield "restrict_module", restrict_module(pulled, phi), _dense_restrict(pulled, phi)
+        yield "restrict_module", restrict_module(pulled, ideal), _dense_restrict(pulled, ideal)
     for side in ("left", "right"):
         mods = [_nonzero(cat, rng, side) for _ in range(2)]
         total = direct_sum(mods)

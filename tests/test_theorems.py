@@ -85,19 +85,20 @@ def _pulled_back_quotient(c, ideal):
     phi^op tensor phi, the env morphism f tensor g acting as phi(f) tensor
     phi(g), with projection phi at every pair object.  A copy of the ideal
     computes the complements afresh."""
-    b, phi = quotient_category(c, TwoSidedIdeal(c, ideal.span, check=False))
-    reg = regular_bimodule(b)
+    copy = TwoSidedIdeal(c, ideal.span, check=False)
+    phi = {(x, y): copy.complement(x, y).proj for x in c.objects for y in c.objects}
+    reg = regular_bimodule(quotient_category(c, copy))
     env = enveloping(c)
     pairs = [(x, y) for x in c.objects for y in c.objects]
     act = {}
     for a, b1 in pairs:
         for a2, b2 in pairs:
             p, q = pair_object(a, b1), pair_object(a2, b2)
-            image = kron(phi.morphism_map[(a2, a)], phi.morphism_map[(b1, b2)])
+            image = kron(phi[(a2, a)], phi[(b1, b2)])
             for i in range(env.dim(p, q)):
                 act[(p, q, i)] = reg.act_vec(p, q, image.col(i))
     dims = {pair_object(x, y): reg.dims[pair_object(x, y)] for x, y in pairs}
-    proj = {pair_object(x, y): phi.morphism_map[(x, y)] for x, y in pairs}
+    proj = {pair_object(x, y): phi[(x, y)] for x, y in pairs}
     # a pullback along a functor is a module, so the oracle skips validation
     return CatModule(env, "left", dims, act, check=False), proj
 
@@ -129,12 +130,37 @@ def test_quotient_bimodule_equals_the_pulled_back_regular_bimodule(p):
         want, proj = _pulled_back_quotient(c, ideal)
         assert ses.quot == want
         assert ses.projection.comp == proj
-        # the ideal's own quotient functor holds the very same matrices
-        shared = quotient_category(c, ideal)[1].morphism_map
-        assert all(ses.projection.comp[pair_object(*pair)] is m for pair, m in shared.items())
+        # the projection is the ideal's own quotient functor, the very same matrices
+        assert all(ses.projection.comp[pair_object(x, y)] is ideal.complement(x, y).proj
+                   for x in c.objects for y in c.objects)
         cases += 1
     assert cases == 56
 
+
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_the_ideals_projections_are_a_functor_onto_the_quotient(p):
+    # phi(g o f) = phi(g) o phi(f) in C/I for every pair of basis
+    # morphisms, and phi(1_x) = 1_x: the property no runtime check
+    # guards, since every ideal is built two-sided
+    field = Field.gf(p) if p else Q
+    composites = 0
+    for c, ideal in _ses_cases(field):
+        b = quotient_category(c, ideal)
+        phi = {(x, y): ideal.complement(x, y).proj for x in c.objects for y in c.objects}
+        for x in c.objects:
+            assert phi[(x, x)].mul_vec(c.id_coords(x)) == b.id_coords(x), x
+            for y in c.objects:
+                for z in c.objects:
+                    for i in range(c.dim(x, y)):
+                        f = unit_vector(field, c.dim(x, y), i)
+                        for j in range(c.dim(y, z)):
+                            g = unit_vector(field, c.dim(y, z), j)
+                            lhs = phi[(x, z)].mul_vec(c.compose(x, y, z, f, g))
+                            rhs = b.compose(x, y, z, phi[(x, y)].mul_vec(f),
+                                            phi[(y, z)].mul_vec(g))
+                            assert lhs == rhs, (x, y, z, i, j)
+                            composites += 1
+    assert composites == 1435
 
 
 def test_each_span_complement_is_built_once(monkeypatch):
@@ -425,10 +451,20 @@ def test_connecting_map_genuinely_nonzero():
     assert report.maps["delta"][0].is_zero()
 
 
+def _one_sided_ext_table(c, ideal, max_deg):
+    """Ext(I(x,-), C/I(x2,-)) over C for every object pair, each resolved
+    afresh."""
+    return {(x, x2): ext(ideal_representable(c, ideal, x),
+                         quotient_representable(c, ideal, x2), max_deg)
+            for x in c.objects for x2 in c.objects}
+
+
 def test_lemma_vanishing_recorded():
     lam = classic_lambda(Q)
     report = triangular_les_pipeline(*_factors(lam), 2)
-    table = report.identifications["one_sided_ext_table"]
+    assert report.identifications["one_sided_ext_vanishing"] is True
+    model = _model(lam)
+    table = _one_sided_ext_table(model, triangular_ideal(model), 2)
     assert all(all(v == 0 for v in row) for row in table.values())
 
 
@@ -513,34 +549,44 @@ def test_pipeline_resolves_each_module_once(monkeypatch):
 
 @pytest.mark.parametrize("p", [0, 2, 3, 32003])
 def test_one_sided_ext_table_matches_fresh_ext(p, monkeypatch):
+    import homcat.theorems as theorems_mod
     field = Field.gf(p) if p else Q
     calls = count_resolutions(monkeypatch)
+    rows = []
+    real_ext = theorems_mod.ext
+
+    def recorded(*args, **kwargs):
+        out = real_ext(*args, **kwargs)
+        if "res" in kwargs:       # a one-sided row, on the shared resolution of I(x,-)
+            rows.append(out)
+        return out
+
+    monkeypatch.setattr(theorems_mod, "ext", recorded)
     for c in (zoo.a3(field), linear_a4(field)):
         for v in c.objects:
             ideal = ideal_from_generators(c, [(v, v, c.id_coords(v))])
             calls.clear()
+            rows.clear()
             report = theorem_les_pipeline(c, ideal, 2)
             assert report.all_exact()
             assert len(calls) == len(c.objects) + 2
-            fresh = {f"{(x, x2)}": ext(ideal_representable(c, ideal, x),
-                                       quotient_representable(c, ideal, x2), 2)
-                     for x in c.objects for x2 in c.objects}
-            table = report.identifications["one_sided_ext_table"]
-            assert list(table) == list(fresh)
-            assert table == fresh
+            fresh = _one_sided_ext_table(c, ideal, 2)
+            assert rows == list(fresh.values())
+            assert report.identifications["one_sided_ext_vanishing"] == all(
+                d == 0 for row in rows for d in row)
 
 
 def _reference_check(c, ideal, max_deg, mirror=True):
     """The strong-idempotency check without the shared resolutions: every
     pulled-back sample is resolved for its Tor rows against C/I(-,x), and
     the whole check reruns on C^op for the "op:" rows."""
-    b, phi = quotient_category(c, ideal)
+    b = quotient_category(c, ideal)
     report = CheckReport(max_deg)
     quotients = [(x, projective_resolution(quotient_representable(c, ideal, x), max_deg + 1),
                   quotient_representable(c, ideal, x, "right")) for x in c.objects]
     for kind, y, sample in default_quotient_samples(b):
         name = f"{kind}({y})"
-        module = restrict_module(sample, phi)
+        module = restrict_module(sample, ideal)
         res = projective_resolution(module, max_deg + 1)
         for x, q_res, q_right in quotients:
             report.record("ext-vanishing", x, name,
@@ -593,10 +639,9 @@ def _tor_route_check(c, ideal, max_deg):
     report = CheckReport(max_deg)
     for s, (cat, i, prefix) in enumerate(sides):
         other = sides[1 - s][0]
-        b, phi = quotient_category(cat, i)
-        for kind, y, sample in default_quotient_samples(b):
+        for kind, y, sample in default_quotient_samples(quotient_category(cat, i)):
             name = f"{kind}({y})"
-            module = restrict_module(sample, phi)
+            module = restrict_module(sample, i)
             as_right = as_right_over_op(module, other)
             for x in c.objects:
                 q_res, q_other = resolved[s][x], resolved[1 - s][x]
@@ -742,16 +787,16 @@ def test_cmp_and_happel_on_the_split_model_match_unsplit_lambda(field):
             for name in ("incl", "proj", "delta"):
                 assert [rank(m) for m in model.maps[name]] == [rank(m) for m in whole.maps[name]]
             for key, value in whole.identifications.items():
-                if key != "one_sided_ext_table":
-                    assert model.identifications[key] == value, key
+                assert model.identifications[key] == value, key
             # Ext(I(x,-), H(x2,-)) is the sum over the pieces of x and x2
-            table = model.identifications["one_sided_ext_table"]
-            pieces = _model(lam).triangular["pieces"]
+            split = _model(lam)
+            table = _one_sided_ext_table(split, triangular_ideal(split), n)
+            whole_table = _one_sided_ext_table(lam, triangular_ideal(lam), n)
+            pieces = split.triangular["pieces"]
             for x in lam.objects:
                 for x2 in lam.objects:
-                    rows = [table[f"{(o, o2)}"] for o in pieces[x] for o2 in pieces[x2]]
-                    assert [sum(col) for col in zip(*rows)] == \
-                        whole.identifications["one_sided_ext_table"][f"{(x, x2)}"]
+                    rows = [table[(o, o2)] for o in pieces[x] for o2 in pieces[x2]]
+                    assert [sum(col) for col in zip(*rows)] == whole_table[(x, x2)]
         cases += 1
     assert cases == 10
 
