@@ -39,7 +39,6 @@ enumerated count.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -1066,6 +1065,10 @@ def _json_default(obj):
 
 
 def main(argv=None):
+    # only the command line needs argparse; importing the module for its
+    # API (parse, Workspace, run_workspace) does not load it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="homcat",
         description="Exact Hochschild-Mitchell cohomology and long-exact-sequence "

@@ -952,3 +952,27 @@ def test_ideal_of_a_non_coordinate_span(tmp_path, capsys, flags):
     assert les["dims"] == {"ExtCI": [1, 0, 0, 0], "HC": [2, 0, 0, 0], "HB": [1, 0, 0, 0]}
     assert all(les["exact_at"])
     assert les["identifications"]["HB_independent"] == [1, 0, 0, 0]
+
+
+def _homcat_env():
+    return {**os.environ, "PYTHONPATH": str(Path(homcat.__file__).resolve().parents[1])}
+
+
+def test_importing_the_cli_does_not_load_argparse():
+    # only main parses a command line; the API import stays without it
+    code = "import sys, homcat.cli; sys.exit('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_homcat_env(), timeout=120)
+    assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], b"the following arguments are required: files"),
+    (["--no-such-flag", "demo.kcat"], b"unrecognized arguments: --no-such-flag"),
+])
+def test_a_bad_command_line_exits_2_by_argparse(args, message):
+    proc = subprocess.run([sys.executable, "-m", "homcat", *args], capture_output=True,
+                          env=_homcat_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage: homcat ")
+    assert message in proc.stderr
+    assert proc.stdout == b""

@@ -4,14 +4,18 @@ from math import comb
 import pytest
 
 from homcat.certify import build_quiver_category
-from homcat.exactla import Field, complex_cohomology_dims
-from homcat.ideals import ideal_from_generators
-from homcat.kcat import FiniteKCategory, enveloping
-from homcat.modcat import ext, ext_data, ideal_bimodule, module_hom, regular_bimodule
+from homcat.cli import Workspace, parse
+from homcat.exactla import Field, Mat, add_to_row, complex_cohomology_dims
+from homcat.ideals import ideal_from_generators, triangular_ideal
+from homcat.kcat import (FiniteKCategory, category_from_tables, enveloping, one_point_data,
+                         pair_object, quotient_category, tensor_category, triangular_model)
+from homcat.modcat import (ext, ext_data, ideal_bimodule, module_hom, regular_bimodule,
+                           slot_action)
 from homcat.hochschild import (
-    InvalidCoefficient, _Layout, bar_dims, bar_resolution, center,
+    InvalidCoefficient, _Layout, _chains, bar_dims, bar_resolution, center,
     hochschild_cochain_complex, hochschild_cohomology,
 )
+from homcat.theorems import canonical_ses
 from homcat import zoo
 
 Q = Field.rationals()
@@ -29,10 +33,14 @@ def route_categories(field):
     return cats
 
 
+def linear_an(field, n):
+    objects = [str(i) for i in range(1, n + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    return build_quiver_category(field, objects, arrows, [], n + 1)
+
+
 def linear_a5(field):
-    objects = [str(i) for i in range(1, 6)]
-    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, 5)]
-    return build_quiver_category(field, objects, arrows, [], 6)
+    return linear_an(field, 5)
 
 
 def test_bar_dims_unit():
@@ -137,7 +145,7 @@ def test_layout_components_are_the_composable_chains():
             for n in range(4):
                 brute = [t for t in iproduct(cat.objects, repeat=n + 1)
                          if all(cat.dim(t[i], t[i + 1]) for i in range(n))]
-                assert [comp[0] for comp in _Layout(cat, reg, n).components] == brute, name
+                assert [comp[0] for comp in _Layout(_chains(cat, 3)[n], reg).components] == brute, name
                 assert [t[0] for t in terms[n].tuples] == brute, name
 
 
@@ -316,3 +324,153 @@ def test_twisted_coefficients_ideal_bimodule():
             data = ext_data(bar_resolution(cat, 5, env=env, regular=reg), sub, 3)
             from_bar = complex_cohomology_dims(data.dims, data.diffs, 3)
             assert cx.cohomology(3) == from_bar == ext(reg, sub, 3), (field, name)
+
+
+# ---------------------------------------------------------------------------
+# the assembly against a face-by-face reference
+
+def reference_cochain_complex(c, coeff, max_deg):
+    """The reduced cochain complex assembled face by face: every face of
+    every cell is evaluated and added in, those the unit law cancels
+    included.  Returns (dims, differentials)."""
+    field = c.field
+    layouts = []
+    for n in range(max_deg + 2):
+        comps, index, off = [], {}, 0
+        for tup in iproduct(c.objects, repeat=n + 1):
+            if not all(c.dim(tup[i], tup[i + 1]) for i in range(n)):
+                continue
+            inner = list(iproduct(*[range(c.dim(tup[i], tup[i + 1])) for i in range(n)]))
+            cdim = coeff.dims[pair_object(tup[0], tup[-1])]
+            comps.append((tup, inner, cdim, off))
+            index[tup] = (off, cdim, {w: k for k, w in enumerate(inner)})
+            off += len(inner) * cdim
+        layouts.append((comps, index, off))
+
+    def offset(index, tup, w):
+        off, cdim, pos = index[tup]
+        return off + pos[w] * cdim
+
+    def outer(first, x, y, i, far):
+        # the first slot is C^op, where C(x,y) is C^op(y,x)
+        a, b = (y, x) if first else (x, y)
+        mat = slot_action(coeff, first, a, b, i, far)
+        return [(r, s, v) for r, row in enumerate(mat.nz) for s, v in row.items()]
+
+    diffs = []
+    for n in range(max_deg + 1):
+        (_, index, cols), (comps, _, rows) = layouts[n], layouts[n + 1]
+        grid = [{} for _ in range(rows)]
+        last = field.one() if (n + 1) % 2 == 0 else field.neg(field.one())
+        for tup, inner, cdim, toff in comps:
+            for wi, w in enumerate(inner):
+                row0 = toff + wi * cdim
+                col0 = offset(index, tup[1:], w[1:])
+                for r, s, a in outer(True, tup[0], tup[1], w[0], tup[-1]):
+                    add_to_row(field, grid[row0 + r], col0 + s, a)
+                for i in range(1, n + 1):
+                    sign = field.one() if i % 2 == 0 else field.neg(field.one())
+                    comp = c.basis_row(tup[i - 1], tup[i], tup[i + 1], w[i - 1], w[i])
+                    for h, a in comp.items():
+                        col0 = offset(index, tup[:i] + tup[i + 1:], w[:i - 1] + (h,) + w[i + 1:])
+                        for r in range(cdim):
+                            add_to_row(field, grid[row0 + r], col0 + r, field.mul(sign, a))
+                col0 = offset(index, tup[:-1], w[:-1])
+                for r, s, a in outer(False, tup[-2], tup[-1], w[-1], tup[0]):
+                    add_to_row(field, grid[row0 + r], col0 + s, field.mul(last, a))
+        diffs.append(Mat.from_sparse(field, rows, cols, tuple(grid)))
+    return [l[2] for l in layouts], diffs
+
+
+def dual_numbers_shifted_basis(field):
+    """K[x]/(x^2) on the basis b0 = 1 + x, b1 = x, so 1 = b0 - b1 is not a
+    basis element: b0 b0 = b0 + b1, b0 b1 = b1 b0 = b1, b1 b1 = 0."""
+    one, zero = field.one(), field.zero()
+    table = [[(one, one), (zero, one)], [(zero, one), (zero, zero)]]
+    return category_from_tables(field, ["*"], {("*", "*"): ("b0", "b1")},
+                                {("*", "*", "*"): table}, {"*": (one, field.neg(one))})
+
+
+# the cmp and happel inputs of the benchmark, computed on their split models
+TRIANGULAR_SOURCES = {
+    "cmp-tum": ("category U over Q\nquiver\nobject s\narrow x: s -> s\nrel x*x = 0\n"
+                "category T over Q\nquiver\nobject 1\n"
+                "bimodule M over (U,T)\ndim s 1 = 2\nlact x 1 = [[0,0],[1,0]]\n"),
+    "happel-dual": ("category U over Q\nquiver\nobject s\narrow x: s -> s\nrel x*x = 0\n"
+                    "module S over U left\ndim s = 1\nact x = [[0]]\n"),
+    "happel-kronecker": ("category U over Q\nquiver\nobject 1 2\narrow a: 1 -> 2\n"
+                         "arrow b: 1 -> 2\nmodule S over U left\ndim 1 = 1\ndim 2 = 1\n"
+                         "act a = [[1]]\nact b = [[0]]\n"),
+}
+for _dim in (1, 2):
+    TRIANGULAR_SOURCES[f"point-happel-{_dim}"] = (
+        f"category U over Q\nquiver\nobject p\nmodule S over U left\ndim p = {_dim}\n")
+    TRIANGULAR_SOURCES[f"point-cmp-{_dim}"] = (
+        "category U over Q\nquiver\nobject u\ncategory T over Q\nquiver\nobject t\n"
+        f"bimodule M over (U,T)\ndim u t = {_dim}\n")
+
+
+def triangular_models(field):
+    models = {}
+    for name, src in TRIANGULAR_SOURCES.items():
+        ws = Workspace(parse(src), field_override=field)
+        u = ws.categories["U"]
+        if "M" in ws.bimodules:
+            models[name] = triangular_model(ws.categories["T"], u, ws.bimodules["M"])
+        else:
+            models[name] = triangular_model(*one_point_data(u, ws.modules["S"]))
+    return models
+
+
+def assembly_cases(field):
+    """(name, category, coefficient bimodule) for the assembly oracle."""
+    cats = dict(route_categories(field))
+    cats.update(triangular_models(field))
+    for n in (3, 4):
+        an = linear_an(field, n)
+        for x in an.objects:
+            ideal = ideal_from_generators(an, [(x, x, an.id_coords(x))])
+            cats[f"A{n}/<e{x}>"] = quotient_category(an, ideal)
+    cats["shifted dual"] = dual_numbers_shifted_basis(field)
+    # a product category keeps no composition rows and answers from its factors
+    cats["dual x A2"] = tensor_category(zoo.dual_numbers(field), zoo.a2(field))
+    for name, cat in cats.items():
+        yield name, cat, regular_bimodule(cat)
+    twisted = {"A2": zoo.a2(field), "A3": zoo.a3(field), "kronecker": zoo.kronecker(field)}
+    for seed in RANDOM_SEEDS:
+        twisted[f"random{seed}"] = zoo.random_two_object(field, seed)
+    for name, cat in twisted.items():
+        ses = canonical_ses(cat, first_arrow_ideal(cat))
+        yield f"{name} I", cat, ses.sub
+        yield f"{name} H", cat, ses.quot
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_assembly_matches_the_face_by_face_reference(field):
+    # every differential d^0..d^4, entry for entry, with the faces that
+    # the unit law cancels left out of the assembly
+    count = 0
+    for name, cat, coeff in assembly_cases(field):
+        dims, diffs = reference_cochain_complex(cat, coeff, 4)
+        cx = hochschild_cochain_complex(cat, coeff, 4)
+        assert cx.dims == dims, name
+        for n, (got, want) in enumerate(zip(cx.diffs, diffs)):
+            assert got == want, (name, n)
+        count += 1
+    assert count == 37
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_category_whose_identity_is_not_a_basis_element(field):
+    # no slot is an identity slot, so every face is evaluated; the table is
+    # that of the dual numbers: (2,1,1,...) off characteristic 2, 2 in
+    # every degree over GF(2)
+    cat = dual_numbers_shifted_basis(field)
+    assert cat.id_coords("*") == (1, field.neg(1))
+    env = enveloping(cat)
+    reg = regular_bimodule(cat, env)
+    cochain = hochschild_cohomology(cat, 4, coeff=reg)
+    data = ext_data(bar_resolution(cat, 6, env=env, regular=reg), reg, 4)
+    assert cochain == complex_cohomology_dims(data.dims, data.diffs, 4) == ext(reg, reg, 4)
+    assert cochain == hochschild_cohomology(zoo.dual_numbers(field), 4)
+    assert cochain == ([2] * 5 if field.p == 2 else [2, 1, 1, 1, 1])
