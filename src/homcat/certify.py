@@ -15,10 +15,17 @@ length l and the one-arrow products, on either side, of I_(l-1).  The
 paths are then enumerated and reduced one length at a time, and the
 enumeration stops at the first dead length, so the bound is a ceiling,
 not a work size.  A non-homogeneous relation breaks the grading: all
-paths up to length bound + 1 are reduced together, a product with a path
-longer than that is dropped, and every path of length bound + 1 must lie
-in the span that results.  In both cases at most MAX_PATHS paths are
-enumerated.
+paths up to length bound + 1 are reduced together, a product u*r*v of a
+relation r with a path longer than that is set aside, and every path of
+length bound + 1 must lie in the span of all the other products.  That is
+the certificate, whatever the order of the relations, and it needs the
+uncut span: `x*x - x*x*x` never certifies.  Once it holds, every longer
+path lies in the ideal, so each product set aside, cut to its paths of
+length at most bound + 1, is an ideal element too; these are added, with
+their own products, until none is left.  So the bound decides only
+whether a presentation certifies, never which category it builds.  In
+both cases at most MAX_PATHS paths are enumerated, and the result is
+kQ/I by construction, so it is not validated again.
 
 References: Bergman, "The diamond lemma for ring theory", 1978; Green,
 "Noncommutative Gröbner bases, and projective resolutions", 1999.
@@ -72,6 +79,7 @@ def build_quiver_category(field, objects, arrows, relations, bound):
     cap = bound + 1
     rows = _relation_rows(field, arrow_map, relations, cap)
     levels = _levels(objects, arrow_map)
+    outside = []                 # non-homogeneous products past the cap
     if all(len({len(p) for p in row}) == 1 for _, row in rows):
         pieces = []
         for _, level in zip(range(cap + 1), levels):
@@ -85,7 +93,7 @@ def build_quiver_category(field, objects, arrows, relations, bound):
         merged = {(x, y): [p for level in level_list for p in level.get((x, y), ())]
                   for x in objects for y in objects}
         pieces = [_Piece(field, merged)]
-        pieces[0].saturate(rows, arrow_map)
+        outside = pieces[0].saturate(rows, arrow_map, every=True)
         piece_of = dict.fromkeys(range(cap + 1), pieces[0])
 
     # the certificate: every path of length cap lies in the ideal (no such
@@ -98,6 +106,11 @@ def build_quiver_category(field, objects, arrows, relations, bound):
                     raise FinitenessError(
                         f"path {'*'.join(reversed(p))} of length {cap} does not reduce "
                         f"to 0; cannot certify finite Hom spaces at bound {bound}")
+    # certified, every path longer than cap lies in the ideal, so a product
+    # left outside is still an ideal element once its long paths are cut
+    while outside:
+        outside = last.saturate([(pair, {p: c for p, c in row.items() if len(p) <= cap})
+                                 for pair, row in outside], arrow_map)
 
     basis_paths = {(x, y): [] for x in objects for y in objects}
     for piece in pieces:
@@ -205,12 +218,16 @@ class _Piece:
         self.spans = {pair: EchelonSpace(field, len(plist)) for pair, plist in paths.items()}
         self.position = {}           # pair -> {free column: basis index}
 
-    def saturate(self, work, arrow_map):
+    def saturate(self, work, arrow_map, every=False):
         """Add the rows in `work` to the spans, with the one-arrow products
-        of each row that grows one.  A row with a path outside this piece
-        is not added; the rows left out are returned."""
+        of each row that grows one, or with `every` of each row not seen
+        before: a row in the span may have products in the piece that the
+        rows spanning it only reach through products outside it.  A row
+        with a path outside this piece is not added; the rows left out are
+        returned."""
         work = list(work)
         outside = []
+        seen = set()
         while work:
             (x, y), row = work.pop()
             cols = self.index.get((x, y), {})
@@ -219,7 +236,12 @@ class _Piece:
             except KeyError:
                 outside.append(((x, y), row))
                 continue
-            if not self.spans[(x, y)].add(vec):
+            grew = self.spans[(x, y)].add(vec)
+            if every:
+                key = ((x, y), frozenset(row.items()))
+                grew = key not in seen
+                seen.add(key)
+            if not grew:
                 continue
             for name, (s, g) in arrow_map.items():
                 if s == y:

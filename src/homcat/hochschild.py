@@ -18,8 +18,9 @@ never evaluated.  A slot s with q_s = q_{s+1} whose basis morphism is
 1_{q_s} is an identity slot; over a maximal run of L identity slots
 from s the faces d_{s-1}..d_{s+L-1} give one source cell, and they add
 up to (-1)^(s-1) times it when L is even and to nothing when L is odd.
-The rule needs the unit laws of the category, which every constructor
-reaching this route validates, and 1 acting as the identity on the
+The rule needs the unit laws (checked on tables and triangular
+categories, held by construction by quotients, certified quivers,
+opposites and tensor products) and 1 acting as the identity on the
 coefficient, which holds for every bimodule the package builds.  Where
 an identity is not a basis vector there is no identity slot, and every
 face is evaluated.  Chains are enumerated once, degree by degree, in

@@ -8,8 +8,10 @@ identity coordinate vectors.  Conventions used throughout the package:
     for f_i in Hom(x,y), g_j in Hom(y,z);
   * all orderings (objects, bases, tensor pairs) are explicit, so every
     matrix derived downstream is reproducible;
-  * categories are validated eagerly -- an invalid composition table is
-    rejected at construction, never repaired.
+  * a category is validated where its data enters: `category_from_tables`
+    rejects an invalid table, never repairing it, and the triangular
+    builder checks what it builds; quotients by two-sided ideals, certified
+    quivers, opposites and tensor products hold the laws by construction.
 
 The composition tensor is kept in one sparse form only: each composite
 rows[(x,y,z)][i][j] is a row {k: coefficient} with keys ascending and no
@@ -101,7 +103,7 @@ class ValidationReport:
 class FiniteKCategory:
 
     def __init__(self, field, objects, hom_basis, rows, identity,
-                 check=True, product_of=None, triangular=None, paths=None):
+                 product_of=None, triangular=None, paths=None):
         self.field = field
         self.objects = tuple(objects)
         self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
@@ -123,10 +125,6 @@ class FiniteKCategory:
         for (x, y), labels in self.hom_basis.items():
             if len(set(labels)) != len(labels):
                 raise InvalidCategory(_quick_report((x, y), "duplicate basis labels"))
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise InvalidCategory(report)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -423,9 +421,12 @@ def category_from_tables(field, objects, hom_basis, comp_entries, identities):
                         report.fail("comp-shape", (x, y, z), "wrong table shape")
                 rows[(x, y, z)] = tuple(tuple(sparse_row(field, v) or EMPTY_ROW for v in row)
                                         for row in given)
+    if report.ok:
+        cat = FiniteKCategory(field, objects, hb, rows, ids)
+        report = cat.validate()
     if not report.ok:
         raise InvalidCategory(report)
-    return FiniteKCategory(field, objects, hb, rows, ids)
+    return cat
 
 
 def opposite(c):
@@ -437,7 +438,7 @@ def opposite(c):
     hom = {(x, y): c.hom_basis[(y, x)] for x in c.objects for y in c.objects}
     # op-composition of f in op(x,y)=C(y,x), g in op(y,z)=C(z,y) is f o g
     rows = {(x, y, z): tuple(zip(*table)) for (z, y, x), table in c.rows.items()}
-    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c._identity), check=False)
+    return FiniteKCategory(c.field, c.objects, hom, rows, dict(c._identity))
 
 
 def pair_object(a, b):
@@ -465,8 +466,7 @@ def tensor_category(c, d):
                                   for g in d.hom_basis[(b, b2)])
     identity = {pair_object(a, b): vkron(field, c.id_coords(a), d.id_coords(b))
                 for a in c.objects for b in d.objects}
-    return FiniteKCategory(field, objects, hom, None, identity,
-                           check=False, product_of=(c, d))
+    return FiniteKCategory(field, objects, hom, None, identity, product_of=(c, d))
 
 
 def enveloping(c):
@@ -642,10 +642,9 @@ def _triangular(t, u, m, src, pieces):
     identity = {o: ((() if T is None else t.id_coords(T)) + vzero(field, blocks[o, o][1])
                     + (() if U is None else u.id_coords(U)))
                 for o, (T, U) in src.items()}
-    cat = FiniteKCategory(field, objects, hom, rows, identity, check=False, triangular=info)
-    report = cat.validate()
-    if not report.ok:
-        raise VerificationFailed(f"triangular construction is not a category: {report}")
+    cat = FiniteKCategory(field, objects, hom, rows, identity, triangular=info)
+    if not cat.validate().ok:
+        raise VerificationFailed(f"triangular construction is not a category: {cat.validate()}")
     return cat
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .exactla import (
     ComplementData, EchelonSpace, Mat, add_to_row, block_diag, complex_cohomology_dims,
-    dense_row, kernel_basis, kron, product, rank, solve, unit_rows, unit_vector, vkron,
+    dense_row, kernel_basis, kron, product, rank, solve, unit_rows,
 )
 from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
@@ -634,12 +634,12 @@ def slot_action(m, first, x, y, i, far):
     A(x,y) tensor 1_far (first) or of 1_far tensor basis morphism i of
     B(x,y) (not first)."""
     a, b = m.base.product_of
-    f = m.base.field
     if first:
-        return m.act_vec(pair_object(x, far), pair_object(y, far),
-                         vkron(f, unit_vector(f, a.dim(x, y), i), b.id_coords(far)))
-    return m.act_vec(pair_object(far, x), pair_object(far, y),
-                     vkron(f, a.id_coords(far), unit_vector(f, b.dim(x, y), i)))
+        w = b.dim(far, far)
+        return m.act_row(pair_object(x, far), pair_object(y, far),
+                         {i * w + k: v for k, v in enumerate(b.id_coords(far)) if v})
+    return m.act_row(pair_object(far, x), pair_object(far, y),
+                     {k * b.dim(x, y) + i: v for k, v in enumerate(a.id_coords(far)) if v})
 
 
 def _factor_slice(m, first, far):

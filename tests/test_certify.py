@@ -1,6 +1,7 @@
 """Finiteness certification of quiver presentations (homcat.certify)."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -9,6 +10,7 @@ import pytest
 from homcat.certify import FinitenessError, build_quiver_category
 from homcat.cli import Workspace, main, parse
 from homcat.exactla import Field, report_form
+from homcat.hochschild import hochschild_cohomology
 
 Q = Field.rationals()
 F = Field.gf(32003)
@@ -42,7 +44,8 @@ def test_two_loops_certify_at_the_default_bound(field):
 
 # ---------------------------------------------------------------------------
 # a naive dense reference: every product u*r*v of length at most bound + 1,
-# eliminated as dense vectors over all paths up to that length
+# eliminated as dense vectors over all paths up to that length, certifies;
+# the category adds the products with a longer path, cut to that length
 
 def _reference(field, objects, arrows, relations, bound):
     """(basis paths, composition tables, identities) of the presentation,
@@ -63,23 +66,26 @@ def _reference(field, objects, arrows, relations, bound):
         level = longer
     ends = {name: (s, g) for name, s, g in arrows}
     index = {pair: {p: j for j, p in enumerate(plist)} for pair, plist in paths.items()}
+    # spans[pair] holds the products u*r*v with every path at most cap long,
+    # cut[pair] those with a longer path, with their long paths dropped
     spans = {pair: [] for pair in paths}
+    cut = {pair: [] for pair in paths}
     for row in relations:
         first = next(iter(row))
         x, y = ends[first[0]][0], ends[first[-1]][1]
-        room = cap - len(first)
+        shortest, longest = min(map(len, row)), max(map(len, row))
         for (a, b), prefixes in paths.items():
             for (c, d), suffixes in paths.items():
                 if b != x or c != y:
                     continue
                 for u in prefixes:
                     for v in suffixes:
-                        if len(u) + len(v) <= room:
+                        if len(u) + len(v) + shortest <= cap:
                             vec = [field.zero()] * len(paths[(a, d)])
                             for p, coef in row.items():
-                                vec[index[(a, d)][u + p + v]] = coef
-                            spans[(a, d)].append(vec)
-    basis, reduce = {}, {}
+                                if len(u + p + v) <= cap:
+                                    vec[index[(a, d)][u + p + v]] = coef
+                            (spans if len(u) + len(v) + longest <= cap else cut)[(a, d)].append(vec)
     for pair, plist in paths.items():
         pivots = {next(j for j, v in enumerate(r) if v): r
                   for r in _dense_rref(field, spans[pair])}
@@ -89,6 +95,13 @@ def _reference(field, objects, arrows, relations, bound):
             if len(p) == cap and (j not in pivots or any(pivots[j][f] for f in free)):
                 return (f"path {'*'.join(reversed(p))} of length {cap} does not reduce "
                         f"to 0; cannot certify finite Hom spaces at bound {bound}")
+    # certified: every path longer than cap lies in the ideal, so the cut
+    # products lie there too
+    basis, reduce = {}, {}
+    for pair, plist in paths.items():
+        pivots = {next(j for j, v in enumerate(r) if v): r
+                  for r in _dense_rref(field, spans[pair] + cut[pair])}
+        free = [j for j in range(len(plist)) if j not in pivots]
         basis[pair] = [plist[j] for j in free]
 
         def red(p, cols=index[pair], pivots=pivots, free=free):
@@ -129,14 +142,21 @@ def _dense_rref(field, vecs):
     return rows
 
 
-def _random_presentation(rng, field):
+def _random_presentation(rng, field, mixed=False):
     """A random quiver on one to three objects with homogeneous relations:
     monomials, and differences of two parallel paths of one length with
-    random scalars (commutative squares when the paths have length 2)."""
-    objects = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+    random scalars (commutative squares when the paths have length 2).
+    A mixed draw has one or two objects and one to three arrows, and adds
+    one or two relations p - c*q with parallel p and q of different
+    lengths."""
+    objects = [str(i) for i in range(1, rng.randint(1, 2 if mixed else 3) + 1)]
     arrows = [(f"a{k}", rng.choice(objects), rng.choice(objects))
-              for k in range(rng.randint(2, 3))]
-    bound = rng.randint(2, 3) if len(arrows) == 2 else 2    # the reference is dense
+              for k in range(rng.randint(1 if mixed else 2, 3))]
+    # the reference is dense
+    if mixed:
+        bound = rng.randint(1, 5 - len(arrows))
+    else:
+        bound = rng.randint(2, 3) if len(arrows) == 2 else 2
     by_pair = {}
     level = [(a,) for a, _, _ in arrows]
     ends = {a: (s, g) for a, s, g in arrows}
@@ -164,6 +184,16 @@ def _random_presentation(rng, field):
         row = {k: v for k, v in row.items() if v}
         if row:
             relations.append(row)
+    parallel = {}
+    for (x, y, _), ps in sorted(by_pair.items()):
+        parallel.setdefault((x, y), []).extend(ps)
+    pools = [ps for ps in parallel.values() if len({len(p) for p in ps}) > 1]
+    for _ in range(rng.randint(1, 2) if mixed and pools else 0):
+        ps = rng.choice(pools)
+        p = rng.choice(ps)
+        q = rng.choice([q for q in ps if len(q) != len(p)])
+        row = {p: field.one(), q: field.neg(field.of(rng.choice(scalars)))}
+        relations.append({k: v for k, v in row.items() if v})
     return objects, arrows, relations, bound
 
 
@@ -172,27 +202,47 @@ def _as_terms(row):
     return [(str(c), list(reversed(p))) for p, c in row.items()]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))
-def test_certification_matches_a_dense_saturation(field):
-    rng = random.Random(31 + field.p)
-    certified = failed = 0
+def _against_the_reference(field, seed, mixed):
+    """Certify 40 seeded draws, each checked against the dense reference,
+    and count (certified, refused) among the draws with a relation that
+    mixes path lengths when mixed, among all draws otherwise."""
+    rng = random.Random(seed + field.p)
+    counts = [0, 0]
     for _ in range(40):
-        objects, arrows, relations, bound = _random_presentation(rng, field)
+        objects, arrows, relations, bound = _random_presentation(rng, field, mixed)
+        counted = not mixed or any(len(set(map(len, row))) > 1 for row in relations)
         expect = _reference(field, objects, arrows, relations, bound)
         terms = [_as_terms(row) for row in relations]
         if isinstance(expect, str):
             with pytest.raises(FinitenessError) as err:
                 build_quiver_category(field, objects, arrows, terms, bound)
             assert str(err.value) == expect
-            failed += 1
+            counts[1] += counted
             continue
         cat = build_quiver_category(field, objects, arrows, terms, bound)
         basis, comp, identities = expect
         assert cat.paths == basis
         assert repr(_dense_table(cat)) == repr(comp)        # entry types included
         assert repr(cat.identity) == repr(identities)
-        certified += 1
+        # built unchecked, the category satisfies the laws by construction
+        assert cat.validate().ok
+        counts[0] += counted
+    return counts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))
+def test_certification_matches_a_dense_saturation(field):
+    certified, failed = _against_the_reference(field, 31, mixed=False)
     assert certified >= 15 and failed >= 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: repr(f))
+def test_non_homogeneous_certification_matches_a_dense_saturation(field):
+    # relations that mix path lengths take the one-piece branch: the
+    # certificate reads the products whose every path is at most bound + 1
+    # long, and the category every product cut to those paths
+    certified, failed = _against_the_reference(field, 57, mixed=True)
+    assert certified >= 12 and failed >= 3
 
 
 def _dense_table(cat):
@@ -255,6 +305,42 @@ def _category_digest(cat):
 def test_certified_category_is_pinned(name):
     cat = Workspace(parse(PINNED_SOURCES[name])).categories["C"]
     assert _category_digest(cat) == PINNED_DIGESTS[name]
+    assert cat.validate().ok
+
+
+# non-homogeneous presentations whose products past bound + 1 hold ideal
+# elements: x = x^4 makes x zero, and abab = ab with aba = 0 makes ab zero
+CEILING_SOURCES = {
+    "loop": ("category C over Q\nquiver\nobject s\narrow x: s -> s\n"
+             "rel x*x*x*x = 0\nrel x - x*x*x*x = 0\nbound {bound}\n", [1, 0, 0, 0, 0]),
+    "two-objects": ("category C over Q\nquiver\nobject 1 2\narrow a: 1 -> 2\n"
+                    "arrow b: 2 -> 1\nrel a*b*a = 0\nrel a*b*a*b - a*b = 0\n"
+                    "bound {bound}\n", [2, 1, 1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CEILING_SOURCES))
+def test_non_homogeneous_relations_present_one_category_at_every_bound(name):
+    source, table = CEILING_SOURCES[name]
+    cats = [Workspace(parse(source.format(bound=bound))).categories["C"] for bound in (3, 12)]
+    assert [hochschild_cohomology(cat, 4) for cat in cats] == [table, table]
+    assert _category_digest(cats[0]) == _category_digest(cats[1])
+    assert all(cat.validate().ok for cat in cats)
+
+
+def test_certification_does_not_depend_on_the_order_of_the_relations():
+    # every path of length 4 is a product u*r*v whose paths all fit, so
+    # every order certifies; taking products only of the rows that grow
+    # the span lost some of them in two of the six orders
+    relations = ["rel y*y = 0", "rel x*x = 0", "rel y*x*y - x*x = 0"]
+    digests = set()
+    for order in itertools.permutations(relations):
+        source = ("category C over Q\nquiver\nobject s\narrow x: s -> s\n"
+                  "arrow y: s -> s\n" + "\n".join(order) + "\nbound 3\n")
+        cat = Workspace(parse(source)).categories["C"]
+        assert cat.hom_basis[("s", "s")] == ("es", "x", "y", "y*x", "x*y", "x*y*x")
+        digests.add(_category_digest(cat))
+    assert len(digests) == 1
 
 
 def test_inhomogeneous_presentation_that_does_not_die_exits_1(tmp_path, capsys):
@@ -264,5 +350,5 @@ def test_inhomogeneous_presentation_that_does_not_die_exits_1(tmp_path, capsys):
     assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"{path}: path y*x*y*y*x*x of length 6 does not reduce to 0; "
+    assert captured.err == (f"{path}: path y*y*y*y*x*x of length 6 does not reduce to 0; "
                             "cannot certify finite Hom spaces at bound 5\n")

@@ -163,6 +163,15 @@ def test_the_ideals_projections_are_a_functor_onto_the_quotient(p):
     assert composites == 1435
 
 
+@pytest.mark.parametrize("p", [0, 2, 3, 32003])
+def test_the_quotient_by_an_ideal_is_a_category(p):
+    # C/I is built unchecked: the unit and associativity laws hold because
+    # I is two-sided, and nothing at run time checks them
+    field = Field.gf(p) if p else Q
+    cases = [quotient_category(c, ideal).validate().ok for c, ideal in _ses_cases(field)]
+    assert cases == [True] * 56
+
+
 def test_each_span_complement_is_built_once(monkeypatch):
     # H, the projection, B = C/I and every C/I(x,-) read the ideal's
     # complements, and the opposite ideal shares them
