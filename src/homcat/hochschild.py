@@ -10,14 +10,17 @@ the hom-tensor adjunction; the bimodule terms themselves are only
 materialized at low degree, for the oracle cross-checks.
 
 The differential composes adjacent tensor slots with alternating signs;
-the outer two slots act on the coefficient through the enveloping
-category action, looked up once per basis morphism and far object in
-each build.  The complex is the unnormalized one (identity tensor
-factors are not stripped), but the faces that the unit law cancels are
-never evaluated.  A slot s with q_s = q_{s+1} whose basis morphism is
-1_{q_s} is an identity slot; over a maximal run of L identity slots
-from s the faces d_{s-1}..d_{s+L-1} give one source cell, and they add
-up to (-1)^(s-1) times it when L is even and to nothing when L is odd.
+the outer two slots act on the coefficient, looked up once per basis
+morphism and far object in each build.  With regular coefficients they
+are C's own pre- and post-composition matrices, so neither C^e nor the
+regular bimodule is built; any other coefficient acts through the
+enveloping category action.  The complex is the unnormalized one
+(identity tensor factors are not stripped), but the faces that the unit
+law cancels are never evaluated.  A slot s with q_s = q_{s+1} whose
+basis morphism is 1_{q_s} is an identity slot; over a maximal run of L
+identity slots from s the faces d_{s-1}..d_{s+L-1} give one source
+cell, and they add up to (-1)^(s-1) times it when L is even and to
+nothing when L is odd.
 The rule needs the unit laws (checked on tables and triangular
 categories, held by construction by quotients, certified quivers,
 opposites and tensor products) and 1 acting as the identity on the
@@ -34,7 +37,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .exactla import Mat, complex_cohomology_dims, kernel_basis, q_row, unit_vector, vkron
-from .kcat import enveloping, pair_object
+from .kcat import enveloping, opposite, pair_object
 from .modcat import BaseMismatch, FreeResolution, regular_bimodule, slot_action
 
 
@@ -205,14 +208,15 @@ def _plan(m, ids):
 
 
 class _Layout:
-    """The degree-n cochain space, one component per composable chain."""
+    """The degree-n cochain space, one component per composable chain;
+    value(x, y) is the coefficient's dimension at the chain's ends."""
 
-    def __init__(self, level, coeff):
+    def __init__(self, level, value):
         self.components = []   # (chain, slot dims, inner dim, coeff dim, offset)
         self.index = {}        # chain -> its component
         off = 0
         for tup, dims in level:
-            comp = (tup, dims, prod(dims), coeff.dims[pair_object(tup[0], tup[-1])], off)
+            comp = (tup, dims, prod(dims), value(tup[0], tup[-1]), off)
             self.components.append(comp)
             self.index[tup] = comp
             off += comp[2] * comp[3]
@@ -223,6 +227,12 @@ def hochschild_cochain_complex(c, coeff, max_deg):
     """Cochain spaces and differentials with bimodule coefficients, for
     degrees 0..max_deg+1 (so cohomology is available through max_deg).
 
+    coeff None means regular coefficients: the component at a chain has
+    dimension dim C(q_1, q_{n+1}), and the outer faces read C's
+    composition matrices (- o f) and (f o -), which are the slot actions
+    of the regular bimodule.  Any other coeff is a left module over
+    C^op tensor C of this C and acts through `slot_action`.
+
     The matrices are those of the unnormalized complex, entry for entry,
     built without the faces that the unit law cancels (module
     docstring): d_{s-1} and d_s of an identity slot s both give the cell
@@ -230,16 +240,17 @@ def hochschild_cochain_complex(c, coeff, max_deg):
     as the identity on the coefficient.  Scalar terms are summed per
     source block before they are spread over the coefficient diagonal,
     and each row is reduced once."""
-    if coeff.side != "left":
-        raise InvalidCoefficient("coefficient must be a left module over the enveloping category")
-    env = coeff.base
-    if env.product_of is None:
-        raise InvalidCoefficient("coefficient base is not an enveloping category")
-    for x in c.objects:
-        if pair_object(x, x) not in env.objects:
-            raise InvalidCoefficient("coefficient does not match the category's enveloping")
+    if coeff is None:
+        value = c.dim
+    else:
+        if coeff.side != "left":
+            raise InvalidCoefficient(
+                "coefficient must be a left module over the enveloping category")
+        if coeff.base.product_of != (opposite(c), c):
+            raise InvalidCoefficient("coefficient base is not the category's enveloping")
+        value = lambda x, y: coeff.dims[pair_object(x, y)]
     p = c.field.p
-    layouts = [_Layout(level, coeff) for level in _chains(c, max_deg + 1)]
+    layouts = [_Layout(level, value) for level in _chains(c, max_deg + 1)]
     unit = {}                  # object -> basis index of its identity
     for x in c.objects:
         nz = [(i, a) for i, a in enumerate(c.id_coords(x)) if a]
@@ -254,14 +265,16 @@ def hochschild_cochain_complex(c, coeff, max_deg):
         outer face always lies in a run and is never evaluated."""
         key = (first, x, y, far)
         if key not in acts:
-            # the first slot is C^op, where C(x,y) is C^op(y,x)
-            a, b = (y, x) if first else (x, y)
+            if coeff is None:      # h -> h o f and h -> f o h on C itself
+                act = ((lambda i: c.pre_matrix_basis(x, y, far, i)) if first
+                       else (lambda i: c.post_matrix_basis(far, x, y, i)))
+            else:                  # the first slot is C^op, where C(x,y) is C^op(y,x)
+                a, b = (y, x) if first else (x, y)
+                act = lambda i: slot_action(coeff, first, a, b, i, far)
             skip = unit.get(x) if x == y else None
-            acts[key] = [
-                None if i == skip else
-                [(r, s, v) for r, row in enumerate(slot_action(coeff, first, a, b, i, far).nz)
-                 for s, v in row.items()]
-                for i in range(c.dim(x, y))]
+            acts[key] = [None if i == skip else
+                         [(r, s, v) for r, row in enumerate(act(i).nz) for s, v in row.items()]
+                         for i in range(c.dim(x, y))]
         return acts[key]
 
     def face(n, tup, dims, j):
@@ -355,12 +368,10 @@ def hochschild_cochain_complex(c, coeff, max_deg):
     return CochainComplex(c.field, [l.dim for l in layouts], diffs)
 
 
-def hochschild_cohomology(c, max_deg=4, coeff=None, env=None):
-    """H^0..H^max_deg with regular coefficients (or any given bimodule)."""
-    if coeff is None:
-        coeff = regular_bimodule(c, env)
-    complex_ = hochschild_cochain_complex(c, coeff, max_deg)
-    return complex_.cohomology(max_deg)
+def hochschild_cohomology(c, max_deg=4, coeff=None):
+    """H^0..H^max_deg with regular coefficients, read off C's own
+    composition (coeff None), or with any given bimodule over C^e."""
+    return hochschild_cochain_complex(c, coeff, max_deg).cohomology(max_deg)
 
 
 def center(c):

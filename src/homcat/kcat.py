@@ -26,9 +26,10 @@ identity coordinates, both in report form (Fractions over Q).
 
 A tensor product category A tensor B (C^e = C^op tensor C among them)
 keeps no rows at all (`rows` is None): basis index ic * dim + id pairs
-the factors' bases, composites are Kronecker products of the factors'
-rows, its pre/post-composition matrices are `kron`s of theirs, and its
-opposite is A^op tensor B^op.
+the factors' bases, Hom dimensions are products of the factors', labels
+are paired only when `hom_basis` is first read, composites are Kronecker
+products of the factors' rows, its pre/post-composition matrices are
+`kron`s of theirs, and its opposite is A^op tensor B^op.
 
 Tensor products, opposites, enveloping categories, quotients by ideals,
 triangular matrix categories and their models, and one-point extensions
@@ -106,9 +107,6 @@ class FiniteKCategory:
                  product_of=None, triangular=None, paths=None):
         self.field = field
         self.objects = tuple(objects)
-        self.hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
-        for pair in [(x, y) for x in self.objects for y in self.objects]:
-            self.hom_basis.setdefault(pair, ())
         self.rows = rows             # None for a product category
         self._identity = identity    # working form; `identity` reports it
         self.product_of = product_of
@@ -117,22 +115,42 @@ class FiniteKCategory:
         self._report = None          # validate()'s report, once computed
         self._post_cache = {}
         self._pre_cache = {}
-        if product_of is not None:
-            a, b = product_of
-            self._factors = {pair_object(u, v): (u, v) for u in a.objects for v in b.objects}
         if len(set(self.objects)) != len(self.objects) or not self.objects:
             raise InvalidCategory(_quick_report("objects", "object list empty or duplicated"))
-        for (x, y), labels in self.hom_basis.items():
-            if len(set(labels)) != len(labels):
-                raise InvalidCategory(_quick_report((x, y), "duplicate basis labels"))
+        if product_of is None:
+            self._hom_basis = {k: tuple(v) for k, v in hom_basis.items()}
+            for pair in [(x, y) for x in self.objects for y in self.objects]:
+                self._hom_basis.setdefault(pair, ())
+            for (x, y), labels in self._hom_basis.items():
+                if len(set(labels)) != len(labels):
+                    raise InvalidCategory(_quick_report((x, y), "duplicate basis labels"))
+            self.hom_dims = {k: len(v) for k, v in self._hom_basis.items()}
+        else:
+            # Hom dimensions come from the factors, labels only when read
+            a, b = product_of
+            self._factors = f = {pair_object(u, v): (u, v) for u in a.objects for v in b.objects}
+            self._hom_basis = None
+            self.hom_dims = {(o1, o2): a.dim(u1, u2) * b.dim(v1, v2)
+                             for o1, (u1, v1) in f.items() for o2, (u2, v2) in f.items()}
 
     # -- basic accessors ---------------------------------------------------
 
+    @property
+    def hom_basis(self):
+        """The basis labels of every Hom space; a product pairs its
+        factors' labels, built on the first read."""
+        if self._hom_basis is None:
+            (a, b), f = self.product_of, self._factors
+            self._hom_basis = {(o1, o2): tuple(pair_label(g, h) for g in a.hom_basis[(u1, u2)]
+                                               for h in b.hom_basis[(v1, v2)])
+                               for o1, (u1, v1) in f.items() for o2, (u2, v2) in f.items()}
+        return self._hom_basis
+
     def dim(self, x, y):
-        return len(self.hom_basis[(x, y)])
+        return self.hom_dims[(x, y)]
 
     def total_dim(self):
-        return sum(len(v) for v in self.hom_basis.values())
+        return sum(self.hom_dims.values())
 
     @property
     def identity(self):
@@ -452,21 +470,15 @@ def pair_label(f, g):
 def tensor_category(c, d):
     """Mitchell's tensor product category: objects are pairs, Hom spaces
     are tensor products, composition is componentwise.  It keeps no
-    composition table: composites are answered from the factors."""
+    composition table and no labels: Hom dimensions and composites are
+    answered from the factors, and labels are paired when first read."""
     if c.field != d.field:
         raise FieldMismatch("tensor product over different fields")
     field = c.field
     objects = [pair_object(a, b) for a in c.objects for b in d.objects]
-    source = {pair_object(a, b): (a, b) for a in c.objects for b in d.objects}
-    hom = {}
-    for o1, (a, b) in source.items():
-        for o2, (a2, b2) in source.items():
-            hom[(o1, o2)] = tuple(pair_label(f, g)
-                                  for f in c.hom_basis[(a, a2)]
-                                  for g in d.hom_basis[(b, b2)])
     identity = {pair_object(a, b): vkron(field, c.id_coords(a), d.id_coords(b))
                 for a in c.objects for b in d.objects}
-    return FiniteKCategory(field, objects, hom, None, identity, product_of=(c, d))
+    return FiniteKCategory(field, objects, None, None, identity, product_of=(c, d))
 
 
 def enveloping(c):

@@ -153,7 +153,7 @@ class CatModule:
     def validate(self):
         c = self.base
         for (x, y, i), m in self.act.items():
-            if (x, y) not in c.hom_basis or i >= c.dim(x, y):
+            if (x, y) not in c.hom_dims or i >= c.dim(x, y):
                 raise InvalidModule(f"action for unknown basis morphism ({x},{y},{i})")
             if m.shape != self._shape(x, y):
                 raise InvalidModule(

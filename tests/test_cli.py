@@ -14,6 +14,7 @@ from homcat.cli import (
 )
 from homcat.exactla import Field, VerificationFailed
 from homcat.ideals import ideal_from_generators, zero_ideal
+from homcat.kcat import FiniteKCategory, opposite
 
 A2_SRC = """\
 # the path category of 1 -> 2
@@ -364,6 +365,39 @@ rel b*a - 1/5*b*c = 0
 """)
     assert main([str(path), "--field", "gf:5"]) == 1
     assert main([str(path)]) == 0
+
+
+A3_IDEAL_SRC = """\
+category A over Q
+quiver
+object 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+ideal I in A gens: e1
+"""
+
+
+@pytest.mark.parametrize("task, built", [("cohomology A", 0), ("les A I", 1)])
+def test_a_task_builds_only_the_enveloping_categories_it_resolves_over(task, built,
+                                                                     monkeypatch):
+    # regular coefficients read a category's own composition, so HH(C) and
+    # the independent HH(C/I) build no enveloping category; the les
+    # resolution and its sequence share one C^e
+    products = []
+    init = FiniteKCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.product_of is not None:
+            products.append(self)
+
+    monkeypatch.setattr(FiniteKCategory, "__init__", counting)
+    ws = Workspace(parse(A3_IDEAL_SRC + f"task {task}\n"))
+    reports, code = run_workspace(ws, {"max_degree": 3, "seed": 0})
+    assert code == 0
+    assert len(products) == built
+    cat = ws.categories["A"]
+    assert all(prod.product_of == (opposite(cat), cat) for prod in products)
 
 
 QUIVER_HEAD = "category A over Q\nquiver\nobject 1 2\n"

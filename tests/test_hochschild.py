@@ -8,7 +8,8 @@ from homcat.cli import Workspace, parse
 from homcat.exactla import Field, Mat, add_to_row, complex_cohomology_dims
 from homcat.ideals import ideal_from_generators, triangular_ideal
 from homcat.kcat import (FiniteKCategory, category_from_tables, enveloping, one_point_data,
-                         pair_object, quotient_category, tensor_category, triangular_model)
+                         one_point_extension, pair_object, quotient_category,
+                         tensor_category, triangular_model)
 from homcat.modcat import (ext, ext_data, ideal_bimodule, module_hom, regular_bimodule,
                            slot_action)
 from homcat.hochschild import (
@@ -140,12 +141,12 @@ def test_layout_components_are_the_composable_chains():
     # tuples, in content and in lexicographic order
     for field in (Q, Field.gf(2)):
         for name, cat in route_categories(field).items():
-            reg = regular_bimodule(cat)
             terms = bar_dims(cat, 3)
             for n in range(4):
                 brute = [t for t in iproduct(cat.objects, repeat=n + 1)
                          if all(cat.dim(t[i], t[i + 1]) for i in range(n))]
-                assert [comp[0] for comp in _Layout(_chains(cat, 3)[n], reg).components] == brute, name
+                layout = _Layout(_chains(cat, 3)[n], cat.dim)
+                assert [comp[0] for comp in layout.components] == brute, name
                 assert [t[0] for t in terms[n].tuples] == brute, name
 
 
@@ -297,6 +298,12 @@ def test_invalid_coefficient_rejected():
     a2 = zoo.a2(Q)
     with pytest.raises(InvalidCoefficient):
         hochschild_cochain_complex(a2, regular_bimodule(zoo.dual_numbers(Q)), 2)
+    # both quivers name their objects 1 and 2, so every pair object exists
+    # in the other's enveloping category
+    with pytest.raises(InvalidCoefficient):
+        hochschild_cohomology(a2, 2, coeff=regular_bimodule(zoo.kronecker(Q)))
+    with pytest.raises(InvalidCoefficient):
+        hochschild_cohomology(zoo.kronecker(Q), 2, coeff=regular_bimodule(a2))
 
 
 def first_arrow_ideal(cat):
@@ -422,8 +429,8 @@ def triangular_models(field):
     return models
 
 
-def assembly_cases(field):
-    """(name, category, coefficient bimodule) for the assembly oracle."""
+def assembly_categories(field):
+    """The categories of the assembly oracle, by name."""
     cats = dict(route_categories(field))
     cats.update(triangular_models(field))
     for n in (3, 4):
@@ -434,7 +441,12 @@ def assembly_cases(field):
     cats["shifted dual"] = dual_numbers_shifted_basis(field)
     # a product category keeps no composition rows and answers from its factors
     cats["dual x A2"] = tensor_category(zoo.dual_numbers(field), zoo.a2(field))
-    for name, cat in cats.items():
+    return cats
+
+
+def assembly_cases(field):
+    """(name, category, coefficient bimodule) for the assembly oracle."""
+    for name, cat in assembly_categories(field).items():
         yield name, cat, regular_bimodule(cat)
     twisted = {"A2": zoo.a2(field), "A3": zoo.a3(field), "kronecker": zoo.kronecker(field)}
     for seed in RANDOM_SEEDS:
@@ -458,6 +470,24 @@ def test_assembly_matches_the_face_by_face_reference(field):
             assert got == want, (name, n)
         count += 1
     assert count == 37
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_regular_coefficients_are_the_regular_bimodule(field):
+    # the route that reads C's own composition matrices against the one
+    # that acts through the regular bimodule over C^e, entry for entry;
+    # the shifted dual numbers have no identity slot, the product's middle
+    # faces are answered from its factors, and on the one object of
+    # [K 0; K K] pre- and post-composition by a loop differ
+    cats = assembly_categories(field)
+    ws = Workspace(parse(TRIANGULAR_SOURCES["point-happel-1"]), field_override=field)
+    cats["[K 0; K K]"] = one_point_extension(ws.categories["U"], ws.modules["S"])
+    for name, cat in cats.items():
+        got = hochschild_cochain_complex(cat, None, 4)
+        want = hochschild_cochain_complex(cat, regular_bimodule(cat), 4)
+        assert got.dims == want.dims, name
+        for n, (mine, theirs) in enumerate(zip(got.diffs, want.diffs)):
+            assert mine == theirs, (name, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -13,7 +13,7 @@ from homcat.kcat import (
     EMPTY_ROW, FiniteKCategory, InvalidBimodule, InvalidCategory, ParentMismatch, enveloping,
     one_point_extension, opposite, quotient_category,
     tensor_category, triangular_matrix, triangular_model, unit_category,
-    category_from_tables, pair_object,
+    category_from_tables, pair_label, pair_object,
 )
 from homcat import zoo
 from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
@@ -771,6 +771,39 @@ def test_product_categories_match_the_dense_product_table(field):
                                 for x in prod.objects for y in prod.objects}
         _check_against_table(op, _transposed(table), rng)
         assert opposite(op) == prod
+
+
+def _eager_labels(cat):
+    """Every Hom label tuple of cat, those of a product paired eagerly
+    from its factors' as tensor_category once built them."""
+    if cat.product_of is None:
+        return cat.hom_basis
+    c, d = cat.product_of
+    hc, hd = _eager_labels(c), _eager_labels(d)
+    source = {pair_object(a, b): (a, b) for a in c.objects for b in d.objects}
+    return {(o1, o2): tuple(pair_label(f, g) for f in hc[(a, a2)] for g in hd[(b, b2)])
+            for o1, (a, b) in source.items() for o2, (a2, b2) in source.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_product_labels_are_paired_when_first_read(field):
+    # a product answers Hom dimensions from its factors and builds no
+    # label until hom_basis is read; then the labels are the eager ones
+    prods = [enveloping(c) for c in zoo.standard_categories(field).values()]
+    prods.append(enveloping(_certified(field, "A3")))
+    prods.append(opposite(tensor_category(zoo.a2(field), zoo.dual_numbers(field))))
+    env = enveloping(zoo.kronecker(field))
+    prods.append(tensor_category(opposite(env), env))
+    for prod in prods:
+        want = _eager_labels(prod)
+        assert prod.total_dim() == sum(map(len, want.values()))
+        for x in prod.objects:
+            for y in prod.objects:
+                assert prod.dim(x, y) == len(want[(x, y)])
+        assert prod._hom_basis is None
+        assert prod.hom_basis == want
+        assert [label for *_, label in prod.basis_morphisms()] == [
+            label for x in prod.objects for y in prod.objects for label in want[(x, y)]]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
