@@ -45,15 +45,14 @@ import sys
 from fractions import Fraction
 
 from .certify import FinitenessError, UnresolvedName, build_quiver_category, coefficient
-from .exactla import Field, FieldMismatch, Mat, VerificationFailed, unit_vector, vadd, vscale
+from .exactla import (Field, FieldMismatch, Mat, VerificationFailed, complex_cohomology_dims,
+                      unit_vector, vadd, vscale)
 from .kcat import (InvalidBimodule, InvalidCategory, NotTriangular, UnknownObject,
-                   category_from_tables)
+                   category_from_tables, enveloping)
 from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
-from .modcat import BaseMismatch, CatModule, InvalidModule, bimodule
+from .modcat import (BaseMismatch, CatModule, InvalidModule, bimodule, ext, ext_data,
+                     regular_bimodule)
 from .hochschild import bar_resolution, hochschild_cohomology, center
-from .modcat import ext, ext_data, regular_bimodule
-from .exactla import complex_cohomology_dims
-from .kcat import enveloping
 from .theorems import (HypothesisFailed, ZeroModule, cmp_pipeline, happel_pipeline,
                        strongly_idempotent_check, theorem_les_pipeline,
                        audit_hypotheses)
@@ -253,6 +252,7 @@ class CategoryDecl:
         self.homs = []                 # (x, y, [names])
         self.comps = []                # (g, f, terms)
         self.ids = []                  # (x, terms)
+        self.keyed = set()             # the keyed lines read so far (`_once`)
         self.line = line
 
 
@@ -264,6 +264,7 @@ class ModuleDecl:
         self.side = side
         self.dims = []                 # (obj, k)
         self.acts = []                 # (arrow name, matrix rows)
+        self.keyed = set()
         self.line = line
 
 
@@ -276,6 +277,7 @@ class BimoduleDecl:
         self.dims = []                 # (U, T, k)
         self.lacts = []                # (u-arrow, T, rows)
         self.racts = []                # (t-arrow, U, rows)
+        self.keyed = set()
         self.line = line
 
 
@@ -304,7 +306,7 @@ class WorkspaceFile:
         self.bimodules = {}
         self.ideals = {}
         self.tasks = []
-        self.order = []                # declaration order for printing
+        self.order = []                # declaration order, the order of building
 
 
 # task kind -> number of arguments
@@ -343,8 +345,7 @@ def parse(source):
                 spec = ("GF", p)
             else:
                 raise ParseError(line_no, fcol + 1, "field must be Q or GF(p)")
-            if name in ws.categories:
-                raise ParseError(line_no, 1, f"duplicate category {name}")
+            _unique(ws.categories, "category", name, line_no)
             current = CategoryDecl(name, spec, line_no)
             ws.categories[name] = current
             ws.order.append(("category", name))
@@ -382,12 +383,14 @@ def parse(source):
         elif word == "bound":
             ts.next()
             _require_block(current, CategoryDecl, "quiver", line_no, word)
+            _once(current, "bound", line_no)
             current.bound = _expect_int(ts)
         elif word == "hom":
             ts.next()
             _require_block(current, CategoryDecl, "table", line_no, word)
             x = _name_or_num(ts, line_no)
             y = _name_or_num(ts, line_no)
+            _once(current, f"hom {x} {y}", line_no)
             ts.expect(":")
             names = []
             while not ts.done():
@@ -399,6 +402,7 @@ def parse(source):
             g = ts.expect("NAME")[1]
             ts.expect("*")
             f = ts.expect("NAME")[1]
+            _once(current, f"comp {g}*{f}", line_no)
             ts.expect("=")
             terms = _parse_lincomb(ts)
             current.comps.append((g, f, terms))
@@ -406,6 +410,7 @@ def parse(source):
             ts.next()
             _require_block(current, CategoryDecl, "table", line_no, word)
             x = _name_or_num(ts, line_no)
+            _once(current, f"id {x}", line_no)
             ts.expect("=")
             terms = _parse_lincomb(ts)
             current.ids.append((x, terms))
@@ -418,6 +423,7 @@ def parse(source):
             side = ts.expect("NAME")[1]
             if side not in ("left", "right"):
                 raise ParseError(line_no, 1, "module side must be left or right")
+            _unique(ws.modules, "module", name, line_no)
             current = ModuleDecl(name, cat, side, line_no)
             ws.modules[name] = current
             ws.order.append(("module", name))
@@ -431,6 +437,7 @@ def parse(source):
             ts.expect(",")
             t = ts.expect("NAME")[1]
             ts.expect(")")
+            _unique(ws.bimodules, "bimodule", name, line_no)
             current = BimoduleDecl(name, u, t, line_no)
             ws.bimodules[name] = current
             ws.order.append(("bimodule", name))
@@ -438,11 +445,13 @@ def parse(source):
             ts.next()
             if isinstance(current, ModuleDecl):
                 obj = _name_or_num(ts, line_no)
+                _once(current, f"dim {obj}", line_no)
                 ts.expect("=")
                 current.dims.append((obj, _expect_int(ts)))
             elif isinstance(current, BimoduleDecl):
                 uo = _name_or_num(ts, line_no)
                 to = _name_or_num(ts, line_no)
+                _once(current, f"dim {uo} {to}", line_no)
                 ts.expect("=")
                 current.dims.append((uo, to, _expect_int(ts)))
             else:
@@ -452,6 +461,7 @@ def parse(source):
             if not isinstance(current, ModuleDecl):
                 raise ParseError(line_no, 1, "'act' outside a module block")
             arrow = ts.expect("NAME")[1]
+            _once(current, f"act {arrow}", line_no)
             ts.expect("=")
             current.acts.append((arrow, _parse_matrix(ts)))
         elif word in ("lact", "ract"):
@@ -460,6 +470,7 @@ def parse(source):
                 raise ParseError(line_no, 1, f"'{word}' outside a bimodule block")
             arrow = ts.expect("NAME")[1]
             other = _name_or_num(ts, line_no)
+            _once(current, f"{word} {arrow} {other}", line_no)
             ts.expect("=")
             rows = _parse_matrix(ts)
             (current.lacts if word == "lact" else current.racts).append((arrow, other, rows))
@@ -478,6 +489,7 @@ def parse(source):
                 gens.append(_parse_lincomb(ts))
                 if ts.peek()[0] == ",":
                     ts.next()
+            _unique(ws.ideals, "ideal", name, line_no)
             current = None
             ws.ideals[name] = IdealDecl(name, cat, gens, line_no)
             ws.order.append(("ideal", name))
@@ -511,6 +523,18 @@ def _require_block(current, klass, kind, line_no, word):
         raise ParseError(line_no, 1, f"'{word}' is only valid in a {kind} block")
 
 
+def _unique(table, kind, name, line_no):
+    if name in table:
+        raise ParseError(line_no, 1, f"duplicate {kind} {name}")
+
+
+def _once(block, key, line_no):
+    # a second keyed line would silently replace the first
+    if key in block.keyed:
+        raise ParseError(line_no, 1, f"repeated '{key}' in {block.name}")
+    block.keyed.add(key)
+
+
 def _expect_int(ts):
     tok = ts.expect("NUM")
     if "/" in tok[1]:
@@ -523,84 +547,6 @@ def _name_or_num(ts, line_no):
     if tok[0] not in ("NAME", "NUM"):
         raise ParseError(line_no, tok[2] + 1, "expected an identifier")
     return tok[1]
-
-
-# ---------------------------------------------------------------------------
-# canonical printing (machine format)
-
-def format_workspace(ws):
-    lines = []
-    for kind, key in ws.order:
-        if kind == "category":
-            d = ws.categories[key]
-            f = "Q" if d.field_spec == "Q" else f"GF({d.field_spec[1]})"
-            lines.append(f"category {d.name} over {f}")
-            lines.append(d.kind)
-            if d.kind == "quiver":
-                if d.objects:
-                    lines.append("object " + " ".join(d.objects))
-                for name, s, g in d.arrows:
-                    lines.append(f"arrow {name}: {s} -> {g}")
-                for terms in d.relations:
-                    lines.append(f"rel {_format_lincomb(terms)} = 0")
-                if d.bound != DEFAULT_BOUND:
-                    lines.append(f"bound {d.bound}")
-            else:
-                for x, y, names in d.homs:
-                    lines.append(f"hom {x} {y}: " + " ".join(names))
-                for g, f_, terms in d.comps:
-                    lines.append(f"comp {g}*{f_} = {_format_lincomb(terms)}")
-                for x, terms in d.ids:
-                    lines.append(f"id {x} = {_format_lincomb(terms)}")
-        elif kind == "module":
-            d = ws.modules[key]
-            lines.append(f"module {d.name} over {d.cat} {d.side}")
-            for obj, k in d.dims:
-                lines.append(f"dim {obj} = {k}")
-            for arrow, rows in d.acts:
-                lines.append(f"act {arrow} = {_format_matrix(rows)}")
-        elif kind == "bimodule":
-            d = ws.bimodules[key]
-            lines.append(f"bimodule {d.name} over ({d.u},{d.t})")
-            for uo, to, k in d.dims:
-                lines.append(f"dim {uo} {to} = {k}")
-            for arrow, other, rows in d.lacts:
-                lines.append(f"lact {arrow} {other} = {_format_matrix(rows)}")
-            for arrow, other, rows in d.racts:
-                lines.append(f"ract {arrow} {other} = {_format_matrix(rows)}")
-        elif kind == "ideal":
-            d = ws.ideals[key]
-            gens = ", ".join(_format_lincomb(g) for g in d.gens)
-            lines.append(f"ideal {d.name} in {d.cat} gens: {gens}")
-        elif kind == "task":
-            d = ws.tasks[key]
-            lines.append(f"task {d.kind} " + " ".join(d.args))
-    return "\n".join(lines) + "\n"
-
-
-def _format_lincomb(terms):
-    parts = []
-    for i, (coeff, path) in enumerate(terms):
-        c = Fraction(coeff)
-        label = "*".join(path) if path else None
-        neg = c < 0
-        mag = -c if neg else c
-        if label is None:
-            body = str(mag)
-        elif mag == 1:
-            body = label
-        else:
-            body = f"{mag}*{label}"
-        if i == 0:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts) if parts else "0"
-
-
-def _format_matrix(rows):
-    return "[" + ",".join("[" + ",".join(str(Fraction(v)) for v in row) + "]"
-                          for row in rows) + "]"
 
 
 # ---------------------------------------------------------------------------

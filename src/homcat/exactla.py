@@ -100,10 +100,6 @@ class Field:
             raise ValueError("GF(p) needs a prime p, got 0")
         return cls(p)
 
-    @property
-    def kind(self):
-        return "rationals" if self.p == 0 else "prime-field"
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 
@@ -365,9 +361,6 @@ class Mat:
                                tuple(_merge(self.field, r1, r2, neg=True)
                                      for r1, r2 in zip(self.nz, other.nz)))
 
-    def neg(self):
-        return self.scale(-1)
-
     def scale(self, c):
         f = self.field
         c = f.of(c)
@@ -443,18 +436,6 @@ def hstack(mats):
                 out[off + j] = x
         off += m.cols
     return Mat.from_sparse(field, rows, off, tuple(nz))
-
-
-def vstack(mats):
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack of nothing")
-    field, cols = mats[0].field, mats[0].cols
-    for m in mats:
-        if m.cols != cols or m.field != field:
-            raise ValueError("vstack shape/field mismatch")
-    return Mat.from_sparse(field, sum(m.rows for m in mats), cols,
-                           tuple(r for m in mats for r in m.nz))
 
 
 def block_diag(field, mats, rows=0, cols=0):

@@ -45,33 +45,12 @@ class InvalidCoefficient(BaseMismatch):
     pass
 
 
-class BarTerm:
-    """Dimension summary of one bar term: per-tuple inner dimensions and
-    the total dimension as a bimodule."""
-
-    def __init__(self, degree, tuples, total):
-        self.degree = degree
-        self.tuples = tuples          # list of (tuple, inner_dim, bimodule_dim)
-        self.total = total
-
-    def __repr__(self):
-        return f"BarTerm(degree={self.degree}, total={self.total})"
-
-
 class CochainComplex:
 
     def __init__(self, field, dims, diffs):
         self.field = field
         self.dims = list(dims)        # degrees 0..L
         self.diffs = list(diffs)      # diffs[n]: dims[n] -> dims[n+1]
-
-    def verify_dd(self):
-        """Indices n with d^{n+1} o d^n != 0 (empty = complex)."""
-        bad = []
-        for n in range(len(self.diffs) - 1):
-            if not self.diffs[n + 1].mul(self.diffs[n]).is_zero():
-                bad.append(n)
-        return bad
 
     def cohomology(self, upto):
         if upto >= len(self.diffs):
@@ -92,18 +71,6 @@ def _chains(c, top):
                  for ch, dims in level for y in c.objects if dim[ch[-1], y]]
         levels.append(level)
     return levels
-
-
-def bar_dims(c, max_deg):
-    """Dimension summaries of the bar terms, nothing materialized."""
-    into = {x: sum(c.dim(y, x) for y in c.objects) for x in c.objects}
-    out_of = {x: sum(c.dim(x, y) for y in c.objects) for x in c.objects}
-    out = []
-    for n, level in enumerate(_chains(c, max_deg)):
-        tuples = [(tup, prod(dims), into[tup[0]] * prod(dims) * out_of[tup[-1]])
-                  for tup, dims in level]
-        out.append(BarTerm(n, tuples, sum(t[2] for t in tuples)))
-    return out
 
 
 def bar_resolution(c, length, env=None, regular=None):

@@ -125,16 +125,6 @@ def ideal_from_generators(c, gens):
     return TwoSidedIdeal(c, _saturate(c, seeds), check=False)
 
 
-def zero_ideal(c):
-    return TwoSidedIdeal(c, {}, check=False)
-
-
-def whole_ideal(c):
-    span = {(x, y): Mat.identity(c.field, c.dim(x, y))
-            for x in c.objects for y in c.objects}
-    return TwoSidedIdeal(c, span, check=False)
-
-
 def ideal_product(i, j):
     """The ideal I*J spanned by g o f over all middle objects
     (f in J(x,y), g in I(y,z))."""

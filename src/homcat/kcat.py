@@ -21,8 +21,8 @@ tables (the zoo, `.kcat` tables, tests) enter through
 `category_from_tables` alone.  Validation (unit laws, associativity),
 `compose` and the pre/post-composition matrices read the rows, so they cost nonzero structure constants, not dense vectors.
 Entries are in the working form of `exactla` (ints where integral over
-Q); `compose_basis` renders one composite densely and `identity` the
-identity coordinates, both in report form (Fractions over Q).
+Q); `identity` gives the identity coordinates in report form (Fractions
+over Q).
 
 A tensor product category A tensor B (C^e = C^op tensor C among them)
 keeps no rows at all (`rows` is None): basis index ic * dim + id pairs
@@ -193,11 +193,6 @@ class FiniteKCategory:
         if p:
             return {kc * w + kd: u * v % p for kc, u in rc.items() for kd, v in rd.items()}
         return q_row({kc * w + kd: u * v for kc, u in rc.items() for kd, v in rd.items()})
-
-    def compose_basis(self, x, y, z, i, j):
-        """Coordinates of g_j o f_i as a dense tuple, in report form."""
-        return report_form(self.field, dense_row(self.field, self.basis_row(x, y, z, i, j),
-                                                 self.dim(x, z)))
 
     def _compose_rows(self, x, y, z, f, g):
         """g o f for sparse f in Hom(x,y) and g in Hom(y,z), as a sparse row."""

@@ -16,13 +16,12 @@ such as the M of a triangular matrix category is likewise a left module
 over T^op tensor U (`bimodule`), and a left module lifted over the unit
 category (`over_unit`) is the bimodule of a one-point extension.
 
-Hom and the tensor over C share one intertwining system: Hom(M, N) is
-its kernel, and over a field N tensor_C M is the complement of the
-system for Hom(M, D(N)) (Cartan-Eilenberg, Homological Algebra, VI).
-Modules over a product category A tensor B (the regular bimodule, outer
-tensors, swapped products, box tensors) are assembled by one loop over
-pair objects, and one slot action gives a basis morphism acting in one
-factor with an identity in the other.
+Hom(M, N) is the kernel of one intertwining system, which the tensor
+over C of `homcat.reference` shares.  Modules over a product category
+A tensor B (the regular bimodule, bimodules, lifts over the unit
+category) are assembled by one loop over pair objects, and one slot
+action gives a basis morphism acting in one factor with an identity in
+the other.
 
 Resolutions are presentations by representables: a term is a finite
 coproduct of representables C(x,-), and a differential is the list of
@@ -46,8 +45,8 @@ the top nonempty level of the resolution, above which they vanish.
 from __future__ import annotations
 
 from .exactla import (
-    ComplementData, EchelonSpace, Mat, add_to_row, block_diag, complex_cohomology_dims,
-    dense_row, kernel_basis, kron, product, rank, solve, unit_rows,
+    EchelonSpace, Mat, add_to_row, block_diag, complex_cohomology_dims, dense_row,
+    kernel_basis, product, solve, unit_rows,
 )
 from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
@@ -237,9 +236,6 @@ class ModuleMap:
         comp = {x: product(other.comp[x], self.comp[x]) for x in self.comp}
         return ModuleMap(self.source, other.target, comp, check=False)
 
-    def is_zero(self):
-        return all(m.is_zero() for m in self.comp.values())
-
     def flatten(self):
         out = []
         for x in self.source.base.objects:
@@ -251,10 +247,6 @@ class ModuleMap:
 
 # ---------------------------------------------------------------------------
 # basic modules
-
-def zero_module(c, side="left"):
-    return CatModule(c, side, {}, {}, check=False)
-
 
 def representable(c, x, side="left"):
     """C(x,-) as a left module / C(-,x) as a right module."""
@@ -322,19 +314,6 @@ def simple(c, x, side="left"):
         raise InvalidModule(f"no simple module supported at {x}: {exc}") from exc
 
 
-def direct_sum(modules):
-    if not modules:
-        raise ValueError("direct sum of nothing")
-    base, side = modules[0].base, modules[0].side
-    for m in modules:
-        if m.base != base or m.side != side:
-            raise BaseMismatch("direct sum of incompatible modules")
-    dims = {x: sum(m.dims[x] for m in modules) for x in base.objects}
-    act = {(x, y, i): block_diag(base.field, [m.act_mat(x, y, i) for m in modules])
-           for x, y, i in live_morphisms(base, dims, dims)}
-    return CatModule(base, side, dims, act, check=False)
-
-
 def dualize(m):
     """Value-wise linear dual with transposed actions (opposite side),
     built once and kept on m."""
@@ -348,11 +327,6 @@ def dualize(m):
 def as_left_over_op(m, base_op=None):
     """A right C-module is the same thing as a left module over C^op."""
     return _over_op(m, "right", "left", base_op)
-
-
-def as_right_over_op(m, base_op=None):
-    """A left C-module is the same thing as a right module over C^op."""
-    return _over_op(m, "left", "right", base_op)
 
 
 def _over_op(m, side, op_side, base_op):
@@ -383,23 +357,6 @@ def restrict_module(m, ideal):
 
 # ---------------------------------------------------------------------------
 # submodules, quotients, generators
-
-def _orbit_closure(m, seeds, spaces=None):
-    """Echelon spans of the submodule generated by (object, vector) seeds,
-    grown in place from `spaces` when given (they must already span a
-    submodule).  The submodule generated by v in M(x) is the image of
-    f -> f.v on C(x,-) (Yoneda), so one pass over the basis morphisms out
-    of x closes it; a seed already inside the spans adds nothing."""
-    c = m.base
-    if spaces is None:
-        spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
-    out_arrows = m.out_arrows()
-    for x, vec in seeds:
-        if not spaces[x].contains(vec):
-            for y, mat in out_arrows[x]:
-                spaces[y].add(mat.mul_vec(vec))
-    return spaces
-
 
 def submodule_module(m, spans):
     """The submodule with the given reduced column spans (`unit_rows`).
@@ -455,7 +412,7 @@ def quotient_representable(c, ideal, x, side="left"):
 
 
 # ---------------------------------------------------------------------------
-# Hom and tensor
+# Hom
 
 def _intertwining_system(source, target):
     """Block offsets and the linear system whose kernel is
@@ -522,34 +479,6 @@ class HomBasis:
 def module_hom(m, n):
     """Basis of Hom_{Mod}(m, n)."""
     return HomBasis(m, n)
-
-
-class TensorSpace:
-    """The coend (direct sum of pointwise tensors modulo the bimodule
-    relations) of a right module n with a left module m.
-
-    Over a field n tensor m is the linear dual of Hom(m, D(n))
-    (Cartan-Eilenberg, Homological Algebra, VI), and the relations are
-    exactly the rows of that intertwining system: the tensor space is the
-    complement of their span, with n(x) tensor m(x) at the same offsets."""
-
-    def __init__(self, n, m):
-        if n.base != m.base:
-            raise BaseMismatch("tensor over different base categories")
-        if n.side != "right" or m.side != "left":
-            raise BaseMismatch("tensor_over_cat takes (right, left)")
-        self.n = n
-        self.m = m
-        _, relations = _intertwining_system(m, dualize(n))
-        self.ambient = relations.cols
-        self.comp = ComplementData(relations.transpose())
-        self.dim = self.comp.dim
-        self.proj = self.comp.proj
-        self.section = self.comp.section
-
-
-def tensor_over_cat(n, m):
-    return TensorSpace(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -642,34 +571,6 @@ def slot_action(m, first, x, y, i, far):
                      {k * b.dim(x, y) + i: v for k, v in enumerate(a.id_coords(far)) if v})
 
 
-def _factor_slice(m, first, far):
-    """The left module over the factor A (first) or B of m's base
-    A tensor B that a left module m restricts to at the object far of the
-    other factor, acted on through `slot_action`."""
-    a, b = m.base.product_of
-    factor = a if first else b
-    values = {x: m.dims[pair_object(x, far) if first else pair_object(far, x)]
-              for x in factor.objects}
-    act = {(x, y, i): slot_action(m, first, x, y, i, far)
-           for x, y, i in live_morphisms(factor, values, values)}
-    return CatModule(factor, "left", values, act, check=False)
-
-
-def swap_product_module(m, swapped_base=None):
-    """Transport a left module over A tensor B to one over B tensor A."""
-    ab = m.base.product_of
-    if ab is None:
-        raise BaseMismatch("module base is not a tensor product category")
-    a, b = ab
-    if swapped_base is None:
-        swapped_base = tensor_category(b, a)
-    return _product_module(
-        swapped_base,
-        lambda b1, a1: m.dims[pair_object(a1, b1)],
-        lambda b1, a1, b2, a2, j, i: m.act_mat(pair_object(a1, b1), pair_object(a2, b2),
-                                               i * b.dim(b1, b2) + j))
-
-
 def regular_bimodule(c, env=None):
     """C as a left module over its enveloping category: value C(x',x),
     with (f^op tensor g) acting by h -> g o h o f."""
@@ -692,82 +593,6 @@ def ideal_bimodule(c, ideal, env=None, regular=None):
     sub = submodule_module(regular, spans)
     incl = ModuleMap(sub, regular, {p: spans[p] for p in spans}, check=False)
     return sub, incl
-
-
-def outer_tensor(m, n, product=None):
-    """(m outer-tensor n)(x,d) = m(x) tensor n(d) as a left module over
-    C^op tensor D, for a right C-module m and a left D-module n."""
-    if m.side != "right" or n.side != "left":
-        raise BaseMismatch("outer_tensor takes (right, left)")
-    c_op = opposite(m.base)
-    if product is None:
-        product = tensor_category(c_op, n.base)
-    elif product.product_of != (c_op, n.base):
-        raise BaseMismatch("outer tensor over a product of other factors")
-    return _product_module(
-        product, lambda x, d: m.dims[x] * n.dims[d],
-        lambda x1, d1, x2, d2, i, j: kron(m.act_mat(x2, x1, i), n.act_mat(d1, d2, j)))
-
-
-def hom_module(f, h, product=None):
-    """Hom_K(f(-), h(?)) as a left module over C^op tensor D for a left
-    C-module f and a left D-module h: the outer tensor of the dual D(f)
-    with h, so the value basis at (x,d) is the dual basis of f(x) tensor
-    the basis of h(d)."""
-    if f.side != "left" or h.side != "left":
-        raise BaseMismatch("hom_module takes two left modules")
-    return outer_tensor(dualize(f), h, product)
-
-
-def boxtimes(f, g, out_base=None):
-    """Mitchell's box tensor: contract a left C-module (or a module over
-    E^op tensor C) against a module over C^op tensor D.
-
-    Returns a left D-module in the plain case and a left module over
-    E^op tensor D in the bimodule case.  The plain case is the bimodule
-    case over the unit category E: f is lifted to a module over
-    E^op tensor C and the result collapsed back onto D."""
-    prod = g.base.product_of
-    if prod is None:
-        raise BaseMismatch("second factor must live over a tensor product category")
-    c_op, d = prod
-    c = opposite(c_op)
-    if f.base.product_of is not None and f.base.product_of[1] == c:
-        return _contract(f, g, c, d, out_base)
-    if f.base != c:
-        raise BaseMismatch("first factor is not a module over the contracted category")
-    if f.side != "left" or g.side != "left":
-        raise BaseMismatch("boxtimes takes left modules")
-    out = _contract(over_unit(f), g, c, d, None)
-    back = {pair_object("*", dd): dd for dd in d.objects}
-    return CatModule(d, "left", {back[p]: k for p, k in out.dims.items()},
-                     {(back[p], back[q], j): mat for (p, q, j), mat in out.act.items()},
-                     check=False)
-
-
-def _contract(f, g, c, d, out_base):
-    """f over E^op tensor C contracted against g over C^op tensor D: at
-    (eps,d) the tensor over C of the right C-module g(-,d) with the left
-    C-module f(eps,-), acted on blockwise through the outer slots."""
-    e_op = f.base.product_of[0]
-    if out_base is None:
-        out_base = tensor_category(e_op, d)
-    f_slices = {eps: _factor_slice(f, False, eps) for eps in e_op.objects}
-    # a left C^op-module is a right C-module
-    g_slices = {dd: as_right_over_op(_factor_slice(g, True, dd), c) for dd in d.objects}
-    spaces = {(eps, dd): tensor_over_cat(g_slices[dd], f_slices[eps])
-              for eps in e_op.objects for dd in d.objects}
-
-    def action(eps, dd, eps2, dd2, ii, jj):
-        blocks = [kron(slot_action(g, False, dd, dd2, jj, x),
-                       slot_action(f, True, eps, eps2, ii, x)) for x in c.objects]
-        big = block_diag(c.field, blocks, spaces[(eps2, dd2)].ambient,
-                         spaces[(eps, dd)].ambient)
-        return spaces[(eps2, dd2)].proj.mul(big).mul(spaces[(eps, dd)].section)
-
-    out = _product_module(out_base, lambda eps, dd: spaces[(eps, dd)].dim, action)
-    out.validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -814,27 +639,6 @@ class FreeResolution:
             for b in range(self.base.dim(x, y)):
                 cols.append(target.act_mat(x, y, b).mul_vec(img))
         return Mat.from_cols(self.base.field, cols, rows=target.dims[y])
-
-    def verify(self, up_to=None):
-        """Composite-zero, surjectivity and rank-exactness checks; returns
-        a list of failure strings (empty = certified exact)."""
-        if up_to is None:
-            up_to = self.length
-        up_to = min(up_to, self.length)
-        failures = []
-        c = self.base
-        for y in c.objects:
-            mats = [self.aug_matrix(y)] + [self.map_matrix(k, y)
-                                           for k in range(1, up_to + 1)]
-            if rank(mats[0]) != self.module.dims[y]:
-                failures.append(f"augmentation not surjective at {y}")
-            for k in range(1, up_to + 1):
-                prod = mats[k - 1].mul(mats[k])
-                if not prod.is_zero():
-                    failures.append(f"d_{k-1} o d_{k} nonzero at {y}")
-                if mats[k - 1].cols - rank(mats[k - 1]) != rank(mats[k]):
-                    failures.append(f"not exact at degree {k-1}, object {y}")
-        return failures
 
 
 def _free_module(c, objects):
@@ -1004,17 +808,6 @@ def ext(m, n, max_deg=4, res=None):
     return _dims_up_to_top(ext_data, res, n, max_deg)
 
 
-def tor(n, m, max_deg=4, res=None):
-    """Tor_0..Tor_max_deg dimensions (n right, m left, same base)."""
-    if n.base != m.base:
-        raise BaseMismatch("tor over different bases")
-    if n.side != "right" or m.side != "left":
-        raise BaseMismatch("tor takes (right, left)")
-    if res is None:
-        res = projective_resolution(m, max_deg + 1)
-    return _dims_up_to_top(tor_data, res, n, max_deg)
-
-
 def _dims_up_to_top(complex_data, res, coeff, max_deg):
     """Cohomology dimensions 0..max_deg of the complex complex_data builds,
     built only up to level min(top, max_deg + 1), top being the top
@@ -1045,23 +838,3 @@ def is_projective(m):
     cols = [s.then(cover).flatten() for s in HomBasis(work, p).maps()]
     system = Mat.from_cols(f, cols, rows=len(ident))
     return solve(system, Mat.from_cols(f, [ident], rows=len(ident))) is not None
-
-
-# ---------------------------------------------------------------------------
-# seeded random modules (quotients of representable sums)
-
-def random_module(c, rng, side="left", max_summands=2, max_killed=2):
-    summands = [representable(c, rng.choice(c.objects), side)
-                for _ in range(rng.randrange(1, max_summands + 1))]
-    p = direct_sum(summands)
-    seeds = []
-    for _ in range(rng.randrange(0, max_killed + 1)):
-        x = rng.choice(c.objects)
-        if p.dims[x] == 0:
-            continue
-        vec = tuple(c.field.of(rng.randrange(-2, 3)) for _ in range(p.dims[x]))
-        seeds.append((x, vec))
-    if not seeds:
-        return p
-    spans = _orbit_closure(p, seeds)
-    return quotient_module(p, {x: ComplementData(spans[x].basis_matrix()) for x in c.objects})

@@ -19,10 +19,12 @@ from homcat.ideals import (
     ideal_from_generators, is_idempotent, triangular_ideal,
 )
 from homcat.modcat import (
-    CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes, direct_sum,
-    dualize, ext, ext_data, ideal_bimodule, ideal_representable, is_projective, module_hom,
-    hom_module, random_module, regular_bimodule,
-    representable, simple, swap_product_module, tensor_over_cat, tor,
+    CatModule, as_left_over_op, bimodule, dualize, ext, ext_data, ideal_bimodule,
+    ideal_representable, is_projective, module_hom, regular_bimodule, representable, simple,
+)
+from homcat.reference import (
+    as_right_over_op, boxtimes, direct_sum, hom_module, random_module, swap_product_module,
+    tensor_over_cat, tor, verify_dd,
 )
 from homcat.hochschild import (
     bar_resolution, hochschild_cochain_complex, hochschild_cohomology, center,
@@ -67,7 +69,7 @@ def right_module_bimodule(module):
 def test_criterion_01_bar_complex_soundness():
     for name, cat in battery(GF).items():
         cx = hochschild_cochain_complex(cat, regular_bimodule(cat), 5)
-        bad = cx.verify_dd()
+        bad = verify_dd(cx)
         assert bad == [], f"d o d != 0 for {name} at degrees {bad}"
     _ok(1, "d o d = 0 at all degrees <= 5 on the full battery")
 

@@ -11,6 +11,7 @@ from homcat.certify import FinitenessError, build_quiver_category
 from homcat.cli import Workspace, main, parse
 from homcat.exactla import Field, report_form
 from homcat.hochschild import hochschild_cohomology
+from homcat.reference import compose_basis
 
 Q = Field.rationals()
 F = Field.gf(32003)
@@ -248,7 +249,7 @@ def test_non_homogeneous_certification_matches_a_dense_saturation(field):
 def _dense_table(cat):
     """The composition of cat as dense coordinate tuples [i][j] per object
     triple, read through compose_basis in the order of the stored rows."""
-    return {(x, y, z): tuple(tuple(cat.compose_basis(x, y, z, i, j) for j in range(cat.dim(y, z)))
+    return {(x, y, z): tuple(tuple(compose_basis(cat, x, y, z, i, j) for j in range(cat.dim(y, z)))
                              for i in range(cat.dim(x, y)))
             for x, y, z in cat.rows}
 

@@ -9,12 +9,12 @@ import pytest
 
 import homcat
 from homcat.cli import (
-    FinitenessError, ParseError, UnresolvedName, Workspace, format_workspace,
-    main, parse, run_workspace,
+    FinitenessError, ParseError, UnresolvedName, Workspace, main, parse, run_workspace,
 )
 from homcat.exactla import Field, VerificationFailed
-from homcat.ideals import ideal_from_generators, zero_ideal
+from homcat.ideals import ideal_from_generators
 from homcat.kcat import FiniteKCategory, opposite
+from homcat.reference import zero_ideal
 
 A2_SRC = """\
 # the path category of 1 -> 2
@@ -148,18 +148,61 @@ def test_syntax_error_has_position():
     assert err.value.line == 4
 
 
+DUAL_TABLE_SRC = """\
+category T over Q
+table
+hom s s: e x
+comp e*e = e
+comp x*e = x
+comp e*x = x
+comp x*x = 0
+id s = e
+"""
+A2_MODULE_SRC = A2_SRC + "module P over A2 left\ndim 1 = 1\ndim 2 = 1\nact a = [[1]]\n"
+DUAL_BIMODULE_SRC = DUAL_SRC + "bimodule M over (D,D)\ndim s s = 1\nlact x s = [[0]]\n" \
+    "ract x s = [[0]]\n"
+
+
+# a keyed line that repeats would replace the first one unnoticed: a second
+# comp x*x = x makes the dual numbers K x K, and a second dim doubles Hom(M,M)
+@pytest.mark.parametrize("src, message", [
+    (A2_MODULE_SRC + "module P over A2 right\n", "duplicate module P"),
+    (DUAL_BIMODULE_SRC + "bimodule M over (D,D)\n", "duplicate bimodule M"),
+    (A2_SRC + "ideal I in A2 gens: a\nideal I in A2 gens: e1\n", "duplicate ideal I"),
+    (A2_MODULE_SRC + "dim 1 = 2\n", "repeated 'dim 1' in P"),
+    (DUAL_BIMODULE_SRC + "dim s s = 2\n", "repeated 'dim s s' in M"),
+    (A2_MODULE_SRC + "act a = [[0]]\n", "repeated 'act a' in P"),
+    (DUAL_BIMODULE_SRC + "lact x s = [[1]]\n", "repeated 'lact x s' in M"),
+    (DUAL_BIMODULE_SRC + "ract x s = [[1]]\n", "repeated 'ract x s' in M"),
+    (DUAL_TABLE_SRC + "comp x*x = x\n", "repeated 'comp x*x' in T"),
+    (DUAL_TABLE_SRC + "id s = e\n", "repeated 'id s' in T"),
+    (DUAL_SRC + "bound 4\nbound 5\n", "repeated 'bound' in D"),
+    (DUAL_TABLE_SRC + "hom s s: e x\n", "repeated 'hom s s' in T"),
+], ids=["module", "bimodule", "ideal", "dim", "bimodule-dim", "act", "lact", "ract", "comp",
+        "id", "bound", "hom"])
+def test_a_repeated_keyed_line_is_a_parse_error(src, message, tmp_path, capsys):
+    line = src.count("\n")
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (line, 1)
+    path = tmp_path / "repeated.kcat"
+    path.write_text(src)
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}: line {line}, column 1: {message}\n"
+
+
+def test_lines_that_add_up_may_repeat():
+    ws = parse("category C over Q\nquiver\nobject 1\nobject 2\narrow a: 1 -> 2\n"
+               "arrow b: 1 -> 2\nrel a = 0\nrel b = 0\ntask validate C\ntask validate C\n")
+    decl = ws.categories["C"]
+    assert (decl.objects, len(decl.arrows), len(decl.relations)) == (["1", "2"], 2, 2)
+    assert len(ws.tasks) == 2
+
+
 def test_unresolved_name():
     src = A2_SRC + "ideal I in A2 gens: nosuch\n"
     with pytest.raises(UnresolvedName):
         Workspace(parse(src))
-
-
-def test_roundtrip_fixpoint():
-    src = A2_SRC + DUAL_SRC + "ideal I in A2 gens: a\ntask validate A2\n"
-    ws1 = parse(src)
-    printed = format_workspace(ws1)
-    ws2 = parse(printed)
-    assert format_workspace(ws2) == printed
 
 
 def test_cohomology_task_dual_numbers():
@@ -997,6 +1040,20 @@ def test_importing_the_cli_does_not_load_argparse():
     code = "import sys, homcat.cli; sys.exit('argparse' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=_homcat_env(), timeout=120)
     assert proc.returncode == 0
+
+
+def test_a_run_loads_neither_the_reference_nor_the_zoo():
+    # the tests' oracles and categories stay out of a run, lazily imported
+    # ones too, which the walk of tests/test_reachability.py cannot see
+    code = ("import sys\n"
+            "from homcat.cli import main\n"
+            "code = main(['demo.kcat', '--json'])\n"
+            "loaded = [n for n in ('homcat.reference', 'homcat.zoo') if n in sys.modules]\n"
+            "sys.stderr.write(repr((code, loaded)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          cwd=Path(__file__).resolve().parents[1], env=_homcat_env(),
+                          timeout=120)
+    assert proc.stderr == b"(0, [])"
 
 
 @pytest.mark.parametrize("args, message", [

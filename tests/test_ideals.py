@@ -8,11 +8,12 @@ from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
     CoordinateMismatch, InvalidIdeal, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
-    ideal_product, is_idempotent, opposite_ideal, triangular_ideal, whole_ideal, zero_ideal,
+    ideal_product, is_idempotent, opposite_ideal, triangular_ideal,
 )
 from homcat.kcat import opposite
 from homcat.modcat import (CatModule, InvalidModule, bimodule, ideal_representable,
                            is_projective, representable)
+from homcat.reference import whole_ideal, zero_ideal
 from homcat import zoo
 
 Q = Field.rationals()

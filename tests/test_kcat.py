@@ -16,8 +16,9 @@ from homcat.kcat import (
     category_from_tables, pair_label, pair_object,
 )
 from homcat import zoo
-from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
+from homcat.ideals import ideal_from_generators, triangular_ideal
 from homcat.modcat import CatModule, bimodule, over_unit, representable, slot_action
+from homcat.reference import compose_basis, zero_ideal
 
 Q = Field.rationals()
 FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
@@ -523,7 +524,7 @@ def test_product_validate_reports_its_factors_failures():
 def _dense_table(cat):
     """The composition of cat as dense coordinate tuples [i][j] per object
     triple, read through compose_basis in the order of the stored rows."""
-    return {(x, y, z): tuple(tuple(cat.compose_basis(x, y, z, i, j) for j in range(cat.dim(y, z)))
+    return {(x, y, z): tuple(tuple(compose_basis(cat, x, y, z, i, j) for j in range(cat.dim(y, z)))
                              for i in range(cat.dim(x, y)))
             for x, y, z in cat.rows}
 
@@ -709,8 +710,8 @@ def _dense_product_table(c, d):
                 for i in range(d1):
                     ic, id_ = divmod(i, d.dim(b, b2))
                     rows.append(tuple(
-                        vkron(field, c.compose_basis(a, a2, a3, ic, j // d.dim(b2, b3)),
-                              d.compose_basis(b, b2, b3, id_, j % d.dim(b2, b3)))
+                        vkron(field, compose_basis(c, a, a2, a3, ic, j // d.dim(b2, b3)),
+                              compose_basis(d, b, b2, b3, id_, j % d.dim(b2, b3)))
                         for j in range(d2)))
                 key = (pair_object(a, b), pair_object(a2, b2), pair_object(a3, b3))
                 table[key] = tuple(rows)
@@ -735,7 +736,7 @@ def _check_against_table(prod, table, rng):
         for i in range(dxy):
             for j in range(dyz):
                 # entry types included: Fractions over Q, ints over GF(p)
-                assert repr(prod.compose_basis(x, y, z, i, j)) == repr(report_form(field, t[i][j]))
+                assert repr(compose_basis(prod, x, y, z, i, j)) == repr(report_form(field, t[i][j]))
                 _assert_working_form(field, prod.basis_row(x, y, z, i, j))
         for j in range(dyz):
             expect = Mat.from_cols(field, [t[i][j] for i in range(dxy)], rows=dxz)
@@ -870,7 +871,8 @@ def test_q_constants_whose_products_are_integral_are_kept_as_ints():
             _assert_working_form(Q, prod.basis_row(o, o, o, i, j))
     _check_row_format(quot)
     assert all(type(a) is Fraction for a in prod.identity[o])
-    assert prod.compose_basis(o, o, o, 0, 0) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert compose_basis(prod, o, o, o, 0, 0) == (Fraction(1), Fraction(0), Fraction(0),
+                                                  Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +938,7 @@ def _dense_triangular(t, u, dims, lact, ract):
                         for _ in range(d1t + d1m + d1u)]
                 for i in range(d1t):
                     for j in range(d2t):
-                        rows[i][j] = embed(*dc, tpart=t.compose_basis(T, T2, T3, i, j))
+                        rows[i][j] = embed(*dc, tpart=compose_basis(t, T, T2, T3, i, j))
                     rmat = action(ract, (T, T2, i, U3), dc[1], d2m)
                     for k in range(d2m):
                         rows[i][d2t + k] = embed(*dc, mpart=rmat.col(k))
@@ -947,7 +949,7 @@ def _dense_triangular(t, u, dims, lact, ract):
                 for i in range(d1u):
                     for j in range(d2u):
                         rows[d1t + d1m + i][d2t + d2m + j] = embed(
-                            *dc, upart=u.compose_basis(U, U2, U3, i, j))
+                            *dc, upart=compose_basis(u, U, U2, U3, i, j))
                 table[(o1, o2, o3)] = tuple(tuple(row) for row in rows)
     identity = {}
     for o, (T, U) in src.items():

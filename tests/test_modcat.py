@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from homcat import modcat
+from homcat import modcat, reference
 from homcat.exactla import (
     ComplementData, EchelonSpace, Field, Mat, block_diag,
     complex_cohomology_dims, kron, solve, unit_vector,
@@ -17,16 +17,18 @@ from homcat.kcat import (
     triangular_matrix, triangular_model, unit_category,
 )
 from homcat.modcat import (
-    BaseMismatch, CatModule, as_left_over_op, as_right_over_op, bimodule, boxtimes,
-    direct_sum, dualize, ext, hom_module, ideal_representable, is_projective, module_hom,
-    minimal_generators, outer_tensor,
-    projective_resolution, quotient_representable, random_module,
-    regular_bimodule, representable, restrict_module, simple,
-    swap_product_module, tensor_over_cat, tor, zero_module,
+    BaseMismatch, CatModule, as_left_over_op, bimodule, dualize, ext, ideal_representable,
+    is_projective, module_hom, minimal_generators, projective_resolution,
+    quotient_representable, regular_bimodule, representable, restrict_module, simple,
+)
+from homcat.reference import (
+    as_right_over_op, boxtimes, compose_basis, direct_sum, hom_module, outer_tensor,
+    random_module, swap_product_module, tensor_over_cat, tor, verify_resolution, zero_ideal,
+    zero_module,
 )
 from homcat.certify import build_quiver_category
 from homcat.theorems import strongly_idempotent_check, theorem_les_pipeline
-from homcat.ideals import ideal_from_generators, triangular_ideal, zero_ideal
+from homcat.ideals import ideal_from_generators, triangular_ideal
 from homcat import zoo
 
 Q = Field.rationals()
@@ -168,7 +170,7 @@ def test_resolution_of_simple():
     # 0 -> A2(2,-) -> A2(1,-) -> S1 -> 0
     assert [len(g) for g in res.gens] == [1, 1, 0, 0, 0]
     assert res.gens[0] == ["1"] and res.gens[1] == ["2"]
-    assert res.verify() == []
+    assert verify_resolution(res) == []
 
 
 def test_resolution_of_projective_has_length_zero():
@@ -181,7 +183,7 @@ def test_resolution_dual_numbers_periodic():
     d = zoo.dual_numbers(Q)
     res = projective_resolution(simple(d, "*"), 4)
     assert [len(g) for g in res.gens] == [1, 1, 1, 1, 1]
-    assert res.verify() == []
+    assert verify_resolution(res) == []
 
 
 def test_module_map_validation():
@@ -639,14 +641,6 @@ def _action_digest(modules):
     return h.hexdigest()
 
 
-def _nonzero(cat, rng, side):
-    """The first nonzero module `random_module` draws."""
-    while True:
-        m = random_module(cat, rng, side)
-        if not m.is_zero():
-            return m
-
-
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
 def test_tor_is_balanced(field):
     # Tor^C(N, M) = Tor^{C^op}(M, N): the strong-idempotency check reads
@@ -656,7 +650,7 @@ def test_tor_is_balanced(field):
                 + [zoo.random_two_object(field, s) for s in range(2)]):
         c_op = opposite(cat)
         for _ in range(2):
-            n, m = _nonzero(cat, rng, "right"), _nonzero(cat, rng, "left")
+            n, m = random_module(cat, rng, "right"), random_module(cat, rng, "left")
             assert tor(n, m, 3) == tor(as_right_over_op(m, c_op),
                                        as_left_over_op(n, c_op), 3), (field, cat.objects)
 
@@ -670,22 +664,22 @@ def _regular_cases(field, rng):
 def _outer_cases(field, rng):
     for cat in (zoo.a2(field), zoo.kronecker(field), zoo.dual_numbers(field)):
         for _ in range(2):
-            yield outer_tensor(_nonzero(cat, rng, "right"),
-                               _nonzero(cat, rng, "left"))
+            yield outer_tensor(random_module(cat, rng, "right"),
+                               random_module(cat, rng, "left"))
 
 
 def _swap_cases(field, rng):
     prod = tensor_category(zoo.a2(field), zoo.dual_numbers(field))
     for _ in range(3):
-        yield swap_product_module(_nonzero(prod, rng, "left"))
+        yield swap_product_module(random_module(prod, rng, "left"))
 
 
 def _boxtimes_plain_cases(field, rng):
     a2 = zoo.a2(field)
     prod = tensor_category(opposite(a2), zoo.dual_numbers(field))
     for _ in range(3):
-        yield boxtimes(_nonzero(a2, rng, "left"),
-                       _nonzero(prod, rng, "left"))
+        yield boxtimes(random_module(a2, rng, "left"),
+                       random_module(prod, rng, "left"))
 
 
 def _boxtimes_bimodule_cases(field, rng):
@@ -694,8 +688,8 @@ def _boxtimes_bimodule_cases(field, rng):
     ec = tensor_category(opposite(e), c)
     cd = tensor_category(opposite(c), zoo.discrete(field, 2))
     for _ in range(3):
-        yield boxtimes(_nonzero(ec, rng, "left"),
-                       _nonzero(cd, rng, "left"))
+        yield boxtimes(random_module(ec, rng, "left"),
+                       random_module(cd, rng, "left"))
 
 
 # computed before the product-module loop, the slot action and the box
@@ -731,8 +725,8 @@ def test_hom_module_is_the_outer_tensor_of_the_dual(field):
     d = zoo.dual_numbers(field)
     prod = tensor_category(opposite(a2), d)
     for _ in range(3):
-        fmod = _nonzero(a2, rng, "left")
-        hmod = _nonzero(d, rng, "left")
+        fmod = random_module(a2, rng, "left")
+        hmod = random_module(d, rng, "left")
         hm = hom_module(fmod, hmod, prod)
         hm.validate()
         for x in a2.objects:
@@ -740,7 +734,7 @@ def test_hom_module_is_the_outer_tensor_of_the_dual(field):
                 assert hm.dims[pair_object(x, y)] == fmod.dims[x] * hmod.dims[y]
         # two different categories: a right A2-module with a left module
         # over the dual numbers
-        ot = outer_tensor(_nonzero(a2, rng, "right"), hmod)
+        ot = outer_tensor(random_module(a2, rng, "right"), hmod)
         ot.validate()
         assert ot.base.product_of == (opposite(a2), d)
 
@@ -824,7 +818,7 @@ def _generator_cases(field, rng):
             except InvalidModule:
                 pass
         for _ in range(3):
-            yield _nonzero(cat, rng, "left")
+            yield random_module(cat, rng, "left")
     for cat in cats[2:] + triangular[1:2]:
         yield regular_bimodule(cat)
 
@@ -913,7 +907,7 @@ def _ext_cases(field, rng):
     cats += [_model(lam) for lam in _triangular_family(field)]
     for cat in cats:
         x = cat.objects[-1]
-        modules = [representable(cat, x)] + [_nonzero(cat, rng, "left") for _ in range(3)]
+        modules = [representable(cat, x)] + [random_module(cat, rng, "left") for _ in range(3)]
         modules += [m for m in (_maybe_simple(cat, y) for y in cat.objects) if m is not None]
         # injectives: over the triangular models their
         # resolutions meet several generators at one object
@@ -1013,7 +1007,7 @@ def _closure_cases(field, rng):
             for x in cat.objects:
                 yield representable(cat, x, side)
             for _ in range(3):
-                yield _nonzero(cat, rng, side)
+                yield random_module(cat, rng, side)
 
 
 def _random_seeds(m, rng, count):
@@ -1033,11 +1027,11 @@ def test_orbit_closure_matches_the_work_list_closure(field):
     modules = grown = 0
     for m in _closure_cases(field, rng):
         seeds = _random_seeds(m, rng, rng.randrange(1, 4))
-        assert _bases(modcat._orbit_closure(m, seeds)) == _bases(_closure(m, seeds))
+        assert _bases(reference._orbit_closure(m, seeds)) == _bases(_closure(m, seeds))
         # grown in place from the spans of a submodule
         first, more = seeds[:1], _random_seeds(m, rng, 2)
         spaces = _closure(m, first)
-        got = modcat._orbit_closure(m, more, spaces)
+        got = reference._orbit_closure(m, more, spaces)
         assert got is spaces
         assert _bases(got) == _bases(_closure(m, first + more))
         grown += _bases(got) != _bases(_closure(m, first))
@@ -1060,7 +1054,7 @@ def test_a_module_is_covered_once(monkeypatch):
         for lam in _triangular_family(field) + [zoo.a3(field)]:
             ideal = triangular_ideal(lam) if lam.triangular else zero_ideal(lam)
             modules = [ideal_representable(lam, ideal, x) for x in lam.objects]
-            modules += [_nonzero(lam, rng, "left"), _maybe_simple(lam, lam.objects[0])]
+            modules += [random_module(lam, rng, "left"), _maybe_simple(lam, lam.objects[0])]
             for m in modules:
                 if m is None or m.is_zero():
                     continue
@@ -1110,13 +1104,13 @@ def _shape(side, dims, x, y):
 
 def _post(c, x, y, z, j):
     """(g_j o -): Hom(x,y) -> Hom(x,z), read off the composition."""
-    return Mat.from_cols(c.field, [c.compose_basis(x, y, z, i, j) for i in range(c.dim(x, y))],
+    return Mat.from_cols(c.field, [compose_basis(c, x, y, z, i, j) for i in range(c.dim(x, y))],
                          rows=c.dim(x, z))
 
 
 def _pre(c, x, y, z, i):
     """(- o f_i): Hom(y,z) -> Hom(x,z), read off the composition."""
-    return Mat.from_cols(c.field, [c.compose_basis(x, y, z, i, j) for j in range(c.dim(y, z))],
+    return Mat.from_cols(c.field, [compose_basis(c, x, y, z, i, j) for j in range(c.dim(y, z))],
                          rows=c.dim(x, z))
 
 
@@ -1245,14 +1239,14 @@ def _module_cases(cat, field, rng):
         pulled = representable(quot, y)
         yield "restrict_module", restrict_module(pulled, ideal), _dense_restrict(pulled, ideal)
     for side in ("left", "right"):
-        mods = [_nonzero(cat, rng, side) for _ in range(2)]
+        mods = [random_module(cat, rng, side) for _ in range(2)]
         total = direct_sum(mods)
         yield "direct_sum", total, _dense_sum(mods)
-        spans = _bases(modcat._orbit_closure(total, _random_seeds(total, rng, 2)))
+        spans = _bases(reference._orbit_closure(total, _random_seeds(total, rng, 2)))
         yield "submodule_module", modcat.submodule_module(total, spans), _dense_sub(total, spans)
         yield "quotient_module", modcat.quotient_module(total, _comps(spans)), \
             _dense_quotient(total, spans)
-    for m in (_nonzero(cat, rng, "left"), representable(cat, cat.objects[0])):
+    for m in (random_module(cat, rng, "left"), representable(cat, cat.objects[0])):
         unit = tensor_category(unit_category(field), cat)
         yield "over_unit", modcat.over_unit(m), _dense_product(
             unit, lambda _, x: m.dims[x], lambda _u, x, _u2, y, _k, i: m.act_mat(x, y, i))
@@ -1280,8 +1274,9 @@ def _bimodule_cases(cat, field, rng):
         p = pair_object(x, cat.objects[0])
         yield "representable", representable(env, p), _dense_representable(env, p, "left")
         for first in (True, False):
-            yield "factor_slice", modcat._factor_slice(sub, first, x), _dense_slice(sub, first, x)
-    n, m = _nonzero(cat, rng, "right"), _nonzero(cat, rng, "left")
+            yield ("factor_slice", reference._factor_slice(sub, first, x),
+                   _dense_slice(sub, first, x))
+    n, m = random_module(cat, rng, "right"), random_module(cat, rng, "left")
     yield "outer_tensor", outer_tensor(n, m, env), _dense_product(
         env, lambda x, d: n.dims[x] * m.dims[d],
         lambda x1, d1, x2, d2, i, j: kron(n.act_mat(x2, x1, i), m.act_mat(d1, d2, j)))

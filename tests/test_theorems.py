@@ -14,17 +14,14 @@ from homcat.kcat import (
     enveloping, one_point_extension, opposite, pair_object, quotient_category,
     triangular_matrix, triangular_model, unit_category,
 )
-from homcat.ideals import (
-    TwoSidedIdeal, ideal_from_generators, opposite_ideal, triangular_ideal,
-    whole_ideal, zero_ideal,
-)
+from homcat.ideals import TwoSidedIdeal, ideal_from_generators, opposite_ideal, triangular_ideal
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, as_left_over_op, as_right_over_op, bimodule, ext, ext_data,
-    ideal_representable, is_projective, over_unit,
-    projective_resolution, quotient_representable, regular_bimodule, representable,
-    restrict_module, simple, tor,
+    CatModule, ModuleMap, as_left_over_op, bimodule, ext, ext_data, ideal_representable,
+    is_projective, over_unit, projective_resolution, quotient_representable,
+    regular_bimodule, representable, restrict_module, simple,
 )
+from homcat.reference import as_right_over_op, compose_basis, tor, whole_ideal, zero_ideal
 from homcat.theorems import (
     CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule,
     audit_hypotheses, canonical_ses, cmp_pipeline, default_quotient_samples, happel_pipeline,
@@ -539,9 +536,9 @@ def test_q_les_pipeline_keeps_working_form_inside_and_fractions_outside(monkeypa
             for z in objs:
                 for i in range(square.dim(x, y)):
                     for j in range(square.dim(y, z)):
-                        vec = square.compose_basis(x, y, z, i, j)
+                        vec = compose_basis(square, x, y, z, i, j)
                         assert all(type(a) is Fraction for a in vec)
-    assert square.compose_basis("1", "2", "4", 0, 0) == (Fraction(3, 4),)
+    assert compose_basis(square, "1", "2", "4", 0, 0) == (Fraction(3, 4),)
 
 
 def test_pipeline_resolves_each_module_once(monkeypatch):
