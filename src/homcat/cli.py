@@ -28,6 +28,10 @@ A workspace is a line-oriented text file (# starts a comment):
     task cmp <t> <u> <bimodule>
     task happel <u> <module>
 
+A name is declared once, and so is each keyed line of a block (one
+`dim` per object, one `act` per arrow, one `comp` per pair, one `bound`);
+object, arrow, rel and task lines add up.
+
 A quiver category is certified finite (`homcat.certify`) by a path
 length, at most bound + 1, at which every path reduces to zero modulo
 the relation ideal.  With homogeneous relations the lengths are reduced
