@@ -53,7 +53,7 @@ from .exactla import (Field, FieldMismatch, Mat, VerificationFailed, complex_coh
                       unit_vector, vadd, vscale)
 from .kcat import (InvalidBimodule, InvalidCategory, NotTriangular, UnknownObject,
                    category_from_tables, enveloping)
-from .ideals import CoordinateMismatch, InvalidIdeal, ParentMismatch, ideal_from_generators
+from .ideals import CoordinateMismatch, ParentMismatch, ideal_from_generators
 from .modcat import (BaseMismatch, CatModule, InvalidModule, bimodule, ext, ext_data,
                      regular_bimodule)
 from .hochschild import bar_resolution, hochschild_cohomology, center
@@ -77,8 +77,8 @@ class ParseError(ValueError):
 # reported as "validation"; any other exception is an internal error
 INPUT_ERRORS = (ParseError, FinitenessError, UnresolvedName, InvalidCategory,
                 UnknownObject, NotTriangular, InvalidBimodule, InvalidModule,
-                CoordinateMismatch, ParentMismatch, InvalidIdeal,
-                BaseMismatch, ZeroModule, FieldMismatch)
+                CoordinateMismatch, ParentMismatch, BaseMismatch, ZeroModule,
+                FieldMismatch)
 
 # exit code of each report status that fails a run
 EXIT_CODES = {"internal": 4, "validation": 1, "hypothesis": 2, "verification": 3}

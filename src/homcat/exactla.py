@@ -651,7 +651,10 @@ def _free_rows(f, r, pivots, n):
 def kernel_basis(m):
     """Columns form the canonical basis of ker(m), echelonized so that
     results are reproducible (one column per free variable, taken in
-    ascending column order)."""
+    ascending column order).  An empty matrix, with no rows or no columns,
+    has every column free: its basis is the identity, with no elimination."""
+    if not (m.rows and m.cols):
+        return Mat.identity(m.field, m.cols)
     r, pivots = rref(m)
     _, vecs = _free_rows(m.field, r, pivots, m.cols)
     return Mat.from_sparse(m.field, len(vecs), m.cols, tuple(vecs)).transpose()
@@ -703,14 +706,6 @@ class ComplementData:
         for t, j in enumerate(free):
             section[j] = {t: one}
         self.section = Mat.from_sparse(f, n, self.dim, tuple(section))
-
-
-def column_space_basis(m):
-    """Canonical (reduced-echelon) basis of the column space."""
-    sp = EchelonSpace(m.field, m.rows)
-    for col in m.transpose().nz:
-        sp.add(col)
-    return sp.basis_matrix()
 
 
 def unit_rows(span):

@@ -10,22 +10,20 @@ each postcomposed with every basis morphism.
 
 from __future__ import annotations
 
-from .exactla import ComplementData, EchelonSpace, Mat, column_space_basis, unit_vector
+from .exactla import ComplementData, EchelonSpace, Mat, unit_vector
 from .kcat import NotTriangular, ParentMismatch, triangular_blocks
-from .modcat import InvalidModule, ideal_representable
 
 
 class CoordinateMismatch(ValueError):
     pass
 
 
-class InvalidIdeal(ValueError):
-    pass
-
-
 class TwoSidedIdeal:
+    """Canonical bases of the spans of an ideal of `parent`.  Every
+    constructor here builds a two-sided ideal by construction, so none is
+    checked; `homcat.reference.validate_ideal` is the closure test."""
 
-    def __init__(self, parent, span, check=True):
+    def __init__(self, parent, span):
         self.parent = parent
         self.span = {}
         for x in parent.objects:
@@ -36,8 +34,7 @@ class TwoSidedIdeal:
                 self.span[(x, y)] = m
         self._complements = {}       # (x, y), or (y, x) on an opposite, -> ComplementData
         self._flipped = False
-        if check:
-            self.validate()
+        self._quotient_dims = None
 
     def dim(self, x, y):
         return self.span[(x, y)].cols
@@ -55,22 +52,14 @@ class TwoSidedIdeal:
             self._complements[key] = ComplementData(self.span[(x, y)])
         return self._complements[key]
 
-    def validate(self):
-        """Shapes and canonical bases, then closure: I(x,-) is a submodule of
-        C(x,-) (postcomposition), I(-,x) one of C(-,x) (precomposition)."""
-        c = self.parent
-        for (x, y), m in self.span.items():
-            if m.rows != c.dim(x, y):
-                raise InvalidIdeal(f"span at ({x},{y}) has wrong ambient dimension")
-            if m.cols and m != column_space_basis(m):
-                raise InvalidIdeal(f"span at ({x},{y}) is not a reduced basis")
-        for side, composition in (("left", "postcomposition"), ("right", "precomposition")):
-            for x in c.objects:
-                try:
-                    ideal_representable(c, self, x, side)
-                except InvalidModule as exc:
-                    raise InvalidIdeal(f"not closed under {composition}: {exc}") from None
-        return True
+    @property
+    def quotient_dims(self):
+        """dim C/I(x,y) for every pair (x, y), the Hom dimensions of the
+        quotient category, built once."""
+        if self._quotient_dims is None:
+            c = self.parent
+            self._quotient_dims = {k: c.dim(*k) - m.cols for k, m in self.span.items()}
+        return self._quotient_dims
 
     def __eq__(self, other):
         return (isinstance(other, TwoSidedIdeal)
@@ -122,7 +111,7 @@ def ideal_from_generators(c, gens):
                 f"generator at ({x},{y}) has length {len(coords)}, expected {c.dim(x, y)}")
         seeds.append((x, y, tuple(c.field.of(v) for v in coords)))
     # a two-sided ideal by construction: the saturation is closed on both sides
-    return TwoSidedIdeal(c, _saturate(c, seeds), check=False)
+    return TwoSidedIdeal(c, _saturate(c, seeds))
 
 
 def ideal_product(i, j):
@@ -146,7 +135,7 @@ def ideal_product(i, j):
                     for g in im.columns():
                         spaces[(x, z)].add(c.compose(x, y, z, f, g))
     # a two-sided ideal by construction: I and J absorb composition on either side
-    return TwoSidedIdeal(c, {k: sp.basis_matrix() for k, sp in spaces.items()}, check=False)
+    return TwoSidedIdeal(c, {k: sp.basis_matrix() for k, sp in spaces.items()})
 
 
 def is_idempotent(i):
@@ -157,7 +146,7 @@ def opposite_ideal(i, parent_op):
     """Transport spans through opposite(): I^op(x,y) = I(y,x), same
     coordinates since opposite() keeps labels and orderings."""
     span = {(x, y): i.span[(y, x)] for x in parent_op.objects for y in parent_op.objects}
-    op = TwoSidedIdeal(parent_op, span, check=False)
+    op = TwoSidedIdeal(parent_op, span)
     # the same spans, so the same complements
     op._complements, op._flipped = i._complements, not i._flipped
     return op
@@ -178,5 +167,5 @@ def triangular_ideal(lam):
             cols = [unit_vector(lam.field, total, k) for k in range(dt + dm)]
             span[(o1, o2)] = Mat.from_cols(lam.field, cols, rows=total)
     # a two-sided ideal by construction: the kernel of the functor onto U
-    return TwoSidedIdeal(lam, span, check=False)
+    return TwoSidedIdeal(lam, span)
 

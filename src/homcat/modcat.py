@@ -30,8 +30,11 @@ representable by an idempotent: the triangular pipelines resolve over
 the model of [T 0; M U] (`kcat.triangular_model`), on which each summand
 of 1 = e_T + e_U is an object with a representable of its own.  One
 generator search, a minimal generating set, gives every cover: the cover
-that the projectivity test splits, and each term of a resolution,
-searched for inside the previous term among the vectors of its kernel.
+that the projectivity test reads (an isomorphism proves projectivity,
+and only otherwise is a section searched for), and each term of a
+resolution, searched for inside the previous term among the vectors of
+its kernel.  A term builds an action on its first read, so a resolution
+builds only the actions out of the generator objects of the next level.
 By Yoneda the submodule v generates is spanned by its images under the
 basis morphisms: every closure is one pass, redundancy is tested at one
 object, and a module keeps its cover.  Ext complexes come out of the Yoneda identification
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from .exactla import (
     EchelonSpace, Mat, add_to_row, block_diag, complex_cohomology_dims, dense_row,
-    kernel_basis, product, solve, unit_rows,
+    kernel_basis, product, rank, solve, unit_rows,
 )
 from .kcat import (InvalidBimodule, InvalidModule, UnknownObject, enveloping, opposite,
                    pair_object, tensor_category, unit_category)
@@ -92,7 +95,8 @@ class CatModule:
         self.dims = {x: int(dims.get(x, 0)) for x in base.objects}
         self.act = dict(act)
         # nothing changes a module once built, so what is read off it is kept
-        self._out_arrows = self._dual = self._generators = None
+        self._dual = self._generators = None
+        self._out_arrows = {}        # x -> out_arrows(x)
         self._zeros = {}             # (x, y) -> the zero action of a vacuous block
         if check:
             self.validate()
@@ -115,22 +119,30 @@ class CatModule:
 
     def act_mat(self, x, y, i):
         m = self.act.get((x, y, i))
+        return self._zero(x, y) if m is None else m
+
+    def _zero(self, x, y):
+        """The zero action of the block (x, y), built once."""
+        m = self._zeros.get((x, y))
         if m is None:
-            m = self._zeros.get((x, y))
-            if m is None:
-                m = self._zeros[(x, y)] = Mat.zeros(self.base.field, *self._shape(x, y))
+            m = self._zeros[(x, y)] = Mat.zeros(self.base.field, *self._shape(x, y))
         return m
 
-    def out_arrows(self):
-        """Per object x, a (y, matrix) pair for every basis morphism acting
-        on M(x) and landing in M(y): x -> y for a left module, y -> x for
-        a right one; only live ones, since the others carry nothing."""
-        if self._out_arrows is None:
-            self._out_arrows = {x: [] for x in self.base.objects}
-            for x, y, i in live_morphisms(self.base, self.dims, self.dims):
-                src, tgt = (x, y) if self.side == "left" else (y, x)
-                self._out_arrows[src].append((tgt, self.act_mat(x, y, i)))
-        return self._out_arrows
+    def out_arrows(self, x):
+        """A (y, matrix) pair for every basis morphism acting on M(x) and
+        landing in M(y): x -> y for a left module, y -> x for a right one;
+        only live ones, since the others carry nothing.  Built per object
+        on its first read."""
+        arrows = self._out_arrows.get(x)
+        if arrows is None:
+            arrows = self._out_arrows[x] = []
+            if self.dims[x]:
+                c = self.base
+                for y in c.objects:
+                    if self.dims[y]:
+                        key = (x, y) if self.side == "left" else (y, x)
+                        arrows.extend((y, self.act_mat(*key, i)) for i in range(c.dim(*key)))
+        return arrows
 
     def act_vec(self, x, y, coords):
         return self.act_row(x, y, {i: a for i, a in enumerate(coords) if a})
@@ -342,8 +354,7 @@ def restrict_module(m, ideal):
     morphism i of C(x,y) acts as m's action of column i of the ideal's
     `complement(x, y).proj`."""
     c = ideal.parent
-    if m.base.objects != c.objects or any(
-            m.base.dim(x, y) != ideal.complement(x, y).dim for x in c.objects for y in c.objects):
+    if m.base.objects != c.objects or m.base.hom_dims != ideal.quotient_dims:
         raise BaseMismatch("module does not live over the quotient by this ideal")
     dims = dict(m.dims)
     cols = {}
@@ -620,7 +631,7 @@ class FreeResolution:
 
     def term(self, k):
         if k not in self._terms:
-            self._terms[k] = _free_module(self.base, self.gens[k])
+            self._terms[k] = _FreeModule(self.base, self.gens[k])
         return self._terms[k]
 
     def aug_matrix(self, y):
@@ -641,12 +652,40 @@ class FreeResolution:
         return Mat.from_cols(self.base.field, cols, rows=target.dims[y])
 
 
-def _free_module(c, objects):
-    """The sum of the representables C(x,-) over the given objects."""
-    dims = {y: sum(c.dim(x, y) for x in objects) for y in c.objects}
-    act = {(y, z, i): block_diag(c.field, [c.post_matrix_basis(x, y, z, i) for x in objects])
-           for y, z, i in live_morphisms(c, dims, dims)}
-    return CatModule(c, "left", dims, act, check=False)
+class _FreeModule(CatModule):
+    """The sum of the representables C(x,-) over the given objects, a term
+    of a resolution.  The action of a basis morphism is the block-diagonal
+    post-composition matrix over the objects, built on its first read and
+    kept: the generator search and the differentials read only the actions
+    out of the next level's generator objects.  A read of `act` itself
+    builds every live action."""
+
+    def __init__(self, c, objects):
+        self.summands = tuple(objects)
+        super().__init__(c, "left", {y: sum(c.dim(x, y) for x in objects) for y in c.objects},
+                         {}, check=False)
+
+    @property
+    def act(self):
+        """Every live action, built here unless read before."""
+        for key in live_morphisms(self.base, self.dims, self.dims):
+            self.act_mat(*key)
+        return self._act
+
+    @act.setter
+    def act(self, act):
+        # CatModule.__init__ stores the given actions, none for a term
+        self._act = act
+
+    def act_mat(self, x, y, i):
+        m = self._act.get((x, y, i))
+        if m is None:
+            if not (self.dims[x] and self.dims[y]):
+                return self._zero(x, y)
+            c = self.base
+            m = self._act[(x, y, i)] = block_diag(
+                c.field, [c.post_matrix_basis(g, x, y, i) for g in self.summands])
+        return m
 
 
 def minimal_generators(m, spans=None):
@@ -663,7 +702,6 @@ def minimal_generators(m, spans=None):
     superset of the final others, so the set is irredundant, hence
     minimal over a finite-dimensional category (Nakayama)."""
     c = m.base
-    out_arrows = m.out_arrows()
     spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
     gens = []
     before = []      # before[i]: the greedy span at gens[i]'s object just before it was kept
@@ -676,7 +714,7 @@ def minimal_generators(m, spans=None):
                 before.append(spaces[x].copy())
                 gens.append((x, vec))
                 images.append({})
-                for y, mat in out_arrows[x]:
+                for y, mat in m.out_arrows(x):
                     image = mat.mul_vec(vec)
                     images[-1].setdefault(y, []).append(image)
                     spaces[y].add(image)
@@ -820,10 +858,12 @@ def _dims_up_to_top(complex_data, res, coeff, max_deg):
 
 
 def is_projective(m):
-    """Splitting test: cover m by the representables of its minimal
-    generating set and look for a natural section of the cover among
-    Hom(m, cover) (an epimorphism from a projective splits exactly when
-    the target is projective)."""
+    """Cover m by the representables of its minimal generating set.  A
+    cover that is square and of full rank at every object is an
+    isomorphism, and m is projective.  Otherwise the splitting test looks
+    for a natural section of the cover among Hom(m, cover) (an epimorphism
+    from a projective splits exactly when the target is projective): where
+    some End(x) is not local, a projective m can have a larger cover."""
     if m.is_zero():
         return True
     work = m if m.side == "left" else as_left_over_op(m)
@@ -831,7 +871,10 @@ def is_projective(m):
     f = c.field
     top = _cover(work)
     p = top.term(0)
-    cover = ModuleMap(p, work, {y: top.aug_matrix(y) for y in c.objects}, check=False)
+    eps = {y: top.aug_matrix(y) for y in c.objects}
+    if p.dims == work.dims and all(rank(eps[y]) == work.dims[y] for y in c.objects):
+        return True
+    cover = ModuleMap(p, work, eps, check=False)
     ident = ModuleMap(work, work, {y: Mat.identity(f, work.dims[y]) for y in c.objects},
                       check=False).flatten()
     # eps o (sum_k c_k sigma_k) = id is linear in the coefficients c_k

@@ -10,6 +10,9 @@ box tensors are modules over a product category, assembled by the
 product-module loop of `modcat`; a box tensor contracts the slices of its
 factors, acted on through `modcat.slot_action`, pointwise by that tensor.
 Random modules are seeded nonzero quotients of sums of representables.
+Every engine constructor builds an ideal that is two-sided by
+construction, so the closure test of an ideal, `validate_ideal`, lives
+here as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from .exactla import (ComplementData, EchelonSpace, Mat, block_diag, dense_row, 
 from .ideals import TwoSidedIdeal
 from .kcat import opposite, pair_object, tensor_category
 from .modcat import (
-    BaseMismatch, CatModule, _dims_up_to_top, _intertwining_system, _over_op, _product_module,
-    dualize, live_morphisms, over_unit, projective_resolution, quotient_module, representable,
-    slot_action, tor_data,
+    BaseMismatch, CatModule, InvalidModule, _dims_up_to_top, _intertwining_system, _over_op,
+    _product_module, dualize, ideal_representable, live_morphisms, over_unit,
+    projective_resolution, quotient_module, representable, slot_action, tor_data,
 )
+
+
+class InvalidIdeal(ValueError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +41,40 @@ def compose_basis(c, x, y, z, i, j):
 
 
 def zero_ideal(c):
-    return TwoSidedIdeal(c, {}, check=False)
+    return TwoSidedIdeal(c, {})
 
 
 def whole_ideal(c):
     span = {(x, y): Mat.identity(c.field, c.dim(x, y))
             for x in c.objects for y in c.objects}
-    return TwoSidedIdeal(c, span, check=False)
+    return TwoSidedIdeal(c, span)
+
+
+def column_space_basis(m):
+    """Canonical (reduced-echelon) basis of the column space."""
+    sp = EchelonSpace(m.field, m.rows)
+    for col in m.transpose().nz:
+        sp.add(col)
+    return sp.basis_matrix()
+
+
+def validate_ideal(ideal):
+    """Shapes and canonical bases of an ideal's spans, then closure: I(x,-)
+    is a submodule of C(x,-) (postcomposition), I(-,x) one of C(-,x)
+    (precomposition).  Returns the ideal; raises InvalidIdeal."""
+    c = ideal.parent
+    for (x, y), m in ideal.span.items():
+        if m.rows != c.dim(x, y):
+            raise InvalidIdeal(f"span at ({x},{y}) has wrong ambient dimension")
+        if m.cols and m != column_space_basis(m):
+            raise InvalidIdeal(f"span at ({x},{y}) is not a reduced basis")
+    for side, composition in (("left", "postcomposition"), ("right", "precomposition")):
+        for x in c.objects:
+            try:
+                ideal_representable(c, ideal, x, side)
+            except InvalidModule as exc:
+                raise InvalidIdeal(f"not closed under {composition}: {exc}") from None
+    return ideal
 
 
 def verify_dd(cx):
@@ -102,10 +136,9 @@ def _orbit_closure(m, seeds, spaces=None):
     c = m.base
     if spaces is None:
         spaces = {x: EchelonSpace(c.field, m.dims[x]) for x in c.objects}
-    out_arrows = m.out_arrows()
     for x, vec in seeds:
         if not spaces[x].contains(vec):
-            for y, mat in out_arrows[x]:
+            for y, mat in m.out_arrows(x):
                 spaces[y].add(mat.mul_vec(vec))
     return spaces
 

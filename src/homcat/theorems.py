@@ -22,7 +22,7 @@ I([T;],-) and I([;U],-) and projective exactly when both are.
 from __future__ import annotations
 
 from .exactla import (ComplementData, Mat, VerificationFailed, block_diag, kernel_basis, product,
-                      rank, solve)
+                      rank, solve, unit_rows)
 from .kcat import (enveloping, one_point_data, opposite, pair_object, quotient_category,
                    triangular_model)
 from .ideals import is_idempotent, opposite_ideal, triangular_ideal
@@ -118,43 +118,52 @@ class LESReport:
         return self.all_exact() and all(v for v in flags if isinstance(v, bool))
 
 
+def _cocycle_coords(d, units, vectors):
+    """Coordinates of the columns of `vectors` in the canonical basis of
+    ker d, whose unit rows are `units`; None unless d kills them all.  A
+    vector of the span has its coordinates at the unit rows
+    (`exactla.unit_rows`), so no elimination is needed."""
+    if not product(d, vectors).is_zero():
+        return None
+    return Mat.from_sparse(vectors.field, len(units), vectors.cols,
+                           tuple(vectors.nz[j] for j in units))
+
+
 class _CohomologyData:
-    """Cocycle bases and class coordinates of one cochain complex."""
+    """Cocycle bases and class coordinates of the cochain complex `data`
+    in degrees 0..upto; its differentials d_0..d_upto are all given."""
 
     def __init__(self, field, data, upto):
-        dims, diffs = data.dims, data.diffs
-        self.field = field
+        self.diffs = data.diffs
         self.cocycles = []
+        self.units = []
         self.class_proj = []
         self.dims = []
         for n in range(upto + 1):
-            z = kernel_basis(diffs[n]) if n < len(diffs) else Mat.identity(field, dims[n])
+            z = kernel_basis(self.diffs[n])
+            units = unit_rows(z)
             if n == 0:
                 bnd_in_z = Mat.zeros(field, z.cols, 0)
             else:
-                bnd_in_z = solve(z, diffs[n - 1])
+                bnd_in_z = _cocycle_coords(self.diffs[n], units, self.diffs[n - 1])
                 if bnd_in_z is None:
                     raise VerificationFailed("boundaries are not cocycles")
             comp = ComplementData(bnd_in_z)
             self.cocycles.append(z)
+            self.units.append(units)
             self.class_proj.append(comp)
             self.dims.append(comp.dim)
 
     def classes_of(self, n, vectors):
-        """Class coordinates of explicit cocycle vectors."""
-        z = self.cocycles[n]
-        cols = []
-        for v in vectors:
-            coords = solve(z, Mat.from_cols(self.field, [v], rows=z.rows))
-            if coords is None:
-                raise VerificationFailed("vector is not a cocycle")
-            cols.append(self.class_proj[n].proj.mul_vec(coords.col(0)))
-        return Mat.from_cols(self.field, cols, rows=self.dims[n])
+        """Class coordinates of the cocycles that are the columns of `vectors`."""
+        coords = _cocycle_coords(self.diffs[n], self.units[n], vectors)
+        if coords is None:
+            raise VerificationFailed("vector is not a cocycle")
+        return product(self.class_proj[n].proj, coords)
 
-    def representative(self, n, k):
-        """A cocycle vector representing the k-th cohomology basis class."""
-        zcoords = self.class_proj[n].section.col(k)
-        return self.cocycles[n].mul_vec(zcoords)
+    def representatives(self, n):
+        """Cocycles representing the cohomology basis classes, as columns."""
+        return product(self.cocycles[n], self.class_proj[n].section)
 
 
 def les_from_ses(res, ses, max_deg):
@@ -189,26 +198,22 @@ def les_from_ses(res, ses, max_deg):
                            for data in (data_i, data_c, data_h))
 
     def induced(coh_src, coh_tgt, chain, n):
-        reps = [coh_src.representative(n, k) for k in range(coh_src.dims[n])]
-        images = [chain[n].mul_vec(v) for v in reps]
-        return coh_tgt.classes_of(n, images)
+        return coh_tgt.classes_of(n, product(chain[n], coh_src.representatives(n)))
 
     incl_maps = [induced(coh_i, coh_c, incl_chain, n) for n in range(max_deg + 1)]
     proj_maps = [induced(coh_c, coh_h, proj_chain, n) for n in range(max_deg + 1)]
     deltas = []
     for n in range(max_deg + 1):
-        cols = []
-        for k in range(coh_h.dims[n]):
-            z = coh_h.representative(n, k)
-            y = solve(proj_chain[n], Mat.from_cols(field, [z], rows=len(z)))
-            if y is None:
-                raise VerificationFailed("cochain surjection failed to lift a cocycle")
-            w = product(diffs_c[n], y)
-            v = solve(incl_chain[n + 1], w)
-            if v is None:
-                raise VerificationFailed("differential of a lift missed the subcomplex")
-            cols.append(v.col(0))
-        deltas.append(coh_i.classes_of(n + 1, cols))
+        # lift every class through the surjection, apply the differential and
+        # pull back through the injection: the canonical solution of a system
+        # is the same column by column, so one solve serves all classes
+        lifts = solve(proj_chain[n], coh_h.representatives(n))
+        if lifts is None:
+            raise VerificationFailed("cochain surjection failed to lift a cocycle")
+        pulled = solve(incl_chain[n + 1], product(diffs_c[n], lifts))
+        if pulled is None:
+            raise VerificationFailed("differential of a lift missed the subcomplex")
+        deltas.append(coh_i.classes_of(n + 1, pulled))
 
     # exactness at each node of
     # 0 -> A_0 -> B_0 -> C_0 -> A_1 -> ...

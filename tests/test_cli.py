@@ -790,11 +790,12 @@ def test_verification_failure_in_task_gives_exit_3(monkeypatch):
 def test_failed_les_consistency_check_is_a_verification_failure(monkeypatch, tmp_path, capsys):
     import homcat.theorems as theorems_mod
 
-    # the LES assembly reads every boundary inside the cocycles by solve,
-    # which cannot fail on a genuine complex: None there is a bug, reported
-    # as a failed verification, not as bad input or a failed hypothesis.
-    # happel runs that check on the model of the one-point extension
-    monkeypatch.setattr(theorems_mod, "solve", lambda a, b: None)
+    # the LES assembly reads the boundaries' cocycle coordinates at the unit
+    # rows once d_n o d_{n-1} = 0 is checked, which cannot fail on a genuine
+    # complex: None there is a bug, reported as a failed verification, not
+    # as bad input or a failed hypothesis.  happel runs that check on the
+    # model of the one-point extension
+    monkeypatch.setattr(theorems_mod, "_cocycle_coords", lambda d, units, vectors: None)
     path = tmp_path / "ws.kcat"
     path.write_text(DUAL_SRC + "module S over D left\ndim s = 1\nact x = [[0]]\n"
                     "task happel D S\n")

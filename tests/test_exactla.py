@@ -577,3 +577,33 @@ def test_echelon_space_matches_rref(field):
                 inside = rank(stacked) == rank(vecs)
                 assert sp.contains(probe.row(0)) == inside
                 assert sp.contains(probe.nz[0]) == inside
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=repr)
+def test_kernel_of_an_empty_matrix_is_the_identity_without_elimination(field, monkeypatch):
+    # every column of a zero matrix is free, so the canonical basis the
+    # elimination route gives is the identity on the columns; an empty
+    # matrix, with no rows or no columns, gets it with no rref
+    want = {}
+    for rows in range(4):
+        for cols in range(4):
+            reduced, pivots = rref(Mat.zeros(field, rows, cols))
+            _, vecs = homcat.exactla._free_rows(field, reduced, pivots, cols)
+            want[rows, cols] = Mat.from_sparse(field, len(vecs), cols, tuple(vecs)).transpose()
+            assert want[rows, cols] == Mat.identity(field, cols)
+            assert kernel_basis(Mat.zeros(field, rows, cols)) == want[rows, cols]
+            # dense rows of entries that vanish in the field store nothing
+            dense = Mat(field, rows, cols, [[field.p] * cols] * rows)
+            assert kernel_basis(dense) == want[rows, cols]
+
+    def refuse(m):
+        raise AssertionError("an empty matrix needs no elimination")
+
+    monkeypatch.setattr(homcat.exactla, "rref", refuse)
+    for n in range(4):
+        assert kernel_basis(Mat.zeros(field, 0, n)) == want[0, n]
+        assert kernel_basis(Mat.zeros(field, n, 0)) == want[n, 0]
+    # a matrix with rows and columns is eliminated, even a zero one
+    for m in (Mat.zeros(field, 1, 2), Mat.from_rows(field, [[0, 1]])):
+        with pytest.raises(AssertionError, match="no elimination"):
+            kernel_basis(m)

@@ -7,13 +7,13 @@ from homcat.certify import build_quiver_category
 from homcat.exactla import EchelonSpace, Field, Mat, unit_vector
 from homcat.kcat import triangular_matrix, unit_category, one_point_extension
 from homcat.ideals import (
-    CoordinateMismatch, InvalidIdeal, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
+    CoordinateMismatch, ParentMismatch, TwoSidedIdeal, ideal_from_generators,
     ideal_product, is_idempotent, opposite_ideal, triangular_ideal,
 )
 from homcat.kcat import opposite
 from homcat.modcat import (CatModule, InvalidModule, bimodule, ideal_representable,
                            is_projective, representable)
-from homcat.reference import whole_ideal, zero_ideal
+from homcat.reference import InvalidIdeal, validate_ideal, whole_ideal, zero_ideal
 from homcat import zoo
 
 Q = Field.rationals()
@@ -143,7 +143,7 @@ def test_opposite_ideal_transport():
     op = opposite(a2)
     iop = opposite_ideal(ideal, op)
     assert iop.span[("2", "1")].cols == 1
-    assert iop.validate()
+    assert validate_ideal(iop)
 
 
 def test_closure_validation_catches_bad_span():
@@ -154,10 +154,10 @@ def test_closure_validation_catches_bad_span():
         bad = {(at, at): Mat.identity(Q, 1)}
         with pytest.raises(InvalidIdeal, match=f"not closed under {side}: spans are not a "
                                                r"submodule at \(1,2,0\)"):
-            TwoSidedIdeal(a2, bad)
+            validate_ideal(TwoSidedIdeal(a2, bad))
     # 2a spans the ideal of a, but not by its canonical basis
     with pytest.raises(InvalidIdeal, match=r"span at \(1,2\) is not a reduced basis"):
-        TwoSidedIdeal(a2, {("1", "2"): Mat.from_cols(Q, [(2,)])})
+        validate_ideal(TwoSidedIdeal(a2, {("1", "2"): Mat.from_cols(Q, [(2,)])}))
 
 
 # -- one-pass generation against the work-list saturation ----------------------
@@ -233,7 +233,7 @@ def test_generation_matches_the_work_list_saturation(field):
             got = ideals._saturate(c, seeds)
             assert got == _work_list_saturation(c, seeds)
             # generated by radical morphisms, the ideal is nilpotent
-            assert not is_idempotent(TwoSidedIdeal(c, got))
+            assert not is_idempotent(validate_ideal(TwoSidedIdeal(c, got)))
             # postcomposition keeps the source: another one needs precomposition
             sources = {x for x, _, _ in seeds}
             precomposed += any(m.cols and w not in sources for (w, _), m in got.items())
@@ -250,13 +250,13 @@ FOUR_FIELDS = [Q, Field.gf(2), Field.gf(3), Field.gf(32003)]
 def test_ideal_module_rejects_spans_not_closed_under_postcomposition(field):
     # e1 without a in A_2: the target span at 2 is empty
     a2 = zoo.a2(field)
-    bad = TwoSidedIdeal(a2, {("1", "1"): Mat.identity(field, 1)}, check=False)
+    bad = TwoSidedIdeal(a2, {("1", "1"): Mat.identity(field, 1)})
     with pytest.raises(InvalidModule, match=r"spans are not a submodule at \(1,2,0\)"):
         ideal_representable(a2, bad, "1")
     # e1 and a without b in the Kronecker quiver: the target span is a line
     kr = zoo.kronecker(field)
     bad = TwoSidedIdeal(kr, {("1", "1"): Mat.identity(field, 1),
-                             ("1", "2"): Mat.from_cols(field, [(1, 0)])}, check=False)
+                             ("1", "2"): Mat.from_cols(field, [(1, 0)])})
     with pytest.raises(InvalidModule, match=r"spans are not a submodule at \(1,2,1\)"):
         ideal_representable(kr, bad, "1")
     assert ideal_representable(kr, bad, "2").is_zero()
@@ -301,6 +301,6 @@ def test_generated_and_triangular_ideals_pass_validation(field):
     rng = random.Random(71 + field.p)
     cases = 0
     for c, ideal in _ideal_module_cases(field, rng):
-        assert ideal.validate()
+        assert validate_ideal(ideal)
         cases += 1
     assert cases == 30

@@ -1354,3 +1354,50 @@ def test_submodule_spans_are_tested_into_an_empty_target_span(field):
     with pytest.raises(ValueError, match="span basis is not reduced"):
         modcat.submodule_module(representable(zoo.kronecker(field), "1"),
                                 {"1": nothing, "2": both})
+
+
+# -- resolution terms build the actions that are read ---------------------------
+
+def _resolved_terms(field, rng):
+    """(base, resolution) over C, C^op and C^e for the zoo categories:
+    random modules, representables and the regular bimodule."""
+    cats = [zoo.a3(field), zoo.kronecker(field), zoo.dual_numbers(field),
+            zoo.random_two_object(field, 1)]
+    for c in cats:
+        for base in (c, opposite(c)):
+            for m in (random_module(base, rng), random_module(base, rng),
+                      representable(base, base.objects[-1])):
+                yield base, projective_resolution(m, 2)
+        env = enveloping(c)
+        yield env, projective_resolution(regular_bimodule(c, env), 2)
+        yield env, projective_resolution(random_module(env, rng), 2)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_term_actions_are_the_block_diagonal_post_composition_built_on_read(field):
+    rng = random.Random(137 + field.p)
+    lazy = terms = 0
+    for base, res in _resolved_terms(field, rng):
+        for k in range(res.length + 1):
+            term = res.term(k)
+            live = set(modcat.live_morphisms(base, term.dims, term.dims))
+            # the resolution built only actions it read, all of them live
+            assert set(term._act) <= live
+            lazy += len(term._act) < len(live)
+            for x in base.objects:
+                for y in base.objects:
+                    for i in range(base.dim(x, y)):
+                        want = block_diag(field, [base.post_matrix_basis(g, x, y, i)
+                                                  for g in res.gens[k]],
+                                          rows=term.dims[y], cols=term.dims[x])
+                        got = term.act_mat(x, y, i)
+                        assert got == want
+                        # kept on the term: a second read returns the same matrix
+                        assert term.act_mat(x, y, i) is got
+                assert term.out_arrows(x) == [
+                    (y, term.act_mat(x, y, i)) for y in base.objects
+                    if term.dims[x] and term.dims[y] for i in range(base.dim(x, y))]
+            # a read of act itself holds every live action
+            assert set(term.act) == live
+            terms += 1
+    assert terms > 80 and lazy > 20

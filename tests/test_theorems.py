@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,22 +9,24 @@ import pytest
 
 import homcat
 from homcat.exactla import (ComplementData, Field, Mat, VerificationFailed, block_diag,
-                            complex_cohomology_dims, kron, rank, unit_vector)
+                            complex_cohomology_dims, kernel_basis, kron, rank, solve, unit_vector)
 from homcat.hochschild import bar_resolution, hochschild_cohomology
 from homcat.kcat import (
-    enveloping, one_point_extension, opposite, pair_object, quotient_category,
-    triangular_matrix, triangular_model, unit_category,
+    category_from_tables, enveloping, one_point_extension, opposite, pair_object,
+    quotient_category, triangular_matrix, triangular_model, unit_category,
 )
 from homcat.ideals import TwoSidedIdeal, ideal_from_generators, opposite_ideal, triangular_ideal
 from homcat.certify import build_quiver_category
 from homcat.modcat import (
-    CatModule, ModuleMap, as_left_over_op, bimodule, ext, ext_data, ideal_representable,
-    is_projective, over_unit, projective_resolution, quotient_representable,
-    regular_bimodule, representable, restrict_module, simple,
+    BaseMismatch, CatModule, ExtComplexData, InvalidModule, ModuleMap, as_left_over_op, bimodule,
+    ext, ext_data, ideal_representable, is_projective, module_hom, over_unit,
+    projective_resolution, quotient_representable, regular_bimodule, representable,
+    restrict_module, simple,
 )
-from homcat.reference import as_right_over_op, compose_basis, tor, whole_ideal, zero_ideal
+from homcat.reference import (as_right_over_op, compose_basis, random_module, tor, validate_ideal,
+                              whole_ideal, zero_ideal)
 from homcat.theorems import (
-    CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule,
+    CheckReport, HypothesisFailed, ResolutionTooShort, SESOfBimodules, ZeroModule, _CohomologyData,
     audit_hypotheses, canonical_ses, cmp_pipeline, default_quotient_samples, happel_pipeline,
     les_from_ses, strongly_idempotent_check, theorem_les_pipeline, triangular_les_pipeline,
 )
@@ -82,7 +85,7 @@ def _pulled_back_quotient(c, ideal):
     phi^op tensor phi, the env morphism f tensor g acting as phi(f) tensor
     phi(g), with projection phi at every pair object.  A copy of the ideal
     computes the complements afresh."""
-    copy = TwoSidedIdeal(c, ideal.span, check=False)
+    copy = TwoSidedIdeal(c, ideal.span)
     phi = {(x, y): copy.complement(x, y).proj for x in c.objects for y in c.objects}
     reg = regular_bimodule(quotient_category(c, copy))
     env = enveloping(c)
@@ -885,7 +888,7 @@ def _lambda_ideal(lam, model, ideal):
         for y, (a2, b2) in pieces.items():
             span[(x, y)] = block_diag(lam.field, [ideal.span[(a, a2)], ideal.span[(a, b2)],
                                                   ideal.span[(b, b2)]])
-    return TwoSidedIdeal(lam, span)
+    return validate_ideal(TwoSidedIdeal(lam, span))
 
 
 @pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
@@ -908,3 +911,163 @@ def test_split_audit_reports_each_object_of_lambda(field):
                 one_fails += ok.count(False) == 1
     assert one_fails > 0
 
+
+
+# -- cocycle coordinates at unit rows, against elimination ---------------------
+
+def _solved_cohomology(field, data, upto):
+    """The oracle for `_CohomologyData`: per degree the canonical cocycle
+    basis z, with the boundaries' coordinates in z solved for."""
+    out = []
+    for n in range(upto + 1):
+        z = kernel_basis(data.diffs[n])
+        bnd = Mat.zeros(field, z.cols, 0) if n == 0 else solve(z, data.diffs[n - 1])
+        assert bnd is not None
+        out.append((z, ComplementData(bnd)))
+    return out
+
+
+def _solved_classes(z, comp, vectors):
+    """Class coordinates of each column of `vectors`, solved for in z."""
+    field = z.field
+    cols = []
+    for v in vectors.columns():
+        coords = solve(z, Mat.from_cols(field, [v], rows=z.rows))
+        assert coords is not None
+        cols.append(comp.proj.mul_vec(coords.col(0)))
+    return Mat.from_cols(field, cols, rows=comp.dim)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_cohomology_data_matches_the_solved_coordinates(field):
+    # the three LES complexes of every sequence case: cocycles, boundaries
+    # in them, class coordinates of random cocycles and representatives
+    rng = random.Random(127 + field.p)
+    upto = 2
+    degrees = classes = 0
+    for c, ideal in _ses_cases(field):
+        if c.triangular:
+            # the pipeline resolves over the model, not over Lambda
+            c = _model(c)
+            ideal = triangular_ideal(c)
+        ses = canonical_ses(c, ideal)
+        res = projective_resolution(ses.mid, upto + 1)
+        for module in (ses.sub, ses.mid, ses.quot):
+            data = ext_data(res, module, upto)
+            coh = _CohomologyData(field, data, upto)
+            for n, (z, comp) in enumerate(_solved_cohomology(field, data, upto)):
+                assert coh.cocycles[n] == z
+                assert coh.class_proj[n].span == comp.span
+                assert coh.dims[n] == comp.dim
+                # a fraction over Q, so that non-integral coordinates are read too
+                mix = Mat.from_rows(field, [[field.of(Fraction(rng.randrange(-3, 4),
+                                                               1 if field.p else 2))
+                                             for _ in range(3)] for _ in range(z.cols)],
+                                    cols=3)
+                vectors = z.mul(mix) if z.cols else Mat.zeros(field, z.rows, 3)
+                assert coh.classes_of(n, vectors) == _solved_classes(z, comp, vectors)
+                reps = coh.representatives(n)
+                assert reps.columns() == [z.mul_vec(comp.section.col(k))
+                                          for k in range(comp.dim)]
+                assert coh.classes_of(n, reps) == Mat.identity(field, comp.dim)
+                degrees += 1
+                classes += comp.dim
+    assert degrees == 56 * 3 * 3 and classes > 100
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_cohomology_data_rejects_non_cocycles_and_non_complexes(field):
+    one = Mat.identity(field, 1)
+    zero = Mat.zeros(field, 1, 1)
+    # d_1 o d_0 = 1: the boundary of degree 1 is not a cocycle
+    with pytest.raises(VerificationFailed, match="boundaries are not cocycles"):
+        _CohomologyData(field, ExtComplexData([1, 1, 1], [one, one]), 1)
+    coh = _CohomologyData(field, ExtComplexData([1, 1, 1], [zero, one]), 1)
+    assert coh.dims == [1, 0]
+    # the unit vector of degree 1 has d_1 v = v
+    with pytest.raises(VerificationFailed, match="vector is not a cocycle"):
+        coh.classes_of(1, one)
+    assert coh.classes_of(0, one) == one
+
+
+# -- projectivity: the cover first, then the splitting search ------------------
+
+def _splits(m):
+    """The splitting search alone: m is projective exactly when its
+    minimal cover has a natural section."""
+    if m.is_zero():
+        return True
+    work = m if m.side == "left" else as_left_over_op(m)
+    c = work.base
+    f = c.field
+    res = projective_resolution(work, 0)
+    p = res.term(0)
+    cover = ModuleMap(p, work, {y: res.aug_matrix(y) for y in c.objects}, check=False)
+    ident = ModuleMap(work, work, {y: Mat.identity(f, work.dims[y]) for y in c.objects},
+                      check=False).flatten()
+    cols = [s.then(cover).flatten() for s in module_hom(work, p).maps()]
+    system = Mat.from_cols(f, cols, rows=len(ident))
+    return solve(system, Mat.from_cols(f, [ident], rows=len(ident))) is not None
+
+
+def _k_times_k(field):
+    """K x K on one object x: orthogonal idempotents e and f, 1_x = e + f;
+    End(x) is not local."""
+    comp = {("x", "x", "x"): [[(1, 0), (0, 0)], [(0, 0), (0, 1)]]}
+    return category_from_tables(field, ("x",), {("x", "x"): ("e", "f")}, comp, {"x": (1, 1)})
+
+
+def _projectivity_cases(field, rng):
+    """C(x,-), I(x,-) and C/I(x,-) of every sequence case, the simples,
+    seeded random modules on both sides, and eC(x,-), fC(x,-) and C(x,-)
+    of K x K."""
+    for c, ideal in _ses_cases(field):
+        for x in c.objects:
+            yield representable(c, x)
+            yield ideal_representable(c, ideal, x)
+            yield quotient_representable(c, ideal, x)
+            try:
+                yield simple(c, x)
+            except InvalidModule:
+                pass
+        for side in ("left", "right"):
+            yield random_module(c, rng, side)
+    kk = _k_times_k(field)
+    for gen in ((1, 0), (0, 1)):
+        yield ideal_representable(kk, ideal_from_generators(kk, [("x", "x", gen)]), "x")
+    yield representable(kk, "x")
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_projectivity_matches_the_splitting_search(field):
+    # a cover that is an isomorphism proves projectivity; otherwise the
+    # search decides, and over K x K it finds sections of larger covers
+    rng = random.Random(131 + field.p)
+    seen = {}
+    for m in _projectivity_cases(field, rng):
+        got = is_projective(m)
+        assert got == _splits(m)
+        work = m if m.side == "left" else as_left_over_op(m)
+        iso = not m.is_zero() and projective_resolution(work, 0).term(0).dims == work.dims
+        seen[iso, got] = seen.get((iso, got), 0) + 1
+    # every cover that is square is an isomorphism, so it proves projectivity
+    assert (True, False) not in seen
+    assert seen[True, True] > 100 and seen[False, False] > 50 and seen[False, True] >= 3
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=repr)
+def test_restricting_checks_the_base_against_the_quotient_dims(field):
+    # A_3 modulo e3 keeps a: C/I is not its own opposite
+    a3 = zoo.a3(field)
+    ideal = ideal_from_generators(a3, [("3", "3", a3.id_coords("3"))])
+    b = quotient_category(a3, ideal)
+    assert ideal.quotient_dims == b.hom_dims
+    with pytest.raises(BaseMismatch, match="does not live over the quotient"):
+        restrict_module(representable(a3, "1"), ideal)
+    a3_op = opposite(a3)
+    iop = opposite_ideal(ideal, a3_op)
+    b_op = quotient_category(a3_op, iop)
+    assert iop.quotient_dims == {(x, y): d for (y, x), d in ideal.quotient_dims.items()}
+    assert restrict_module(representable(b_op, "2"), iop).dims == {"1": 1, "2": 1, "3": 0}
+    with pytest.raises(BaseMismatch, match="does not live over the quotient"):
+        restrict_module(representable(b, "1"), iop)
